@@ -100,14 +100,15 @@ def cmd_simulate(args) -> int:
     sim = cfg["simulate"]
     lif = LifParams(**sim["lif"])
 
-    def run_instance(i: int):
+    instances, outputs = [], []
+    for i in range(sim["count"]):
         seed_i = cfg["seed"] + i
         graph = generate_small_world(sim["n_nodes"], sim["small_world_k"],
                                      sim["small_world_beta"], seed=seed_i)
         stem_pre = f"{i:05d}_pre"
         pre = simulate(graph, lif, seed_i, bin_ms=sim["bin_ms"],
                        sigma_ms=sim["sigma_ms"])
-        written = list(save_record(out_dir, stem_pre, pre).values())
+        outputs += save_record(out_dir, stem_pre, pre).values()
         entry = {"index": i, "seed": seed_i, "pre": stem_pre, "post": None,
                  "perturbation": None}
         if sim["perturb"]:
@@ -116,23 +117,12 @@ def cmd_simulate(args) -> int:
             stem_post = f"{i:05d}_post"
             post = simulate(graph, lif, seed_i, perturbation=spec,
                             bin_ms=sim["bin_ms"], sigma_ms=sim["sigma_ms"])
-            written += list(save_record(out_dir, stem_post, post).values())
+            outputs += save_record(out_dir, stem_post, post).values()
             entry["post"] = stem_post
             entry["perturbation"] = {"neuron": spec.neuron,
                                      "onset_ms": spec.onset_ms,
                                      "duration_ms": spec.duration_ms}
-        return entry, written
-
-    indices = range(sim["count"])
-    if args.threads > 1:
-        # independent seeds; per-instance files, order restored by map
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_instance, indices))
-    else:
-        results = [run_instance(i) for i in indices]
-    instances = [entry for entry, _ in results]
-    outputs = [name for _, written in results for name in written]
+        instances.append(entry)
     dataset = {"instances": instances, "n_nodes": sim["n_nodes"],
                "bin_ms": sim["bin_ms"], "config": cfg}
     ds_path = out_dir / "dataset_manifest.json"
@@ -163,8 +153,7 @@ def cmd_prior(args) -> int:
                                    t["stride"]):
             scores = granger_score_matrix(window.context,
                                           cfg["prior"]["lag_order"],
-                                          cfg["prior"]["ridge"],
-                                          n_jobs=args.threads)
+                                          cfg["prior"]["ridge"])
             score_sum = scores if score_sum is None else score_sum + scores
             n_windows += 1
     if n_windows == 0:
@@ -296,9 +285,11 @@ def cmd_metrics(args) -> int:
     tg_files = sorted(Path(tg_dir).glob("*.csv"))
     if not fc_files:
         raise FileNotFoundError(f"no forecast CSVs under {fc_dir}")
-    if len(fc_files) != len(tg_files):
+    unmatched = sorted({f.stem for f in fc_files} ^ {f.stem for f in tg_files})
+    if unmatched:
         raise InvalidParameterError(
-            f"{len(fc_files)} forecasts vs {len(tg_files)} targets")
+            f"{len(fc_files)} forecasts vs {len(tg_files)} targets; stems "
+            f"without a partner: {', '.join(unmatched[:5])}")
     preds = [load_rates_csv(p) for p in fc_files]
     targets = [load_rates_csv(p) for p in tg_files]
     report = evaluate(preds, targets)
@@ -307,7 +298,8 @@ def cmd_metrics(args) -> int:
     (out_dir / "metric_report.json").write_text(
         json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
     _write_manifest(out_dir, "metrics", None,
-                    {f.name: f for f in fc_files[:8]},
+                    {**{f"forecasts/{f.name}": f for f in fc_files},
+                     **{f"targets/{f.name}": f for f in tg_files}},
                     ["metric_report.json"], None)
     print(f"metrics: mse={report.mse:.6f} mae={report.mae:.6f} "
           f"dtw={report.dtw:.6f} over {report.n_windows} window(s)")
@@ -327,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="run configuration JSON")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", required=out_required, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads where the operation parallelizes")
 
     p = sub.add_parser("simulate", help="generate spiking-network records")
     common(p)

@@ -3,14 +3,14 @@
 The prior graph is estimated from context windows only, by pairwise lagged
 regressions: for every ordered pair (source -> target) the score is the log
 ratio of residual sums of squares between a target-only autoregression and
-one augmented with the source's lags, floored at zero. Each node keeps its
-top-k strongest incoming edges.
+one augmented with the source's lags, floored at zero. The ridge fits run
+per target, with the augmented models of all sources batched into one
+solve. Each node keeps its top-k strongest incoming edges.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,33 +137,32 @@ def _standardize_rows(context: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lag_matrix(x: np.ndarray, p: int) -> np.ndarray:
-    """Columns are lags 1..p of x, aligned to targets x[p:]."""
-    t_len = len(x)
-    return np.column_stack([x[p - l:t_len - l] for l in range(1, p + 1)])
+def _ridge_rss(design: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+    """Residual sums of squares of ridge fits of y on a batch of designs.
 
-
-def _ridge_rss(design: np.ndarray, y: np.ndarray, ridge: float) -> float:
-    gram = design.T @ design + ridge * np.eye(design.shape[1])
-    beta = np.linalg.solve(gram, design.T @ y)
-    resid = y - design @ beta
-    return float(resid @ resid)
+    `design` is (batch, rows, k); `y` is (rows,) or (batch, rows).
+    """
+    design_t = design.transpose(0, 2, 1)
+    gram = design_t @ design + ridge * np.eye(design.shape[2])
+    beta = np.linalg.solve(gram, design_t @ y[..., None])
+    resid = y[..., None] - design @ beta
+    return (resid * resid).sum(axis=(1, 2))
 
 
 def granger_prior(context: np.ndarray, lag_order: int = 3, top_k: int = 8,
-                  ridge: float = 1e-6, n_jobs: int = 1) -> PriorGraph:
+                  ridge: float = 1e-6) -> PriorGraph:
     """Pairwise Granger prior over a context block (never sees the horizon).
 
     Channels are standardized internally, which makes the scores invariant
     under per-channel affine rescaling and lets constant channels degrade
     to a zero score instead of a singular solve.
     """
-    scores = granger_score_matrix(context, lag_order, ridge, n_jobs=n_jobs)
+    scores = granger_score_matrix(context, lag_order, ridge)
     return prior_from_scores(scores, lag_order=lag_order, top_k=top_k)
 
 
 def granger_score_matrix(context: np.ndarray, lag_order: int = 3,
-                         ridge: float = 1e-6, n_jobs: int = 1) -> np.ndarray:
+                         ridge: float = 1e-6) -> np.ndarray:
     """Matrix S with S[source, target] = Granger score of source -> target."""
     context = np.asarray(context, dtype=np.float64)
     if context.ndim != 2:
@@ -181,46 +180,39 @@ def granger_score_matrix(context: np.ndarray, lag_order: int = 3,
         raise InvalidParameterError("context contains non-finite values")
 
     z = _standardize_rows(context)
-    lags = [_lag_matrix(z[i], p) for i in range(n)]
-    targets = [z[i][p:] for i in range(n)]
-
-    def score_target(i: int) -> np.ndarray:
-        row = np.zeros(n)
-        rss_r = max(_ridge_rss(lags[i], targets[i], ridge), _RSS_FLOOR)
-        for j in range(n):
-            if j == i:
-                continue
-            full = np.column_stack([lags[i], lags[j]])
-            rss_f = max(_ridge_rss(full, targets[i], ridge), _RSS_FLOOR)
-            row[j] = max(0.0, np.log(rss_r / rss_f))
-        return row
-
+    # lags[i, :, l - 1] is lag l of channel i, aligned to the targets z[i, p:]
+    lags = np.stack([z[:, p - l:t_len - l] for l in range(1, p + 1)], axis=2)
+    targets = z[:, p:]
+    rss_r = np.maximum(_ridge_rss(lags, targets, ridge), _RSS_FLOOR)
     scores = np.zeros((n, n))
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            for i, row in enumerate(pool.map(score_target, range(n))):
-                scores[:, i] = row
-    else:
-        for i in range(n):
-            scores[:, i] = score_target(i)
+    for i in range(n):
+        # self-pairs are left out: their design repeats the target's lags
+        sources = np.arange(n) != i
+        own = np.broadcast_to(lags[i], (n - 1,) + lags.shape[1:])
+        design = np.concatenate([own, lags[sources]], axis=2)
+        rss_f = np.maximum(_ridge_rss(design, targets[i], ridge), _RSS_FLOOR)
+        scores[sources, i] = np.maximum(0.0, np.log(rss_r[i] / rss_f))
     return scores
 
 
 def prior_from_scores(scores: np.ndarray, lag_order: int, top_k: int) -> PriorGraph:
-    """Keep the top-k strongest incoming edges per node (deterministic ties)."""
+    """Keep the top-k strongest incoming edges per node.
+
+    Ties go to the lower source index; edges come out sorted by (src, dst).
+    """
     if top_k < 1:
         raise InvalidParameterError("top_k must be positive")
+    scores = np.asarray(scores, dtype=np.float64)
     n = scores.shape[0]
-    edges, strengths = [], []
-    for target in range(n):
-        incoming = [(s, target) for s in range(n) if s != target]
-        incoming.sort(key=lambda e: (-scores[e[0], target], e[0]))
-        for s, d in incoming[:top_k]:
-            edges.append((s, d))
-            strengths.append(float(scores[s, d]))
-    order = sorted(range(len(edges)), key=lambda i: edges[i])
-    return PriorGraph(edges=tuple(edges[i] for i in order),
-                      scores=tuple(strengths[i] for i in order),
+    ranked = -scores
+    np.fill_diagonal(ranked, np.inf)
+    # a stable sort down each column keeps lower source indices first on ties
+    top = np.argsort(ranked, axis=0, kind="stable")[:min(top_k, n - 1)]
+    keep = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(keep, top, True, axis=0)
+    src, dst = np.nonzero(keep)
+    return PriorGraph(edges=tuple(zip(src.tolist(), dst.tolist())),
+                      scores=tuple(scores[src, dst].tolist()),
                       lag_order=lag_order, top_k=top_k, n_nodes=n)
 
 

@@ -254,13 +254,25 @@ def load_checkpoint(path_prefix) -> ModelCheckpoint:
     manifest = json.loads(prefix.with_suffix(".json").read_text())
     if manifest.get("format") != "sheafcast-checkpoint-v1":
         raise CheckpointMismatchError("unrecognized checkpoint format")
-    raw = prefix.with_suffix(".bin").read_bytes()
+    bin_path = prefix.with_suffix(".bin")
+    raw = bin_path.read_bytes()
     arrays = {}
-    for entry in manifest["arrays"]:
+    end = 0
+    # the arrays must tile the file: no gap, overlap, truncation or padding
+    for entry in sorted(manifest["arrays"], key=lambda e: e["offset"]):
+        dtype = np.dtype(entry["dtype"])
         size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        arr = np.frombuffer(raw, dtype=entry["dtype"], count=size,
-                            offset=entry["offset"])
+        stop = entry["offset"] + size * dtype.itemsize
+        if entry["offset"] != end or stop > len(raw):
+            raise CheckpointMismatchError(
+                f"array {entry['name']} at bytes {entry['offset']}..{stop} does "
+                f"not fit the {len(raw)}-byte {bin_path.name}")
+        arr = np.frombuffer(raw, dtype=dtype, count=size, offset=end)
         arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float64)
+        end = stop
+    if end != len(raw):
+        raise CheckpointMismatchError(
+            f"{bin_path.name} has {len(raw)} bytes but its arrays cover {end}")
     return ModelCheckpoint(
         arrays=arrays,
         model_config=ModelConfig(**manifest["model_config"]),

@@ -133,3 +133,61 @@ def _rss(design, y):
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta
     return float(resid @ resid)
+
+
+def _lag_matrix(x, p):
+    """Columns are lags 1..p of x, aligned to targets x[p:]."""
+    t_len = len(x)
+    return np.column_stack([x[p - l:t_len - l] for l in range(1, p + 1)])
+
+
+def _ridge_rss(design, y, ridge):
+    gram = design.T @ design + ridge * np.eye(design.shape[1])
+    beta = np.linalg.solve(gram, design.T @ y)
+    resid = y - design @ beta
+    return float(resid @ resid)
+
+
+def granger_score_matrix_loop(context, lag_order=3, ridge=1e-6):
+    """Per-pair ridge Granger scores, S[source, target], one solve per pair.
+
+    Rows are standardized first; constant rows become zeros. Each score is
+    max(0, log(rss_restricted / rss_augmented)) with both RSS floored at
+    1e-12, and self-pairs score zero.
+    """
+    context = np.asarray(context, dtype=np.float64)
+    n, _ = context.shape
+    p = int(lag_order)
+    mean = context.mean(axis=1, keepdims=True)
+    std = context.std(axis=1, keepdims=True)
+    z = np.zeros_like(context)
+    ok = std[:, 0] > 1e-12
+    z[ok] = (context[ok] - mean[ok]) / std[ok]
+    lags = [_lag_matrix(z[i], p) for i in range(n)]
+    floor = 1e-12
+    scores = np.zeros((n, n))
+    for i in range(n):
+        y = z[i][p:]
+        rss_r = max(_ridge_rss(lags[i], y, ridge), floor)
+        for j in range(n):
+            if j == i:
+                continue
+            full = np.column_stack([lags[i], lags[j]])
+            rss_f = max(_ridge_rss(full, y, ridge), floor)
+            scores[j, i] = max(0.0, np.log(rss_r / rss_f))
+    return scores
+
+
+def top_k_incoming(scores, top_k):
+    """Per target, the top_k sources by (higher score, lower index), no
+    self-pairs; returns (edges, strengths) sorted by edge."""
+    n = scores.shape[0]
+    edges, strengths = [], []
+    for target in range(n):
+        incoming = [(s, target) for s in range(n) if s != target]
+        incoming.sort(key=lambda e: (-scores[e[0], target], e[0]))
+        for s, d in incoming[:top_k]:
+            edges.append((s, d))
+            strengths.append(float(scores[s, d]))
+    order = sorted(range(len(edges)), key=lambda i: edges[i])
+    return [edges[i] for i in order], [strengths[i] for i in order]

@@ -94,7 +94,7 @@ def test_train_wrote_checkpoint_and_log(pipeline):
     assert ckpt["trained_on_perturbed"] is False
 
 
-def test_forecast_shapes_and_metrics_pipeline(pipeline, tmp_path):
+def test_forecast_shapes_and_metrics_pipeline(pipeline, tmp_path, capsys):
     # build windows from one simulated record, forecast them, score them
     from sheafcast.data import make_windows, save_windows
     from sheafcast.neurosim import load_record
@@ -120,6 +120,21 @@ def test_forecast_shapes_and_metrics_pipeline(pipeline, tmp_path):
     report = json.loads((out / "metric_report.json").read_text())
     assert report["n_windows"] == len(windows)
     assert np.isfinite(report["mse"]) and report["mse"] >= 0.0
+    hashes = json.loads((out / "manifest_metrics.json").read_text())["input_hashes"]
+    assert len(hashes) == 2 * len(windows)
+    assert {f"forecasts/{f.name}" for f in fc_files} <= set(hashes)
+
+    renamed = tmp_path / "renamed_targets"
+    renamed.mkdir()
+    for i, f in enumerate(sorted((fc_dir / "targets").glob("*.csv"))):
+        stem = "zz_renamed" if i == 0 else f.stem
+        (renamed / f"{stem}.csv").write_bytes(f.read_bytes())
+    capsys.readouterr()
+    assert main(["metrics", "--forecasts", str(fc_dir / "forecasts"),
+                 "--targets", str(renamed),
+                 "--out", str(tmp_path / "m2")]) != EXIT_OK
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "zz_renamed" in err
 
 
 def test_perturb_eval_emits_report(pipeline, tmp_path):
@@ -145,6 +160,30 @@ def test_perturb_eval_refuses_contaminated_checkpoint(pipeline, tmp_path):
                  "--checkpoint", str(dirty_dir / "checkpoint"),
                  "--data", str(pipeline["sim"]), "--out", str(tmp_path / "x")])
     assert code == EXIT_MISMATCH
+
+
+@pytest.mark.parametrize("damage", [lambda raw: raw[:len(raw) // 2],
+                                    lambda raw: raw + b"\0" * 8],
+                         ids=["truncated", "padded"])
+def test_damaged_checkpoint_bin_exits_4(pipeline, tmp_path, capsys, damage):
+    src = pipeline["train"]
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "checkpoint.json").write_bytes((src / "checkpoint.json").read_bytes())
+    (bad / "checkpoint.bin").write_bytes(damage((src / "checkpoint.bin").read_bytes()))
+    capsys.readouterr()
+    code = main(["forecast", "--checkpoint", str(bad / "checkpoint"),
+                 "--windows", str(tmp_path / "w.json"), "--out", str(tmp_path / "o")])
+    assert code == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_threads_flag_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["prior", "--threads", "2", "--seed", "1",
+              "--data", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
 
 
 def test_schema_violations_exit_2(tmp_path):

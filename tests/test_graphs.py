@@ -8,7 +8,7 @@ from sheafcast.graphs import (BrainGraph, PriorGraph, generate_small_world,
                               load_edges_csv, load_prior_csv, prior_from_scores,
                               save_edges_csv, save_prior_csv)
 
-from oracles import ols_granger_score
+from oracles import granger_score_matrix_loop, ols_granger_score, top_k_incoming
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +131,47 @@ def test_prior_never_reads_horizon():
     corrupted[:, t_ctx:] = 1e6 * rng.normal(size=(3, 40))
     scores2 = granger_score_matrix(corrupted[:, :t_ctx], lag_order=3)
     np.testing.assert_array_equal(scores, scores2)
+
+
+def _constant_channel(rng):
+    ctx = rng.normal(size=(5, 40))
+    ctx[2] = 4.0
+    return ctx, 3
+
+
+def _affine_copies(rng):
+    ctx = rng.normal(size=(5, 40))
+    ctx[3] = -2.5 * ctx[1] + 7.0
+    return ctx, 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: (rng.normal(size=(2, 50)), 3),
+    lambda rng: (rng.normal(size=(4, 2 * 3 + 3)), 3),     # shortest context
+    lambda rng: (rng.normal(size=(6, 40)), 1),
+    lambda rng: (rng.normal(size=(6, 40)), 4),
+    lambda rng: (rng.normal(size=(3, 2 * 4 + 3)), 4),
+    lambda rng: (rng.normal(size=(100, 30)), 3),
+    _constant_channel,
+    _affine_copies,
+], ids=["n2", "shortest-p3", "p1", "p4", "shortest-p4", "n100", "constant",
+        "affine-copy"])
+def test_batched_scores_match_per_pair_loop(make):
+    ctx, p = make(np.random.default_rng(21))
+    np.testing.assert_allclose(granger_score_matrix(ctx, p),
+                               granger_score_matrix_loop(ctx, p),
+                               rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), top_k=st.integers(1, 14))
+def test_top_k_matches_sorted_tuple_rule(data, n, top_k):
+    flat = data.draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
+    scores = np.array(flat, dtype=float).reshape(n, n)
+    prior = prior_from_scores(scores, lag_order=3, top_k=top_k)
+    edges, strengths = top_k_incoming(scores, top_k)
+    assert list(prior.edges) == edges
+    assert list(prior.scores) == strengths
 
 
 def test_window_too_short_raises():
