@@ -49,9 +49,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """An ndarray with an optional gradient tape behind it."""
+    """An ndarray with an optional gradient tape behind it. A recorded node
+    keeps its parents and a closure mapping its output gradient to one
+    gradient per parent, never the node itself: the tape is acyclic."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
     # Make `ndarray <op> Tensor` defer to the reflected Tensor operator
     # instead of numpy attempting elementwise coercion.
@@ -75,15 +78,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        g = _unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
-
     def backward(self, grad=None) -> None:
-        """Backpropagate from this tensor; accumulates into `.grad` fields."""
+        """Backpropagate from this tensor into the `.grad` of its leaves;
+        a second call on the same graph adds the same amount again."""
         if grad is None:
             if self.data.size != 1:
                 raise ShapeMismatchError("backward() without grad needs a scalar output")
@@ -107,10 +104,17 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
-        self._accumulate(np.asarray(grad, dtype=np.float64))
+        grads = {id(self): _unbroadcast(np.asarray(grad, dtype=np.float64),
+                                        self.data.shape)}
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
+            g = grads.pop(id(node))
+            if node._backward is None:          # a leaf
+                node.grad = g.copy() if node.grad is None else node.grad + g
+                continue
+            for p, pg in zip(node._parents, node._backward(g)):
+                if pg is not None and p.requires_grad:
+                    pg = _unbroadcast(pg, p.data.shape)
+                    grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
 
     # ------------------------------------------------------------------
     # operators
@@ -119,12 +123,7 @@ class Tensor:
         other = lift(other)
         out = _make(self.data + other.data, (self, other))
         if out.requires_grad:
-            def backward():
-                if self.requires_grad:
-                    self._accumulate(out.grad)
-                if other.requires_grad:
-                    other._accumulate(out.grad)
-            out._backward = backward
+            out._backward = lambda g: (g, g)
         return out
 
     __radd__ = __add__
@@ -133,12 +132,9 @@ class Tensor:
         other = lift(other)
         out = _make(self.data * other.data, (self, other))
         if out.requires_grad:
-            def backward():
-                if self.requires_grad:
-                    self._accumulate(other.data * out.grad)
-                if other.requires_grad:
-                    other._accumulate(self.data * out.grad)
-            out._backward = backward
+            out._backward = lambda g: (
+                other.data * g if self.requires_grad else None,
+                self.data * g if other.requires_grad else None)
         return out
 
     __rmul__ = __mul__
@@ -146,7 +142,7 @@ class Tensor:
     def __neg__(self):
         out = _make(-self.data, (self,))
         if out.requires_grad:
-            out._backward = lambda: self._accumulate(-out.grad)
+            out._backward = lambda g: (-g,)
         return out
 
     def __sub__(self, other):
@@ -159,12 +155,9 @@ class Tensor:
         other = lift(other)
         out = _make(self.data / other.data, (self, other))
         if out.requires_grad:
-            def backward():
-                if self.requires_grad:
-                    self._accumulate(out.grad / other.data)
-                if other.requires_grad:
-                    other._accumulate(-self.data / (other.data ** 2) * out.grad)
-            out._backward = backward
+            out._backward = lambda g: (
+                g / other.data if self.requires_grad else None,
+                -self.data / (other.data ** 2) * g if other.requires_grad else None)
         return out
 
     def __rtruediv__(self, other):
@@ -175,23 +168,19 @@ class Tensor:
             raise TypeError("only scalar exponents are supported")
         out = _make(self.data ** exponent, (self,))
         if out.requires_grad:
-            def backward():
-                self._accumulate(exponent * self.data ** (exponent - 1) * out.grad)
-            out._backward = backward
+            out._backward = lambda g: (exponent * self.data ** (exponent - 1) * g,)
         return out
 
     def __matmul__(self, other):
+        """Matrix product; leading axes of either operand broadcast as a batch."""
         other = lift(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ShapeMismatchError("matmul supports 2-D operands only")
+        if self.data.ndim < 2 or other.data.ndim < 2:
+            raise ShapeMismatchError("matmul needs operands of at least 2 dimensions")
         out = _make(self.data @ other.data, (self, other))
         if out.requires_grad:
-            def backward():
-                if self.requires_grad:
-                    self._accumulate(out.grad @ other.data.T)
-                if other.requires_grad:
-                    other._accumulate(self.data.T @ out.grad)
-            out._backward = backward
+            out._backward = lambda g: (
+                g @ np.swapaxes(other.data, -1, -2) if self.requires_grad else None,
+                np.swapaxes(self.data, -1, -2) @ g if other.requires_grad else None)
         return out
 
     def __rmatmul__(self, other):
@@ -201,13 +190,13 @@ class Tensor:
         out = _make(self.data[key], (self,))
         if out.requires_grad:
             advanced = _has_index_array(key)
-            def backward():
+            def backward(g_out):
                 g = np.zeros_like(self.data)
                 if advanced:
-                    np.add.at(g, key, out.grad)
+                    np.add.at(g, key, g_out)
                 else:
-                    g[key] += out.grad
-                self._accumulate(g)
+                    g[key] += g_out
+                return (g,)
             out._backward = backward
         return out
 
@@ -217,11 +206,10 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
         if out.requires_grad:
-            def backward():
-                g = out.grad
+            def backward(g):
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.data.shape))
+                return (np.broadcast_to(g, self.data.shape),)
             out._backward = backward
         return out
 
@@ -232,7 +220,7 @@ class Tensor:
     def reshape(self, *shape):
         out = _make(self.data.reshape(*shape), (self,))
         if out.requires_grad:
-            out._backward = lambda: self._accumulate(out.grad.reshape(self.data.shape))
+            out._backward = lambda g: (g.reshape(self.data.shape),)
         return out
 
 
@@ -264,7 +252,7 @@ def sigmoid(t: Tensor) -> Tensor:
     val = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = _make(val, (t,))
     if out.requires_grad:
-        out._backward = lambda: t._accumulate(val * (1.0 - val) * out.grad)
+        out._backward = lambda g: (val * (1.0 - val) * g,)
     return out
 
 
@@ -273,7 +261,7 @@ def tanh(t: Tensor) -> Tensor:
     val = np.tanh(t.data)
     out = _make(val, (t,))
     if out.requires_grad:
-        out._backward = lambda: t._accumulate((1.0 - val ** 2) * out.grad)
+        out._backward = lambda g: ((1.0 - val ** 2) * g,)
     return out
 
 
@@ -281,7 +269,7 @@ def absolute(t: Tensor) -> Tensor:
     t = lift(t)
     out = _make(np.abs(t.data), (t,))
     if out.requires_grad:
-        out._backward = lambda: t._accumulate(np.sign(t.data) * out.grad)
+        out._backward = lambda g: (np.sign(t.data) * g,)
     return out
 
 
@@ -291,10 +279,9 @@ def sqrt(t: Tensor) -> Tensor:
     val = np.sqrt(t.data)
     out = _make(val, (t,))
     if out.requires_grad:
-        def backward():
+        def backward(g):
             denom = np.maximum(val, 1e-30)
-            g = np.where(t.data > 0, 0.5 / denom, 0.0)
-            t._accumulate(g * out.grad)
+            return (np.where(t.data > 0, 0.5 / denom, 0.0) * g,)
         out._backward = backward
     return out
 
@@ -305,62 +292,67 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
     if out.requires_grad:
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
-        def backward():
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    idx = [slice(None)] * out.grad.ndim
-                    idx[axis] = slice(lo, hi)
-                    t._accumulate(out.grad[tuple(idx)])
+        def backward(g):
+            idx = [slice(None)] * g.ndim
+            pieces = []
+            for lo, hi in zip(offsets[:-1], offsets[1:]):
+                idx[axis] = slice(lo, hi)
+                pieces.append(g[tuple(idx)])
+            return pieces
         out._backward = backward
     return out
 
 
 # ----------------------------------------------------------------------
-# graph gather/scatter and batched per-edge products
+# graph gather/scatter and batched per-edge products (rows are axis -2;
+# leading axes are a batch that shares the (E, m, d) maps)
 # ----------------------------------------------------------------------
 def index_add_rows(source: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
-    """Scatter-add rows of `source` into an (n_rows, ...) zero tensor."""
+    """Scatter-add rows of a (..., E, k) `source` into a (..., n_rows, k) zero tensor."""
     source = lift(source)
     index = np.asarray(index, dtype=np.intp)
-    data = np.zeros((n_rows,) + source.data.shape[1:], dtype=np.float64)
-    np.add.at(data, index, source.data)
+    key = (Ellipsis, index, slice(None))
+    data = np.zeros(source.data.shape[:-2] + (n_rows,) + source.data.shape[-1:])
+    np.add.at(data, key, source.data)
     out = _make(data, (source,))
     if out.requires_grad:
-        out._backward = lambda: source._accumulate(out.grad[index])
+        out._backward = lambda g: (g[key],)
     return out
+
+
+def _edge_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-edge outer products of (..., E, p) and (..., E, q) rows, summed
+    over the leading axes: one (E, p, q) contraction."""
+    e = a.shape[-2]
+    return (a.reshape(-1, e, a.shape[-1]).transpose(1, 2, 0)
+            @ b.reshape(-1, e, b.shape[-1]).transpose(1, 0, 2))
 
 
 def edge_matvec(mats: Tensor, vecs: Tensor) -> Tensor:
-    """Per-edge product: (E, m, d) x (E, d) -> (E, m)."""
+    """Per-edge product: (E, m, d) x (..., E, d) -> (..., E, m)."""
     mats, vecs = lift(mats), lift(vecs)
-    if mats.data.ndim != 3 or vecs.data.ndim != 2 or mats.data.shape[::2] != (
-            vecs.data.shape[0], vecs.data.shape[1]):
+    if mats.data.ndim != 3 or vecs.data.ndim < 2 or mats.data.shape[::2] != (
+            vecs.data.shape[-2], vecs.data.shape[-1]):
         raise ShapeMismatchError(
             f"edge_matvec: got {mats.data.shape} and {vecs.data.shape}")
-    out = _make((mats.data @ vecs.data[:, :, None])[:, :, 0], (mats, vecs))
+    out = _make((mats.data @ vecs.data[..., None])[..., 0], (mats, vecs))
     if out.requires_grad:
-        def backward():
-            if mats.requires_grad:
-                mats._accumulate(out.grad[:, :, None] * vecs.data[:, None, :])
-            if vecs.requires_grad:
-                vecs._accumulate((mats.data * out.grad[:, :, None]).sum(axis=1))
-        out._backward = backward
+        out._backward = lambda g: (
+            _edge_outer(g, vecs.data) if mats.requires_grad else None,
+            (g[..., None, :] @ mats.data)[..., 0, :] if vecs.requires_grad else None)
     return out
 
 
 def edge_matvec_t(mats: Tensor, vecs: Tensor) -> Tensor:
-    """Per-edge transposed product: (E, m, d) x (E, m) -> (E, d)."""
+    """Per-edge transposed product: (E, m, d) x (..., E, m) -> (..., E, d)."""
     mats, vecs = lift(mats), lift(vecs)
-    if mats.data.ndim != 3 or vecs.data.ndim != 2 or (
-            mats.data.shape[0], mats.data.shape[1]) != vecs.data.shape:
+    if mats.data.ndim != 3 or vecs.data.ndim < 2 or (
+            mats.data.shape[0], mats.data.shape[1]) != vecs.data.shape[-2:]:
         raise ShapeMismatchError(
             f"edge_matvec_t: got {mats.data.shape} and {vecs.data.shape}")
-    out = _make((vecs.data[:, None, :] @ mats.data)[:, 0, :], (mats, vecs))
+    out = _make((vecs.data[..., None, :] @ mats.data)[..., 0, :], (mats, vecs))
     if out.requires_grad:
-        def backward():
-            if mats.requires_grad:
-                mats._accumulate(vecs.data[:, :, None] * out.grad[:, None, :])
-            if vecs.requires_grad:
-                vecs._accumulate((mats.data @ out.grad[:, :, None])[:, :, 0])
-        out._backward = backward
+        out._backward = lambda g: (
+            _edge_outer(vecs.data, g) if mats.requires_grad else None,
+            (mats.data @ g[..., None])[..., 0] if vecs.requires_grad else None)
     return out

@@ -2,16 +2,18 @@
 
 Each command is a thin binding of the corresponding library operation. Every
 run writes a manifest capturing the config hash, input file hashes, seed,
-and tool version; identical manifests reproduce identical outputs.
+tool version and a hash of the package sources; identical manifests
+reproduce identical outputs.
 
 Exit codes: 0 success, 2 configuration/schema violation, 3 missing input,
 4 checkpoint/config mismatch (including the perturbation leakage guard),
-5 runtime failure.
+5 any other failure (bad data, I/O, divergence). Failures print one line.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -19,9 +21,8 @@ from pathlib import Path
 from . import __version__
 from .config import config_hash, default_config, file_hash, load_config
 from .data import load_windows, make_perturbed_windows, make_windows
-from .errors import (CheckpointMismatchError, ConfigError, DivergenceError,
-                     InfeasiblePlacementError, InvalidParameterError,
-                     NonFiniteStateError, SheafcastError)
+from .errors import (CheckpointMismatchError, ConfigError,
+                     InfeasiblePlacementError, InvalidParameterError)
 from .graphs import (generate_small_world, granger_score_matrix, load_prior_csv,
                      prior_from_scores, save_prior_csv)
 from .metrics import evaluate
@@ -38,11 +39,18 @@ EXIT_MISMATCH = 4
 EXIT_RUNTIME = 5
 
 
+def code_hash() -> str:
+    """sha256 over the package's .py sources, in sorted file-name order."""
+    sources = sorted(Path(__file__).parent.glob("*.py"))
+    return hashlib.sha256(b"".join(p.read_bytes() for p in sources)).hexdigest()
+
+
 def _write_manifest(out_dir: Path, command: str, cfg, inputs: dict,
                     outputs: list, seed) -> None:
     manifest = {
         "command": command,
         "tool_version": __version__,
+        "code_hash": code_hash(),
         "seed": seed,
         "config_hash": config_hash(cfg) if cfg is not None else None,
         "input_hashes": {str(k): file_hash(v) for k, v in inputs.items()},
@@ -68,6 +76,10 @@ def _load_cfg(args):
         raise ConfigError("provide --config or --seed")
     if args.seed is not None:
         cfg["seed"] = args.seed
+    try:        # the parameter objects check their own value domains
+        _train_config(cfg), _model_config(cfg), LifParams(**cfg["simulate"]["lif"])
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -212,8 +224,8 @@ def cmd_forecast(args) -> int:
     fc_dir.mkdir(parents=True, exist_ok=True)
     tg_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for i, window in enumerate(windows):
-        pred = model.predict(window.context, window.horizon.shape[1])
+    preds, _ = forecast_windows(model, windows)
+    for i, (window, pred) in enumerate(zip(windows, preds)):
         stem = f"{i:05d}"
         save_rates_csv(fc_dir / f"{stem}.csv", pred)
         save_rates_csv(tg_dir / f"{stem}.csv", window.horizon)
@@ -371,12 +383,10 @@ def main(argv=None) -> int:
     except CheckpointMismatchError as exc:
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (DivergenceError, NonFiniteStateError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except Exception as exc:
+        message = " ".join(str(exc).split()) or "(no message)"
+        print(f"runtime failure: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_RUNTIME
-    except SheafcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

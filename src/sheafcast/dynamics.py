@@ -73,18 +73,19 @@ class ForecastTrajectory:
 
 
 def field_batch(x, stalks, params: VectorFieldParams) -> ad.Tensor:
-    """Evaluate the vector field for all nodes at once; returns (n, 1)."""
+    """Evaluate the vector field for all nodes at once: states (..., n) or
+    (..., n, 1) and stalks (..., n, d) give (..., n, 1)."""
     x = ad.lift(x)
     stalks = ad.lift(stalks)
-    if x.data.ndim == 1:
-        x = x.reshape(-1, 1)
+    if x.data.ndim == stalks.data.ndim - 1:
+        x = x.reshape(x.data.shape + (1,))
     if params.state_free:
         inp = stalks
     else:
-        inp = ad.concatenate([x, stalks], axis=1)
-    if inp.data.shape[1] != params.in_dim:
+        inp = ad.concatenate([x, stalks], axis=-1)
+    if inp.data.shape[-1] != params.in_dim:
         raise ShapeMismatchError(
-            f"field input width {inp.data.shape[1]} != {params.in_dim}")
+            f"field input width {inp.data.shape[-1]} != {params.in_dim}")
     hidden = ad.tanh(inp @ params.w1 + params.b1)
     return hidden @ params.w2 + params.b2
 

@@ -96,24 +96,26 @@ class ForecastModel:
         return encode_all(context, self.lstm)
 
     def forward(self, context: np.ndarray, t_hor: int):
-        """Forecast t_hor steps; returns (predictions (n, t_hor) Tensor,
-        first-round edge discrepancies (n_edges, m) Tensor)."""
+        """Forecast t_hor steps from one (n, t_ctx) context or a (B, n, t_ctx)
+        window stack; returns (predictions (..., n, t_hor), first-round edge
+        discrepancies (..., n_edges, m)). The LSTM runs on B·n rows; the field
+        keeps the window axis, so its matrix products stay window-sized."""
         context = np.asarray(context, dtype=np.float64)
-        if context.ndim != 2 or context.shape[0] != self.n_nodes:
+        if context.ndim not in (2, 3) or context.shape[-2] != self.n_nodes:
             raise ShapeMismatchError(
                 f"context {context.shape} does not match the {self.n_nodes}-node graph")
         alpha_override = 1.0 if self.config.ablation == "graph" else None
-        h0 = self.stalks(context)
-        h_final, delta = message_pass(h0, self.sheaf,
-                                      alpha_override=alpha_override,
+        h0 = self.stalks(context.reshape(-1, context.shape[-1]))
+        h_final, delta = message_pass(h0.reshape(context.shape[:-1] + (-1,)),
+                                      self.sheaf, alpha_override=alpha_override,
                                       return_first_discrepancy=True)
 
         def f(_t, x):
-            return field_batch(x, h_final, self.vfield).reshape(-1)
+            return field_batch(x, h_final, self.vfield).reshape(x.shape)
 
-        x0 = ad.Tensor(context[:, -1])
-        states = rk4_states(f, x0, 0.0, self.config.dt, int(t_hor))
-        pred = ad.concatenate([s.reshape(-1, 1) for s in states], axis=1)
+        states = rk4_states(f, ad.Tensor(context[..., -1]), 0.0, self.config.dt,
+                            int(t_hor))
+        pred = ad.concatenate([s.reshape(s.shape + (1,)) for s in states], axis=-1)
         return pred, delta
 
     def predict(self, context: np.ndarray, t_hor: int) -> np.ndarray:

@@ -162,12 +162,8 @@ def _check_graph(params: SheafParameters, graph) -> None:
 
 
 def _discrepancies(H: ad.Tensor, params: SheafParameters, alpha_override):
-    src = params.edges[:, 0]
-    dst = params.edges[:, 1]
-    h_src = H[src]
-    h_dst = H[dst]
-    proj_src = ad.edge_matvec(params.rho_src, h_src)
-    proj_dst = ad.edge_matvec(params.rho_dst, h_dst)
+    proj_src = ad.edge_matvec(params.rho_src, H[..., params.edges[:, 0], :])
+    proj_dst = ad.edge_matvec(params.rho_dst, H[..., params.edges[:, 1], :])
     if alpha_override is None:
         col = params.attention.reshape(-1, 1)
         alpha_src = ad.sigmoid(proj_src @ col)
@@ -180,14 +176,15 @@ def _discrepancies(H: ad.Tensor, params: SheafParameters, alpha_override):
 
 def sheaf_laplacian_apply(H, params: SheafParameters, graph=None,
                           alpha_override=None) -> ad.Tensor:
-    """Apply the learnable sheaf Laplacian to a stalk matrix.
+    """Apply the learnable sheaf Laplacian to an (n, d) stalk matrix or a
+    (..., n, d) stack of them.
 
     `alpha_override` pins every gate to a constant, bypassing the sigmoid
     (used by the positive-semidefiniteness checks with alpha = 1).
     """
     _check_graph(params, graph)
     H = ad.lift(H)
-    if H.data.shape != (params.n_nodes, params.stalk_dim):
+    if H.data.shape[-2:] != (params.n_nodes, params.stalk_dim):
         raise ShapeMismatchError(
             f"stalk matrix {H.data.shape} does not match "
             f"({params.n_nodes}, {params.stalk_dim})")
@@ -206,7 +203,7 @@ def message_pass(H0, params: SheafParameters, graph=None, alpha_override=None,
     """Run `params.rounds` rounds of H <- H - L(H).
 
     Gates are recomputed from the current stalks every round. With
-    `return_first_discrepancy` the (n_edges, m) discrepancy of the first
+    `return_first_discrepancy` the (..., n_edges, m) discrepancy of the first
     round (computed from H0 even when rounds == 0) is returned as well,
     which is what the sparsity and prior losses consume.
     """

@@ -39,25 +39,27 @@ def loss_mse(pred, target) -> ad.Tensor:
 
 
 def loss_sparse(discrepancies) -> ad.Tensor:
-    """Sum of entrywise absolute discrepancy over all edges."""
-    return ad.absolute(ad.lift(discrepancies)).sum()
+    """Sum of entrywise absolute discrepancy over all edges; a (B, E, m)
+    stack gives the mean of the per-window sums."""
+    return ad.absolute(ad.lift(discrepancies)).sum(axis=(-2, -1)).mean()
 
 
 def loss_prior(discrepancies, prior: PriorGraph, edges) -> ad.Tensor:
     """Pull discrepancy norms toward the prior's 0/1 edge indicator.
 
     The sum runs over the union of sheaf and prior edges; prior edges the
-    sheaf does not carry contribute |0 - 1| = 1 each.
+    sheaf does not carry contribute |0 - 1| = 1 each. A stack of windows'
+    discrepancies gives the mean of the per-window sums.
     """
     delta = ad.lift(discrepancies)
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    if delta.data.shape[0] != len(edges):
+    if delta.data.ndim < 2 or delta.data.shape[-2] != len(edges):
         raise ShapeMismatchError("one discrepancy per sheaf edge required")
     prior_set = prior.edge_set()
     indicator = np.array([1.0 if (int(s), int(d)) in prior_set else 0.0
                           for s, d in edges])
-    norms = ad.sqrt((delta * delta).sum(axis=1))
-    loss = ad.absolute(norms - indicator).sum()
+    norms = ad.sqrt((delta * delta).sum(axis=-1))
+    loss = ad.absolute(norms - indicator).sum(axis=-1).mean()
     sheaf_set = {(int(s), int(d)) for s, d in edges}
     missing = sum(1 for e in prior_set if e not in sheaf_set)
     return loss + float(missing)
@@ -309,18 +311,23 @@ def _split_train_val(windows, seed: int, val_fraction: float):
     return train, val
 
 
-def _window_loss(model: ForecastModel, window: TrajectoryWindow,
-                 prior: PriorGraph, config: TrainingConfig) -> ad.Tensor:
-    pred, delta = model.forward(window.context, window.horizon.shape[1])
-    return total_loss(pred, window.horizon, delta, prior,
+def _batch_loss(model: ForecastModel, windows, prior: PriorGraph,
+                config: TrainingConfig) -> ad.Tensor:
+    """Mean per-window objective of equal-shaped windows, in one forward."""
+    horizon = np.stack([w.horizon for w in windows])
+    pred, delta = model.forward(np.stack([w.context for w in windows]),
+                                horizon.shape[-1])
+    return total_loss(pred, horizon, delta, prior,
                       config.lambda1, config.lambda2, model.sheaf.edges)
 
 
 def _dataset_loss(model, windows, prior, config) -> float:
+    chunks = [windows[i:i + config.batch_size]
+              for i in range(0, len(windows), config.batch_size)]
     with ad.no_grad():
-        vals = [float(_window_loss(model, w, prior, config).data)
-                for w in windows]
-    return float(np.mean(vals))
+        total = sum(float(_batch_loss(model, c, prior, config).data) * len(c)
+                    for c in chunks)
+    return total / len(windows)
 
 
 def train(windows, prior: PriorGraph, config: TrainingConfig,
@@ -353,6 +360,8 @@ def train(windows, prior: PriorGraph, config: TrainingConfig,
             windows, config.seed, config.val_fraction)
     else:
         train_windows, val_windows = windows, list(val_windows)
+    if len({(w.context.shape, w.horizon.shape) for w in train_windows + val_windows}) > 1:
+        raise InvalidParameterError("training and validation windows differ in shape")
 
     params = model.parameters()
     state = AdamState()
@@ -374,12 +383,8 @@ def train(windows, prior: PriorGraph, config: TrainingConfig,
             epoch_losses = []
             for b_start in range(0, len(order), config.batch_size):
                 batch_ids = order[b_start:b_start + config.batch_size]
-                losses = [_window_loss(model, train_windows[i], prior, config)
-                          for i in batch_ids]
-                batch_loss = losses[0]
-                for piece in losses[1:]:
-                    batch_loss = batch_loss + piece
-                batch_loss = batch_loss * (1.0 / len(losses))
+                batch_loss = _batch_loss(
+                    model, [train_windows[i] for i in batch_ids], prior, config)
                 if not np.isfinite(batch_loss.data):
                     raise DivergenceError(
                         f"non-finite loss in epoch {epoch}, "
@@ -451,13 +456,26 @@ class SeriesData:
             self.eval_windows = list(self.train_windows)
 
 
+# a stack's working set grows with it: ~2 MB per window at 100 nodes, 800 edges
+_FORECAST_CHUNK = 8
+
+
 def forecast_windows(model: ForecastModel, windows):
-    """Predictions and targets for a list of windows (normalized units)."""
-    preds, targets = [], []
-    for w in windows:
-        preds.append(model.predict(w.context, w.horizon.shape[1]))
-        targets.append(w.horizon)
-    return preds, targets
+    """Predictions and targets for a list of windows (normalized units).
+
+    Windows of equal shape are forecast as stacks of up to _FORECAST_CHUNK;
+    both lists keep the input order.
+    """
+    windows = list(windows)
+    groups, preds = {}, {}
+    for i, w in enumerate(windows):
+        groups.setdefault((w.context.shape, w.horizon.shape[1]), []).append(i)
+    for (_, t_hor), ids in groups.items():
+        for lo in range(0, len(ids), _FORECAST_CHUNK):
+            chunk = ids[lo:lo + _FORECAST_CHUNK]
+            stack = model.predict(np.stack([windows[i].context for i in chunk]), t_hor)
+            preds.update(zip(chunk, stack))
+    return [preds[i] for i in range(len(windows))], [w.horizon for w in windows]
 
 
 def assign_folds(series_ids, folds: int, seed: int) -> dict:

@@ -191,3 +191,17 @@ def top_k_incoming(scores, top_k):
             strengths.append(float(scores[s, d]))
     order = sorted(range(len(edges)), key=lambda i: edges[i])
     return [edges[i] for i in order], [strengths[i] for i in order]
+
+
+def per_window_loss(model, windows, prior, lambda1, lambda2):
+    """The training objective the slow way: one forward per window, the
+    window losses added on one tape and divided by their count."""
+    from sheafcast.training import total_loss
+
+    out = None
+    for w in windows:
+        pred, delta = model.forward(w.context, w.horizon.shape[1])
+        piece = total_loss(pred, w.horizon, delta, prior, lambda1, lambda2,
+                           model.sheaf.edges)
+        out = piece if out is None else out + piece
+    return out * (1.0 / len(windows))

@@ -1,5 +1,8 @@
 """Engine-level gradient checks against central finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -131,3 +134,62 @@ def test_sigmoid_extreme_inputs_stable():
     np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)
     out.sum().backward()
     assert np.all(np.isfinite(t.grad))
+
+
+# ----------------------------------------------------------------------
+# the tape is acyclic: reference counting frees it
+# ----------------------------------------------------------------------
+def _tape_refs(root):
+    """Weak references to every recorded (non-leaf) node under `root`."""
+    refs, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        refs.append(weakref.ref(node))
+        stack.extend(node._parents)
+    return refs
+
+
+def _model_loss(t_ctx, t_hor):
+    from sheafcast.model import ForecastModel, ModelConfig
+
+    rng = np.random.default_rng(7)
+    model = ForecastModel.init(np.array([[0, 1], [1, 2], [2, 0]]), 3,
+                               ModelConfig(stalk_dim=4, map_dim=3, rounds=2,
+                                           normalize=True, field_width=5),
+                               seed=0)
+    pred, delta = model.forward(rng.normal(size=(2, 3, t_ctx)), t_hor)
+    return model, (pred * pred).mean() + ad.absolute(delta).sum()
+
+
+@pytest.mark.parametrize("t_ctx, t_hor", [(6, 3), (200, 100)],
+                         ids=["short", "deep"])
+def test_tape_is_freed_without_the_cycle_collector(t_ctx, t_hor):
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model, loss = _model_loss(t_ctx, t_hor)
+        refs = _tape_refs(loss)
+        assert len(refs) > 50
+        loss.backward()
+        assert all(p.grad is not None for p in model.parameters().values())
+        del loss
+        assert all(r() is None for r in refs)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_second_backward_accumulates_the_same_gradient_again():
+    rng = np.random.default_rng(8)
+    a = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    hidden = ad.tanh(a @ b)
+    loss = (hidden * hidden).sum() + a.sum()
+    loss.backward()
+    first = a.grad.copy(), b.grad.copy()
+    loss.backward()
+    np.testing.assert_array_equal(a.grad, 2.0 * first[0])
+    np.testing.assert_array_equal(b.grad, 2.0 * first[1])

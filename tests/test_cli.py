@@ -1,10 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sheafcast.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_MISSING, EXIT_OK,
-                           main)
+                           EXIT_RUNTIME, main)
 from sheafcast.config import default_config, validate_config
 from sheafcast.errors import ConfigError
 from sheafcast.neurosim import load_rates_csv
@@ -72,6 +74,19 @@ def test_run_manifest_contents(pipeline):
     assert manifest["seed"] == 11
     assert len(manifest["config_hash"]) == 64
     assert manifest["tool_version"]
+
+
+def test_manifests_carry_the_code_hash(pipeline):
+    import sheafcast
+
+    digest = hashlib.sha256()
+    for path in sorted(Path(sheafcast.__file__).parent.glob("*.py")):
+        digest.update(path.read_bytes())
+    for out_dir, command in ((pipeline["sim"], "simulate"),
+                             (pipeline["prior"], "prior"),
+                             (pipeline["train"], "train")):
+        manifest = json.loads((out_dir / f"manifest_{command}.json").read_text())
+        assert manifest["code_hash"] == digest.hexdigest()
 
 
 def test_prior_respects_top_k(pipeline):
@@ -196,6 +211,66 @@ def test_schema_violations_exit_2(tmp_path):
     path2 = _write_config(tmp_path, missing_seed, "c2.json")
     assert main(["simulate", "--config", str(path2),
                  "--out", str(tmp_path / "o2")]) == EXIT_CONFIG
+
+
+def _one_line_exit(capsys, argv):
+    capsys.readouterr()
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+    return code
+
+
+def test_config_domain_error_exits_2(pipeline, tmp_path, capsys):
+    cfg = _fast_config()
+    cfg["train"]["lr"] = -1.0
+    path = _write_config(tmp_path, cfg)
+    assert _one_line_exit(capsys, [
+        "train", "--config", path, "--data", pipeline["sim"],
+        "--prior", pipeline["prior"] / "prior.csv",
+        "--out", tmp_path / "o"]) == EXIT_CONFIG
+
+
+def test_data_faults_exit_5(pipeline, tmp_path, capsys):
+    fc, tg = tmp_path / "fc", tmp_path / "tg"
+    fc.mkdir()
+    tg.mkdir()
+    (fc / "a.csv").write_text("n0\n1.0\n")
+    (tg / "b.csv").write_text("n0\n1.0\n")
+    assert _one_line_exit(capsys, ["metrics", "--forecasts", fc, "--targets", tg,
+                                   "--out", tmp_path / "m"]) == EXIT_RUNTIME
+
+    dataset = json.loads((pipeline["sim"] / "dataset_manifest.json").read_text())
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "dataset_manifest.json").write_text(
+        json.dumps({**dataset, "instances": []}))
+    assert _one_line_exit(capsys, ["prior", "--config", pipeline["cfg_path"],
+                                   "--data", empty, "--out", tmp_path / "p"]) == EXIT_RUNTIME
+
+    unperturbed = tmp_path / "unperturbed"
+    unperturbed.mkdir()
+    (unperturbed / "dataset_manifest.json").write_text(json.dumps(
+        {**dataset, "instances": [{**e, "post": None} for e in dataset["instances"]]}))
+    assert _one_line_exit(capsys, [
+        "perturb-eval", "--config", pipeline["cfg_path"],
+        "--checkpoint", pipeline["train"] / "checkpoint", "--data", unperturbed,
+        "--out", tmp_path / "pe"]) == EXIT_RUNTIME
+
+
+def test_foreign_exceptions_exit_5_with_one_line(pipeline, tmp_path, capsys):
+    dataset = json.loads((pipeline["sim"] / "dataset_manifest.json").read_text())
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    del dataset["instances"]
+    (broken / "dataset_manifest.json").write_text(json.dumps(dataset))
+    assert _one_line_exit(capsys, ["prior", "--config", pipeline["cfg_path"],
+                                   "--data", broken, "--out", tmp_path / "p"]) == EXIT_RUNTIME
+
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    assert _one_line_exit(capsys, ["simulate", "--config", pipeline["cfg_path"],
+                                   "--out", blocker / "sub"]) == EXIT_RUNTIME
 
 
 def test_missing_inputs_exit_3(tmp_path):

@@ -8,8 +8,11 @@ from sheafcast.data import make_windows
 from sheafcast.errors import InvalidParameterError
 from sheafcast.graphs import PriorGraph
 from sheafcast.model import ForecastModel, ModelConfig
+
+from oracles import per_window_loss
 from sheafcast.training import (AdamState, SeriesData, TrainingConfig,
-                                adamw_step, assign_folds, baseline_copy_last,
+                                _batch_loss, adamw_step, assign_folds,
+                                baseline_copy_last,
                                 cross_validate, forecast_windows,
                                 load_checkpoint, loss_mse, loss_prior,
                                 loss_sparse, save_checkpoint, total_loss,
@@ -202,9 +205,8 @@ def test_loss_monotone_on_repeated_batch():
     params = model.parameters()
     state = AdamState()
     losses = []
-    from sheafcast.training import _window_loss
     for _ in range(20):
-        batch = _window_loss(model, windows[0], prior, cfg)
+        batch = _batch_loss(model, windows[:1], prior, cfg)
         losses.append(float(batch.data))
         for p in params.values():
             p.grad = None
@@ -213,6 +215,88 @@ def test_loss_monotone_on_repeated_batch():
                    cfg.lr, cfg.weight_decay)
     increases = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-12)
     assert increases <= 2
+
+
+# ----------------------------------------------------------------------
+# one batched forward against the per-window objective
+# ----------------------------------------------------------------------
+_ORACLE_EDGES = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2], [2, 1]])
+# (3, 1) is a prior edge the sheaf does not carry
+_ORACLE_PRIOR = PriorGraph(edges=((0, 1), (1, 2), (3, 1)), scores=(1.0,) * 3,
+                           lag_order=2, top_k=2, n_nodes=4)
+
+
+def _loss_and_grads(model, loss_fn):
+    params = model.parameters()
+    for p in params.values():
+        p.grad = None
+    loss = loss_fn()
+    loss.backward()
+    return float(loss.data), {k: p.grad.copy() for k, p in params.items()}
+
+
+def _rel(got, ref):
+    return np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("ablation", ["full", "graph", "no_lstm"])
+def test_batch_loss_and_gradients_match_per_window_oracle(ablation, normalize,
+                                                          batch):
+    windows = _toy_windows(2)[:batch]
+    assert len(windows) == batch
+    # the graph ablation needs square identity maps; the others use m < d
+    map_dim = 8 if ablation == "graph" else 5
+    model = ForecastModel.init(
+        _ORACLE_EDGES, 4, _small_model_config(map_dim=map_dim, rounds=2,
+                                              normalize=normalize,
+                                              ablation=ablation), seed=2)
+    cfg = TrainingConfig(lambda1=0.05, lambda2=0.1, ablation=ablation)
+    loss, grads = _loss_and_grads(
+        model, lambda: _batch_loss(model, windows, _ORACLE_PRIOR, cfg))
+    ref_loss, ref_grads = _loss_and_grads(
+        model, lambda: per_window_loss(model, windows, _ORACLE_PRIOR,
+                                       cfg.lambda1, cfg.lambda2))
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert set(grads) == set(ref_grads) == set(model.parameters())
+    for name in ref_grads:
+        assert _rel(grads[name], ref_grads[name]) <= 1e-12, name
+
+
+def test_stacked_predict_equals_per_window_predict():
+    windows = _toy_windows(2)[:7]
+    model = ForecastModel.init(_ORACLE_EDGES, 4,
+                               _small_model_config(map_dim=5, rounds=2), seed=4)
+    stacked = model.predict(np.stack([w.context for w in windows]), 10)
+    assert stacked.shape == (7, 4, 10)
+    for w, pred in zip(windows, stacked):
+        single = model.predict(w.context, 10)
+        assert _rel(pred, single) <= 1e-12
+
+
+def test_forecast_windows_keeps_input_order_across_shapes():
+    series = _ar_series(3)
+    long_hor = make_windows(series, 30, 10, 40, source_id="a")
+    short_hor = make_windows(series, 30, 5, 40, source_id="b")
+    short_ctx = make_windows(series, 20, 10, 40, source_id="c")
+    mixed = [w for trio in zip(long_hor, short_hor, short_ctx) for w in trio]
+    model = ForecastModel.init(_ORACLE_EDGES, 4, _small_model_config(), seed=5)
+    preds, targets = forecast_windows(model, mixed)
+    assert len(preds) == len(targets) == len(mixed)
+    for w, pred, target in zip(mixed, preds, targets):
+        assert target is w.horizon
+        assert pred.shape == w.horizon.shape
+        assert _rel(pred, model.predict(w.context, w.horizon.shape[1])) <= 1e-12
+
+
+def test_train_rejects_windows_of_differing_shapes():
+    series = _ar_series(1)
+    windows = (make_windows(series, 30, 10, 40, source_id="a")
+               + make_windows(series, 30, 5, 40, source_id="b"))
+    with pytest.raises(InvalidParameterError):
+        train(windows, _toy_prior(), TrainingConfig(max_epochs=1),
+              model_config=_small_model_config())
 
 
 def test_plateau_scheduler_halves_and_floors():
