@@ -6,7 +6,8 @@ path (steps right, down, diagonal; endpoints pinned) of the path's total
 path cells makes scores comparable across horizon lengths, and taking the
 minimum of the normalized cost makes the value well defined when several
 paths tie on raw cost. Multivariate windows are scored per node and
-averaged.
+averaged; one band-limited layered DP scores all rows of a window at once,
+bit-identical to scoring each row on its own.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ def _paired(pred, target):
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeMismatchError(f"shapes differ: {pred.shape} vs {target.shape}")
+    if pred.size == 0:
+        raise InvalidParameterError(f"empty arrays of shape {pred.shape}")
     return pred, target
 
 
@@ -65,43 +68,49 @@ def dtw_normalized(a, b) -> float:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[0] != b.shape[0]:
-            raise ShapeMismatchError("row counts differ for multivariate DTW")
-        return float(np.mean([_dtw_1d(a[i], b[i]) for i in range(a.shape[0])]))
-    if a.ndim != 1 or b.ndim != 1:
+    if a.ndim == 1 and b.ndim == 1:
+        a, b = a[None, :], b[None, :]
+    elif a.ndim != 2 or b.ndim != 2:
         raise ShapeMismatchError("dtw_normalized takes 1-D or matching 2-D arrays")
-    return _dtw_1d(a, b)
+    return float(np.mean(_dtw_rows(a, b)))
 
 
-def _dtw_1d(a: np.ndarray, b: np.ndarray) -> float:
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
+def _dtw_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Normalized DTW of every row pair (a[r], b[r]) in one layered DP.
+
+    Layer `cells` holds the cheapest path of exactly that many cells to each
+    grid cell, which keeps the cost/cells minimum exact when raw-cost ties
+    differ in length. Rows sit on the last axis; a layer refills only the
+    rectangle its paths can reach (i >= cells - m, j >= cells - n, both
+    < cells), and the stale cells outside it are never read. An inf row and
+    column pad the grid for missing predecessors. Every value equals the
+    per-row, full-grid DP bit for bit.
+    """
+    if a.shape[0] != b.shape[0]:
+        raise ShapeMismatchError("row counts differ for multivariate DTW")
+    (rows, n), m = a.shape, b.shape[1]
+    if rows == 0 or n == 0 or m == 0:
         raise InvalidParameterError("sequences must be non-empty")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise InvalidParameterError("sequences must be finite")
-    cost = np.abs(a[:, None] - b[None, :])
-    # Layered dynamic program over path length: best[i, j] after l cells.
-    # Tracking length explicitly keeps the cost/cells minimum exact even
-    # when several raw-cost-optimal paths have different lengths.
-    max_cells = n + m - 1
-    inf = np.inf
-    best_prev = np.full((n, m), inf)
-    best_prev[0, 0] = cost[0, 0]
-    result = inf
+    cost = a.T[:, None, :] - b.T[None, :, :]                  # (n, m, rows)
+    np.abs(cost, out=cost)
     if n == 1 and m == 1:
-        return float(cost[0, 0])
-    for cells in range(2, max_cells + 1):
-        best = np.full((n, m), inf)
-        best[1:, :] = best_prev[:-1, :]                        # step down
-        np.minimum(best[:, 1:], best_prev[:, :-1], out=best[:, 1:])   # right
-        np.minimum(best[1:, 1:], best_prev[:-1, :-1], out=best[1:, 1:])  # diag
-        best += cost
-        best[0, 0] = inf
-        if np.isfinite(best[-1, -1]):
-            result = min(result, best[-1, -1] / cells)
-        best_prev = best
-    return float(result)
+        return cost[0, 0]
+    prev, cur = np.full((2, n + 1, m + 1, rows), np.inf)
+    prev[1, 1] = cost[0, 0]
+    result = np.full(rows, np.inf)
+    for cells in range(2, n + m):
+        i0, i1 = max(0, cells - m), min(cells, n)
+        j0, j1 = max(0, cells - n), min(cells, m)
+        out = cur[i0 + 1:i1 + 1, j0 + 1:j1 + 1]
+        np.minimum(prev[i0:i1, j0 + 1:j1 + 1], prev[i0 + 1:i1 + 1, j0:j1],
+                   out=out)                                     # down, right
+        np.minimum(out, prev[i0:i1, j0:j1], out=out)            # diagonal
+        out += cost[i0:i1, j0:j1]
+        np.minimum(result, cur[n, m] / cells, out=result)
+        prev, cur = cur, prev
+    return result
 
 
 def evaluate(forecasts, targets) -> MetricReport:

@@ -14,6 +14,7 @@ w * ((t-s-delay)/tau) * exp(1 - (t-s-delay)/tau) at grid times.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
@@ -332,5 +333,9 @@ def save_rates_csv(path, rates: np.ndarray) -> None:
 
 
 def load_rates_csv(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():     # a header-only file is refused below
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.size == 0:
+        raise InvalidParameterError(f"no data rows in {path}")
     return data.T

@@ -162,6 +162,10 @@ def _check_graph(params: SheafParameters, graph) -> None:
 
 
 def _discrepancies(H: ad.Tensor, params: SheafParameters, alpha_override):
+    if H.data.shape[-2:] != (params.n_nodes, params.stalk_dim):
+        raise ShapeMismatchError(
+            f"stalk matrix {H.data.shape} does not match "
+            f"({params.n_nodes}, {params.stalk_dim})")
     proj_src = ad.edge_matvec(params.rho_src, H[..., params.edges[:, 0], :])
     proj_dst = ad.edge_matvec(params.rho_dst, H[..., params.edges[:, 1], :])
     if alpha_override is None:
@@ -174,21 +178,8 @@ def _discrepancies(H: ad.Tensor, params: SheafParameters, alpha_override):
     return delta
 
 
-def sheaf_laplacian_apply(H, params: SheafParameters, graph=None,
-                          alpha_override=None) -> ad.Tensor:
-    """Apply the learnable sheaf Laplacian to an (n, d) stalk matrix or a
-    (..., n, d) stack of them.
-
-    `alpha_override` pins every gate to a constant, bypassing the sigmoid
-    (used by the positive-semidefiniteness checks with alpha = 1).
-    """
-    _check_graph(params, graph)
-    H = ad.lift(H)
-    if H.data.shape[-2:] != (params.n_nodes, params.stalk_dim):
-        raise ShapeMismatchError(
-            f"stalk matrix {H.data.shape} does not match "
-            f"({params.n_nodes}, {params.stalk_dim})")
-    delta = _discrepancies(H, params, alpha_override)
+def _laplacian_from_delta(delta: ad.Tensor, params: SheafParameters) -> ad.Tensor:
+    """Pull edge discrepancies back to the nodes: the Laplacian's second half."""
     pull_src = ad.edge_matvec_t(params.rho_src, delta)
     pull_dst = ad.edge_matvec_t(params.rho_dst, delta)
     out = (ad.index_add_rows(pull_src, params.edges[:, 0], params.n_nodes)
@@ -198,6 +189,19 @@ def sheaf_laplacian_apply(H, params: SheafParameters, graph=None,
     return out
 
 
+def sheaf_laplacian_apply(H, params: SheafParameters, graph=None,
+                          alpha_override=None) -> ad.Tensor:
+    """Apply the learnable sheaf Laplacian to an (n, d) stalk matrix or a
+    (..., n, d) stack of them.
+
+    `alpha_override` pins every gate to a constant, bypassing the sigmoid
+    (used by the positive-semidefiniteness checks with alpha = 1).
+    """
+    _check_graph(params, graph)
+    delta = _discrepancies(ad.lift(H), params, alpha_override)
+    return _laplacian_from_delta(delta, params)
+
+
 def message_pass(H0, params: SheafParameters, graph=None, alpha_override=None,
                  return_first_discrepancy: bool = False):
     """Run `params.rounds` rounds of H <- H - L(H).
@@ -205,15 +209,17 @@ def message_pass(H0, params: SheafParameters, graph=None, alpha_override=None,
     Gates are recomputed from the current stalks every round. With
     `return_first_discrepancy` the (..., n_edges, m) discrepancy of the first
     round (computed from H0 even when rounds == 0) is returned as well,
-    which is what the sparsity and prior losses consume.
+    which is what the sparsity and prior losses consume; round one reuses it.
     """
     _check_graph(params, graph)
     H = ad.lift(H0)
     first_delta = None
     if return_first_discrepancy:
         first_delta = _discrepancies(H, params, alpha_override)
-    for _ in range(params.rounds):
-        H = H - sheaf_laplacian_apply(H, params, alpha_override=alpha_override)
+    for r in range(params.rounds):
+        delta = (first_delta if r == 0 and first_delta is not None
+                 else _discrepancies(H, params, alpha_override))
+        H = H - _laplacian_from_delta(delta, params)
     if return_first_discrepancy:
         return H, first_delta
     return H

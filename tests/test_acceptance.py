@@ -17,7 +17,7 @@ from sheafcast.data import make_perturbed_windows, make_windows
 from sheafcast.dynamics import rk4_integrate
 from sheafcast.errors import InfeasiblePlacementError
 from sheafcast.graphs import PriorGraph, generate_small_world, granger_score_matrix
-from sheafcast.metrics import dtw_normalized, evaluate
+from sheafcast.metrics import _dtw_rows, dtw_normalized, evaluate
 from sheafcast.model import ForecastModel, ModelConfig
 from sheafcast.neurosim import (LifParams, bin_and_smooth, gaussian_kernel,
                                 sample_perturbation, simulate)
@@ -210,6 +210,10 @@ def test_criterion_5_dtw_matches_exhaustive_enumeration():
                 got = _dtw_grid_implementation(chunk, b_set)
                 want = _dtw_grid_oracle(chunk, b_set)
                 assert np.array_equal(got, want), (la, lb, lo)
+                # the shipped kernel, one row per (a, b) pair
+                shipped = _dtw_rows(np.repeat(chunk, len(b_set), axis=0),
+                                    np.tile(b_set, (len(chunk), 1)))
+                assert np.array_equal(shipped.reshape(want.shape), want), (la, lb, lo)
                 checked += got.size
     # the vectorized grid equals the public scalar entry point
     rng = np.random.default_rng(505)

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sheafcast
 from sheafcast.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_MISSING, EXIT_OK,
                            EXIT_RUNTIME, main)
 from sheafcast.config import default_config, validate_config
@@ -256,6 +260,23 @@ def test_data_faults_exit_5(pipeline, tmp_path, capsys):
         "perturb-eval", "--config", pipeline["cfg_path"],
         "--checkpoint", pipeline["train"] / "checkpoint", "--data", unperturbed,
         "--out", tmp_path / "pe"]) == EXIT_RUNTIME
+
+
+def test_header_only_csvs_exit_5_with_one_stderr_line(tmp_path):
+    # a fresh interpreter, so numpy warnings reach stderr as a user sees them
+    for name in ("fc", "tg"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "00000.csv").write_text("n0,n1\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(sheafcast.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "sheafcast.cli", "metrics",
+         "--forecasts", str(tmp_path / "fc"), "--targets", str(tmp_path / "tg"),
+         "--out", str(tmp_path / "m")],
+        capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == EXIT_RUNTIME
+    assert len(run.stderr.splitlines()) == 1, run.stderr
+    assert "no data rows" in run.stderr
 
 
 def test_foreign_exceptions_exit_5_with_one_line(pipeline, tmp_path, capsys):

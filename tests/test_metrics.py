@@ -1,13 +1,14 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheafcast.errors import InvalidParameterError, ShapeMismatchError
-from sheafcast.metrics import dtw_normalized, evaluate, mae, mse
+from sheafcast.metrics import _dtw_rows, dtw_normalized, evaluate, mae, mse
 
-from oracles import dtw_bruteforce
+from oracles import dtw_bruteforce, dtw_layered_1d
 
 
 def test_pointwise_metrics_examples():
@@ -99,3 +100,67 @@ def test_evaluate_aggregation():
 
     with pytest.raises(InvalidParameterError):
         evaluate([], [])
+
+
+# ----------------------------------------------------------------------
+# the batched kernel against the per-row layered DP
+# ----------------------------------------------------------------------
+def _assert_rows_match_oracle(a, b):
+    want = np.array([dtw_layered_1d(a[r], b[r]) for r in range(len(a))])
+    assert np.array_equal(_dtw_rows(a, b), want)
+    assert dtw_normalized(a, b) == np.mean(want)
+
+
+def test_batched_dtw_equals_oracle_on_tie_heavy_rows():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        rows = int(rng.integers(1, 6))
+        a = rng.choice([-1.0, 0.0, 1.0], size=(rows, int(rng.integers(1, 9))))
+        b = rng.choice([-1.0, 0.0, 1.0], size=(rows, int(rng.integers(1, 9))))
+        _assert_rows_match_oracle(a, b)
+
+
+def test_batched_dtw_equals_oracle_on_real_rows_of_unequal_length():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        rows = int(rng.integers(1, 5))
+        n, m = rng.integers(1, 61, size=2)
+        _assert_rows_match_oracle(rng.normal(size=(rows, n)),
+                                  rng.normal(size=(rows, m)) * 2.0)
+
+
+def test_batched_dtw_single_sample_sides():
+    rng = np.random.default_rng(13)
+    for n, m in ((1, 1), (1, 7), (9, 1)):
+        _assert_rows_match_oracle(rng.normal(size=(4, n)), rng.normal(size=(4, m)))
+    assert dtw_normalized([2.0], [0.5, 1.0, 3.0]) == dtw_layered_1d([2.0], [0.5, 1.0, 3.0])
+
+
+def test_batched_dtw_at_the_forecast_long_shape():
+    rng = np.random.default_rng(14)
+    _assert_rows_match_oracle(rng.normal(size=(100, 50)), rng.normal(size=(100, 50)))
+
+
+def test_batched_dtw_rejects_bad_rows():
+    rng = np.random.default_rng(15)
+    a, b = rng.normal(size=(6, 5)), rng.normal(size=(6, 4))
+    a[3, 2] = np.nan
+    with pytest.raises(InvalidParameterError):
+        dtw_normalized(a, b)
+    with pytest.raises(ShapeMismatchError):
+        dtw_normalized(np.zeros((3, 4)), np.zeros((2, 4)))
+    with pytest.raises(ShapeMismatchError):
+        dtw_normalized(np.zeros(4), np.zeros((1, 4)))
+
+
+def test_empty_windows_raise_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError):
+            dtw_normalized(np.zeros((0, 5)), np.zeros((0, 5)))
+        with pytest.raises(InvalidParameterError):
+            _dtw_rows(np.zeros((0, 5)), np.zeros((0, 3)))
+        with pytest.raises(InvalidParameterError):
+            evaluate([np.zeros((0, 5))], [np.zeros((0, 5))])
+        with pytest.raises(InvalidParameterError):
+            evaluate([np.zeros((3, 0))], [np.zeros((3, 0))])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from sheafcast import autodiff as ad
 from sheafcast.errors import (MissingEdgeParametersError, ShapeMismatchError,
                               UnknownEdgeError)
 from sheafcast.graphs import BrainGraph
 from sheafcast.sheaf import (SheafParameters, attention_coeffs, edge_discrepancy,
-                             edge_project, message_pass, sheaf_laplacian_apply)
+                             edge_project, message_pass, sheaf_laplacian_apply,
+                             _discrepancies)
 
 from oracles import finite_difference_grads, graph_laplacian, relative_errors
 
@@ -149,6 +151,41 @@ def test_message_pass_edge_cases():
     params.rho_src.data[:] = 0.0
     params.rho_dst.data[:] = 0.0
     np.testing.assert_allclose(message_pass(H, params).data, H)
+
+
+def test_first_round_reuses_the_returned_discrepancy(monkeypatch):
+    rng = np.random.default_rng(6)
+    params = SheafParameters.init(_random_edges(rng, 6, 10), 6, stalk_dim=3,
+                                  rng=rng, rounds=2)
+    calls = []
+    real = ad.edge_matvec
+
+    def counting(mats, vecs):
+        calls.append(1)
+        return real(mats, vecs)
+
+    monkeypatch.setattr(ad, "edge_matvec", counting)
+    message_pass(rng.normal(size=(2, 6, 3)), params, return_first_discrepancy=True)
+    assert len(calls) == 4      # two projections per round, none repeated
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_message_pass_matches_round_by_round_laplacian(normalize):
+    rng = np.random.default_rng(7)
+    params = SheafParameters.init(_random_edges(rng, 7, 12), 7, stalk_dim=4,
+                                  map_dim=3, rng=rng, rounds=3,
+                                  normalize=normalize)
+    params.attention.data[:] = rng.normal(size=3)
+    H0 = rng.normal(size=(5, 7, 4))
+    with ad.no_grad():
+        got, got_delta = message_pass(H0, params, return_first_discrepancy=True)
+        want = ad.lift(H0)
+        for _ in range(params.rounds):
+            want = want - sheaf_laplacian_apply(want, params)
+        want_delta = _discrepancies(ad.lift(H0), params, None)
+    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(got_delta.data, want_delta.data)
+    assert np.array_equal(message_pass(H0, params).data, want.data)
 
 
 def test_node_permutation_equivariance():
