@@ -11,7 +11,8 @@ __version__ = "0.1.0"
 
 from .graphs import BrainGraph, PriorGraph, generate_small_world, granger_prior
 from .neurosim import (LifParams, PerturbationSpec, SimulationRecord,
-                       bin_and_smooth, sample_perturbation, simulate)
+                       bin_and_smooth, sample_perturbation, simulate,
+                       simulate_many)
 from .data import TrajectoryWindow, make_perturbed_windows, make_windows
 from .encoder import LstmParams, encode_all, encode_history
 from .sheaf import (SheafParameters, attention_coeffs, edge_discrepancy,
@@ -28,7 +29,7 @@ __all__ = [
     "__version__",
     "BrainGraph", "PriorGraph", "generate_small_world", "granger_prior",
     "LifParams", "PerturbationSpec", "SimulationRecord", "simulate",
-    "bin_and_smooth", "sample_perturbation",
+    "simulate_many", "bin_and_smooth", "sample_perturbation",
     "TrajectoryWindow", "make_windows", "make_perturbed_windows",
     "LstmParams", "encode_history", "encode_all",
     "SheafParameters", "edge_project", "attention_coeffs", "edge_discrepancy",

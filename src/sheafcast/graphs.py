@@ -49,13 +49,6 @@ class BrainGraph:
     def edge_array(self) -> np.ndarray:
         return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
 
-    def adjacency(self) -> np.ndarray:
-        """Dense (dst, src) 0/1 matrix."""
-        adj = np.zeros((self.n_nodes, self.n_nodes))
-        for s, d in self.edges:
-            adj[d, s] = 1.0
-        return adj
-
 
 @dataclass
 class PriorGraph:

@@ -9,6 +9,20 @@ silencing perturbations for out-of-distribution forecasting tests.
 The synaptic current uses the exact two-state propagator of the alpha
 kernel, so each presynaptic spike at time s contributes exactly
 w * ((t-s-delay)/tau) * exp(1 - (t-s-delay)/tau) at grid times.
+
+`simulate_many` steps any number of runs (graphs, seeds, perturbations;
+one `LifParams`) in a single loop over time. Every neuron of every run
+sits on one flat axis at its run's node offset, so each step is a fixed
+handful of in-place ufuncs over that axis, whatever the number of runs.
+Each run draws from its own generator before the loop, so a run's record
+does not depend on the batch it is in; `simulate` is a batch of one.
+Delayed spikes reach their targets through a CSR out-edge list and one
+`bincount` (the 0/1 weights make the counts exact), and spikes go straight
+into per-bin counts, flushed at each bin boundary. The background counts
+and the bin counts stay per run, and the background is gathered one bin
+at a time, so with no more runs than bins no temporary is larger than the
+float64 vector of uniforms each run draws anyway: freeing a larger block
+raises glibc's mmap threshold and fragments the heap of whatever runs next.
 """
 
 from __future__ import annotations
@@ -17,7 +31,7 @@ import json
 import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,87 +164,167 @@ def simulate(graph: BrainGraph, params: LifParams, seed: int,
     silenced neuron is clamped at reset and emits nothing during its window;
     spikes it emitted before onset still arrive through the synaptic delay.
     """
-    if perturbation is not None:
-        perturbation.validate(params.duration_ms)
-        if not 0 <= perturbation.neuron < graph.n_nodes:
-            raise InvalidParameterError("perturbed neuron index out of range")
+    return simulate_many([(graph, seed, perturbation)], params,
+                         bin_ms=bin_ms, sigma_ms=sigma_ms)[0]
 
-    rng = np.random.default_rng(seed)
-    n = graph.n_nodes
+
+def simulate_many(runs: Sequence[Tuple[BrainGraph, int, Optional[PerturbationSpec]]],
+                  params: LifParams, *, bin_ms: float = 10.0,
+                  sigma_ms: float = 20.0) -> list[SimulationRecord]:
+    """Run every `(graph, seed, perturbation)` in `runs` in one step loop.
+
+    Returns one `SimulationRecord` per run, in order; each is byte-identical
+    to what `simulate` gives for that run alone. Every run is validated
+    before any of them is stepped.
+    """
+    runs = list(runs)
+    if not runs:
+        raise InvalidParameterError("simulate_many needs at least one run")
+    for graph, _, perturbation in runs:
+        if perturbation is not None:
+            perturbation.validate(params.duration_ms)
+            if not 0 <= perturbation.neuron < graph.n_nodes:
+                raise InvalidParameterError("perturbed neuron index out of range")
+    edges = _bin_edges(params.duration_ms, bin_ms)
+
+    n_steps = int(round(params.duration_ms / params.dt_ms))
+    counts = _run_lif(runs, params, n_steps, _bin_starts(n_steps, params.dt_ms, edges))
+    return [SimulationRecord(rates=_rates_from_counts(c, bin_ms, sigma_ms),
+                             adjacency=graph, bin_edges_ms=edges, seed=seed,
+                             params=params, perturbation=perturbation)
+            for c, (graph, seed, perturbation) in zip(counts, runs)]
+
+
+def _run_lif(runs, params: LifParams, n_steps: int, starts: np.ndarray) -> list:
+    """Draw and step all runs on one flat neuron axis; per-run (n, n_bins)
+    spike counts.
+
+    Bin b covers steps starts[b] <= step < starts[b + 1]; nothing after the
+    last bin is stepped. The draws are made here so that the per-run
+    background counts are freed before the caller smooths the rates.
+    """
     dt = params.dt_ms
-    n_steps = int(round(params.duration_ms / dt))
-    tau_syn = params.syn_tau
-    decay = np.exp(-dt / tau_syn)
-    # impulse height making the kernel peak equal the weight
-    amp_rec = params.syn_weight * np.e / tau_syn
-    amp_bg = params.poisson_weight * np.e / tau_syn
-
-    # shared background train: one draw, delivered identically to all neurons
     lam = params.poisson_rate_hz * dt / 1000.0
-    bg_counts = _poisson_counts_from_uniforms(rng.random(n_steps), lam)
+    bg_counts, v0 = [], []
+    for graph, seed, _ in runs:
+        # one generator per run, drawn in a fixed order: the shared background
+        # train (delivered identically to all its neurons), then potentials
+        rng = np.random.default_rng(seed)
+        bg_counts.append(_poisson_counts_from_uniforms(rng.random(n_steps), lam))
+        # randomized initial potentials break the symmetry the shared drive
+        # would otherwise impose (equal-in-degree neurons become exact clones)
+        v0.append(rng.uniform(params.reset_mV, params.threshold_mV,
+                              size=graph.n_nodes))
+    v = np.concatenate(v0)
 
-    adj = graph.adjacency()                      # (dst, src)
-    delay_steps = max(1, int(round(params.syn_delay_ms / dt)))
-    spike_buffer = np.zeros((delay_steps, n))
-
-    # randomized initial potentials break the symmetry the shared drive
-    # would otherwise impose (equal-in-degree neurons become exact clones)
-    v = rng.uniform(params.reset_mV, params.threshold_mV, size=n)
-    refr = np.zeros(n, dtype=np.int64)
-    rec1 = np.zeros(n)
-    rec2 = np.zeros(n)
-    bg1 = 0.0
-    bg2 = 0.0
-
-    p_neuron = perturbation.neuron if perturbation is not None else -1
-    p_start = int(round(perturbation.onset_ms / dt)) if perturbation else -1
-    p_end = (int(round((perturbation.onset_ms + perturbation.duration_ms) / dt))
-             if perturbation else -1)
-
-    spike_times = [[] for _ in range(n)]
+    sizes = [graph.n_nodes for graph, _, _ in runs]
+    offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    n, n_runs = offsets[-1], len(runs)
+    decay = np.exp(-dt / params.syn_tau)
+    # impulse height making the kernel peak equal the weight
+    amp_rec = params.syn_weight * np.e / params.syn_tau
+    amp_bg = params.poisson_weight * np.e / params.syn_tau
     leak = dt / params.membrane_tau
     inv_c = dt / params.capacitance_pF
+    rest, reset, threshold = params.resting_mV, params.reset_mV, params.threshold_mV
+    refr_steps = int(round(params.refractory_ms / dt))
 
-    for step in range(n_steps):
-        # deliver delayed recurrent spikes and background impulses
-        arriving = spike_buffer[step % delay_steps]
-        if arriving.any():
-            rec1 += amp_rec * (adj @ arriving)
-        if bg_counts[step]:
-            bg1 += amp_bg * bg_counts[step]
+    # out-edges of the flat axis in CSR form: neuron i sends to
+    # out_dst[ptr[i]:ptr[i + 1]]
+    src, dst = np.concatenate([g.edge_array() + o
+                               for (g, _, _), o in zip(runs, offsets)]).T
+    out_dst = dst[np.argsort(src, kind="stable")]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n)))).tolist()
+    delay_steps = max(1, int(round(params.syn_delay_ms / dt)))
+    arrivals = [None] * delay_steps     # targets of the spikes of step - delay
 
-        current = rec2 + bg2
-        silenced = p_start <= step < p_end
+    # silencing: from its onset step the neuron sits at reset and is not
+    # free before the window's end step
+    onsets = {}
+    for (_, _, p), o in zip(runs, offsets):
+        if p is not None:
+            start = int(round(p.onset_ms / dt))
+            end = int(round((p.onset_ms + p.duration_ms) / dt))
+            if start < end:
+                onsets.setdefault(start, []).append((o + p.neuron, end))
 
-        active = refr <= 0
-        if silenced:
-            active[p_neuron] = False
-            v[p_neuron] = params.reset_mV
-        v[active] += (-(v[active] - params.resting_mV) * leak
-                      + current[active] * inv_c)
-        refr[refr > 0] -= 1
+    # alpha-kernel states: n recurrent entries, then one background per run
+    syn1 = np.zeros(n + n_runs)
+    syn2 = np.zeros(n + n_runs)
+    rec1, bg1, rec2 = syn1[:n], syn1[n:], syn2[:n]
+    bg_of = n + np.repeat(np.arange(n_runs), sizes)
+    free_at = np.zeros(n, dtype=np.int64)       # first step a neuron may integrate
+    current = np.empty(n)
+    drift = np.empty(n)
+    syn_step = np.empty(n + n_runs)
+    active = np.empty(n, dtype=bool)
+    fired = np.empty(n, dtype=bool)
+    acc = np.zeros(n, dtype=np.int64)           # spikes in the current bin
+    counts = [np.zeros((size, len(starts) - 1)) for size in sizes]
 
-        fired = active & (v >= params.threshold_mV)
-        if silenced:
-            fired[p_neuron] = False
-        if fired.any():
-            t_ms = step * dt
-            for idx in np.flatnonzero(fired):
-                spike_times[idx].append(t_ms)
-            v[fired] = params.reset_mV
-            refr[fired] = int(round(params.refractory_ms / dt))
-        spike_buffer[step % delay_steps] = fired.astype(np.float64)
+    for b, (s0, s1) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist())):
+        bg_in = amp_bg * np.stack([c[s0:s1] for c in bg_counts], axis=1)
+        bg_on = bg_in.any(axis=1).tolist()
+        for step in range(s0, s1):
+            slot = step % delay_steps
+            targets = arrivals[slot]
+            if targets is not None:
+                rec1 += amp_rec * np.bincount(targets, minlength=n)
+            if bg_on[step - s0]:
+                bg1 += bg_in[step - s0]
 
-        # advance exact alpha-kernel propagator
-        rec2 = (rec2 + dt * rec1) * decay
-        rec1 *= decay
-        bg2 = (bg2 + dt * bg1) * decay
-        bg1 *= decay
+            np.add(rec2, syn2[bg_of], out=current)
+            current *= inv_c
+            for i, end in onsets.get(step, ()):
+                v[i] = reset
+                free_at[i] = max(free_at[i], end)
+            np.less_equal(free_at, step, out=active)
+            np.subtract(v, rest, out=drift)
+            drift *= leak
+            current -= drift
+            np.add(v, current, out=v, where=active)
 
-    rates, edges = bin_and_smooth(spike_times, params.duration_ms,
-                                  bin_ms=bin_ms, sigma_ms=sigma_ms)
-    return SimulationRecord(rates=rates, adjacency=graph, bin_edges_ms=edges,
-                            seed=seed, params=params, perturbation=perturbation)
+            # no mask needed: a neuron that is not free sits at reset < threshold
+            np.greater_equal(v, threshold, out=fired)
+            idx = fired.nonzero()[0]
+            if idx.size:
+                v[idx] = reset
+                free_at[idx] = step + refr_steps + 1
+                acc[idx] += 1
+                arrivals[slot] = np.concatenate(
+                    [out_dst[ptr[i]:ptr[i + 1]] for i in idx.tolist()])
+            else:
+                arrivals[slot] = None
+
+            # advance the exact alpha-kernel propagator
+            np.multiply(syn1, dt, out=syn_step)
+            syn2 += syn_step
+            syn2 *= decay
+            syn1 *= decay
+        for c, o0, o1 in zip(counts, offsets[:-1], offsets[1:]):
+            c[:, b] = acc[o0:o1]
+        acc[:] = 0
+    return counts
+
+
+def _bin_edges(duration_ms: float, bin_ms: float) -> np.ndarray:
+    n_bins = duration_ms / bin_ms
+    if abs(n_bins - round(n_bins)) > 1e-9:
+        raise InvalidParameterError("duration_ms must be a multiple of bin_ms")
+    return np.arange(int(round(n_bins)) + 1) * bin_ms
+
+
+def _bin_starts(n_steps: int, dt: float, edges: np.ndarray) -> np.ndarray:
+    """First step of each bin, then the end of the last one.
+
+    Step s falls in bin b iff starts[b] <= s < starts[b + 1], which is where
+    `np.histogram` puts the time s * dt (the last bin holds its right edge).
+    """
+    t = np.arange(n_steps, dtype=np.float64)
+    t *= dt
+    starts = np.searchsorted(t, edges, "left")
+    starts[-1] = np.searchsorted(t, edges[-1], "right")
+    return starts
 
 
 def bin_and_smooth(spikes, duration_ms: float, bin_ms: float = 10.0,
@@ -241,25 +335,23 @@ def bin_and_smooth(spikes, duration_ms: float, bin_ms: float = 10.0,
     one, and applied with reflective padding, which conserves total spike
     mass. sigma_ms = 0 skips smoothing. Returns (rates, bin_edges_ms).
     """
-    n_bins = duration_ms / bin_ms
-    if abs(n_bins - round(n_bins)) > 1e-9:
-        raise InvalidParameterError("duration_ms must be a multiple of bin_ms")
-    n_bins = int(round(n_bins))
-    edges = np.arange(n_bins + 1) * bin_ms
-
-    n = len(spikes)
-    counts = np.zeros((n, n_bins))
+    edges = _bin_edges(duration_ms, bin_ms)
+    counts = np.zeros((len(spikes), len(edges) - 1))
     for i, times in enumerate(spikes):
         if len(times):
             t = np.asarray(times, dtype=np.float64)
             if t.min() < 0 or t.max() >= duration_ms:
                 raise InvalidParameterError("spike time outside [0, duration)")
             counts[i] = np.histogram(t, bins=edges)[0]
-    rates = counts / (bin_ms / 1000.0)
+    return _rates_from_counts(counts, bin_ms, sigma_ms), edges
 
+
+def _rates_from_counts(counts: np.ndarray, bin_ms: float,
+                       sigma_ms: float) -> np.ndarray:
+    rates = counts / (bin_ms / 1000.0)
     if sigma_ms > 0:
         rates = _gaussian_smooth_rows(rates, sigma_ms / bin_ms)
-    return np.maximum(rates, 0.0), edges
+    return np.maximum(rates, 0.0)
 
 
 def gaussian_kernel(sigma_bins: float) -> np.ndarray:

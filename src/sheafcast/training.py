@@ -226,7 +226,9 @@ def save_checkpoint(ckpt: ModelCheckpoint, path_prefix) -> Path:
     entries = []
     offset = 0
     for name in names:
-        arr = np.ascontiguousarray(ckpt.arrays[name], dtype="<f4")
+        arr = np.asarray(ckpt.arrays[name], dtype="<f4")
+        # tobytes() is C-ordered for any layout; ascontiguousarray would
+        # promote a 0-d array to shape (1,)
         blobs.append(arr.tobytes())
         entries.append({"name": name, "shape": list(arr.shape),
                         "dtype": "<f4", "offset": offset})

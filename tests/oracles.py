@@ -235,3 +235,85 @@ def per_window_loss(model, windows, prior, lambda1, lambda2):
                            model.sheaf.edges)
         out = piece if out is None else out + piece
     return out * (1.0 / len(windows))
+
+
+def simulate_loop(graph, params, seed, perturbation=None, bin_ms=10.0,
+                  sigma_ms=20.0):
+    """One LIF run stepped alone, with a dense (dst, src) adjacency product
+    and per-neuron spike-time lists binned by `bin_and_smooth`.
+
+    The same RNG draws, float operations and silencing rule as
+    `neurosim.simulate_many`; returns the rates matrix only.
+    """
+    from sheafcast.neurosim import _poisson_counts_from_uniforms, bin_and_smooth
+
+    rng = np.random.default_rng(seed)
+    n = graph.n_nodes
+    dt = params.dt_ms
+    n_steps = int(round(params.duration_ms / dt))
+    decay = np.exp(-dt / params.syn_tau)
+    amp_rec = params.syn_weight * np.e / params.syn_tau
+    amp_bg = params.poisson_weight * np.e / params.syn_tau
+
+    lam = params.poisson_rate_hz * dt / 1000.0
+    bg_counts = _poisson_counts_from_uniforms(rng.random(n_steps), lam)
+
+    adj = np.zeros((n, n))
+    for s, d in graph.edges:
+        adj[d, s] = 1.0
+    delay_steps = max(1, int(round(params.syn_delay_ms / dt)))
+    spike_buffer = np.zeros((delay_steps, n))
+
+    v = rng.uniform(params.reset_mV, params.threshold_mV, size=n)
+    refr = np.zeros(n, dtype=np.int64)
+    rec1 = np.zeros(n)
+    rec2 = np.zeros(n)
+    bg1 = 0.0
+    bg2 = 0.0
+
+    p_neuron = perturbation.neuron if perturbation is not None else -1
+    p_start = int(round(perturbation.onset_ms / dt)) if perturbation else -1
+    p_end = (int(round((perturbation.onset_ms + perturbation.duration_ms) / dt))
+             if perturbation else -1)
+
+    spike_times = [[] for _ in range(n)]
+    leak = dt / params.membrane_tau
+    inv_c = dt / params.capacitance_pF
+
+    for step in range(n_steps):
+        arriving = spike_buffer[step % delay_steps]
+        if arriving.any():
+            rec1 += amp_rec * (adj @ arriving)
+        if bg_counts[step]:
+            bg1 += amp_bg * bg_counts[step]
+
+        current = rec2 + bg2
+        silenced = p_start <= step < p_end
+
+        active = refr <= 0
+        if silenced:
+            active[p_neuron] = False
+            v[p_neuron] = params.reset_mV
+        v[active] += (-(v[active] - params.resting_mV) * leak
+                      + current[active] * inv_c)
+        refr[refr > 0] -= 1
+
+        fired = active & (v >= params.threshold_mV)
+        if silenced:
+            fired[p_neuron] = False
+        if fired.any():
+            t_ms = step * dt
+            for idx in np.flatnonzero(fired):
+                spike_times[idx].append(t_ms)
+            v[fired] = params.reset_mV
+            refr[fired] = int(round(params.refractory_ms / dt))
+        spike_buffer[step % delay_steps] = fired.astype(np.float64)
+
+        rec2 = (rec2 + dt * rec1) * decay
+        rec1 *= decay
+        bg2 = (bg2 + dt * bg1) * decay
+        bg1 *= decay
+
+    rates, _ = bin_and_smooth(spike_times, params.duration_ms,
+                              bin_ms=bin_ms, sigma_ms=sigma_ms)
+    return rates

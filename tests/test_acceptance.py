@@ -20,7 +20,7 @@ from sheafcast.graphs import PriorGraph, generate_small_world, granger_score_mat
 from sheafcast.metrics import _dtw_rows, dtw_normalized, evaluate
 from sheafcast.model import ForecastModel, ModelConfig
 from sheafcast.neurosim import (LifParams, bin_and_smooth, gaussian_kernel,
-                                sample_perturbation, simulate)
+                                sample_perturbation, simulate, simulate_many)
 from sheafcast.sheaf import SheafParameters, sheaf_laplacian_apply, _discrepancies
 from sheafcast.training import (SeriesData, TrainingConfig,
                                 baseline_context_mean, baseline_copy_last,
@@ -272,9 +272,9 @@ def test_criterion_7_simulator_contracts():
     params = LifParams(duration_ms=1000.0)
     reach = len(gaussian_kernel(2.0)) // 2
     clean = 0
-    for seed in range(100):
-        spec = sample_perturbation(1000.0, seed, n_nodes=10)
-        record = simulate(graph, params, seed, perturbation=spec)
+    runs = [(graph, seed, sample_perturbation(1000.0, seed, n_nodes=10))
+            for seed in range(100)]
+    for (_, _, spec), record in zip(runs, simulate_many(runs, params)):
         lo = int(np.ceil(spec.onset_ms / 10.0))
         hi = int(np.floor((spec.onset_ms + spec.duration_ms) / 10.0))
         inner = record.rates[spec.neuron, lo + reach:hi - reach]
@@ -282,9 +282,8 @@ def test_criterion_7_simulator_contracts():
     assert clean == 100
 
     # raw (unsmoothed) counts vanish on every bin fully inside the window
-    for seed in range(10):
-        spec = sample_perturbation(1000.0, seed, n_nodes=10)
-        raw = simulate(graph, params, seed, perturbation=spec, sigma_ms=0.0)
+    for (_, _, spec), raw in zip(runs[:10],
+                                 simulate_many(runs[:10], params, sigma_ms=0.0)):
         lo = int(np.ceil(spec.onset_ms / 10.0))
         hi = int(np.floor((spec.onset_ms + spec.duration_ms) / 10.0))
         assert np.all(raw.rates[spec.neuron, lo:hi] == 0.0)
@@ -321,20 +320,24 @@ def lif_dataset():
     series = []
     seed = 100
     while len(series) < N_TRAIN_SERIES + N_TEST_SERIES:
-        spec = sample_perturbation(LIF.duration_ms, seed, n_nodes=10)
-        pre = simulate(graph, LIF, seed)
-        try:
-            post = simulate(graph, LIF, seed, perturbation=spec)
-            eval_w = make_perturbed_windows(pre, post, spec, 30, 10,
-                                            source_id=f"s{len(series):03d}")
-        except InfeasiblePlacementError:
-            seed += 1
-            continue
-        train_w = make_windows(pre.rates, 30, 10, 40,
-                               source_id=f"s{len(series):03d}")
-        series.append(SeriesData(series_id=f"s{len(series):03d}",
-                                 train_windows=train_w, eval_windows=eval_w))
-        seed += 1
+        # one batch of pre/post pairs over as many consecutive seeds as
+        # series are still missing; a seed whose placement fails is skipped
+        seeds = range(seed, seed + N_TRAIN_SERIES + N_TEST_SERIES - len(series))
+        specs = [sample_perturbation(LIF.duration_ms, s, n_nodes=10) for s in seeds]
+        runs = [run for s, spec in zip(seeds, specs)
+                for run in ((graph, s, None), (graph, s, spec))]
+        records = simulate_many(runs, LIF)
+        for spec, pre, post in zip(specs, records[::2], records[1::2]):
+            try:
+                eval_w = make_perturbed_windows(pre, post, spec, 30, 10,
+                                                source_id=f"s{len(series):03d}")
+            except InfeasiblePlacementError:
+                continue
+            train_w = make_windows(pre.rates, 30, 10, 40,
+                                   source_id=f"s{len(series):03d}")
+            series.append(SeriesData(series_id=f"s{len(series):03d}",
+                                     train_windows=train_w, eval_windows=eval_w))
+        seed = seeds.stop
     return series
 
 

@@ -72,6 +72,25 @@ def test_simulate_outputs_and_rerun_reproducibility(pipeline, tmp_path):
         assert (rerun / name).read_bytes() == (sim / name).read_bytes()
 
 
+def test_simulate_records_match_one_run_oracle(pipeline):
+    """The records of one batched `simulate` equal each run stepped alone."""
+    from oracles import simulate_loop
+    from sheafcast.neurosim import LifParams, PerturbationSpec, load_record
+
+    sim, cfg = pipeline["sim"], pipeline["cfg"]
+    params = LifParams(**cfg["simulate"]["lif"])
+    manifest = json.loads((sim / "dataset_manifest.json").read_text())
+    for entry in manifest["instances"]:
+        spec = PerturbationSpec(**entry["perturbation"])
+        for stem, perturbation in ((entry["pre"], None), (entry["post"], spec)):
+            record = load_record(sim, stem)
+            assert record.perturbation == perturbation
+            want = simulate_loop(record.adjacency, params, entry["seed"], perturbation,
+                                 bin_ms=cfg["simulate"]["bin_ms"],
+                                 sigma_ms=cfg["simulate"]["sigma_ms"])
+            assert record.rates.tobytes() == want.tobytes(), stem
+
+
 def test_run_manifest_contents(pipeline):
     manifest = json.loads((pipeline["sim"] / "manifest_simulate.json").read_text())
     assert manifest["command"] == "simulate"

@@ -2,12 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import simulate_loop
+from sheafcast import neurosim
 from sheafcast.errors import InvalidParameterError
 from sheafcast.graphs import generate_small_world
 from sheafcast.neurosim import (LifParams, PerturbationSpec, bin_and_smooth,
                                 gaussian_kernel, load_record,
-                                sample_perturbation, save_record, simulate)
+                                sample_perturbation, save_record, simulate,
+                                simulate_many)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +85,104 @@ def test_lif_params_validation():
         LifParams(dt_ms=5.0, refractory_ms=2.0)
     with pytest.raises(InvalidParameterError):
         LifParams(membrane_tau=0.0)
+
+
+# ----------------------------------------------------------------------
+# one step loop for many runs
+# ----------------------------------------------------------------------
+G10A = generate_small_world(10, 4, 0.1, seed=3)
+G10B = generate_small_world(10, 2, 0.3, seed=8)
+G100 = generate_small_world(100, 8, 0.1, seed=7)
+
+
+def _mixed_runs(duration_ms):
+    """Pre/post pairs on three graphs (n=10 and n=100), plus a second seed
+    on one of them."""
+    runs = []
+    for graph, seed in ((G10A, 0), (G100, 1), (G10B, 2)):
+        spec = sample_perturbation(duration_ms, seed, n_nodes=graph.n_nodes)
+        runs += [(graph, seed, None), (graph, seed, spec)]
+    return runs + [(G10A, 5, None)]
+
+
+@pytest.mark.parametrize("params, bin_ms, sigma_ms, rate_band", [
+    (LifParams(duration_ms=600.0), 10.0, 20.0, (5.0, 50.0)),
+    (LifParams(duration_ms=600.0), 5.0, 0.0, (5.0, 50.0)),
+    (LifParams(duration_ms=600.0, poisson_rate_hz=0.0, syn_weight=0.0), 10.0, 20.0,
+     (0.0, 0.0)),
+    # the 2 ms refractory period caps the rate at 500 Hz
+    (LifParams(duration_ms=600.0, poisson_weight=400.0, syn_weight=60.0), 5.0, 20.0,
+     (200.0, 500.0)),
+    # refractory outlasting the silencing window: at most 2 spikes in 600 ms
+    (LifParams(duration_ms=600.0, poisson_weight=400.0, syn_weight=60.0,
+               refractory_ms=500.0), 10.0, 20.0, (0.5, 10.0 / 3.0)),
+], ids=["default", "raw-5ms", "zero-input", "high-rate", "long-refractory"])
+def test_simulate_many_matches_loop_oracle(params, bin_ms, sigma_ms, rate_band):
+    runs = _mixed_runs(params.duration_ms)
+    records = simulate_many(runs, params, bin_ms=bin_ms, sigma_ms=sigma_ms)
+    assert len(records) == len(runs)
+    for (graph, seed, spec), record in zip(runs, records):
+        want = simulate_loop(graph, params, seed, spec, bin_ms=bin_ms,
+                             sigma_ms=sigma_ms)
+        assert record.rates.tobytes() == want.tobytes()
+        assert (record.adjacency, record.seed, record.perturbation) == (graph, seed, spec)
+        assert record.params == params
+        np.testing.assert_array_equal(
+            record.bin_edges_ms,
+            np.arange(int(params.duration_ms / bin_ms) + 1) * bin_ms)
+    mean_rate = np.mean([r.rates.mean() for r in records])
+    assert rate_band[0] <= mean_rate <= rate_band[1] + 1e-9
+
+
+@settings(max_examples=12, deadline=None)
+@given(picks=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+       target=st.integers(0, 6), data=st.data())
+def test_run_record_independent_of_batch(picks, target, data):
+    """A run's record is the same alone as anywhere in any batch."""
+    params = LifParams(duration_ms=320.0)
+    pool = []
+    for graph, seed in ((G10A, 11), (G10B, 12), (G100, 13)):
+        spec = PerturbationSpec(neuron=seed % graph.n_nodes, onset_ms=40.0,
+                                duration_ms=240.0)
+        pool += [(graph, seed, None), (graph, seed, spec)]
+    pool.append((G10A, 14, None))
+    batch = [pool[i] for i in picks]
+    where = data.draw(st.integers(0, len(batch)))
+    batch.insert(where, pool[target])
+    graph, seed, spec = pool[target]
+    alone = simulate(graph, params, seed, perturbation=spec)
+    assert simulate_many(batch, params)[where].rates.tobytes() == alone.rates.tobytes()
+
+
+@pytest.mark.parametrize("n_steps, dt, duration_ms, bin_ms", [
+    (20000, 0.1, 2000.0, 10.0), (6000, 0.1, 600.0, 5.0), (1000, 0.3, 300.0, 10.0),
+    (3334, 0.3, 1000.0, 10.0), (7, 0.1, 0.7, 0.1), (300, 0.01, 3.0, 0.3),
+    (21, 0.1, 2.0, 1.0)])           # the last step lands on the last edge
+def test_bin_starts_match_histogram(n_steps, dt, duration_ms, bin_ms):
+    edges = neurosim._bin_edges(duration_ms, bin_ms)
+    starts = neurosim._bin_starts(n_steps, dt, edges)
+    want = np.histogram(np.arange(n_steps) * dt, bins=edges)[0]
+    assert starts[0] == 0
+    np.testing.assert_array_equal(np.diff(starts), want)
+
+
+def test_simulate_many_validates_every_run_before_stepping(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a run was drawn or stepped")
+
+    monkeypatch.setattr(neurosim, "_poisson_counts_from_uniforms", no_draws)
+    params = LifParams(duration_ms=1000.0)
+    good = (G10A, 1, None)
+    bad_window = PerturbationSpec(neuron=0, onset_ms=50.0, duration_ms=300.0)
+    bad_neuron = PerturbationSpec(neuron=10, onset_ms=300.0, duration_ms=300.0)
+    with pytest.raises(InvalidParameterError, match="at least one run"):
+        simulate_many([], params)
+    with pytest.raises(InvalidParameterError, match="inner 80%"):
+        simulate_many([good, (G10A, 2, bad_window)], params)
+    with pytest.raises(InvalidParameterError, match="out of range"):
+        simulate_many([good, (G10A, 2, bad_neuron)], params)
+    with pytest.raises(InvalidParameterError, match="multiple of bin_ms"):
+        simulate_many([good], params, bin_ms=3.0)
 
 
 # ----------------------------------------------------------------------

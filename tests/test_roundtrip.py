@@ -88,8 +88,7 @@ def test_windows_round_trip(windows):
 
 @st.composite
 def checkpoints(draw):
-    # at least one axis: save_checkpoint stores a 0-d array with shape [1]
-    shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+    shapes = st.lists(st.integers(1, 4), min_size=0, max_size=3)
     names = draw(st.lists(st.text("abcdefgh.", min_size=1, max_size=8),
                           min_size=1, max_size=4, unique=True))
     arrays = {name: draw(hnp.arrays(np.float64, tuple(draw(shapes)),
@@ -123,6 +122,7 @@ def test_checkpoint_round_trip(ckpt):
     assert sorted(back.arrays) == sorted(ckpt.arrays)
     for name, arr in ckpt.arrays.items():
         assert back.arrays[name].dtype == np.float64
+        assert back.arrays[name].shape == arr.shape, name
         assert np.array_equal(back.arrays[name], arr.astype(np.float32)), name
     assert back.model_config == ckpt.model_config
     assert back.prior_edges == [tuple(e) for e in ckpt.prior_edges]
