@@ -7,9 +7,13 @@ throughout so analytic gradients can be checked against central finite
 differences at tight tolerances.
 
 Only the operations the forecasting pipeline needs are implemented:
-elementwise arithmetic with broadcasting, matmul, reductions, sigmoid/tanh,
-absolute value, a gradient-safe sqrt, slicing/gather, concatenation, and
-batched per-edge matrix-vector products used by the sheaf operators.
+addition, subtraction and multiplication with broadcasting, matmul, sum,
+mean and reshape, slicing/gather, sigmoid, absolute value, a
+gradient-safe sqrt, and the graph scatter and batched per-edge
+matrix-vector products used by the sheaf operators. An op computed
+outside the tape, such as the whole LSTM sequence or the whole RK4
+horizon, enters it as one node through `node`, with a hand-written
+backward.
 """
 
 from __future__ import annotations
@@ -87,8 +91,8 @@ class Tensor:
             grad = np.ones_like(self.data)
         if not self.requires_grad:
             return
-        # Iterative post-order DFS: deep tapes (unrolled RK4 over an LSTM)
-        # overflow Python's recursion limit.
+        # Iterative post-order DFS, so that tape depth is not bounded by
+        # Python's recursion limit.
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -107,7 +111,9 @@ class Tensor:
         grads = {id(self): _unbroadcast(np.asarray(grad, dtype=np.float64),
                                         self.data.shape)}
         for node in reversed(topo):
-            g = grads.pop(id(node))
+            g = grads.pop(id(node), None)
+            if g is None:                       # every consumer returned None
+                continue
             if node._backward is None:          # a leaf
                 node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
@@ -126,8 +132,6 @@ class Tensor:
             out._backward = lambda g: (g, g)
         return out
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = lift(other)
         out = _make(self.data * other.data, (self, other))
@@ -139,36 +143,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        out = _make(-self.data, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: (-g,)
-        return out
-
     def __sub__(self, other):
-        return self + (-lift(other))
-
-    def __rsub__(self, other):
-        return lift(other) + (-self)
-
-    def __truediv__(self, other):
         other = lift(other)
-        out = _make(self.data / other.data, (self, other))
+        out = _make(self.data - other.data, (self, other))
         if out.requires_grad:
-            out._backward = lambda g: (
-                g / other.data if self.requires_grad else None,
-                -self.data / (other.data ** 2) * g if other.requires_grad else None)
-        return out
-
-    def __rtruediv__(self, other):
-        return lift(other) / self
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = _make(self.data ** exponent, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: (exponent * self.data ** (exponent - 1) * g,)
+            out._backward = lambda g: (g, -g if other.requires_grad else None)
         return out
 
     def __matmul__(self, other):
@@ -182,9 +161,6 @@ class Tensor:
                 g @ np.swapaxes(other.data, -1, -2) if self.requires_grad else None,
                 np.swapaxes(self.data, -1, -2) @ g if other.requires_grad else None)
         return out
-
-    def __rmatmul__(self, other):
-        return lift(other) @ self
 
     def __getitem__(self, key):
         out = _make(self.data[key], (self,))
@@ -228,6 +204,22 @@ def lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def records(*tensors) -> bool:
+    """Whether an op on `tensors` would be recorded on the tape."""
+    return _grad_enabled and any(isinstance(t, Tensor) and t.requires_grad
+                                 for t in tensors)
+
+
+def node(data, parents, backward) -> Tensor:
+    """One tape node for an op computed outside the tape: `backward` maps the
+    output gradient to one gradient (or None) per parent. It must not refer
+    to the node it builds, so that the tape stays acyclic."""
+    out = _make(data, tuple(parents))
+    if out.requires_grad:
+        out._backward = backward
+    return out
+
+
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -256,15 +248,6 @@ def sigmoid(t: Tensor) -> Tensor:
     return out
 
 
-def tanh(t: Tensor) -> Tensor:
-    t = lift(t)
-    val = np.tanh(t.data)
-    out = _make(val, (t,))
-    if out.requires_grad:
-        out._backward = lambda g: ((1.0 - val ** 2) * g,)
-    return out
-
-
 def absolute(t: Tensor) -> Tensor:
     t = lift(t)
     out = _make(np.abs(t.data), (t,))
@@ -282,23 +265,6 @@ def sqrt(t: Tensor) -> Tensor:
         def backward(g):
             denom = np.maximum(val, 1e-30)
             return (np.where(t.data > 0, 0.5 / denom, 0.0) * g,)
-        out._backward = backward
-    return out
-
-
-def concatenate(tensors, axis: int = 0) -> Tensor:
-    tensors = [lift(t) for t in tensors]
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def backward(g):
-            idx = [slice(None)] * g.ndim
-            pieces = []
-            for lo, hi in zip(offsets[:-1], offsets[1:]):
-                idx[axis] = slice(lo, hi)
-                pieces.append(g[tuple(idx)])
-            return pieces
         out._backward = backward
     return out
 

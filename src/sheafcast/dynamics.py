@@ -4,8 +4,10 @@ The vector field is a two-layer tanh MLP shared across nodes. Its input is
 the concatenation [x_i; h_i] of the node's current signal value and its
 post-message-passing stalk; a state-free variant (input h_i alone, the
 literal constant-slope reading) is available for ablation. The integrator
-is the classical RK4 tableau, differentiable end to end because every step
-runs through the autodiff tape.
+is the classical RK4 tableau. `field_batch` records one tape node per
+call; a forecast horizon (`Horizon`) records one node for all of its
+steps, whose backward is the discrete adjoint of the tableau. The
+composed-op integrator it replaced is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -72,22 +74,138 @@ class ForecastTrajectory:
             raise InvalidParameterError("trajectory times must be uniform")
 
 
-def field_batch(x, stalks, params: VectorFieldParams) -> ad.Tensor:
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of outer products of the rows of (..., p) `a` and (..., q) `b`
+    over every leading axis: one (p, q) product."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def _stalk_rows(params: VectorFieldParams, stalk_dim: int) -> np.ndarray:
+    """The rows of W1 that multiply the stalk (all of them when state-free;
+    row 0 multiplies the state otherwise)."""
+    width = stalk_dim + (0 if params.state_free else 1)
+    if width != params.in_dim:
+        raise ShapeMismatchError(f"field input width {width} != {params.in_dim}")
+    return params.w1.data[-stalk_dim:]
+
+
+def field_batch(x, stalks, params: VectorFieldParams):
     """Evaluate the vector field for all nodes at once: states (..., n) or
-    (..., n, 1) and stalks (..., n, d) give (..., n, 1)."""
-    x = ad.lift(x)
-    stalks = ad.lift(stalks)
-    if x.data.ndim == stalks.data.ndim - 1:
-        x = x.reshape(x.data.shape + (1,))
-    if params.state_free:
-        inp = stalks
-    else:
-        inp = ad.concatenate([x, stalks], axis=-1)
-    if inp.data.shape[-1] != params.in_dim:
-        raise ShapeMismatchError(
-            f"field input width {inp.data.shape[-1]} != {params.in_dim}")
-    hidden = ad.tanh(inp @ params.w1 + params.b1)
-    return hidden @ params.w2 + params.b2
+    (..., n, 1) and stalks (..., n, d) give a (..., n, 1) tensor, recorded
+    as one tape node.
+
+    Given a `Horizon` in place of the stalks, it evaluates one RK4 stage of
+    that horizon instead: (..., n) states give a (..., n) array, computed
+    from the horizon's stalk term.
+    """
+    if isinstance(stalks, Horizon):
+        return stalks.stage(x)
+    x, stalks = ad.lift(x), ad.lift(stalks)
+    w_h = _stalk_rows(params, stalks.data.shape[-1])
+    x_col = x.data.reshape(stalks.data.shape[:-1] + (1,))
+    pre = stalks.data @ w_h + params.b1.data
+    if not params.state_free:
+        pre += x_col * params.w1.data[0]
+    hidden = np.tanh(pre)
+    out = hidden @ params.w2.data + params.b2.data
+
+    def backward(g):
+        g_pre = (g @ params.w2.data.T) * (1.0 - hidden * hidden)
+        g_w1 = _contract(stalks.data, g_pre)
+        g_x = None
+        if not params.state_free:
+            g_w1 = np.vstack([_contract(x_col, g_pre), g_w1])
+            g_x = (g_pre @ params.w1.data[0]).reshape(x.data.shape)
+        return (g_x, g_pre @ w_h.T, g_w1, g_pre.reshape(-1, g_pre.shape[-1]).sum(axis=0),
+                _contract(hidden, g), g.reshape(-1).sum(keepdims=True))
+
+    return ad.node(out, (x, stalks, params.w1, params.b1, params.w2, params.b2),
+                   backward)
+
+
+class Horizon:
+    """The RK4 forecast over fixed stalks, recorded as one tape node.
+
+    The stalk term of the field's first layer, `stalks @ W1[-d:] + b1`, is
+    computed once. Each RK4 stage adds the state's part and runs the rest
+    of the field in numpy; while the tape records, the stage keeps its
+    input and hidden activation. `node` wraps the RK4 states as one
+    (..., n, n_steps) tensor whose backward is the exact discrete adjoint
+    of the RK4 tableau.
+
+    Stages are evaluated as `field_batch(x, horizon, params)`, so every
+    field evaluation has one entry point; the bench harness
+    (`benchmarks/layers.py`) times and counts them by wrapping
+    `sheafcast.model.field_batch`.
+    """
+
+    def __init__(self, stalks, params: VectorFieldParams, dt: float, n_steps: int):
+        self.stalks = ad.lift(stalks)
+        self.params = params
+        self.dt = float(dt)
+        w_h = _stalk_rows(params, self.stalks.data.shape[-1])
+        self.term = self.stalks.data @ w_h + params.b1.data
+        self.keep = ad.records(self.stalks, params.w1, params.b1, params.w2,
+                               params.b2)
+        if self.keep:
+            self.inputs = np.empty((4 * n_steps,) + self.term.shape[:-1])
+            self.hidden = np.empty((4 * n_steps,) + self.term.shape)
+        self.stages = 0
+
+    def stage(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        p = self.params
+        pre = self.term if p.state_free else self.term + x[..., None] * p.w1.data[0]
+        if self.keep:
+            self.inputs[self.stages] = x
+            hidden = np.tanh(pre, out=self.hidden[self.stages])
+        else:
+            hidden = np.tanh(pre)
+        self.stages += 1
+        return hidden @ p.w2.data[:, 0] + p.b2.data[0]
+
+    def node(self, states) -> ad.Tensor:
+        values = np.stack(states, axis=-1)
+        p = self.params
+        if not self.keep:
+            return ad.Tensor(values)
+        dt, (*rows, n_steps), w2 = self.dt, values.shape, p.w2.data[:, 0]
+        inputs, hidden, stalks = self.inputs, self.hidden, self.stalks.data
+        w_h = _stalk_rows(p, stalks.shape[-1])
+        # a stage's output k feeds x_next with weight dt * b_j and the next
+        # stage's input with weight dt * a_j (the classical tableau)
+        b_weights = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
+        a_weights = (dt / 2.0, dt / 2.0, dt)
+
+        def backward(g):
+            slopes = 1.0 - hidden * hidden         # d tanh / d pre, per stage
+            # d k / d x of each stage: the field is per node in the state
+            g_slope = None if p.state_free else slopes @ (w2 * p.w1.data[0])
+            g_k = np.empty(inputs.shape)
+            g_x = np.zeros(rows)
+            for step in reversed(range(n_steps)):
+                g_x = g_x + g[..., step]
+                g_next = g_x
+                for j in (3, 2, 1, 0):
+                    s = 4 * step + j
+                    g_k[s] = b_weights[j] * g_x
+                    if g_slope is not None:
+                        if j < 3:
+                            g_k[s] += a_weights[j] * g_in
+                        g_in = g_slope[s] * g_k[s]
+                        g_next = g_next + g_in
+                g_x = g_next
+            # d loss / d pre = slopes * g_k * w2; w2 is applied after the sums
+            slopes *= g_k[..., None]
+            g_term = slopes.sum(axis=0) * w2
+            g_w1 = _contract(stalks, g_term)
+            if not p.state_free:
+                g_wx = (inputs.reshape(-1) @ slopes.reshape(-1, slopes.shape[-1])) * w2
+                g_w1 = np.vstack([g_wx, g_w1])
+            return (g_term @ w_h.T, g_w1, g_term.reshape(-1, g_term.shape[-1]).sum(axis=0),
+                    _contract(hidden, g_k[..., None]), g_k.reshape(-1).sum(keepdims=True))
+
+        return ad.node(values, (self.stalks, p.w1, p.b1, p.w2, p.b2), backward)
 
 
 def vector_field(x_i: float, h_i, params: VectorFieldParams) -> float:

@@ -52,34 +52,99 @@ class LstmParams:
         return {"lstm.w_x": self.w_x, "lstm.w_h": self.w_h, "lstm.bias": self.bias}
 
 
+def _gate_affine(d: int):
+    """Per-column (scale, shift) with act = tanh(z * scale) * scale + shift:
+    sigmoid(z) = tanh(z / 2) / 2 + 1/2 on the input, forget and output
+    gates, tanh on the candidate, so one tanh covers all four."""
+    scale = np.full(4 * d, 0.5)
+    scale[2 * d:3 * d] = 1.0
+    shift = np.full(4 * d, 0.5)
+    shift[2 * d:3 * d] = 0.0
+    return scale, shift
+
+
 def encode_all(context, params: LstmParams) -> ad.Tensor:
-    """Encode every node's context row; returns the (n_nodes, d) stalk matrix.
+    """Encode every node's context row: an (n_nodes, t_ctx) context or a
+    (B, n_nodes, t_ctx) stack gives (..., n_nodes, d) stalks.
 
     Nodes are independent and share parameters, so the whole batch runs
-    through one recurrence.
+    through one recurrence, and the whole sequence is one tape node. Each
+    step is one (..., n, d + 2) @ (d + 2, 4d) stacked product of the
+    step input [h, x_t, 1] with the stacked weights [w_h; w_x; bias], so
+    it stays window-sized. The forward keeps each step's input, gate
+    activations and cell state only while the tape records; the backward
+    runs BPTT over them in one loop.
     """
     x = context.data if isinstance(context, ad.Tensor) else np.asarray(context, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatchError("context must be (n_nodes, t_ctx)")
-    if x.shape[1] < 1:
+    if x.ndim not in (2, 3):
+        raise ShapeMismatchError("context must be (n_nodes, t_ctx) or (B, n_nodes, t_ctx)")
+    if x.shape[-1] < 1:
         raise ShapeMismatchError("context must contain at least one step")
     d = params.hidden_dim
     if params.w_x.data.shape != (1, 4 * d) or params.bias.data.shape != (4 * d,):
         raise ShapeMismatchError("LSTM parameter shapes are inconsistent")
 
-    n, t_len = x.shape
-    h = ad.Tensor(np.zeros((n, d)))
-    c = ad.Tensor(np.zeros((n, d)))
+    w_h = params.w_h.data
+    scale, shift = _gate_affine(d)
+    weights = np.vstack([w_h, params.w_x.data, params.bias.data]) * scale
+    rows, t_len = x.shape[:-1], x.shape[-1]
+    keep = ad.records(params.w_x, params.w_h, params.bias)
+    # inputs[t] = [h_(t-1), x_t, 1]; kept for every step only while recording
+    inputs = np.empty((t_len + 1 if keep else 1,) + rows + (d + 2,))
+    inputs[..., d + 1] = 1.0
+    inputs[0, ..., :d] = 0.0
+    if keep:
+        inputs[:-1, ..., d] = np.moveaxis(x, -1, 0)
+        gates = np.empty((t_len,) + rows + (4 * d,))
+        cells = np.zeros((t_len + 1,) + rows + (d,))
+        tanh_c = np.empty((t_len,) + rows + (d,))
+    c = np.zeros(rows + (d,))
     for t in range(t_len):
-        x_t = x[:, t:t + 1]                       # (n, 1)
-        z = x_t @ params.w_x + h @ params.w_h + params.bias
-        i = ad.sigmoid(z[:, :d])
-        f = ad.sigmoid(z[:, d:2 * d])
-        g = ad.tanh(z[:, 2 * d:3 * d])
-        o = ad.sigmoid(z[:, 3 * d:])
-        c = f * c + i * g
-        h = o * ad.tanh(c)
-    return h
+        step = inputs[t] if keep else inputs[0]
+        if not keep:
+            step[..., d] = x[..., t]
+        act = np.matmul(step, weights, out=gates[t] if keep else None)
+        np.tanh(act, out=act)
+        act *= scale
+        act += shift
+        c = act[..., d:2 * d] * c
+        c += act[..., :d] * act[..., 2 * d:3 * d]
+        tc = np.tanh(c, out=tanh_c[t] if keep else None)
+        np.multiply(act[..., 3 * d:], tc, out=inputs[t + 1 if keep else 0, ..., :d])
+        if keep:
+            cells[t + 1] = c
+    h = inputs[-1, ..., :d].copy()
+    if not keep:
+        return ad.Tensor(h)
+
+    # d(act)/dz = (1 - act) * (act + tanh_slope): act(1 - act) on the
+    # sigmoid gates, 1 - act^2 on the candidate
+    tanh_slope = 1.0 - shift * 2.0
+
+    def backward(g_h):
+        # one (d + 2, 4d) weight gradient per window, summed at the end, so
+        # that each product stays window-sized
+        g_weights = np.zeros(rows[:-1] + (d + 2, 4 * d))
+        g_c = np.zeros(rows + (d,))
+        g_z = np.empty(rows + (4 * d,))
+        for t in reversed(range(t_len)):
+            act, tc = gates[t], tanh_c[t]
+            i, f = act[..., :d], act[..., d:2 * d]
+            g, o = act[..., 2 * d:3 * d], act[..., 3 * d:]
+            g_c += g_h * o * (1.0 - tc * tc)
+            np.multiply(g_c, g, out=g_z[..., :d])
+            np.multiply(g_c, cells[t], out=g_z[..., d:2 * d])
+            np.multiply(g_c, i, out=g_z[..., 2 * d:3 * d])
+            np.multiply(g_h, tc, out=g_z[..., 3 * d:])
+            g_z *= 1.0 - act
+            g_z *= act + tanh_slope
+            g_c *= f
+            g_weights += np.swapaxes(inputs[t], -1, -2) @ g_z
+            g_h = g_z @ w_h.T
+        g_weights = g_weights.reshape(-1, d + 2, 4 * d).sum(axis=0)
+        return g_weights[d:d + 1], g_weights[:d], g_weights[d + 1]
+
+    return ad.node(h, (params.w_x, params.w_h, params.bias), backward)
 
 
 def encode_history(x, params: LstmParams) -> ad.Tensor:
@@ -91,15 +156,16 @@ def encode_history(x, params: LstmParams) -> ad.Tensor:
 
 
 def raw_stalks(context: np.ndarray, hidden_dim: int) -> np.ndarray:
-    """Encoder-ablation stalks: the raw window fitted to length d.
+    """Encoder-ablation stalks: the raw window (or window stack) fitted to
+    length d.
 
     Sequences longer than d lose their oldest samples; shorter ones are
     left-padded with zeros so the most recent sample stays last.
     """
     context = np.asarray(context, dtype=np.float64)
-    n, t_len = context.shape
+    t_len = context.shape[-1]
     if t_len >= hidden_dim:
-        return context[:, t_len - hidden_dim:].copy()
-    out = np.zeros((n, hidden_dim))
-    out[:, hidden_dim - t_len:] = context
+        return context[..., t_len - hidden_dim:].copy()
+    out = np.zeros(context.shape[:-1] + (hidden_dim,))
+    out[..., hidden_dim - t_len:] = context
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .dynamics import VectorFieldParams, field_batch, rk4_states
+from .dynamics import Horizon, VectorFieldParams, field_batch, rk4_states
 from .encoder import LstmParams, encode_all, raw_stalks
 from .errors import InvalidParameterError, ShapeMismatchError
 from .sheaf import SheafParameters, message_pass
@@ -98,25 +98,22 @@ class ForecastModel:
     def forward(self, context: np.ndarray, t_hor: int):
         """Forecast t_hor steps from one (n, t_ctx) context or a (B, n, t_ctx)
         window stack; returns (predictions (..., n, t_hor), first-round edge
-        discrepancies (..., n_edges, m)). The LSTM runs on B·n rows; the field
-        keeps the window axis, so its matrix products stay window-sized."""
+        discrepancies (..., n_edges, m)). The LSTM sequence and the RK4
+        horizon are one tape node each, and both keep the window axis, so
+        their matrix products stay window-sized."""
         context = np.asarray(context, dtype=np.float64)
         if context.ndim not in (2, 3) or context.shape[-2] != self.n_nodes:
             raise ShapeMismatchError(
                 f"context {context.shape} does not match the {self.n_nodes}-node graph")
         alpha_override = 1.0 if self.config.ablation == "graph" else None
-        h0 = self.stalks(context.reshape(-1, context.shape[-1]))
-        h_final, delta = message_pass(h0.reshape(context.shape[:-1] + (-1,)),
-                                      self.sheaf, alpha_override=alpha_override,
+        h_final, delta = message_pass(self.stalks(context), self.sheaf,
+                                      alpha_override=alpha_override,
                                       return_first_discrepancy=True)
-
-        def f(_t, x):
-            return field_batch(x, h_final, self.vfield).reshape(x.shape)
-
-        states = rk4_states(f, ad.Tensor(context[..., -1]), 0.0, self.config.dt,
-                            int(t_hor))
-        pred = ad.concatenate([s.reshape(s.shape + (1,)) for s in states], axis=-1)
-        return pred, delta
+        dt, n_steps = self.config.dt, int(t_hor)
+        horizon = Horizon(h_final, self.vfield, dt, n_steps)
+        states = rk4_states(lambda _t, x: field_batch(x, horizon, self.vfield),
+                            context[..., -1], 0.0, dt, n_steps)
+        return horizon.node(states), delta
 
     def predict(self, context: np.ndarray, t_hor: int) -> np.ndarray:
         """Numpy forecast without tape recording."""

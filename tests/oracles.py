@@ -6,6 +6,8 @@ separate from the package code paths it checks.
 
 import numpy as np
 
+from sheafcast import autodiff as ad
+
 
 def finite_difference_grads(loss_fn, params, step=1e-5):
     """Central finite differences of `loss_fn()` w.r.t. each Tensor in `params`.
@@ -144,6 +146,83 @@ def lstm_reference(x, w_x, w_h, b):
         c = f * c + i * g
         h = o * np.tanh(c)
     return h
+
+
+# ----------------------------------------------------------------------
+# the composed-op encoder and integrator: every LSTM gate and every RK4
+# stage recorded op by op on the tape
+# ----------------------------------------------------------------------
+def tanh(t):
+    """Elementwise tanh as one tape node."""
+    t = ad.lift(t)
+    val = np.tanh(t.data)
+    return ad.node(val, (t,), lambda g: ((1.0 - val ** 2) * g,))
+
+
+def concatenate(tensors, axis=0):
+    """Concatenation as one tape node; the gradient is split back by size."""
+    tensors = [ad.lift(t) for t in tensors]
+    bounds = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return ad.node(np.concatenate([t.data for t in tensors], axis=axis),
+                   tensors, lambda g: np.split(g, bounds, axis=axis))
+
+
+def encode_all_composed(context, params):
+    """LSTM over (rows, t_ctx) context rows, one tape op per gate operation;
+    returns the (rows, d) final hidden states."""
+    x = np.asarray(context, dtype=np.float64)
+    d = params.hidden_dim
+    rows, t_len = x.shape
+    h = ad.Tensor(np.zeros((rows, d)))
+    c = ad.Tensor(np.zeros((rows, d)))
+    for t in range(t_len):
+        z = ad.Tensor(x[:, t:t + 1]) @ params.w_x + h @ params.w_h + params.bias
+        i = ad.sigmoid(z[:, :d])
+        f = ad.sigmoid(z[:, d:2 * d])
+        g = tanh(z[:, 2 * d:3 * d])
+        o = ad.sigmoid(z[:, 3 * d:])
+        c = f * c + i * g
+        h = o * tanh(c)
+    return h
+
+
+def field_batch_composed(x, stalks, params):
+    """The vector field on [x; h] (or h alone) from composed tape ops:
+    (..., n) states and (..., n, d) stalks give (..., n, 1)."""
+    x, stalks = ad.lift(x), ad.lift(stalks)
+    if x.data.ndim == stalks.data.ndim - 1:
+        x = x.reshape(x.data.shape + (1,))
+    inp = stalks if params.state_free else concatenate([x, stalks], axis=-1)
+    hidden = tanh(inp @ params.w1 + params.b1)
+    return hidden @ params.w2 + params.b2
+
+
+def forward_composed(model, context, t_hor):
+    """`ForecastModel.forward` with the encoder and the RK4 horizon unrolled
+    op by op: the LSTM on B·n rows, every RK4 stage on the tape, and the
+    states concatenated along the last axis."""
+    from sheafcast.dynamics import rk4_states
+    from sheafcast.encoder import raw_stalks
+    from sheafcast.sheaf import message_pass
+
+    context = np.asarray(context, dtype=np.float64)
+    rows = context.reshape(-1, context.shape[-1])
+    if model.config.ablation == "no_lstm":
+        h0 = ad.Tensor(raw_stalks(rows, model.config.stalk_dim))
+    else:
+        h0 = encode_all_composed(rows, model.lstm)
+    alpha = 1.0 if model.config.ablation == "graph" else None
+    h_final, delta = message_pass(h0.reshape(context.shape[:-1] + (-1,)),
+                                  model.sheaf, alpha_override=alpha,
+                                  return_first_discrepancy=True)
+
+    def f(_t, x):
+        return field_batch_composed(x, h_final, model.vfield).reshape(x.shape)
+
+    states = rk4_states(f, ad.Tensor(context[..., -1]), 0.0, model.config.dt,
+                        int(t_hor))
+    pred = concatenate([s.reshape(s.shape + (1,)) for s in states], axis=-1)
+    return pred, delta
 
 
 def ols_granger_score(x_target, x_source, p):

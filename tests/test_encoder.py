@@ -90,7 +90,7 @@ def test_gradients_match_finite_differences():
 def test_shape_errors():
     params = LstmParams.zeros(2)
     with pytest.raises(ShapeMismatchError):
-        encode_all(np.zeros((3, 4, 5)), params)
+        encode_all(np.zeros((2, 3, 4, 5)), params)
     with pytest.raises(ShapeMismatchError):
         encode_history(np.zeros((2, 2)), params)
     with pytest.raises(ShapeMismatchError):

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sheafcast.errors import InvalidParameterError, ShapeMismatchError
+from sheafcast import autodiff as ad
+from sheafcast.dynamics import VectorFieldParams, field_batch
+from sheafcast.errors import (InvalidParameterError, NonFiniteStateError,
+                              ShapeMismatchError)
 from sheafcast.model import ForecastModel, ModelConfig
 
-from oracles import finite_difference_grads, relative_errors
+from oracles import (field_batch_composed, finite_difference_grads,
+                     forward_composed, relative_errors)
 
 
 def _edges():
@@ -97,3 +103,110 @@ def test_full_pipeline_gradients_match_finite_differences():
     for name, p in params.items():
         errs = relative_errors(p.grad, numeric[name])
         assert errs.max() <= 1e-3, f"{name}: {errs.max():.2e}"
+
+
+# ----------------------------------------------------------------------
+# the fused LSTM and RK4 nodes against the composed-op oracles
+# ----------------------------------------------------------------------
+def _rel(got, ref):
+    return np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
+
+def _value_and_grads(model, forward, ctx, target):
+    params = model.parameters()
+    for p in params.values():
+        p.grad = None
+    pred, delta = forward(ctx)
+    loss = ((pred - target) * (pred - target)).mean() + 0.1 * ad.absolute(delta).sum()
+    loss.backward()
+    return pred.data, {k: p.grad.copy() for k, p in params.items()}
+
+
+@pytest.mark.parametrize("t_ctx", [1, 9])
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("state_free", [False, True])
+@pytest.mark.parametrize("ablation", ["full", "graph", "no_lstm"])
+def test_fused_nodes_match_composed_oracle(ablation, state_free, batch, t_ctx):
+    model = _model(ablation, seed=3, map_dim=6 if ablation == "graph" else 4,
+                   field_state_free=state_free, dt=0.5)
+    rng = np.random.default_rng(batch * 10 + t_ctx)
+    ctx = rng.normal(size=(batch, 4, t_ctx))
+    target = rng.normal(size=(batch, 4, 5))
+    pred, grads = _value_and_grads(model, lambda c: model.forward(c, 5), ctx, target)
+    ref, ref_grads = _value_and_grads(model, lambda c: forward_composed(model, c, 5),
+                                      ctx, target)
+    assert pred.shape == ref.shape == (batch, 4, 5)
+    assert _rel(pred, ref) <= 1e-12
+    assert set(grads) == set(ref_grads) == set(model.parameters())
+    for name in ref_grads:
+        assert _rel(grads[name], ref_grads[name]) <= 1e-12, name
+
+
+def test_field_batch_node_matches_composed_field():
+    rng = np.random.default_rng(4)
+    for state_free in (False, True):
+        params = VectorFieldParams.init(3, 5, rng, state_free=state_free)
+        x = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        h = ad.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        leaves = {"x": x, "h": h, **params.parameters()}
+        results = []
+        for field in (field_batch, field_batch_composed):
+            for t in leaves.values():
+                t.grad = None
+            out = field(x, h, params)
+            (out * out).sum().backward()
+            results.append((out.data, {k: None if t.grad is None else t.grad.copy()
+                                       for k, t in leaves.items()}))
+        (got, grads), (want, ref) = results
+        assert _rel(got, want) <= 1e-12
+        for name in leaves:
+            if state_free and name == "x":
+                assert grads[name] is None and ref[name] is None
+            else:
+                assert _rel(grads[name], ref[name]) <= 1e-12, name
+
+
+def test_no_grad_forward_records_nothing_and_keeps_no_cache():
+    # long enough that per-step caches would dominate: 200 LSTM steps and
+    # 100 RK4 steps over a stack of 8 windows
+    model = _model(stalk_dim=16, map_dim=4, field_width=32)
+    ctx = np.random.default_rng(5).normal(size=(8, 4, 200))
+    rows = 8 * 4
+    gate_cache = 200 * rows * (7 * 16 + 2) * 8            # gates, c, tanh c, [h, x, 1]
+    stage_cache = 4 * 100 * rows * (32 + 1) * 8           # hidden, input
+    model.predict(ctx, 100)                               # warm up
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            stalks = model.stalks(ctx)
+            pred, delta = model.forward(ctx, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for out in (stalks, pred, delta):
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+    assert pred.shape == (8, 4, 100)
+    assert peak < min(gate_cache, stage_cache) / 10, peak
+    # with the tape on, the same forward does keep its caches
+    tracemalloc.start()
+    try:
+        pred, _ = model.forward(ctx, 100)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pred._backward is not None
+    assert current > gate_cache + stage_cache
+
+
+@pytest.mark.parametrize("grad", [True, False])
+def test_diverging_field_names_the_step_and_time(grad):
+    model = _model(dt=0.5)
+    model.vfield.b2.data[:] = 1e307                  # each step adds 0.5e307
+    ctx = np.zeros((4, 12))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteStateError, match=r"after step 36 \(t=18\)"):
+        if grad:
+            model.forward(ctx, 50)
+        else:
+            model.predict(ctx, 50)
