@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -86,22 +87,13 @@ def _load_cfg(args):
 
 
 def _train_config(cfg) -> TrainingConfig:
-    t = cfg["train"]
-    return TrainingConfig(
-        lambda1=t["lambda1"], lambda2=t["lambda2"], lr=t["lr"],
-        weight_decay=t["weight_decay"], scheduler=dict(t["scheduler"]),
-        max_epochs=t["max_epochs"], batch_size=t["batch_size"],
-        folds=t["folds"], seed=cfg["seed"], ablation=t["ablation"],
-        val_fraction=t["val_fraction"])
+    names = {f.name for f in fields(TrainingConfig)}
+    return TrainingConfig(**{k: v for k, v in cfg["train"].items() if k in names},
+                          seed=cfg["seed"])
 
 
 def _model_config(cfg) -> ModelConfig:
-    m = cfg["model"]
-    return ModelConfig(stalk_dim=m["stalk_dim"], map_dim=m["map_dim"],
-                       rounds=m["rounds"], normalize=m["normalize"],
-                       field_width=m["field_width"],
-                       field_state_free=m["field_state_free"], dt=m["dt"],
-                       ablation=cfg["train"]["ablation"])
+    return ModelConfig(**cfg["model"], ablation=cfg["train"]["ablation"])
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,35 @@
 """Run configuration: JSON document with explicit defaults and strict schema.
 
-Every tunable the pipeline uses appears here with its default; unknown keys
-are rejected and `seed` is mandatory. Sections mirror the pipeline stages:
-simulate, prior, model, train, eval.
+Every tunable the pipeline uses has a default; unknown keys are rejected
+and `seed` is mandatory. Sections mirror the pipeline stages: simulate,
+prior, model, train, eval. The `simulate.lif`, `model`, `train` and
+`train.scheduler` entries come from the fields of the parameter
+dataclasses (`LifParams`, `ModelConfig`, `TrainingConfig`,
+`SchedulerConfig`), so each of those defaults is written once, in its
+dataclass; the remaining entries are written here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
+from .model import ModelConfig
+from .neurosim import LifParams
+from .training import SchedulerConfig, TrainingConfig
+
+
+def _section(cls, *skip, **nested) -> dict:
+    """`(type, default)` for every field of the dataclass `cls` but `skip`,
+    in field order; a field named in `nested` holds that sub-section."""
+    types = get_type_hints(cls)
+    return {f.name: nested.get(f.name) or (types[f.name], f.default)
+            for f in fields(cls) if f.name not in skip}
+
 
 _SCHEMA = {
     "seed": int,
@@ -23,51 +41,17 @@ _SCHEMA = {
         "perturb": (bool, True),
         "bin_ms": (float, 10.0),
         "sigma_ms": (float, 20.0),
-        "lif": {
-            "membrane_tau": (float, 10.0),
-            "threshold_mV": (float, -55.0),
-            "reset_mV": (float, -70.0),
-            "resting_mV": (float, -70.0),
-            "capacitance_pF": (float, 250.0),
-            "refractory_ms": (float, 2.0),
-            "syn_tau": (float, 2.0),
-            "syn_weight": (float, 20.0),
-            "syn_delay_ms": (float, 1.5),
-            "poisson_rate_hz": (float, 1000.0),
-            "poisson_weight": (float, 70.0),
-            "dt_ms": (float, 0.1),
-            "duration_ms": (float, 2000.0),
-        },
+        "lif": _section(LifParams),
     },
     "prior": {
         "lag_order": (int, 3),
         "top_k": (int, 8),
         "ridge": (float, 1e-6),
     },
-    "model": {
-        "stalk_dim": (int, 32),
-        "map_dim": (int, 0),
-        "rounds": (int, 2),
-        "normalize": (bool, False),
-        "field_width": (int, 64),
-        "field_state_free": (bool, False),
-        "dt": (float, 1.0),
-    },
+    # the ablation is chosen once, under train
+    "model": _section(ModelConfig, "ablation"),
     "train": {
-        "lambda1": (float, 1e-3),
-        "lambda2": (float, 1e-2),
-        "lr": (float, 1e-3),
-        "weight_decay": (float, 1e-5),
-        "scheduler": {
-            "factor": (float, 0.5),
-            "patience_epochs": (int, 3),
-            "min_lr": (float, 1e-6),
-        },
-        "max_epochs": (int, 100),
-        "batch_size": (int, 64),
-        "folds": (int, 5),
-        "ablation": (str, "full"),
-        "val_fraction": (float, 0.1),
+        **_section(TrainingConfig, "seed", scheduler=_section(SchedulerConfig)),
         "t_ctx": (int, 30),
         "t_hor": (int, 10),
         "stride": (int, 40),

@@ -4,10 +4,10 @@ The vector field is a two-layer tanh MLP shared across nodes. Its input is
 the concatenation [x_i; h_i] of the node's current signal value and its
 post-message-passing stalk; a state-free variant (input h_i alone, the
 literal constant-slope reading) is available for ablation. The integrator
-is the classical RK4 tableau. `field_batch` records one tape node per
-call; a forecast horizon (`Horizon`) records one node for all of its
-steps, whose backward is the discrete adjoint of the tableau. The
-composed-op integrator it replaced is kept as a test oracle.
+is the classical RK4 tableau. A forecast horizon (`Horizon`) records one
+tape node for all of its steps, whose backward is the discrete adjoint of
+the tableau; `field_batch` evaluates one of its stages. The composed-op
+integrator it replaced is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -89,38 +89,10 @@ def _stalk_rows(params: VectorFieldParams, stalk_dim: int) -> np.ndarray:
     return params.w1.data[-stalk_dim:]
 
 
-def field_batch(x, stalks, params: VectorFieldParams):
-    """Evaluate the vector field for all nodes at once: states (..., n) or
-    (..., n, 1) and stalks (..., n, d) give a (..., n, 1) tensor, recorded
-    as one tape node.
-
-    Given a `Horizon` in place of the stalks, it evaluates one RK4 stage of
-    that horizon instead: (..., n) states give a (..., n) array, computed
-    from the horizon's stalk term.
-    """
-    if isinstance(stalks, Horizon):
-        return stalks.stage(x)
-    x, stalks = ad.lift(x), ad.lift(stalks)
-    w_h = _stalk_rows(params, stalks.data.shape[-1])
-    x_col = x.data.reshape(stalks.data.shape[:-1] + (1,))
-    pre = stalks.data @ w_h + params.b1.data
-    if not params.state_free:
-        pre += x_col * params.w1.data[0]
-    hidden = np.tanh(pre)
-    out = hidden @ params.w2.data + params.b2.data
-
-    def backward(g):
-        g_pre = (g @ params.w2.data.T) * (1.0 - hidden * hidden)
-        g_w1 = _contract(stalks.data, g_pre)
-        g_x = None
-        if not params.state_free:
-            g_w1 = np.vstack([_contract(x_col, g_pre), g_w1])
-            g_x = (g_pre @ params.w1.data[0]).reshape(x.data.shape)
-        return (g_x, g_pre @ w_h.T, g_w1, g_pre.reshape(-1, g_pre.shape[-1]).sum(axis=0),
-                _contract(hidden, g), g.reshape(-1).sum(keepdims=True))
-
-    return ad.node(out, (x, stalks, params.w1, params.b1, params.w2, params.b2),
-                   backward)
+def field_batch(x, horizon: Horizon) -> np.ndarray:
+    """The vector field at (..., n) states as one RK4 stage of `horizon`:
+    a (..., n) array."""
+    return horizon.stage(x)
 
 
 class Horizon:
@@ -133,8 +105,8 @@ class Horizon:
     (..., n, n_steps) tensor whose backward is the exact discrete adjoint
     of the RK4 tableau.
 
-    Stages are evaluated as `field_batch(x, horizon, params)`, so every
-    field evaluation has one entry point; the bench harness
+    Stages are evaluated as `field_batch(x, horizon)`, so every field
+    evaluation has one entry point; the bench harness
     (`benchmarks/layers.py`) times and counts them by wrapping
     `sheafcast.model.field_batch`.
     """
@@ -210,9 +182,9 @@ class Horizon:
 
 def vector_field(x_i: float, h_i, params: VectorFieldParams) -> float:
     """Scalar derivative for a single node."""
-    h_i = np.asarray(h_i, dtype=np.float64)
-    out = field_batch(np.array([float(x_i)]), h_i[None, :], params)
-    return float(out.data[0, 0])
+    with ad.no_grad():
+        horizon = Horizon(np.asarray(h_i, dtype=np.float64)[None, :], params, 1.0, 1)
+        return float(field_batch(np.array([float(x_i)]), horizon)[0])
 
 
 def rk4_step(f, t: float, x, dt: float):

@@ -111,7 +111,7 @@ class ForecastModel:
                                       return_first_discrepancy=True)
         dt, n_steps = self.config.dt, int(t_hor)
         horizon = Horizon(h_final, self.vfield, dt, n_steps)
-        states = rk4_states(lambda _t, x: field_batch(x, horizon, self.vfield),
+        states = rk4_states(lambda _t, x: field_batch(x, horizon),
                             context[..., -1], 0.0, dt, n_steps)
         return horizon.node(states), delta
 

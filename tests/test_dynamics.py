@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from sheafcast import autodiff as ad
 from sheafcast.dynamics import (ForecastTrajectory, VectorFieldParams,
-                                field_batch, rk4_integrate, vector_field)
+                                rk4_integrate, vector_field)
 from sheafcast.errors import (InvalidParameterError, NonFiniteStateError,
                               ShapeMismatchError)
-
-from oracles import relative_errors
 
 
 def _zero_field(stalk_dim=3, width=4, state_free=False):
@@ -37,41 +34,11 @@ def test_constructed_negative_feedback_field():
     np.testing.assert_allclose(exact, -np.tanh(1.0), rtol=1e-12)
 
 
-def test_field_gradient_wrt_inputs_matches_finite_differences():
-    rng = np.random.default_rng(1)
-    params = VectorFieldParams.init(3, 5, rng)
-    x = ad.Tensor(rng.normal(size=(4, 1)), requires_grad=True)
-    h = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-
-    def loss_fn():
-        out = field_batch(x, h, params)
-        return (out * out).sum()
-
-    x.grad = h.grad = None
-    loss_fn().backward()
-    step = 1e-5
-    for tensor, grad in ((x, x.grad), (h, h.grad)):
-        flat = tensor.data.ravel()
-        fd = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = float(loss_fn().data)
-            flat[i] = orig - step
-            down = float(loss_fn().data)
-            flat[i] = orig
-            fd[i] = (up - down) / (2 * step)
-        errs = relative_errors(grad.ravel(), fd)
-        assert errs.max() <= 1e-4
-
-
 def test_state_free_field_ignores_x():
     rng = np.random.default_rng(2)
     params = VectorFieldParams.init(3, 4, rng, state_free=True)
-    h = rng.normal(size=(2, 3))
-    a = field_batch(np.array([0.0, 0.0]), h, params).data
-    b = field_batch(np.array([5.0, -5.0]), h, params).data
-    np.testing.assert_array_equal(a, b)
+    h = rng.normal(size=3)
+    assert vector_field(0.0, h, params) == vector_field(5.0, h, params)
 
 
 # ----------------------------------------------------------------------
@@ -139,4 +106,4 @@ def test_trajectory_invariants():
 def test_shape_mismatch_raises():
     params = _zero_field(stalk_dim=3)
     with pytest.raises(ShapeMismatchError):
-        field_batch(np.zeros(2), np.zeros((2, 5)), params)
+        vector_field(0.0, np.zeros(5), params)

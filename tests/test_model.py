@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from sheafcast import autodiff as ad
-from sheafcast.dynamics import VectorFieldParams, field_batch
 from sheafcast.errors import (InvalidParameterError, NonFiniteStateError,
                               ShapeMismatchError)
 from sheafcast.model import ForecastModel, ModelConfig
 
-from oracles import (field_batch_composed, finite_difference_grads,
-                     forward_composed, relative_errors)
+from oracles import finite_difference_grads, forward_composed, relative_errors
 
 
 def _edges():
@@ -140,30 +138,6 @@ def test_fused_nodes_match_composed_oracle(ablation, state_free, batch, t_ctx):
     assert set(grads) == set(ref_grads) == set(model.parameters())
     for name in ref_grads:
         assert _rel(grads[name], ref_grads[name]) <= 1e-12, name
-
-
-def test_field_batch_node_matches_composed_field():
-    rng = np.random.default_rng(4)
-    for state_free in (False, True):
-        params = VectorFieldParams.init(3, 5, rng, state_free=state_free)
-        x = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        h = ad.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-        leaves = {"x": x, "h": h, **params.parameters()}
-        results = []
-        for field in (field_batch, field_batch_composed):
-            for t in leaves.values():
-                t.grad = None
-            out = field(x, h, params)
-            (out * out).sum().backward()
-            results.append((out.data, {k: None if t.grad is None else t.grad.copy()
-                                       for k, t in leaves.items()}))
-        (got, grads), (want, ref) = results
-        assert _rel(got, want) <= 1e-12
-        for name in leaves:
-            if state_free and name == "x":
-                assert grads[name] is None and ref[name] is None
-            else:
-                assert _rel(grads[name], ref[name]) <= 1e-12, name
 
 
 def test_no_grad_forward_records_nothing_and_keeps_no_cache():
