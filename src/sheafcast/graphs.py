@@ -58,7 +58,7 @@ class PriorGraph:
     scores: tuple
     lag_order: int
     top_k: int
-    n_nodes: int = 0
+    n_nodes: int = 0                  # 0: unknown, ids are not range-checked
 
     def __post_init__(self):
         self.edges = tuple((int(s), int(d)) for s, d in self.edges)
@@ -67,8 +67,16 @@ class PriorGraph:
             raise InvalidParameterError("edges and scores must align")
         if any(s < 0 for s in self.scores):
             raise InvalidParameterError("scores must be nonnegative")
-        if any(s == d for s, d in self.edges):
-            raise InvalidParameterError("prior contains a self-loop")
+        seen = set()
+        for s, d in self.edges:
+            if s == d:
+                raise InvalidParameterError("prior contains a self-loop")
+            if self.n_nodes > 0 and not (0 <= s < self.n_nodes and 0 <= d < self.n_nodes):
+                raise InvalidParameterError(
+                    f"prior edge ({s},{d}) out of range for {self.n_nodes} nodes")
+            if (s, d) in seen:
+                raise InvalidParameterError(f"duplicate prior edge ({s},{d})")
+            seen.add((s, d))
         indeg = {}
         for _, d in self.edges:
             indeg[d] = indeg.get(d, 0) + 1

@@ -40,6 +40,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.ablation not in ABLATIONS:
             raise InvalidParameterError(f"unknown ablation {self.ablation!r}")
+        if self.stalk_dim < 1 or self.field_width < 1:
+            raise InvalidParameterError("stalk_dim and field_width must be >= 1")
+        if self.map_dim < 0 or self.rounds < 0:
+            raise InvalidParameterError("map_dim and rounds must be >= 0")
+        if not self.dt > 0:
+            raise InvalidParameterError("dt must be positive")
         if self.map_dim == 0:
             self.map_dim = self.stalk_dim
         if self.ablation == "graph" and self.map_dim != self.stalk_dim:

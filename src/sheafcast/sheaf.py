@@ -47,6 +47,9 @@ class SheafParameters:
                 f"{e} restriction-map pairs for {len(self.edges)} edges")
         if self.rounds < 0:
             raise InvalidParameterError("rounds must be >= 0")
+        if len(self.edges) and (self.edges.min() < 0 or self.edges.max() >= self.n_nodes):
+            raise InvalidParameterError(
+                f"edge ids must lie in [0, {self.n_nodes})")
 
     @property
     def n_edges(self) -> int:
@@ -145,8 +148,7 @@ def edge_discrepancy(edge, H, params: SheafParameters) -> EdgeDiscrepancy:
     proj_s = params.rho_src.data[k] @ h[edge[0]]
     proj_d = params.rho_dst.data[k] @ h[edge[1]]
     a = params.attention.data
-    alpha_s = float(1.0 / (1.0 + np.exp(-a @ proj_s)))
-    alpha_d = float(1.0 / (1.0 + np.exp(-a @ proj_d)))
+    alpha_s, alpha_d = map(float, ad.sigmoid(np.array([a @ proj_s, a @ proj_d])).data)
     return EdgeDiscrepancy(delta=alpha_s * proj_s - alpha_d * proj_d,
                            alpha_src=alpha_s, alpha_dst=alpha_d)
 

@@ -123,6 +123,14 @@ class SchedulerConfig:
     patience_epochs: int = 3
     min_lr: float = 1e-6
 
+    def __post_init__(self):
+        if not 0.0 < self.factor < 1.0:
+            raise InvalidParameterError("scheduler factor must lie in (0, 1)")
+        if self.patience_epochs < 1:
+            raise InvalidParameterError("scheduler patience_epochs must be >= 1")
+        if not self.min_lr >= 0:
+            raise InvalidParameterError("scheduler min_lr must be nonnegative")
+
 
 class PlateauScheduler:
     """Reduce-on-plateau: multiply lr by `factor` after `patience_epochs`
@@ -163,10 +171,16 @@ class TrainingConfig:
     def __post_init__(self):
         if isinstance(self.scheduler, dict):
             self.scheduler = SchedulerConfig(**self.scheduler)
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise InvalidParameterError("lr must be positive")
-        if not 0.0 < self.scheduler.factor < 1.0:
-            raise InvalidParameterError("scheduler factor must lie in (0, 1)")
+        if not self.weight_decay >= 0:
+            raise InvalidParameterError("weight_decay must be nonnegative")
+        if self.batch_size < 1:
+            raise InvalidParameterError("batch_size must be >= 1")
+        if self.max_epochs < 0:
+            raise InvalidParameterError("max_epochs must be >= 0")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise InvalidParameterError("val_fraction must lie in [0, 1)")
         if self.folds < 2:
             raise InvalidParameterError("folds must be >= 2")
         if self.ablation not in ABLATIONS:

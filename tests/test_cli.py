@@ -11,7 +11,7 @@ import pytest
 import sheafcast
 from sheafcast.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_MISSING, EXIT_OK,
                            EXIT_RUNTIME, main)
-from sheafcast.config import default_config, validate_config
+from sheafcast.config import config_hash, default_config, validate_config
 from sheafcast.errors import ConfigError
 from sheafcast.neurosim import load_rates_csv
 
@@ -245,13 +245,37 @@ def _one_line_exit(capsys, argv):
 
 
 def test_config_domain_error_exits_2(pipeline, tmp_path, capsys):
-    cfg = _fast_config()
-    cfg["train"]["lr"] = -1.0
-    path = _write_config(tmp_path, cfg)
+    bad_values = [
+        (("train", "lr"), -1.0),
+        (("model", "stalk_dim"), 0), (("model", "field_width"), 0),
+        (("model", "rounds"), -1), (("model", "dt"), 0.0), (("model", "dt"), -1.0),
+        (("train", "batch_size"), 0), (("train", "batch_size"), -3),
+        (("train", "max_epochs"), -1), (("train", "val_fraction"), -0.1),
+        (("train", "val_fraction"), 1.0), (("train", "weight_decay"), -1e-5),
+        (("train", "scheduler", "patience_epochs"), 0),
+        (("train", "scheduler", "min_lr"), -1e-6),
+    ]
+    for i, (keys, value) in enumerate(bad_values):
+        cfg = _fast_config()
+        section = cfg
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+        path = _write_config(tmp_path, cfg, f"config_{i}.json")
+        assert _one_line_exit(capsys, [
+            "train", "--config", path, "--data", pipeline["sim"],
+            "--prior", pipeline["prior"] / "prior.csv",
+            "--out", tmp_path / "o"]) == EXIT_CONFIG, (keys, value)
+        assert not (tmp_path / "o").exists()
+
+
+def test_prior_edge_outside_the_graph_exits_5(pipeline, tmp_path, capsys):
+    header, first, *rest = (pipeline["prior"] / "prior.csv").read_text().splitlines()
+    bad = tmp_path / "prior.csv"
+    bad.write_text("\n".join([header, "-1," + first.split(",", 1)[1], *rest]) + "\n")
     assert _one_line_exit(capsys, [
-        "train", "--config", path, "--data", pipeline["sim"],
-        "--prior", pipeline["prior"] / "prior.csv",
-        "--out", tmp_path / "o"]) == EXIT_CONFIG
+        "train", "--config", pipeline["cfg_path"], "--data", pipeline["sim"],
+        "--prior", bad, "--out", tmp_path / "o"]) == EXIT_RUNTIME
 
 
 def test_data_faults_exit_5(pipeline, tmp_path, capsys):
@@ -321,6 +345,13 @@ def test_missing_inputs_exit_3(tmp_path):
     assert main(["forecast", "--checkpoint", str(tmp_path / "nope"),
                  "--windows", str(tmp_path / "w.json"),
                  "--out", str(tmp_path / "o2")]) == EXIT_MISSING
+
+
+def test_default_config_is_pinned():
+    # a moved or changed default changes this digest and every manifest's
+    assert config_hash(default_config(0)) == (
+        "d906167547cf8995782fefa74239add4b48568ea5ee8b0daea2793282fc99696")
+    assert validate_config({"seed": 0}) == default_config(0)
 
 
 def test_validate_config_fills_defaults_and_rejects_unknown():

@@ -60,6 +60,13 @@ def test_graph_ablation_requires_square_maps():
         ModelConfig(ablation="graph", stalk_dim=6, map_dim=4)
 
 
+@pytest.mark.parametrize("bad", [dict(stalk_dim=0), dict(field_width=0), dict(map_dim=-1),
+                                 dict(rounds=-1), dict(dt=0.0), dict(dt=-1.0)])
+def test_model_config_refuses_values_outside_their_domain(bad):
+    with pytest.raises(InvalidParameterError):
+        ModelConfig(**bad)
+
+
 def test_no_lstm_uses_raw_window_stalks():
     model = _model("no_lstm", stalk_dim=6, map_dim=6)
     ctx = np.arange(48, dtype=float).reshape(4, 12)

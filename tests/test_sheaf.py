@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sheafcast import autodiff as ad
-from sheafcast.errors import (MissingEdgeParametersError, ShapeMismatchError,
-                              UnknownEdgeError)
+from sheafcast.errors import (InvalidParameterError, MissingEdgeParametersError,
+                              ShapeMismatchError, UnknownEdgeError)
 from sheafcast.graphs import BrainGraph
 from sheafcast.sheaf import (SheafParameters, attention_coeffs, edge_discrepancy,
                              edge_project, message_pass, sheaf_laplacian_apply,
@@ -68,6 +70,21 @@ def test_edge_discrepancy_examples():
 
     with pytest.raises(UnknownEdgeError):
         edge_discrepancy((1, 0), H, params)
+
+    # a gate logit of -10000: exp(10000) would overflow in the naive logistic
+    saturated = SheafParameters.init([(0, 1)], 2, stalk_dim=2, identity=True)
+    saturated.attention.data[:] = 1000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gated = edge_discrepancy((0, 1), np.array([[-5.0, -5.0], [1.0, 1.0]]), saturated)
+    assert gated.alpha_src == 0.0 and gated.alpha_dst == 1.0
+    np.testing.assert_array_equal(gated.delta, [-1.0, -1.0])
+
+
+@pytest.mark.parametrize("edges", [[(-1, 0)], [(0, 4)]])
+def test_sheaf_parameters_refuse_edge_ids_outside_the_graph(edges):
+    with pytest.raises(InvalidParameterError):
+        SheafParameters.init(edges, 4, stalk_dim=2)
 
 
 # ----------------------------------------------------------------------

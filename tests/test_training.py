@@ -155,6 +155,13 @@ def test_training_config_validation():
         TrainingConfig(folds=1)
     with pytest.raises(InvalidParameterError):
         TrainingConfig(ablation="banana")
+    for bad in (dict(batch_size=0), dict(batch_size=-3), dict(max_epochs=-1),
+                dict(val_fraction=-0.1), dict(val_fraction=1.0), dict(weight_decay=-1e-5),
+                dict(scheduler={"patience_epochs": 0}), dict(scheduler={"min_lr": -1e-6})):
+        with pytest.raises(InvalidParameterError):
+            TrainingConfig(**bad)
+    TrainingConfig(max_epochs=0, val_fraction=0.0, weight_decay=0.0,
+                   scheduler={"patience_epochs": 1, "min_lr": 0.0})
 
 
 # ----------------------------------------------------------------------
