@@ -8,12 +8,10 @@ differences at tight tolerances.
 
 Only the operations the forecasting pipeline needs are implemented:
 addition, subtraction and multiplication with broadcasting, matmul, sum,
-mean and reshape, slicing/gather, sigmoid, absolute value, a
-gradient-safe sqrt, and the graph scatter and batched per-edge
-matrix-vector products used by the sheaf operators. An op computed
-outside the tape, such as the whole LSTM sequence or the whole RK4
-horizon, enters it as one node through `node`, with a hand-written
-backward.
+mean and reshape, basic slicing, sigmoid, absolute value and a
+gradient-safe sqrt. An op computed outside the tape, such as the whole
+LSTM sequence, the whole sheaf message pass or the whole RK4 horizon,
+enters it as one node through `node`, with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -163,15 +161,16 @@ class Tensor:
         return out
 
     def __getitem__(self, key):
+        """Basic indexing only: an index array may repeat an element, which
+        the backward's slice assignment would count once."""
+        items = key if isinstance(key, tuple) else (key,)
+        if any(isinstance(k, (list, np.ndarray)) for k in items):
+            raise IndexError("Tensor indexing takes ints and slices, not index arrays")
         out = _make(self.data[key], (self,))
         if out.requires_grad:
-            advanced = _has_index_array(key)
             def backward(g_out):
                 g = np.zeros_like(self.data)
-                if advanced:
-                    np.add.at(g, key, g_out)
-                else:
-                    g[key] += g_out
+                g[key] += g_out
                 return (g,)
             out._backward = backward
         return out
@@ -210,14 +209,44 @@ def records(*tensors) -> bool:
                                  for t in tensors)
 
 
-def node(data, parents, backward) -> Tensor:
+def node(data, parents, backward):
     """One tape node for an op computed outside the tape: `backward` maps the
     output gradient to one gradient (or None) per parent. It must not refer
-    to the node it builds, so that the tape stays acyclic."""
-    out = _make(data, tuple(parents))
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    to the node it builds, so that the tape stays acyclic.
+
+    An op with several outputs passes a tuple of arrays and gets a tuple of
+    Tensors back; `backward` then takes a tuple of output gradients, None
+    for an output no loss reached. Each output after the first is recorded
+    as a child of the first that only hands its gradient over, so the
+    engine reaches it before the first.
+    """
+    if not isinstance(data, tuple):
+        out = _make(data, tuple(parents))
+        if out.requires_grad:
+            out._backward = backward
+        return out
+    first = _make(data[0], tuple(parents))
+    rest = tuple(_make(d, (first,)) for d in data[1:])
+    if first.requires_grad:
+        handed = [None] * len(rest)
+        # a zero gradient for the first output makes the engine run it
+        zero = np.broadcast_to(0.0, first.data.shape)
+
+        def hand_over(i):
+            def backward_i(g):
+                handed[i] = g
+                return (zero,)
+            return backward_i
+
+        def joint(g):
+            grads = (g, *handed)
+            handed[:] = [None] * len(handed)
+            return backward(grads)
+
+        first._backward = joint
+        for i, out in enumerate(rest):
+            out._backward = hand_over(i)
+    return (first, *rest)
 
 
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
@@ -226,11 +255,6 @@ def _make(data: np.ndarray, parents: tuple) -> Tensor:
         out.requires_grad = True
         out._parents = parents
     return out
-
-
-def _has_index_array(key) -> bool:
-    items = key if isinstance(key, tuple) else (key,)
-    return any(isinstance(k, (list, np.ndarray)) for k in items)
 
 
 # ----------------------------------------------------------------------
@@ -266,59 +290,4 @@ def sqrt(t: Tensor) -> Tensor:
             denom = np.maximum(val, 1e-30)
             return (np.where(t.data > 0, 0.5 / denom, 0.0) * g,)
         out._backward = backward
-    return out
-
-
-# ----------------------------------------------------------------------
-# graph gather/scatter and batched per-edge products (rows are axis -2;
-# leading axes are a batch that shares the (E, m, d) maps)
-# ----------------------------------------------------------------------
-def index_add_rows(source: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
-    """Scatter-add rows of a (..., E, k) `source` into a (..., n_rows, k) zero tensor."""
-    source = lift(source)
-    index = np.asarray(index, dtype=np.intp)
-    key = (Ellipsis, index, slice(None))
-    data = np.zeros(source.data.shape[:-2] + (n_rows,) + source.data.shape[-1:])
-    np.add.at(data, key, source.data)
-    out = _make(data, (source,))
-    if out.requires_grad:
-        out._backward = lambda g: (g[key],)
-    return out
-
-
-def _edge_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-edge outer products of (..., E, p) and (..., E, q) rows, summed
-    over the leading axes: one (E, p, q) contraction."""
-    e = a.shape[-2]
-    return (a.reshape(-1, e, a.shape[-1]).transpose(1, 2, 0)
-            @ b.reshape(-1, e, b.shape[-1]).transpose(1, 0, 2))
-
-
-def edge_matvec(mats: Tensor, vecs: Tensor) -> Tensor:
-    """Per-edge product: (E, m, d) x (..., E, d) -> (..., E, m)."""
-    mats, vecs = lift(mats), lift(vecs)
-    if mats.data.ndim != 3 or vecs.data.ndim < 2 or mats.data.shape[::2] != (
-            vecs.data.shape[-2], vecs.data.shape[-1]):
-        raise ShapeMismatchError(
-            f"edge_matvec: got {mats.data.shape} and {vecs.data.shape}")
-    out = _make((mats.data @ vecs.data[..., None])[..., 0], (mats, vecs))
-    if out.requires_grad:
-        out._backward = lambda g: (
-            _edge_outer(g, vecs.data) if mats.requires_grad else None,
-            (g[..., None, :] @ mats.data)[..., 0, :] if vecs.requires_grad else None)
-    return out
-
-
-def edge_matvec_t(mats: Tensor, vecs: Tensor) -> Tensor:
-    """Per-edge transposed product: (E, m, d) x (..., E, m) -> (..., E, d)."""
-    mats, vecs = lift(mats), lift(vecs)
-    if mats.data.ndim != 3 or vecs.data.ndim < 2 or (
-            mats.data.shape[0], mats.data.shape[1]) != vecs.data.shape[-2:]:
-        raise ShapeMismatchError(
-            f"edge_matvec_t: got {mats.data.shape} and {vecs.data.shape}")
-    out = _make((vecs.data[..., None, :] @ mats.data)[..., 0, :], (mats, vecs))
-    if out.requires_grad:
-        out._backward = lambda g: (
-            _edge_outer(vecs.data, g) if mats.requires_grad else None,
-            (mats.data @ g[..., None])[..., 0] if vecs.requires_grad else None)
     return out

@@ -70,6 +70,13 @@ def _require(path, kind: str) -> Path:
     return path
 
 
+# lower bounds of the entries no parameter object checks
+_LOWER_BOUNDS = {("simulate", "count"): 0, ("prior", "lag_order"): 1,
+                 ("prior", "top_k"): 1, ("prior", "ridge"): 0.0,
+                 ("train", "t_ctx"): 1, ("train", "t_hor"): 1, ("train", "stride"): 1,
+                 ("eval", "t_ctx"): 1, ("eval", "t_hor"): 1}
+
+
 def _load_cfg(args):
     if args.config:
         cfg = load_config(_require(args.config, "config"))
@@ -83,6 +90,9 @@ def _load_cfg(args):
         _train_config(cfg), _model_config(cfg), LifParams(**cfg["simulate"]["lif"])
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
+    for (section, key), low in _LOWER_BOUNDS.items():
+        if not cfg[section][key] >= low:
+            raise ConfigError(f"{section}.{key} must be >= {low:g}, got {cfg[section][key]}")
     return cfg
 
 

@@ -74,6 +74,41 @@ class ForecastModel:
                                         rng, state_free=config.field_state_free)
         return cls(config=config, lstm=lstm, sheaf=sheaf, vfield=vfield)
 
+    @classmethod
+    def from_arrays(cls, edges, n_nodes: int, config: ModelConfig,
+                    arrays: dict) -> "ForecastModel":
+        """A model holding copies of `arrays` (keyed like `all_tensors`),
+        each group as trainable as `init` makes it; no random draws."""
+        d, m, width = config.stalk_dim, config.map_dim, config.field_width
+        n_edges = len(np.asarray(edges).reshape(-1, 2))
+        shapes = {"lstm.w_x": (1, 4 * d), "lstm.w_h": (d, 4 * d), "lstm.bias": (4 * d,),
+                  "sheaf.rho_src": (n_edges, m, d), "sheaf.rho_dst": (n_edges, m, d),
+                  "sheaf.attention": (m,),
+                  "field.w1": (d + (0 if config.field_state_free else 1), width),
+                  "field.b1": (width,), "field.w2": (width, 1), "field.b2": (1,)}
+        for name, shape in shapes.items():
+            got = np.shape(arrays[name]) if name in arrays else None
+            if got != shape:
+                raise ShapeMismatchError(f"array {name} has shape {got}, expected {shape}")
+
+        def tensor(name, trainable=True):
+            return ad.Tensor(np.array(arrays[name], dtype=np.float64),
+                             requires_grad=trainable)
+
+        maps = config.ablation != "graph"
+        return cls(config=config,
+                   lstm=LstmParams(tensor("lstm.w_x"), tensor("lstm.w_h"),
+                                   tensor("lstm.bias")),
+                   sheaf=SheafParameters(tensor("sheaf.rho_src", maps),
+                                         tensor("sheaf.rho_dst", maps),
+                                         tensor("sheaf.attention", maps),
+                                         edges=edges, n_nodes=n_nodes,
+                                         rounds=config.rounds,
+                                         normalize=config.normalize),
+                   vfield=VectorFieldParams(tensor("field.w1"), tensor("field.b1"),
+                                            tensor("field.w2"), tensor("field.b2"),
+                                            state_free=config.field_state_free))
+
     @property
     def n_nodes(self) -> int:
         return self.sheaf.n_nodes

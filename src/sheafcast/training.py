@@ -91,7 +91,10 @@ def adamw_step(params: dict, grads: dict, state: AdamState, lr: float,
 
     `params` maps names to Tensors (or ndarrays); `grads` holds matching
     arrays. Bias-corrected first and second moments, decay applied to the
-    pre-update parameters.
+    pre-update parameters. The moments and parameters are updated in place
+    through two scratch arrays per parameter, in the operation order of
+    `m = b1 m + (1 - b1) g`, `v = b2 v + (1 - b2) g g`,
+    `p -= lr wd p` and `p -= lr m_hat / (sqrt(v_hat) + eps)`.
     """
     state.step += 1
     b1, b2 = betas
@@ -105,12 +108,21 @@ def adamw_step(params: dict, grads: dict, state: AdamState, lr: float,
         if name not in state.m:
             state.m[name] = np.zeros_like(data)
             state.v[name] = np.zeros_like(data)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / c1
-        v_hat = state.v[name] / c2
-        data -= lr * weight_decay * data
-        data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        step, root = np.empty_like(data), np.empty_like(data)
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=step)
+        v *= b2
+        np.multiply(1.0 - b2, g, out=step)
+        v += np.multiply(step, g, out=step)
+        data -= np.multiply(lr * weight_decay, data, out=step)
+        np.divide(m, c1, out=step)
+        step *= lr
+        np.divide(v, c2, out=root)
+        np.sqrt(root, out=root)
+        root += eps
+        step /= root
+        data -= step
     return params, state
 
 
@@ -207,16 +219,14 @@ class ModelCheckpoint:
     trained_on_perturbed: bool
 
     def build_model(self) -> ForecastModel:
-        model = ForecastModel.init(np.asarray(self.prior_edges, dtype=np.intp),
-                                   self.n_nodes, copy.deepcopy(self.model_config),
-                                   seed=0)
-        for name, tensor in model.all_tensors().items():
-            if tensor.data.shape != self.arrays[name].shape:
-                raise CheckpointMismatchError(
-                    f"array {name} has shape {self.arrays[name].shape}, "
-                    f"expected {tensor.data.shape}")
-            tensor.data[...] = self.arrays[name]
-        return model
+        """The model holding copies of the checkpoint's arrays; a checkpoint
+        whose arrays or edges do not fit its config is refused."""
+        try:
+            return ForecastModel.from_arrays(
+                np.asarray(self.prior_edges, dtype=np.intp), self.n_nodes,
+                copy.deepcopy(self.model_config), self.arrays)
+        except (InvalidParameterError, ShapeMismatchError) as exc:
+            raise CheckpointMismatchError(f"checkpoint does not fit its model: {exc}") from exc
 
     def prior(self) -> PriorGraph:
         return PriorGraph(edges=tuple(tuple(e) for e in self.prior_edges),
@@ -405,12 +415,15 @@ def train(windows, prior: PriorGraph, config: TrainingConfig,
                     raise DivergenceError(
                         f"non-finite loss in epoch {epoch}, "
                         f"batch starting at {b_start}")
+                batch_loss.backward()
+                epoch_losses.append(float(batch_loss.data))
+                # the loss holds the whole tape: free it, and the gradients,
+                # before the next forward
+                del batch_loss
+                adamw_step(params, {k: p.grad for k, p in params.items()},
+                           state, lr, config.weight_decay)
                 for p in params.values():
                     p.grad = None
-                batch_loss.backward()
-                grads = {k: p.grad for k, p in params.items()}
-                adamw_step(params, grads, state, lr, config.weight_decay)
-                epoch_losses.append(float(batch_loss.data))
 
             val_loss = _dataset_loss(model, val_windows, prior, config)
             if log_fh:

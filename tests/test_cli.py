@@ -217,6 +217,27 @@ def test_damaged_checkpoint_bin_exits_4(pipeline, tmp_path, capsys, damage):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fault", ["duplicate edge", "self-loop"])
+def test_checkpoint_with_a_bad_edge_exits_4(pipeline, tmp_path, capsys, fault):
+    src = pipeline["train"]
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    manifest = json.loads((src / "checkpoint.json").read_text())
+    edges = manifest["prior_edges"]
+    if fault == "duplicate edge":
+        edges[1] = list(edges[0])
+    else:
+        edges[0] = [edges[0][0], edges[0][0]]
+    (bad / "checkpoint.json").write_text(json.dumps(manifest, sort_keys=True))
+    (bad / "checkpoint.bin").write_bytes((src / "checkpoint.bin").read_bytes())
+    capsys.readouterr()
+    code = main(["forecast", "--checkpoint", str(bad / "checkpoint"),
+                 "--windows", str(tmp_path / "w.json"), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_MISMATCH
+    assert len(err.strip().splitlines()) == 1 and fault in err, err
+
+
 def test_threads_flag_is_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["prior", "--threads", "2", "--seed", "1",
@@ -254,6 +275,10 @@ def test_config_domain_error_exits_2(pipeline, tmp_path, capsys):
         (("train", "val_fraction"), 1.0), (("train", "weight_decay"), -1e-5),
         (("train", "scheduler", "patience_epochs"), 0),
         (("train", "scheduler", "min_lr"), -1e-6),
+        (("simulate", "count"), -2), (("prior", "top_k"), 0),
+        (("prior", "lag_order"), 0), (("prior", "ridge"), -1e-6),
+        (("train", "t_ctx"), 0), (("train", "t_hor"), 0), (("train", "stride"), 0),
+        (("eval", "t_ctx"), 0), (("eval", "t_hor"), 0),
     ]
     for i, (keys, value) in enumerate(bad_values):
         cfg = _fast_config()
@@ -267,6 +292,10 @@ def test_config_domain_error_exits_2(pipeline, tmp_path, capsys):
             "--prior", pipeline["prior"] / "prior.csv",
             "--out", tmp_path / "o"]) == EXIT_CONFIG, (keys, value)
         assert not (tmp_path / "o").exists()
+    # an empty dataset is still a valid request
+    cfg = _fast_config(count=0)
+    assert main(["simulate", "--config", str(_write_config(tmp_path, cfg, "empty.json")),
+                 "--out", str(tmp_path / "empty")]) == EXIT_OK
 
 
 def test_prior_edge_outside_the_graph_exits_5(pipeline, tmp_path, capsys):

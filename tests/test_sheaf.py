@@ -1,9 +1,12 @@
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from sheafcast import autodiff as ad
+from sheafcast import sheaf
 from sheafcast.errors import (InvalidParameterError, MissingEdgeParametersError,
                               ShapeMismatchError, UnknownEdgeError)
 from sheafcast.graphs import BrainGraph
@@ -11,7 +14,8 @@ from sheafcast.sheaf import (SheafParameters, attention_coeffs, edge_discrepancy
                              edge_project, message_pass, sheaf_laplacian_apply,
                              _discrepancies)
 
-from oracles import finite_difference_grads, graph_laplacian, relative_errors
+from oracles import (finite_difference_grads, graph_laplacian, message_pass_composed,
+                     relative_errors)
 
 
 def _random_edges(rng, n, n_edges):
@@ -85,6 +89,13 @@ def test_edge_discrepancy_examples():
 def test_sheaf_parameters_refuse_edge_ids_outside_the_graph(edges):
     with pytest.raises(InvalidParameterError):
         SheafParameters.init(edges, 4, stalk_dim=2)
+
+
+@pytest.mark.parametrize("edges, named", [([(0, 1), (2, 0), (0, 1)], "duplicate edge (0, 1)"),
+                                          ([(0, 1), (1, 1)], "self-loop (1, 1)")])
+def test_sheaf_parameters_refuse_duplicate_edges_and_self_loops(edges, named):
+    with pytest.raises(InvalidParameterError, match=named.replace("(", r"\(").replace(")", r"\)")):
+        SheafParameters.init(edges, 3, stalk_dim=2)
 
 
 # ----------------------------------------------------------------------
@@ -175,13 +186,13 @@ def test_first_round_reuses_the_returned_discrepancy(monkeypatch):
     params = SheafParameters.init(_random_edges(rng, 6, 10), 6, stalk_dim=3,
                                   rng=rng, rounds=2)
     calls = []
-    real = ad.edge_matvec
+    real = sheaf._transport
 
-    def counting(mats, vecs):
+    def counting(maps, H, index):
         calls.append(1)
-        return real(mats, vecs)
+        return real(maps, H, index)
 
-    monkeypatch.setattr(ad, "edge_matvec", counting)
+    monkeypatch.setattr(sheaf, "_transport", counting)
     message_pass(rng.normal(size=(2, 6, 3)), params, return_first_discrepancy=True)
     assert len(calls) == 4      # two projections per round, none repeated
 
@@ -203,6 +214,89 @@ def test_message_pass_matches_round_by_round_laplacian(normalize):
     assert np.array_equal(got.data, want.data)
     assert np.array_equal(got_delta.data, want_delta.data)
     assert np.array_equal(message_pass(H0, params).data, want.data)
+
+
+def _oracle_case(mode, normalize, rounds, batch, seed=0):
+    """Random maps with map_dim < stalk_dim, gated ("full") or with pinned
+    gates ("pinned"); or the graph ablation's frozen identity maps."""
+    rng = np.random.default_rng(seed)
+    n, d = 6, 4
+    m = d if mode == "graph" else 3
+    params = SheafParameters.init(_random_edges(rng, n, 11), n, stalk_dim=d,
+                                  map_dim=m, rng=rng, rounds=rounds,
+                                  normalize=normalize, identity=mode == "graph")
+    if mode != "graph":
+        for t in (params.rho_src, params.rho_dst):
+            t.data[:] = rng.normal(size=t.data.shape)
+        params.attention.data[:] = rng.normal(size=m)
+    H0 = ad.Tensor(rng.normal(size=(batch, n, d)), requires_grad=True)
+    weights = (rng.normal(size=(batch, n, d)),
+               rng.normal(size=(batch, params.n_edges, m)))
+    return params, H0, weights, (None if mode == "full" else 1.0)
+
+
+@pytest.mark.parametrize("first", [False, True])
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("rounds", [0, 1, 2, 3])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("mode", ["full", "pinned", "graph"])
+def test_message_pass_is_one_node_matching_the_composed_oracle(mode, normalize,
+                                                               rounds, batch, first):
+    params, H0, (w_h, w_delta), alpha = _oracle_case(mode, normalize, rounds, batch)
+    leaves = (H0, params.rho_src, params.rho_dst, params.attention)
+    results = []
+    for fn in (message_pass, message_pass_composed):
+        for t in leaves:
+            t.grad = None
+        out = fn(H0, params, alpha_override=alpha, return_first_discrepancy=first)
+        H, delta = out if first else (out, None)
+        loss = (H * w_h).sum() + ((delta * w_delta).sum() if first else 0.0)
+        loss.backward()
+        results.append([H.data] + ([delta.data] if first else [])
+                       + [np.zeros_like(t.data) if t.grad is None else t.grad
+                          for t in leaves])
+        if fn is message_pass:
+            # one node computes the pass straight from its inputs; the first
+            # discrepancy is its second output
+            assert H._parents == leaves
+            assert delta is None or delta._parents == (H,)
+    for got, want in zip(*results):
+        scale = max(np.abs(want).max(), 1e-300)
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_message_pass_tape_memory_at_the_default_training_shape():
+    # pipeline-default's training step: B 5, n 100, E 800, d = m = 32
+    rng = np.random.default_rng(12)
+    params = SheafParameters.init(_random_edges(rng, 100, 800), 100, stalk_dim=32,
+                                  rng=rng, rounds=2)
+    params.attention.data[:] = rng.normal(size=32) * 0.1
+    H0 = ad.Tensor(rng.normal(size=(5, 100, 32)), requires_grad=True)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            base = tracemalloc.get_traced_memory()[0]
+            H, delta = message_pass(H0, params, return_first_discrepancy=True)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        assert kept <= H.data.nbytes + delta.data.nbytes + 2 ** 16   # the outputs
+        del H, delta
+
+        base = tracemalloc.get_traced_memory()[0]
+        H, delta = message_pass(H0, params, return_first_discrepancy=True)
+        tape = tracemalloc.get_traced_memory()[0] - base
+        loss = H.sum() + delta.sum()
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert tape <= 8e6, tape
+    # the two map gradients alone are 13.1 MB
+    assert peak <= 30e6, peak
 
 
 def test_node_permutation_equivariance():

@@ -1,15 +1,19 @@
+import gc
 import json
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from sheafcast import autodiff as ad
+from sheafcast import training
 from sheafcast.data import make_windows
 from sheafcast.errors import InvalidParameterError
 from sheafcast.graphs import PriorGraph
 from sheafcast.model import ForecastModel, ModelConfig
 
-from oracles import per_window_loss
+from oracles import adamw_step_reference, per_window_loss
 from sheafcast.training import (AdamState, SeriesData, TrainingConfig,
                                 _batch_loss, adamw_step, assign_folds,
                                 baseline_copy_last,
@@ -142,6 +146,24 @@ def test_adamw_lr_zero_is_identity():
     np.testing.assert_array_equal(p["w"], before)
 
 
+def test_adamw_in_place_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(3)
+    shapes = {"maps": (40, 8, 8), "vec": (8,), "frozen": (3, 2)}
+    ours = {k: rng.normal(size=s) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in ours.items()}
+    state, ref_state = AdamState(), AdamState()
+    for step in range(6):
+        grads = {k: rng.normal(size=s) * 10.0 ** (step - 3) for k, s in shapes.items()}
+        grads["frozen"] = None
+        lr = 1e-3 * (0.5 ** step)
+        adamw_step(ours, grads, state, lr=lr, weight_decay=1e-2)
+        adamw_step_reference(ref, grads, ref_state, lr=lr, weight_decay=1e-2)
+        for k in shapes:
+            assert np.array_equal(ours[k], ref[k]), (step, k)
+            assert np.array_equal(state.m[k], ref_state.m[k])
+            assert np.array_equal(state.v[k], ref_state.v[k])
+
+
 # ----------------------------------------------------------------------
 # configuration invariants
 # ----------------------------------------------------------------------
@@ -176,6 +198,54 @@ def test_zero_epochs_returns_initialized_checkpoint():
                                _small_model_config(), seed=3)
     for name, tensor in fresh.all_tensors().items():
         np.testing.assert_array_equal(ckpt.arrays[name], tensor.data)
+
+
+def test_each_step_frees_its_tape_before_the_next_forward(monkeypatch):
+    # reference counting alone must free a step's tape and gradients
+    windows = _toy_windows(3)
+    config = TrainingConfig(max_epochs=2, batch_size=8, seed=4, lr=3e-3)
+    refs, steps, params = [], [], []
+    real = training._batch_loss
+
+    def watching(model, batch, prior, cfg):
+        if ad._grad_enabled:            # a training step's forward
+            assert all(r() is None for r in refs), "the previous tape is alive"
+            assert all(p.grad is None for p in model.parameters().values())
+            steps.append(1)
+        loss = real(model, batch, prior, cfg)
+        if ad._grad_enabled:
+            refs.append(weakref.ref(loss))
+        return loss
+
+    monkeypatch.setattr(training, "_batch_loss", watching)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train(windows, _toy_prior(), config, model_config=_small_model_config())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(steps) > 2
+
+
+def test_a_training_step_runs_no_unbuffered_scatter():
+    # np.add.at is the slow path the sheaf node's bincount scatters replace
+    windows = _toy_windows(2)
+    config = TrainingConfig(max_epochs=1, batch_size=8, seed=5)
+    seen = []
+
+    def profile(frame, event, arg):
+        if (event == "c_call" and getattr(arg, "__name__", None) == "at"
+                and getattr(arg, "__self__", None) is np.add):
+            seen.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        train(windows, _toy_prior(), config,
+              model_config=_small_model_config(rounds=2, normalize=True))
+    finally:
+        sys.setprofile(None)
+    assert not seen, seen
 
 
 def test_training_is_deterministic(tmp_path):
@@ -375,6 +445,31 @@ def test_checkpoint_round_trip_reproduces_forward(tmp_path):
     assert first.model_config == ckpt.model_config
     assert first.prior_edges == list(ckpt.prior_edges)
     assert not first.trained_on_perturbed
+
+
+@pytest.mark.parametrize("ablation", ["full", "graph", "no_lstm"])
+def test_build_model_draws_nothing_and_matches_init_then_copy(monkeypatch, ablation):
+    windows = _toy_windows(2)
+    config = TrainingConfig(max_epochs=1, seed=2, ablation=ablation)
+    ckpt = train(windows, _toy_prior(), config, model_config=_small_model_config())
+    # the model the checkpoint used to be loaded into: a seed-0 draw, overwritten
+    want = ForecastModel.init(np.asarray(ckpt.prior_edges), ckpt.n_nodes,
+                              ckpt.model_config, seed=0)
+    for name, tensor in want.all_tensors().items():
+        tensor.data[...] = ckpt.arrays[name]
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("build_model drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    got = ckpt.build_model()
+    monkeypatch.undo()
+    for name, tensor in got.all_tensors().items():
+        assert np.array_equal(tensor.data, want.all_tensors()[name].data)
+        assert tensor.requires_grad == want.all_tensors()[name].requires_grad
+        assert not np.shares_memory(tensor.data, ckpt.arrays[name])
+    ctx = np.stack([w.context for w in windows[:3]])
+    assert np.array_equal(got.predict(ctx, 10), want.predict(ctx, 10))
 
 
 def test_checkpoint_marks_perturbed_sources():
