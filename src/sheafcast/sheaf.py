@@ -80,17 +80,21 @@ class SheafParameters:
         maps (the plain-graph ablation)."""
         edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         m = map_dim or stalk_dim
-        eye = np.broadcast_to(np.eye(m, stalk_dim), (len(edges), m, stalk_dim)).copy()
+        shape = (len(edges), m, stalk_dim)
         if identity:
             if m != stalk_dim:
                 raise InvalidParameterError("identity sheaf needs map_dim == stalk_dim")
-            rho_s, rho_d = eye, eye.copy()
+            rho_s = np.broadcast_to(np.eye(m, stalk_dim), shape).copy()
+            rho_d = rho_s.copy()
             trainable = False
         else:
             if rng is None:
                 rng = np.random.default_rng(0)
-            rho_s = eye + rng.uniform(-0.01, 0.01, size=eye.shape)
-            rho_d = eye + rng.uniform(-0.01, 0.01, size=eye.shape)
+            # identity plus noise, the identity added on the diagonal only
+            diag = np.arange(min(m, stalk_dim))
+            rho_s, rho_d = (rng.uniform(-0.01, 0.01, size=shape) for _ in range(2))
+            for rho in (rho_s, rho_d):
+                rho[:, diag, diag] += 1.0
             trainable = True
         return cls(rho_src=ad.Tensor(rho_s, requires_grad=trainable),
                    rho_dst=ad.Tensor(rho_d, requires_grad=trainable),

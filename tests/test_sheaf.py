@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 import warnings
 
@@ -94,7 +95,7 @@ def test_sheaf_parameters_refuse_edge_ids_outside_the_graph(edges):
 @pytest.mark.parametrize("edges, named", [([(0, 1), (2, 0), (0, 1)], "duplicate edge (0, 1)"),
                                           ([(0, 1), (1, 1)], "self-loop (1, 1)")])
 def test_sheaf_parameters_refuse_duplicate_edges_and_self_loops(edges, named):
-    with pytest.raises(InvalidParameterError, match=named.replace("(", r"\(").replace(")", r"\)")):
+    with pytest.raises(InvalidParameterError, match=re.escape(named)):
         SheafParameters.init(edges, 3, stalk_dim=2)
 
 
