@@ -28,7 +28,7 @@ print("identity sheaf == 0.5 x graph Laplacian:",
 # constant sections are harmonic: diffusion leaves them untouched
 flat = np.tile(rng.normal(size=3), (8, 1))
 print("constant stalks are fixed points:",
-      np.allclose(message_pass(flat, identity).data, flat))
+      np.allclose(message_pass(flat, identity)[0].data, flat))
 
 # learned maps produce edge-specific discrepancies
 learned = SheafParameters.init(graph.edges, 8, stalk_dim=3, map_dim=2,
@@ -39,6 +39,6 @@ disc = edge_discrepancy(first_edge, stalks, learned)
 print(f"\nedge {first_edge}: delta = {np.round(disc.delta, 3)}, "
       f"gates = ({disc.alpha_src:.3f}, {disc.alpha_dst:.3f})")
 
-smoothed = message_pass(stalks, learned).data
+smoothed = message_pass(stalks, learned)[0].data
 print(f"two rounds of message passing moved the stalks by "
       f"{np.abs(smoothed - stalks).mean():.4f} on average")

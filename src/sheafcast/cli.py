@@ -29,9 +29,9 @@ from .graphs import (generate_small_world, granger_score_matrix, load_prior_csv,
 from .metrics import evaluate
 from .model import ModelConfig
 # `simulate` is not called here; the benchmark's tracer wraps it by this name
-from .neurosim import (LifParams, PerturbationSpec, load_record, load_rates_csv,
-                       sample_perturbation, save_rates_csv, save_record, simulate,
-                       simulate_many)
+from .neurosim import (LifParams, PerturbationSpec, bin_edges, load_record,
+                       load_rates_csv, sample_perturbation, save_rates_csv,
+                       save_record, simulate, simulate_many)
 from .training import (TrainingConfig, forecast_windows, load_checkpoint,
                        save_checkpoint, train)
 
@@ -86,8 +86,10 @@ def _load_cfg(args):
         raise ConfigError("provide --config or --seed")
     if args.seed is not None:
         cfg["seed"] = args.seed
-    try:        # the parameter objects check their own value domains
-        _train_config(cfg), _model_config(cfg), LifParams(**cfg["simulate"]["lif"])
+    sim = cfg["simulate"]
+    try:        # the parameter objects and the binning check their own domains
+        _train_config(cfg), _model_config(cfg)
+        bin_edges(LifParams(**sim["lif"]).duration_ms, sim["bin_ms"], sim["sigma_ms"])
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
     for (section, key), low in _LOWER_BOUNDS.items():
@@ -103,7 +105,7 @@ def _train_config(cfg) -> TrainingConfig:
 
 
 def _model_config(cfg) -> ModelConfig:
-    return ModelConfig(**cfg["model"], ablation=cfg["train"]["ablation"])
+    return ModelConfig(**cfg["model"])
 
 
 # ----------------------------------------------------------------------

@@ -48,8 +48,7 @@ _SCHEMA = {
         "top_k": (int, 8),
         "ridge": (float, 1e-6),
     },
-    # the ablation is chosen once, under train
-    "model": _section(ModelConfig, "ablation"),
+    "model": _section(ModelConfig),
     "train": {
         **_section(TrainingConfig, "seed", scheduler=_section(SchedulerConfig)),
         "t_ctx": (int, 30),

@@ -185,13 +185,20 @@ def load_windows(manifest_path) -> list:
     for entry in manifest["windows"]:
         meta = json.loads((base / entry["meta"]).read_text())
         block = load_rates_csv(base / entry["window"])
-        t_ctx = meta["t_ctx"]
+        t_ctx, t_hor = meta["t_ctx"], meta["t_hor"]
+        norm_mean, norm_std = np.array(meta["norm_mean"]), np.array(meta["norm_std"])
+        if (t_ctx < 1 or t_hor < 1 or block.shape[1] != t_ctx + t_hor
+                or not norm_mean.shape == norm_std.shape == block.shape[:1]):
+            raise InvalidParameterError(
+                f"window {entry['window']} has shape {block.shape}, but "
+                f"{entry['meta']} gives t_ctx {t_ctx} + t_hor {t_hor} columns and "
+                f"normalization shapes {norm_mean.shape} and {norm_std.shape}")
         windows.append(TrajectoryWindow(
             context=block[:, :t_ctx],
             horizon=block[:, t_ctx:],
             time_step=meta["time_step"],
-            norm_mean=np.array(meta["norm_mean"]),
-            norm_std=np.array(meta["norm_std"]),
+            norm_mean=norm_mean,
+            norm_std=norm_std,
             source_id=meta["source_id"],
             perturbation_onset_index=meta["perturbation_onset_index"],
         ))

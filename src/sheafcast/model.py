@@ -24,6 +24,8 @@ from .errors import InvalidParameterError, ShapeMismatchError
 from .sheaf import SheafParameters, message_pass
 
 ABLATIONS = ("full", "graph", "no_lstm")
+# the parameter group (tensor-name prefix) each ablation freezes
+FROZEN = {"graph": "sheaf.", "no_lstm": "lstm."}
 
 
 @dataclass
@@ -72,7 +74,7 @@ class ForecastModel:
             identity=(config.ablation == "graph"))
         vfield = VectorFieldParams.init(config.stalk_dim, config.field_width,
                                         rng, state_free=config.field_state_free)
-        return cls(config=config, lstm=lstm, sheaf=sheaf, vfield=vfield)
+        return cls(config=config, lstm=lstm, sheaf=sheaf, vfield=vfield)._freeze()
 
     @classmethod
     def from_arrays(cls, edges, n_nodes: int, config: ModelConfig,
@@ -91,45 +93,41 @@ class ForecastModel:
             if got != shape:
                 raise ShapeMismatchError(f"array {name} has shape {got}, expected {shape}")
 
-        def tensor(name, trainable=True):
-            return ad.Tensor(np.array(arrays[name], dtype=np.float64),
-                             requires_grad=trainable)
+        def tensor(name):
+            return ad.Tensor(np.array(arrays[name], dtype=np.float64))
 
-        maps = config.ablation != "graph"
         return cls(config=config,
                    lstm=LstmParams(tensor("lstm.w_x"), tensor("lstm.w_h"),
                                    tensor("lstm.bias")),
-                   sheaf=SheafParameters(tensor("sheaf.rho_src", maps),
-                                         tensor("sheaf.rho_dst", maps),
-                                         tensor("sheaf.attention", maps),
+                   sheaf=SheafParameters(tensor("sheaf.rho_src"),
+                                         tensor("sheaf.rho_dst"),
+                                         tensor("sheaf.attention"),
                                          edges=edges, n_nodes=n_nodes,
                                          rounds=config.rounds,
                                          normalize=config.normalize),
                    vfield=VectorFieldParams(tensor("field.w1"), tensor("field.b1"),
                                             tensor("field.w2"), tensor("field.b2"),
-                                            state_free=config.field_state_free))
+                                            state_free=config.field_state_free))._freeze()
+
+    def _freeze(self) -> "ForecastModel":
+        """Train every tensor but those of the group the ablation freezes."""
+        frozen = FROZEN.get(self.config.ablation)
+        for name, t in self.all_tensors().items():
+            t.requires_grad = frozen is None or not name.startswith(frozen)
+        return self
 
     @property
     def n_nodes(self) -> int:
         return self.sheaf.n_nodes
 
     def parameters(self) -> dict:
-        """Trainable tensors only; ablations drop their frozen groups."""
-        params = {}
-        if self.config.ablation != "no_lstm":
-            params.update(self.lstm.parameters())
-        params.update(self.sheaf.parameters())
-        params.update(self.vfield.parameters())
-        return params
+        """Trainable tensors only; the ablation's frozen group is left out."""
+        return {k: t for k, t in self.all_tensors().items() if t.requires_grad}
 
     def all_tensors(self) -> dict:
         """Every parameter group, trainable or not (checkpoint surface)."""
-        out = dict(self.lstm.parameters())
-        out.update({"sheaf.rho_src": self.sheaf.rho_src,
-                    "sheaf.rho_dst": self.sheaf.rho_dst,
-                    "sheaf.attention": self.sheaf.attention})
-        out.update(self.vfield.parameters())
-        return out
+        return {**self.lstm.parameters(), **self.sheaf.parameters(),
+                **self.vfield.parameters()}
 
     def stalks(self, context: np.ndarray) -> ad.Tensor:
         if self.config.ablation == "no_lstm":
@@ -146,10 +144,11 @@ class ForecastModel:
         if context.ndim not in (2, 3) or context.shape[-2] != self.n_nodes:
             raise ShapeMismatchError(
                 f"context {context.shape} does not match the {self.n_nodes}-node graph")
+        if t_hor < 1:
+            raise InvalidParameterError(f"t_hor must be >= 1, got {t_hor}")
         alpha_override = 1.0 if self.config.ablation == "graph" else None
         h_final, delta = message_pass(self.stalks(context), self.sheaf,
-                                      alpha_override=alpha_override,
-                                      return_first_discrepancy=True)
+                                      alpha_override=alpha_override)
         dt, n_steps = self.config.dt, int(t_hor)
         horizon = Horizon(h_final, self.vfield, dt, n_steps)
         states = rk4_states(lambda _t, x: field_batch(x, horizon),

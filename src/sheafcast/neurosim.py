@@ -185,7 +185,7 @@ def simulate_many(runs: Sequence[Tuple[BrainGraph, int, Optional[PerturbationSpe
             perturbation.validate(params.duration_ms)
             if not 0 <= perturbation.neuron < graph.n_nodes:
                 raise InvalidParameterError("perturbed neuron index out of range")
-    edges = _bin_edges(params.duration_ms, bin_ms)
+    edges = bin_edges(params.duration_ms, bin_ms, sigma_ms)
 
     n_steps = int(round(params.duration_ms / params.dt_ms))
     counts = _run_lif(runs, params, n_steps, _bin_starts(n_steps, params.dt_ms, edges))
@@ -307,7 +307,14 @@ def _run_lif(runs, params: LifParams, n_steps: int, starts: np.ndarray) -> list:
     return counts
 
 
-def _bin_edges(duration_ms: float, bin_ms: float) -> np.ndarray:
+def bin_edges(duration_ms: float, bin_ms: float, sigma_ms: float = 0.0) -> np.ndarray:
+    """Edges of the `bin_ms` bins of a `duration_ms` record. Refuses a bin
+    that is not positive or does not divide the duration, and a negative
+    smoothing width `sigma_ms`, so every binning entry point checks both."""
+    if not bin_ms > 0:
+        raise InvalidParameterError(f"bin_ms must be positive, got {bin_ms:g}")
+    if not sigma_ms >= 0:
+        raise InvalidParameterError(f"sigma_ms must be >= 0, got {sigma_ms:g}")
     n_bins = duration_ms / bin_ms
     if abs(n_bins - round(n_bins)) > 1e-9:
         raise InvalidParameterError("duration_ms must be a multiple of bin_ms")
@@ -335,7 +342,7 @@ def bin_and_smooth(spikes, duration_ms: float, bin_ms: float = 10.0,
     one, and applied with reflective padding, which conserves total spike
     mass. sigma_ms = 0 skips smoothing. Returns (rates, bin_edges_ms).
     """
-    edges = _bin_edges(duration_ms, bin_ms)
+    edges = bin_edges(duration_ms, bin_ms, sigma_ms)
     counts = np.zeros((len(spikes), len(edges) - 1))
     for i, times in enumerate(spikes):
         if len(times):

@@ -76,8 +76,8 @@ class SheafParameters:
              rng: np.random.Generator | None = None,
              identity: bool = False) -> "SheafParameters":
         """Near-identity initialization so training starts close to the
-        half-graph-Laplacian regime. `identity=True` freezes exact identity
-        maps (the plain-graph ablation)."""
+        half-graph-Laplacian regime. `identity=True` gives exact identity
+        maps (the plain-graph ablation, whose model freezes them)."""
         edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         m = map_dim or stalk_dim
         shape = (len(edges), m, stalk_dim)
@@ -86,7 +86,6 @@ class SheafParameters:
                 raise InvalidParameterError("identity sheaf needs map_dim == stalk_dim")
             rho_s = np.broadcast_to(np.eye(m, stalk_dim), shape).copy()
             rho_d = rho_s.copy()
-            trainable = False
         else:
             if rng is None:
                 rng = np.random.default_rng(0)
@@ -95,19 +94,15 @@ class SheafParameters:
             rho_s, rho_d = (rng.uniform(-0.01, 0.01, size=shape) for _ in range(2))
             for rho in (rho_s, rho_d):
                 rho[:, diag, diag] += 1.0
-            trainable = True
-        return cls(rho_src=ad.Tensor(rho_s, requires_grad=trainable),
-                   rho_dst=ad.Tensor(rho_d, requires_grad=trainable),
-                   attention=ad.Tensor(np.zeros(m), requires_grad=trainable),
+        return cls(rho_src=ad.Tensor(rho_s, requires_grad=True),
+                   rho_dst=ad.Tensor(rho_d, requires_grad=True),
+                   attention=ad.Tensor(np.zeros(m), requires_grad=True),
                    edges=edges, n_nodes=n_nodes, rounds=rounds,
                    normalize=normalize)
 
     def parameters(self) -> dict:
-        out = {}
-        if self.rho_src.requires_grad:
-            out = {"sheaf.rho_src": self.rho_src, "sheaf.rho_dst": self.rho_dst,
-                   "sheaf.attention": self.attention}
-        return out
+        return {"sheaf.rho_src": self.rho_src, "sheaf.rho_dst": self.rho_dst,
+                "sheaf.attention": self.attention}
 
     def degrees(self) -> np.ndarray:
         return (np.bincount(self.edges[:, 0], minlength=self.n_nodes)
@@ -287,53 +282,49 @@ def sheaf_laplacian_apply(H, params: SheafParameters, graph=None,
     return ad.Tensor(_windows_first(_pull(delta, params), h.shape[:-2]))
 
 
-def message_pass(H0, params: SheafParameters, graph=None, alpha_override=None,
-                 return_first_discrepancy: bool = False):
+def message_pass(H0, params: SheafParameters, alpha_override=None):
     """Run `params.rounds` rounds of H <- H - L(H) as one tape node.
 
-    Gates are recomputed from the current stalks every round. With
-    `return_first_discrepancy` the (..., n_edges, m) discrepancy of the first
-    round (computed from H0 even when rounds == 0) is returned as well,
-    which is what the sparsity and prior losses consume; round one reuses it,
-    and it is the node's second output.
+    Gates are recomputed from the current stalks every round. Returns the
+    final stalks and the (..., n_edges, m) discrepancy of the first round
+    (computed from H0 even when rounds == 0), which is what the sparsity and
+    prior losses consume; round one reuses it, and it is the node's second
+    output.
 
     Every round runs in numpy. While the tape records, each round keeps its
     stalks and its projections and gates (with pinned gates, its
     discrepancy); the backward runs the rounds in reverse and sums each
     map's gradient into one (E, m, d) array.
     """
-    _check_graph(params, graph)
     H0 = ad.lift(H0)
     h0 = _stalk_data(H0, params)
     lead = h0.shape[:-2]
     H = _windows_last(h0)
-    first = _project(H, params, alpha_override) if return_first_discrepancy else None
+    first = _project(H, params, alpha_override)
     keep = ad.records(H0, params.rho_src, params.rho_dst, params.attention)
     # per round: the stalks, and the gating or (pinned gates) the discrepancy
     cache = []
     for r in range(params.rounds):
-        delta, gating = (first if r == 0 and first is not None
-                         else _project(H, params, alpha_override))
+        delta, gating = first if r == 0 else _project(H, params, alpha_override)
         if keep:
             cache.append((H, gating or delta))
         H = H - _pull(delta, params)
-    out = _windows_first(H, lead)
-    if first is not None:
-        # a view: the losses only read the first discrepancy
-        out = (out, np.moveaxis(first[0], -1, 0).reshape(lead + first[0].shape[:-1]))
-        if keep and not cache:
-            cache.append((H, first[1] or first[0]))
+    # the first discrepancy as a view: the losses only read it
+    out = (_windows_first(H, lead),
+           np.moveaxis(first[0], -1, 0).reshape(lead + first[0].shape[:-1]))
     if not keep:
-        return tuple(map(ad.Tensor, out)) if first is not None else ad.Tensor(out)
+        return tuple(map(ad.Tensor, out))
+    if not cache:
+        cache.append((H, first[1] or first[0]))
 
     rho_s, rho_d, a = params.rho_src.data, params.rho_dst.data, params.attention.data
     ends = (params.edges[:, 0], params.edges[:, 1])
     maps_grad = params.rho_src.requires_grad or params.rho_dst.requires_grad
     scale = (1.0 / (1.0 + params.degrees()))[:, None, None] if params.normalize else 1.0
-    n, rounds, two_outputs = params.n_nodes, params.rounds, first is not None
+    n, rounds = params.n_nodes, params.rounds
 
     def backward(g_out):
-        g_out, g_first = g_out if two_outputs else (g_out, None)
+        g_out, g_first = g_out
         G = _windows_last(g_out)
         g_maps = [None, None]
         g_att = np.zeros(a.shape)

@@ -9,9 +9,9 @@ the checkpoint with the lowest validation loss is retained.
 
 from __future__ import annotations
 
-import json
 import copy
-from dataclasses import dataclass, field, asdict
+import json
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +23,7 @@ from .errors import (CheckpointMismatchError, DivergenceError,
                      InvalidParameterError, ShapeMismatchError)
 from .graphs import PriorGraph
 from .metrics import evaluate
-from .model import ABLATIONS, ForecastModel, ModelConfig
+from .model import ForecastModel, ModelConfig
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +175,7 @@ class TrainingConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     max_epochs: int = 100
     batch_size: int = 64
-    folds: int = 5
     seed: int = 0
-    ablation: str = "full"
     val_fraction: float = 0.1
 
     def __post_init__(self):
@@ -193,10 +191,6 @@ class TrainingConfig:
             raise InvalidParameterError("max_epochs must be >= 0")
         if not 0.0 <= self.val_fraction < 1.0:
             raise InvalidParameterError("val_fraction must lie in [0, 1)")
-        if self.folds < 2:
-            raise InvalidParameterError("folds must be >= 2")
-        if self.ablation not in ABLATIONS:
-            raise InvalidParameterError(f"unknown ablation {self.ablation!r}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise InvalidParameterError("loss weights must be nonnegative")
 
@@ -246,17 +240,12 @@ def save_checkpoint(ckpt: ModelCheckpoint, path_prefix) -> Path:
     prefix = Path(path_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     names = sorted(ckpt.arrays)
-    blobs = []
     entries = []
     offset = 0
     for name in names:
-        arr = np.asarray(ckpt.arrays[name], dtype="<f4")
-        # tobytes() is C-ordered for any layout; ascontiguousarray would
-        # promote a 0-d array to shape (1,)
-        blobs.append(arr.tobytes())
-        entries.append({"name": name, "shape": list(arr.shape),
-                        "dtype": "<f4", "offset": offset})
-        offset += len(blobs[-1])
+        shape = list(np.shape(ckpt.arrays[name]))
+        entries.append({"name": name, "shape": shape, "dtype": "<f4", "offset": offset})
+        offset += 4 * int(np.prod(shape))
     manifest = {
         "format": "sheafcast-checkpoint-v1",
         "arrays": entries,
@@ -273,7 +262,12 @@ def save_checkpoint(ckpt: ModelCheckpoint, path_prefix) -> Path:
     }
     prefix.with_suffix(".json").write_text(
         json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    prefix.with_suffix(".bin").write_bytes(b"".join(blobs))
+    # one array's float32 copy at a time
+    with prefix.with_suffix(".bin").open("wb") as fh:
+        for name in names:
+            # tobytes() is C-ordered for any layout; ascontiguousarray would
+            # promote a 0-d array to shape (1,)
+            fh.write(np.asarray(ckpt.arrays[name], dtype="<f4").tobytes())
     return prefix.with_suffix(".json")
 
 
@@ -368,15 +362,7 @@ def train(windows, prior: PriorGraph, config: TrainingConfig,
     windows = list(windows)
     if not windows:
         raise InvalidParameterError("empty training dataset")
-    if model_config is None:
-        model_config = ModelConfig(ablation=config.ablation)
-    elif model_config.ablation != config.ablation:
-        model_config = copy.deepcopy(model_config)
-        model_config.ablation = config.ablation
-        if config.ablation == "graph":
-            # identity maps live in the stalk space
-            model_config.map_dim = model_config.stalk_dim
-
+    model_config = model_config or ModelConfig()
     n_nodes = windows[0].n_nodes
     model = ForecastModel.init(np.asarray(prior.edges, dtype=np.intp),
                                n_nodes, model_config, seed=config.seed)
@@ -442,7 +428,7 @@ def train(windows, prior: PriorGraph, config: TrainingConfig,
     return ModelCheckpoint(
         arrays=best_arrays,
         model_config=model_config,
-        training_config=_config_dict(config),
+        training_config=asdict(config),
         prior_edges=[tuple(e) for e in prior.edges],
         prior_scores=list(prior.scores),
         prior_meta={"lag_order": prior.lag_order, "top_k": prior.top_k},
@@ -452,11 +438,6 @@ def train(windows, prior: PriorGraph, config: TrainingConfig,
         sources=sorted({_series_key(w) for w in touched}),
         trained_on_perturbed=any(w.is_perturbed for w in touched),
     )
-
-
-def _config_dict(config: TrainingConfig) -> dict:
-    out = asdict(config)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -535,27 +516,32 @@ def prior_from_windows(windows, lag_order: int = 3, top_k: int = 8,
 
 def cross_validate(series, config: TrainingConfig,
                    model_config: Optional[ModelConfig] = None,
-                   ablations=None, prior: Optional[PriorGraph] = None,
-                   prior_kwargs: Optional[dict] = None) -> list:
-    """Rotating series-level cross-validation.
+                   ablations=("full",), prior: Optional[PriorGraph] = None,
+                   prior_kwargs: Optional[dict] = None, folds: int = 5) -> list:
+    """Rotating series-level cross-validation over `folds` folds.
 
     Each fold tests on its own series group, validates on the next group,
     and trains on the rest. When no prior is given, a pooled Granger prior
-    is estimated from the fold's training contexts. Returns one row per
-    ablation with mean and std of each metric across folds.
+    is estimated from the fold's training contexts. Each of `ablations`
+    trains `model_config` with that ablation (the graph ablation with square
+    maps) and gives one row with mean and std of each metric across folds.
     """
     series = list(series)
-    if len(series) < config.folds:
+    if folds < 2:
+        raise InvalidParameterError("folds must be >= 2")
+    if len(series) < folds:
         raise InvalidParameterError("need at least one series per fold")
-    ablations = list(ablations) if ablations else [config.ablation]
-    assignment = assign_folds([s.series_id for s in series], config.folds,
-                              config.seed)
+    model_config = model_config or ModelConfig()
+    assignment = assign_folds([s.series_id for s in series], folds, config.seed)
     fold_priors = {}
     rows = []
     for ablation in ablations:
+        # a map_dim of 0 is the stalk dimension
+        row_config = replace(model_config, ablation=ablation,
+                             map_dim=0 if ablation == "graph" else model_config.map_dim)
         fold_reports = []
-        for fold in range(config.folds):
-            val_fold = (fold + 1) % config.folds
+        for fold in range(folds):
+            val_fold = (fold + 1) % folds
             test_s = [s for s in series if assignment[s.series_id] == fold]
             val_s = [s for s in series if assignment[s.series_id] == val_fold]
             train_s = [s for s in series
@@ -568,9 +554,7 @@ def cross_validate(series, config: TrainingConfig,
             else:
                 fold_prior = prior_from_windows(train_w, **(prior_kwargs or {}))
                 fold_priors[fold] = fold_prior
-            cfg = copy.deepcopy(config)
-            cfg.ablation = ablation
-            ckpt = train(train_w, fold_prior, cfg, model_config=model_config,
+            ckpt = train(train_w, fold_prior, config, model_config=row_config,
                          val_windows=[w for s in val_s for w in s.train_windows])
             model = ckpt.build_model()
             eval_windows = [w for s in test_s for w in s.eval_windows]

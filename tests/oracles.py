@@ -213,8 +213,7 @@ def forward_composed(model, context, t_hor):
         h0 = encode_all_composed(rows, model.lstm)
     alpha = 1.0 if model.config.ablation == "graph" else None
     h_final, delta = message_pass_composed(h0.reshape(context.shape[:-1] + (-1,)),
-                                           model.sheaf, alpha_override=alpha,
-                                           return_first_discrepancy=True)
+                                           model.sheaf, alpha_override=alpha)
 
     def f(_t, x):
         return field_batch_composed(x, h_final, model.vfield).reshape(x.shape)
@@ -288,26 +287,24 @@ def discrepancies_composed(H, params, alpha_override=None):
             - ad.sigmoid(proj_dst @ col) * proj_dst)
 
 
-def message_pass_composed(H0, params, alpha_override=None,
-                          return_first_discrepancy=False):
+def message_pass_composed(H0, params, alpha_override=None):
     """`sheaf.message_pass` op by op: per round, the discrepancies, both
     pulled back through the transposed maps and scatter-added on the nodes,
-    scaled by 1 / (1 + degree) when normalized."""
+    scaled by 1 / (1 + degree) when normalized. Returns the final stalks and
+    the first round's discrepancy."""
     n = params.n_nodes
     degrees = np.zeros(n)
     np.add.at(degrees, params.edges.ravel(), 1.0)
     H = ad.lift(H0)
-    first = (discrepancies_composed(H, params, alpha_override)
-             if return_first_discrepancy else None)
+    first = discrepancies_composed(H, params, alpha_override)
     for r in range(params.rounds):
-        delta = (first if r == 0 and first is not None
-                 else discrepancies_composed(H, params, alpha_override))
+        delta = first if r == 0 else discrepancies_composed(H, params, alpha_override)
         lap = (index_add_rows(edge_matvec_t(params.rho_src, delta), params.edges[:, 0], n)
                - index_add_rows(edge_matvec_t(params.rho_dst, delta), params.edges[:, 1], n))
         if params.normalize:
             lap = lap * (1.0 / (1.0 + degrees))[:, None]
         H = H - lap
-    return (H, first) if return_first_discrepancy else H
+    return H, first
 
 
 def adamw_step_reference(params, grads, state, lr, weight_decay,

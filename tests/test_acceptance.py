@@ -404,11 +404,11 @@ def test_criterion_8_learning_beats_baselines(lif_dataset, trained_checkpoint):
 # 9. ablation ordering under the perturbed-window protocol
 # ----------------------------------------------------------------------
 def test_criterion_9_ablation_ordering(lif_dataset):
-    config = TrainingConfig(folds=5, **TRAIN_CONFIG)
+    config = TrainingConfig(**TRAIN_CONFIG)
     rows = cross_validate(lif_dataset[:N_TRAIN_SERIES], config,
                           model_config=MODEL_CONFIG,
                           ablations=["full", "graph", "no_lstm"],
-                          prior_kwargs={"lag_order": 3, "top_k": 2})
+                          prior_kwargs={"lag_order": 3, "top_k": 2}, folds=5)
     by_method = {r["method"]: r for r in rows}
     full = by_method["full"]
     lines = []

@@ -257,6 +257,25 @@ def test_schema_violations_exit_2(tmp_path):
                  "--out", str(tmp_path / "o2")]) == EXIT_CONFIG
 
 
+def test_forecast_refuses_a_tampered_window_set(pipeline, tmp_path, capsys):
+    from sheafcast.data import make_windows, save_windows
+    from sheafcast.neurosim import load_record
+
+    record = load_record(pipeline["sim"], "00000_pre")
+    windows = make_windows(record.rates, 30, 10, 40, source_id="00000_pre")
+    tampers = [("t_ctx", 40), ("t_ctx", 35), ("norm_mean", [0.0]), ("norm_std", [])]
+    for i, (key, value) in enumerate(tampers):
+        manifest = save_windows(tmp_path / f"w{i}", windows)
+        meta_path = manifest.parent / "windows_00001.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        assert _one_line_exit(capsys, [
+            "forecast", "--checkpoint", pipeline["train"] / "checkpoint",
+            "--windows", manifest, "--out", tmp_path / f"fc{i}"]) == EXIT_RUNTIME, key
+        assert not (tmp_path / f"fc{i}").exists()
+
+
 def _one_line_exit(capsys, argv):
     capsys.readouterr()
     code = main([str(a) for a in argv])
@@ -279,6 +298,8 @@ def test_config_domain_error_exits_2(pipeline, tmp_path, capsys):
         (("prior", "lag_order"), 0), (("prior", "ridge"), -1e-6),
         (("train", "t_ctx"), 0), (("train", "t_hor"), 0), (("train", "stride"), 0),
         (("eval", "t_ctx"), 0), (("eval", "t_hor"), 0),
+        (("simulate", "sigma_ms"), -20.0), (("simulate", "bin_ms"), 0.0),
+        (("simulate", "bin_ms"), -10.0),
     ]
     for i, (keys, value) in enumerate(bad_values):
         cfg = _fast_config()
@@ -379,7 +400,7 @@ def test_missing_inputs_exit_3(tmp_path):
 def test_default_config_is_pinned():
     # a moved or changed default changes this digest and every manifest's
     assert config_hash(default_config(0)) == (
-        "d906167547cf8995782fefa74239add4b48568ea5ee8b0daea2793282fc99696")
+        "dfd05014786773d8b69c6fcd5d29b0fc9be15c86b1d5a3400935a77c043a492d")
     assert validate_config({"seed": 0}) == default_config(0)
 
 

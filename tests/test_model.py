@@ -40,6 +40,13 @@ def test_context_shape_is_validated():
         model.predict(np.zeros((5, 12)), 4)
 
 
+def test_forecast_horizon_must_be_positive():
+    model = _model()
+    for t_hor in (0, -1):
+        with pytest.raises(InvalidParameterError, match="t_hor"):
+            model.predict(np.zeros((4, 12)), t_hor)
+
+
 def test_ablation_parameter_sets():
     full = _model("full")
     graph = _model("graph")
@@ -61,7 +68,8 @@ def test_graph_ablation_requires_square_maps():
 
 
 @pytest.mark.parametrize("bad", [dict(stalk_dim=0), dict(field_width=0), dict(map_dim=-1),
-                                 dict(rounds=-1), dict(dt=0.0), dict(dt=-1.0)])
+                                 dict(rounds=-1), dict(dt=0.0), dict(dt=-1.0),
+                                 dict(ablation="banana")])
 def test_model_config_refuses_values_outside_their_domain(bad):
     with pytest.raises(InvalidParameterError):
         ModelConfig(**bad)

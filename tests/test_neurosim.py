@@ -159,7 +159,7 @@ def test_run_record_independent_of_batch(picks, target, data):
     (3334, 0.3, 1000.0, 10.0), (7, 0.1, 0.7, 0.1), (300, 0.01, 3.0, 0.3),
     (21, 0.1, 2.0, 1.0)])           # the last step lands on the last edge
 def test_bin_starts_match_histogram(n_steps, dt, duration_ms, bin_ms):
-    edges = neurosim._bin_edges(duration_ms, bin_ms)
+    edges = neurosim.bin_edges(duration_ms, bin_ms)
     starts = neurosim._bin_starts(n_steps, dt, edges)
     want = np.histogram(np.arange(n_steps) * dt, bins=edges)[0]
     assert starts[0] == 0
@@ -183,6 +183,16 @@ def test_simulate_many_validates_every_run_before_stepping(monkeypatch):
         simulate_many([good, (G10A, 2, bad_neuron)], params)
     with pytest.raises(InvalidParameterError, match="multiple of bin_ms"):
         simulate_many([good], params, bin_ms=3.0)
+
+
+@pytest.mark.parametrize("bin_ms, sigma_ms, match", [
+    (0.0, 20.0, "bin_ms"), (-10.0, 20.0, "bin_ms"), (10.0, -20.0, "sigma_ms")])
+def test_binning_refuses_values_outside_their_domain(bin_ms, sigma_ms, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        bin_and_smooth([[15.0]], 200.0, bin_ms=bin_ms, sigma_ms=sigma_ms)
+    with pytest.raises(InvalidParameterError, match=match):
+        simulate_many([(G10A, 1, None)], LifParams(duration_ms=1000.0),
+                      bin_ms=bin_ms, sigma_ms=sigma_ms)
 
 
 # ----------------------------------------------------------------------

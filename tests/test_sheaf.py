@@ -124,7 +124,7 @@ def test_constant_sections_are_harmonic():
                                atol=1e-12)
     # constant sections are fixed points of message passing
     params.rounds = 3
-    np.testing.assert_allclose(message_pass(H, params).data, H, atol=1e-12)
+    np.testing.assert_allclose(message_pass(H, params)[0].data, H, atol=1e-12)
 
 
 def test_two_node_path_orientation_signs():
@@ -133,7 +133,7 @@ def test_two_node_path_orientation_signs():
     H = np.array([[2.0], [1.0]])
     np.testing.assert_allclose(sheaf_laplacian_apply(H, params).data,
                                [[0.5], [-0.5]])
-    np.testing.assert_allclose(message_pass(H, params).data, [[1.5], [1.5]])
+    np.testing.assert_allclose(message_pass(H, params)[0].data, [[1.5], [1.5]])
 
 
 def test_quadratic_form_equals_discrepancy_energy_with_pinned_gates():
@@ -174,12 +174,12 @@ def test_message_pass_edge_cases():
     H = rng.normal(size=(5, 2))
 
     params = SheafParameters.init(edges, 5, stalk_dim=2, rng=rng, rounds=0)
-    np.testing.assert_array_equal(message_pass(H, params).data, H)
+    np.testing.assert_array_equal(message_pass(H, params)[0].data, H)
 
     params = SheafParameters.init(edges, 5, stalk_dim=2, rng=rng, rounds=4)
     params.rho_src.data[:] = 0.0
     params.rho_dst.data[:] = 0.0
-    np.testing.assert_allclose(message_pass(H, params).data, H)
+    np.testing.assert_allclose(message_pass(H, params)[0].data, H)
 
 
 def test_first_round_reuses_the_returned_discrepancy(monkeypatch):
@@ -194,7 +194,7 @@ def test_first_round_reuses_the_returned_discrepancy(monkeypatch):
         return real(maps, H, index)
 
     monkeypatch.setattr(sheaf, "_transport", counting)
-    message_pass(rng.normal(size=(2, 6, 3)), params, return_first_discrepancy=True)
+    message_pass(rng.normal(size=(2, 6, 3)), params)
     assert len(calls) == 4      # two projections per round, none repeated
 
 
@@ -207,14 +207,14 @@ def test_message_pass_matches_round_by_round_laplacian(normalize):
     params.attention.data[:] = rng.normal(size=3)
     H0 = rng.normal(size=(5, 7, 4))
     with ad.no_grad():
-        got, got_delta = message_pass(H0, params, return_first_discrepancy=True)
+        got, got_delta = message_pass(H0, params)
         want = ad.lift(H0)
         for _ in range(params.rounds):
             want = want - sheaf_laplacian_apply(want, params)
         want_delta = _discrepancies(ad.lift(H0), params, None)
     assert np.array_equal(got.data, want.data)
     assert np.array_equal(got_delta.data, want_delta.data)
-    assert np.array_equal(message_pass(H0, params).data, want.data)
+    assert np.array_equal(message_pass(H0, params)[0].data, want.data)
 
 
 def _oracle_case(mode, normalize, rounds, batch, seed=0):
@@ -226,10 +226,11 @@ def _oracle_case(mode, normalize, rounds, batch, seed=0):
     params = SheafParameters.init(_random_edges(rng, n, 11), n, stalk_dim=d,
                                   map_dim=m, rng=rng, rounds=rounds,
                                   normalize=normalize, identity=mode == "graph")
-    if mode != "graph":
-        for t in (params.rho_src, params.rho_dst):
+    for t in params.parameters().values():
+        if mode == "graph":
+            t.requires_grad = False         # as the graph ablation's model freezes them
+        else:
             t.data[:] = rng.normal(size=t.data.shape)
-        params.attention.data[:] = rng.normal(size=m)
     H0 = ad.Tensor(rng.normal(size=(batch, n, d)), requires_grad=True)
     weights = (rng.normal(size=(batch, n, d)),
                rng.normal(size=(batch, params.n_edges, m)))
@@ -249,18 +250,18 @@ def test_message_pass_is_one_node_matching_the_composed_oracle(mode, normalize,
     for fn in (message_pass, message_pass_composed):
         for t in leaves:
             t.grad = None
-        out = fn(H0, params, alpha_override=alpha, return_first_discrepancy=first)
-        H, delta = out if first else (out, None)
+        H, delta = fn(H0, params, alpha_override=alpha)
+        # `first`: whether the loss reads the first discrepancy
         loss = (H * w_h).sum() + ((delta * w_delta).sum() if first else 0.0)
         loss.backward()
-        results.append([H.data] + ([delta.data] if first else [])
+        results.append([H.data, delta.data]
                        + [np.zeros_like(t.data) if t.grad is None else t.grad
                           for t in leaves])
         if fn is message_pass:
             # one node computes the pass straight from its inputs; the first
             # discrepancy is its second output
             assert H._parents == leaves
-            assert delta is None or delta._parents == (H,)
+            assert delta._parents == (H,)
     for got, want in zip(*results):
         scale = max(np.abs(want).max(), 1e-300)
         assert np.abs(got - want).max() <= 1e-12 * scale
@@ -279,13 +280,13 @@ def test_message_pass_tape_memory_at_the_default_training_shape():
     try:
         with ad.no_grad():
             base = tracemalloc.get_traced_memory()[0]
-            H, delta = message_pass(H0, params, return_first_discrepancy=True)
+            H, delta = message_pass(H0, params)
             kept = tracemalloc.get_traced_memory()[0] - base
         assert kept <= H.data.nbytes + delta.data.nbytes + 2 ** 16   # the outputs
         del H, delta
 
         base = tracemalloc.get_traced_memory()[0]
-        H, delta = message_pass(H0, params, return_first_discrepancy=True)
+        H, delta = message_pass(H0, params)
         tape = tracemalloc.get_traced_memory()[0] - base
         loss = H.sum() + delta.sum()
         tracemalloc.reset_peak()
@@ -307,7 +308,7 @@ def test_node_permutation_equivariance():
     params = SheafParameters.init(edges, n, stalk_dim=d, rng=rng, rounds=2)
     params.attention.data[:] = rng.normal(size=d) * 0.3
     H = rng.normal(size=(n, d))
-    out = message_pass(H, params).data
+    out = message_pass(H, params)[0].data
 
     perm = rng.permutation(n)
     relabel = {old: new for new, old in enumerate(perm)}
@@ -316,7 +317,7 @@ def test_node_permutation_equivariance():
     params_p.rho_src.data[:] = params.rho_src.data
     params_p.rho_dst.data[:] = params.rho_dst.data
     params_p.attention.data[:] = params.attention.data
-    out_p = message_pass(H[perm], params_p).data
+    out_p = message_pass(H[perm], params_p)[0].data
     np.testing.assert_allclose(out_p, out[perm], rtol=1e-10, atol=1e-12)
 
 
@@ -337,7 +338,7 @@ def test_gradients_of_rho_and_attention_match_finite_differences():
     tensors = params.parameters()
 
     def loss_fn():
-        out = message_pass(H, params)
+        out = message_pass(H, params)[0]
         return (out * out).sum()
 
     for t in tensors.values():

@@ -173,10 +173,6 @@ def test_training_config_validation():
     with pytest.raises(InvalidParameterError):
         TrainingConfig(scheduler={"factor": 1.5, "patience_epochs": 3,
                                   "min_lr": 1e-6})
-    with pytest.raises(InvalidParameterError):
-        TrainingConfig(folds=1)
-    with pytest.raises(InvalidParameterError):
-        TrainingConfig(ablation="banana")
     for bad in (dict(batch_size=0), dict(batch_size=-3), dict(max_epochs=-1),
                 dict(val_fraction=-0.1), dict(val_fraction=1.0), dict(weight_decay=-1e-5),
                 dict(scheduler={"patience_epochs": 0}), dict(scheduler={"min_lr": -1e-6})):
@@ -329,7 +325,7 @@ def test_batch_loss_and_gradients_match_per_window_oracle(ablation, normalize,
         _ORACLE_EDGES, 4, _small_model_config(map_dim=map_dim, rounds=2,
                                               normalize=normalize,
                                               ablation=ablation), seed=2)
-    cfg = TrainingConfig(lambda1=0.05, lambda2=0.1, ablation=ablation)
+    cfg = TrainingConfig(lambda1=0.05, lambda2=0.1)
     loss, grads = _loss_and_grads(
         model, lambda: _batch_loss(model, windows, _ORACLE_PRIOR, cfg))
     ref_loss, ref_grads = _loss_and_grads(
@@ -450,8 +446,9 @@ def test_checkpoint_round_trip_reproduces_forward(tmp_path):
 @pytest.mark.parametrize("ablation", ["full", "graph", "no_lstm"])
 def test_build_model_draws_nothing_and_matches_init_then_copy(monkeypatch, ablation):
     windows = _toy_windows(2)
-    config = TrainingConfig(max_epochs=1, seed=2, ablation=ablation)
-    ckpt = train(windows, _toy_prior(), config, model_config=_small_model_config())
+    config = TrainingConfig(max_epochs=1, seed=2)
+    ckpt = train(windows, _toy_prior(), config,
+                 model_config=_small_model_config(ablation=ablation))
     # the model the checkpoint used to be loaded into: a seed-0 draw, overwritten
     want = ForecastModel.init(np.asarray(ckpt.prior_edges), ckpt.n_nodes,
                               ckpt.model_config, seed=0)
@@ -480,6 +477,23 @@ def test_checkpoint_marks_perturbed_sources():
     assert ckpt.trained_on_perturbed
 
 
+@pytest.mark.parametrize("ablation, frozen", [("no_lstm", "lstm."), ("graph", "sheaf.")])
+def test_train_trains_the_model_config_it_is_given(ablation, frozen):
+    windows = _toy_windows(2)
+    config = TrainingConfig(max_epochs=2, seed=3)
+    model_config = _small_model_config(ablation=ablation)
+    ckpt = train(windows, _toy_prior(), config, model_config=model_config)
+    assert ckpt.model_config == model_config
+    assert ckpt.model_config.ablation == ablation
+    start = ForecastModel.init(np.asarray(ckpt.prior_edges), ckpt.n_nodes,
+                               model_config, seed=config.seed)
+    assert ckpt.epoch > 0
+    for name, tensor in start.all_tensors().items():
+        untouched = np.array_equal(ckpt.arrays[name], tensor.data)
+        # the ablation's frozen group keeps its initial values; the rest trains
+        assert untouched == name.startswith(frozen), name
+
+
 # ----------------------------------------------------------------------
 # cross-validation
 # ----------------------------------------------------------------------
@@ -499,12 +513,21 @@ def test_cross_validate_rows_and_fold_coverage():
                          train_windows=make_windows(_ar_series(i), 30, 10, 40,
                                                     source_id=f"s{i}"))
               for i in range(10)]
-    cfg = TrainingConfig(max_epochs=1, batch_size=16, folds=5, seed=4)
+    cfg = TrainingConfig(max_epochs=1, batch_size=16, seed=4)
     rows = cross_validate(series, cfg, model_config=_small_model_config(),
                           ablations=["full", "no_lstm"],
-                          prior=_toy_prior())
+                          prior=_toy_prior(), folds=5)
     assert [r["method"] for r in rows] == ["full", "no_lstm"]
     for row in rows:
         assert row["folds"] == 5
         for key in ("mse_mean", "mse_std", "mae_mean", "dtw_mean"):
             assert np.isfinite(row[key])
+
+
+def test_cross_validate_refuses_fewer_than_two_folds():
+    series = [SeriesData(series_id=f"s{i}",
+                         train_windows=make_windows(_ar_series(i), 30, 10, 40,
+                                                    source_id=f"s{i}"))
+              for i in range(3)]
+    with pytest.raises(InvalidParameterError, match="folds"):
+        cross_validate(series, TrainingConfig(max_epochs=0), prior=_toy_prior(), folds=1)
