@@ -82,7 +82,11 @@ class Tensor:
 
     def backward(self, grad=None) -> None:
         """Backpropagate from this tensor into the `.grad` of its leaves;
-        a second call on the same graph adds the same amount again."""
+        a second call on the same graph adds the same amount again.
+
+        A leaf's first gradient is stored without a copy, so `.grad` may be
+        a read-only view or share memory with another leaf's `.grad`: read
+        it, or replace it, but never write into it."""
         if grad is None:
             if self.data.size != 1:
                 raise ShapeMismatchError("backward() without grad needs a scalar output")
@@ -113,7 +117,7 @@ class Tensor:
             if g is None:                       # every consumer returned None
                 continue
             if node._backward is None:          # a leaf
-                node.grad = g.copy() if node.grad is None else node.grad + g
+                node.grad = g if node.grad is None else node.grad + g
                 continue
             for p, pg in zip(node._parents, node._backward(g)):
                 if pg is not None and p.requires_grad:

@@ -6,8 +6,11 @@ tool version and a hash of the package sources; identical manifests
 reproduce identical outputs.
 
 Exit codes: 0 success, 2 configuration/schema violation, 3 missing input,
-4 checkpoint/config mismatch (including the perturbation leakage guard),
+4 checkpoint mismatch (a malformed, non-v2 or damaged checkpoint, one whose
+arrays or edges do not fit its model, and the perturbation leakage guard),
 5 any other failure (bad data, I/O, divergence). Failures print one line.
+A checkpoint's JSON file pins its array file by sha256, so the hash of
+`checkpoint.json` in a manifest covers the arrays too.
 """
 
 from __future__ import annotations
@@ -213,12 +216,11 @@ def cmd_train(args) -> int:
     ckpt = train(windows, prior, _train_config(cfg),
                  model_config=_model_config(cfg),
                  log_path=out_dir / "train_log.jsonl")
-    ckpt_path = save_checkpoint(ckpt, out_dir / "checkpoint")
+    written = save_checkpoint(ckpt, out_dir / "checkpoint")
     _write_manifest(out_dir, "train", cfg,
                     {"dataset": data_dir / "dataset_manifest.json",
                      "prior": prior_path},
-                    [ckpt_path.name, "checkpoint.bin", "train_log.jsonl"],
-                    cfg["seed"])
+                    [p.name for p in written] + ["train_log.jsonl"], cfg["seed"])
     print(f"train: best val loss {ckpt.val_loss:.6f} at epoch {ckpt.epoch}")
     return EXIT_OK
 

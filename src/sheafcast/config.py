@@ -135,4 +135,10 @@ def config_hash(cfg: dict) -> str:
 
 
 def file_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of a file, read in 1 MiB blocks so that no whole file is held
+    in memory."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()

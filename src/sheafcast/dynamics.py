@@ -2,12 +2,11 @@
 
 The vector field is a two-layer tanh MLP shared across nodes. Its input is
 the concatenation [x_i; h_i] of the node's current signal value and its
-post-message-passing stalk; a state-free variant (input h_i alone, the
-literal constant-slope reading) is available for ablation. The integrator
-is the classical RK4 tableau. A forecast horizon (`Horizon`) records one
-tape node for all of its steps, whose backward is the discrete adjoint of
-the tableau; `field_batch` evaluates one of its stages. The composed-op
-integrator it replaced is kept as a test oracle.
+post-message-passing stalk. The integrator is the classical RK4 tableau. A
+forecast horizon (`Horizon`) records one tape node for all of its steps,
+whose backward is the discrete adjoint of the tableau; `field_batch`
+evaluates one of its stages. The composed-op integrator it replaced is kept
+as a test oracle.
 """
 
 from __future__ import annotations
@@ -22,13 +21,12 @@ from .errors import InvalidParameterError, NonFiniteStateError, ShapeMismatchErr
 
 @dataclass
 class VectorFieldParams:
-    """Two-layer MLP mapping [x; h] (or h alone) to a scalar derivative."""
+    """Two-layer MLP mapping [x; h] to a scalar derivative."""
 
     w1: ad.Tensor                     # (in_dim, width)
     b1: ad.Tensor                     # (width,)
     w2: ad.Tensor                     # (width, 1)
     b2: ad.Tensor                     # (1,)
-    state_free: bool = False
 
     @property
     def in_dim(self) -> int:
@@ -39,9 +37,9 @@ class VectorFieldParams:
         return self.w1.data.shape[1]
 
     @classmethod
-    def init(cls, stalk_dim: int, width: int, rng: np.random.Generator,
-             state_free: bool = False) -> "VectorFieldParams":
-        in_dim = stalk_dim if state_free else stalk_dim + 1
+    def init(cls, stalk_dim: int, width: int,
+             rng: np.random.Generator) -> "VectorFieldParams":
+        in_dim = stalk_dim + 1
         b_in = 1.0 / np.sqrt(in_dim)
         b_hid = 1.0 / np.sqrt(width)
         return cls(
@@ -51,7 +49,6 @@ class VectorFieldParams:
             w2=ad.Tensor(rng.uniform(-b_hid, b_hid, size=(width, 1)),
                          requires_grad=True),
             b2=ad.Tensor(np.zeros(1), requires_grad=True),
-            state_free=state_free,
         )
 
     def parameters(self) -> dict:
@@ -80,15 +77,6 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def _stalk_rows(params: VectorFieldParams, stalk_dim: int) -> np.ndarray:
-    """The rows of W1 that multiply the stalk (all of them when state-free;
-    row 0 multiplies the state otherwise)."""
-    width = stalk_dim + (0 if params.state_free else 1)
-    if width != params.in_dim:
-        raise ShapeMismatchError(f"field input width {width} != {params.in_dim}")
-    return params.w1.data[-stalk_dim:]
-
-
 def field_batch(x, horizon: Horizon) -> np.ndarray:
     """The vector field at (..., n) states as one RK4 stage of `horizon`:
     a (..., n) array."""
@@ -98,7 +86,7 @@ def field_batch(x, horizon: Horizon) -> np.ndarray:
 class Horizon:
     """The RK4 forecast over fixed stalks, recorded as one tape node.
 
-    The stalk term of the field's first layer, `stalks @ W1[-d:] + b1`, is
+    The stalk term of the field's first layer, `stalks @ W1[1:] + b1`, is
     computed once. Each RK4 stage adds the state's part and runs the rest
     of the field in numpy; while the tape records, the stage keeps its
     input and hidden activation. `node` wraps the RK4 states as one
@@ -115,8 +103,11 @@ class Horizon:
         self.stalks = ad.lift(stalks)
         self.params = params
         self.dt = float(dt)
-        w_h = _stalk_rows(params, self.stalks.data.shape[-1])
-        self.term = self.stalks.data @ w_h + params.b1.data
+        width = self.stalks.data.shape[-1] + 1
+        if width != params.in_dim:
+            raise ShapeMismatchError(f"field input width {width} != {params.in_dim}")
+        # row 0 of W1 multiplies the state, the others the stalk
+        self.term = self.stalks.data @ params.w1.data[1:] + params.b1.data
         self.keep = ad.records(self.stalks, params.w1, params.b1, params.w2,
                                params.b2)
         if self.keep:
@@ -127,7 +118,7 @@ class Horizon:
     def stage(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         p = self.params
-        pre = self.term if p.state_free else self.term + x[..., None] * p.w1.data[0]
+        pre = self.term + x[..., None] * p.w1.data[0]
         if self.keep:
             self.inputs[self.stages] = x
             hidden = np.tanh(pre, out=self.hidden[self.stages])
@@ -143,7 +134,7 @@ class Horizon:
             return ad.Tensor(values)
         dt, (*rows, n_steps), w2 = self.dt, values.shape, p.w2.data[:, 0]
         inputs, hidden, stalks = self.inputs, self.hidden, self.stalks.data
-        w_h = _stalk_rows(p, stalks.shape[-1])
+        w_h = p.w1.data[1:]
         # a stage's output k feeds x_next with weight dt * b_j and the next
         # stage's input with weight dt * a_j (the classical tableau)
         b_weights = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
@@ -152,7 +143,7 @@ class Horizon:
         def backward(g):
             slopes = 1.0 - hidden * hidden         # d tanh / d pre, per stage
             # d k / d x of each stage: the field is per node in the state
-            g_slope = None if p.state_free else slopes @ (w2 * p.w1.data[0])
+            g_slope = slopes @ (w2 * p.w1.data[0])
             g_k = np.empty(inputs.shape)
             g_x = np.zeros(rows)
             for step in reversed(range(n_steps)):
@@ -161,19 +152,16 @@ class Horizon:
                 for j in (3, 2, 1, 0):
                     s = 4 * step + j
                     g_k[s] = b_weights[j] * g_x
-                    if g_slope is not None:
-                        if j < 3:
-                            g_k[s] += a_weights[j] * g_in
-                        g_in = g_slope[s] * g_k[s]
-                        g_next = g_next + g_in
+                    if j < 3:
+                        g_k[s] += a_weights[j] * g_in
+                    g_in = g_slope[s] * g_k[s]
+                    g_next = g_next + g_in
                 g_x = g_next
             # d loss / d pre = slopes * g_k * w2; w2 is applied after the sums
             slopes *= g_k[..., None]
             g_term = slopes.sum(axis=0) * w2
-            g_w1 = _contract(stalks, g_term)
-            if not p.state_free:
-                g_wx = (inputs.reshape(-1) @ slopes.reshape(-1, slopes.shape[-1])) * w2
-                g_w1 = np.vstack([g_wx, g_w1])
+            g_wx = (inputs.reshape(-1) @ slopes.reshape(-1, slopes.shape[-1])) * w2
+            g_w1 = np.vstack([g_wx, _contract(stalks, g_term)])
             return (g_term @ w_h.T, g_w1, g_term.reshape(-1, g_term.shape[-1]).sum(axis=0),
                     _contract(hidden, g_k[..., None]), g_k.reshape(-1).sum(keepdims=True))
 

@@ -20,6 +20,27 @@ from .errors import InvalidParameterError, WindowTooShortError
 _RSS_FLOOR = 1e-12
 
 
+def check_edges(edges, n_nodes: int | None) -> np.ndarray:
+    """`edges` as an (E, 2) intp array, refused when an id is negative or,
+    unless `n_nodes` is None, not below `n_nodes`, and when it holds a
+    self-loop or a repeated edge."""
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    outside = edges < 0
+    if n_nodes is not None:
+        outside |= edges >= n_nodes
+    if outside.any():
+        s, d = edges[outside.any(axis=1)][0]
+        raise InvalidParameterError(f"edge ({s}, {d}) out of range for {n_nodes} nodes")
+    loops = edges[edges[:, 0] == edges[:, 1]]
+    if len(loops):
+        raise InvalidParameterError(f"self-loop {tuple(map(int, loops[0]))}")
+    pairs, counts = np.unique(edges, axis=0, return_counts=True)
+    if np.any(counts > 1):
+        raise InvalidParameterError(
+            f"duplicate edge {tuple(map(int, pairs[counts > 1][0]))}")
+    return edges
+
+
 @dataclass(frozen=True)
 class BrainGraph:
     """Directed graph shared by the simulator, the prior, and the sheaf."""
@@ -31,16 +52,8 @@ class BrainGraph:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise InvalidParameterError("n_nodes must be positive")
-        seen = set()
-        for s, d in self.edges:
-            if not (0 <= s < self.n_nodes and 0 <= d < self.n_nodes):
-                raise InvalidParameterError(f"edge ({s},{d}) out of range")
-            if s == d:
-                raise InvalidParameterError(f"self-loop at node {s}")
-            if (s, d) in seen:
-                raise InvalidParameterError(f"duplicate edge ({s},{d})")
-            seen.add((s, d))
-        object.__setattr__(self, "edges", tuple((int(s), int(d)) for s, d in self.edges))
+        edges = check_edges(self.edges, self.n_nodes)
+        object.__setattr__(self, "edges", tuple(map(tuple, edges.tolist())))
 
     @property
     def n_edges(self) -> int:
@@ -58,37 +71,22 @@ class PriorGraph:
     scores: tuple
     lag_order: int
     top_k: int
-    n_nodes: int = 0                  # 0: unknown, ids are not range-checked
+    n_nodes: int = 0                  # 0: unknown, ids have no upper bound
 
     def __post_init__(self):
-        self.edges = tuple((int(s), int(d)) for s, d in self.edges)
+        edges = check_edges(self.edges, self.n_nodes or None)
+        self.edges = tuple(map(tuple, edges.tolist()))
         self.scores = tuple(float(s) for s in self.scores)
         if len(self.edges) != len(self.scores):
             raise InvalidParameterError("edges and scores must align")
         if any(s < 0 for s in self.scores):
             raise InvalidParameterError("scores must be nonnegative")
-        seen = set()
-        for s, d in self.edges:
-            if s == d:
-                raise InvalidParameterError("prior contains a self-loop")
-            if self.n_nodes > 0 and not (0 <= s < self.n_nodes and 0 <= d < self.n_nodes):
-                raise InvalidParameterError(
-                    f"prior edge ({s},{d}) out of range for {self.n_nodes} nodes")
-            if (s, d) in seen:
-                raise InvalidParameterError(f"duplicate prior edge ({s},{d})")
-            seen.add((s, d))
-        indeg = {}
-        for _, d in self.edges:
-            indeg[d] = indeg.get(d, 0) + 1
-        if indeg and max(indeg.values()) > self.top_k:
+        if len(edges) and np.bincount(edges[:, 1]).max() > self.top_k:
             raise InvalidParameterError("in-degree exceeds top_k")
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def edge_array(self) -> np.ndarray:
-        return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
 
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)

@@ -35,7 +35,6 @@ class ModelConfig:
     rounds: int = 2
     normalize: bool = False
     field_width: int = 64
-    field_state_free: bool = False
     dt: float = 1.0
     ablation: str = "full"
 
@@ -72,22 +71,25 @@ class ForecastModel:
             edges, n_nodes, stalk_dim=config.stalk_dim, map_dim=config.map_dim,
             rounds=config.rounds, normalize=config.normalize, rng=rng,
             identity=(config.ablation == "graph"))
-        vfield = VectorFieldParams.init(config.stalk_dim, config.field_width,
-                                        rng, state_free=config.field_state_free)
+        vfield = VectorFieldParams.init(config.stalk_dim, config.field_width, rng)
         return cls(config=config, lstm=lstm, sheaf=sheaf, vfield=vfield)._freeze()
 
     @classmethod
     def from_arrays(cls, edges, n_nodes: int, config: ModelConfig,
                     arrays: dict) -> "ForecastModel":
-        """A model holding copies of `arrays` (keyed like `all_tensors`),
-        each group as trainable as `init` makes it; no random draws."""
+        """A model holding copies of `arrays` (keyed like `all_tensors`,
+        no other key), each group as trainable as `init` makes it; no random
+        draws."""
         d, m, width = config.stalk_dim, config.map_dim, config.field_width
         n_edges = len(np.asarray(edges).reshape(-1, 2))
         shapes = {"lstm.w_x": (1, 4 * d), "lstm.w_h": (d, 4 * d), "lstm.bias": (4 * d,),
                   "sheaf.rho_src": (n_edges, m, d), "sheaf.rho_dst": (n_edges, m, d),
                   "sheaf.attention": (m,),
-                  "field.w1": (d + (0 if config.field_state_free else 1), width),
+                  "field.w1": (d + 1, width),
                   "field.b1": (width,), "field.w2": (width, 1), "field.b2": (1,)}
+        unknown = sorted(set(arrays) - set(shapes))
+        if unknown:
+            raise ShapeMismatchError(f"arrays {unknown} are not parameters of the model")
         for name, shape in shapes.items():
             got = np.shape(arrays[name]) if name in arrays else None
             if got != shape:
@@ -106,8 +108,7 @@ class ForecastModel:
                                          rounds=config.rounds,
                                          normalize=config.normalize),
                    vfield=VectorFieldParams(tensor("field.w1"), tensor("field.b1"),
-                                            tensor("field.w2"), tensor("field.b2"),
-                                            state_free=config.field_state_free))._freeze()
+                                            tensor("field.w2"), tensor("field.b2")))._freeze()
 
     def _freeze(self) -> "ForecastModel":
         """Train every tensor but those of the group the ablation freezes."""

@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import (InvalidParameterError, MissingEdgeParametersError,
                      ShapeMismatchError, UnknownEdgeError)
+from .graphs import check_edges
 
 
 @dataclass
@@ -47,16 +48,7 @@ class SheafParameters:
                 f"{e} restriction-map pairs for {len(self.edges)} edges")
         if self.rounds < 0:
             raise InvalidParameterError("rounds must be >= 0")
-        if len(self.edges) and (self.edges.min() < 0 or self.edges.max() >= self.n_nodes):
-            raise InvalidParameterError(
-                f"edge ids must lie in [0, {self.n_nodes})")
-        loops = self.edges[self.edges[:, 0] == self.edges[:, 1]]
-        if len(loops):
-            raise InvalidParameterError(f"self-loop {tuple(map(int, loops[0]))}")
-        pairs, counts = np.unique(self.edges, axis=0, return_counts=True)
-        if np.any(counts > 1):
-            raise InvalidParameterError(
-                f"duplicate edge {tuple(map(int, pairs[counts > 1][0]))}")
+        check_edges(self.edges, self.n_nodes)
 
     @property
     def n_edges(self) -> int:

@@ -4,14 +4,18 @@ The objective is forecast MSE plus two discrepancy regularizers: an L1
 penalty on first-round edge discrepancies and a term pulling each
 discrepancy's L2 norm toward the 0/1 indicator of the prior graph. The
 optimizer is decoupled-weight-decay Adam with a reduce-on-plateau schedule;
-the checkpoint with the lowest validation loss is retained.
+the checkpoint with the lowest validation loss is retained. A saved
+checkpoint is a float64 `.npz` of its arrays plus a JSON file of the other
+fields that pins the `.npz` by sha256, so it reloads as exactly the model
+that was selected.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field, replace
+import zipfile
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -198,6 +202,9 @@ class TrainingConfig:
 # ----------------------------------------------------------------------
 # checkpoints
 # ----------------------------------------------------------------------
+CHECKPOINT_FORMAT = "sheafcast-checkpoint-v2"
+
+
 @dataclass
 class ModelCheckpoint:
     arrays: dict                      # name -> ndarray
@@ -222,92 +229,73 @@ class ModelCheckpoint:
         except (InvalidParameterError, ShapeMismatchError) as exc:
             raise CheckpointMismatchError(f"checkpoint does not fit its model: {exc}") from exc
 
-    def prior(self) -> PriorGraph:
-        return PriorGraph(edges=tuple(tuple(e) for e in self.prior_edges),
-                          scores=tuple(self.prior_scores),
-                          lag_order=self.prior_meta["lag_order"],
-                          top_k=self.prior_meta["top_k"],
-                          n_nodes=self.n_nodes)
+
+# the keys of checkpoint.json: every field but the arrays, the format and the
+# digest of the array file
+_MANIFEST_KEYS = ({f.name for f in fields(ModelCheckpoint)} - {"arrays"}
+                  | {"format", "arrays_sha256"})
 
 
 def _snapshot(model: ForecastModel) -> dict:
     return {name: t.data.copy() for name, t in model.all_tensors().items()}
 
 
-def save_checkpoint(ckpt: ModelCheckpoint, path_prefix) -> Path:
-    """Write `<prefix>.json` (manifest) and `<prefix>.bin` (little-endian
-    float32 arrays, concatenated in manifest order)."""
+def save_checkpoint(ckpt: ModelCheckpoint, path_prefix) -> list:
+    """Write `<prefix>.npz` (every array as little-endian float64, in name
+    order) and `<prefix>.json` (the other fields, and the sha256 of the
+    `.npz` that pins it); returns both paths. Equal checkpoints give
+    byte-identical files: `np.savez` stamps every member with one fixed
+    date."""
+    from .config import file_hash
+
     prefix = Path(path_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    names = sorted(ckpt.arrays)
-    entries = []
-    offset = 0
-    for name in names:
-        shape = list(np.shape(ckpt.arrays[name]))
-        entries.append({"name": name, "shape": shape, "dtype": "<f4", "offset": offset})
-        offset += 4 * int(np.prod(shape))
-    manifest = {
-        "format": "sheafcast-checkpoint-v1",
-        "arrays": entries,
-        "model_config": ckpt.model_config.to_dict(),
-        "training_config": ckpt.training_config,
-        "prior_edges": [list(e) for e in ckpt.prior_edges],
-        "prior_scores": [float(s) for s in ckpt.prior_scores],
-        "prior_meta": ckpt.prior_meta,
-        "n_nodes": ckpt.n_nodes,
-        "val_loss": ckpt.val_loss,
-        "epoch": ckpt.epoch,
-        "sources": sorted(ckpt.sources),
-        "trained_on_perturbed": bool(ckpt.trained_on_perturbed),
-    }
-    prefix.with_suffix(".json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    # one array's float32 copy at a time
-    with prefix.with_suffix(".bin").open("wb") as fh:
-        for name in names:
-            # tobytes() is C-ordered for any layout; ascontiguousarray would
-            # promote a 0-d array to shape (1,)
-            fh.write(np.asarray(ckpt.arrays[name], dtype="<f4").tobytes())
-    return prefix.with_suffix(".json")
+    npz_path, json_path = prefix.with_suffix(".npz"), prefix.with_suffix(".json")
+    np.savez(npz_path, **{name: np.asarray(ckpt.arrays[name], dtype="<f8")
+                          for name in sorted(ckpt.arrays)})
+    manifest = {f.name: getattr(ckpt, f.name) for f in fields(ModelCheckpoint)
+                if f.name != "arrays"}
+    manifest.update(format=CHECKPOINT_FORMAT, arrays_sha256=file_hash(npz_path),
+                    model_config=ckpt.model_config.to_dict(),
+                    sources=sorted(ckpt.sources),
+                    trained_on_perturbed=bool(ckpt.trained_on_perturbed))
+    json_path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    return [json_path, npz_path]
 
 
 def load_checkpoint(path_prefix) -> ModelCheckpoint:
+    """Read a checkpoint written by `save_checkpoint`. A malformed or
+    non-v2 `<prefix>.json`, or a `<prefix>.npz` that does not match its
+    pinned sha256, raises CheckpointMismatchError."""
+    from .config import file_hash
+
     prefix = Path(path_prefix)
-    manifest = json.loads(prefix.with_suffix(".json").read_text())
-    if manifest.get("format") != "sheafcast-checkpoint-v1":
-        raise CheckpointMismatchError("unrecognized checkpoint format")
-    bin_path = prefix.with_suffix(".bin")
-    raw = bin_path.read_bytes()
-    arrays = {}
-    end = 0
-    # the arrays must tile the file: no gap, overlap, truncation or padding
-    for entry in sorted(manifest["arrays"], key=lambda e: e["offset"]):
-        dtype = np.dtype(entry["dtype"])
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        stop = entry["offset"] + size * dtype.itemsize
-        if entry["offset"] != end or stop > len(raw):
-            raise CheckpointMismatchError(
-                f"array {entry['name']} at bytes {entry['offset']}..{stop} does "
-                f"not fit the {len(raw)}-byte {bin_path.name}")
-        arr = np.frombuffer(raw, dtype=dtype, count=size, offset=end)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float64)
-        end = stop
-    if end != len(raw):
+    json_path, npz_path = prefix.with_suffix(".json"), prefix.with_suffix(".npz")
+    try:
+        manifest = json.loads(json_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CheckpointMismatchError(f"{json_path.name} is not valid JSON: {exc}") from exc
+    found = manifest.get("format") if isinstance(manifest, dict) else None
+    if found != CHECKPOINT_FORMAT:
         raise CheckpointMismatchError(
-            f"{bin_path.name} has {len(raw)} bytes but its arrays cover {end}")
-    return ModelCheckpoint(
-        arrays=arrays,
-        model_config=ModelConfig(**manifest["model_config"]),
-        training_config=manifest["training_config"],
-        prior_edges=[tuple(e) for e in manifest["prior_edges"]],
-        prior_scores=manifest["prior_scores"],
-        prior_meta=manifest["prior_meta"],
-        n_nodes=manifest["n_nodes"],
-        val_loss=manifest["val_loss"],
-        epoch=manifest["epoch"],
-        sources=manifest["sources"],
-        trained_on_perturbed=manifest["trained_on_perturbed"],
-    )
+            f"checkpoint format {found!r} is not {CHECKPOINT_FORMAT!r}")
+    if set(manifest) != _MANIFEST_KEYS:
+        raise CheckpointMismatchError(
+            f"{json_path.name} lacks {sorted(_MANIFEST_KEYS - set(manifest))} "
+            f"and has unknown {sorted(set(manifest) - _MANIFEST_KEYS)}")
+    del manifest["format"]
+    if file_hash(npz_path) != manifest.pop("arrays_sha256"):
+        raise CheckpointMismatchError(
+            f"{npz_path.name} does not match the sha256 pinned in {json_path.name}")
+    try:
+        with np.load(npz_path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        manifest["model_config"] = ModelConfig(**manifest["model_config"])
+        manifest["prior_edges"] = [tuple(e) for e in manifest["prior_edges"]]
+    except (zipfile.BadZipFile, OSError, EOFError, ValueError, TypeError,
+            InvalidParameterError) as exc:
+        raise CheckpointMismatchError(f"unreadable checkpoint {prefix.name}: {exc}") from exc
+    return ModelCheckpoint(arrays=arrays, **manifest)
 
 
 # ----------------------------------------------------------------------

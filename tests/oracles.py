@@ -187,13 +187,12 @@ def encode_all_composed(context, params):
 
 
 def field_batch_composed(x, stalks, params):
-    """The vector field on [x; h] (or h alone) from composed tape ops:
-    (..., n) states and (..., n, d) stalks give (..., n, 1)."""
+    """The vector field on [x; h] from composed tape ops: (..., n) states
+    and (..., n, d) stalks give (..., n, 1)."""
     x, stalks = ad.lift(x), ad.lift(stalks)
     if x.data.ndim == stalks.data.ndim - 1:
         x = x.reshape(x.data.shape + (1,))
-    inp = stalks if params.state_free else concatenate([x, stalks], axis=-1)
-    hidden = tanh(inp @ params.w1 + params.b1)
+    hidden = tanh(concatenate([x, stalks], axis=-1) @ params.w1 + params.b1)
     return hidden @ params.w2 + params.b2
 
 

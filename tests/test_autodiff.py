@@ -211,3 +211,14 @@ def test_second_backward_accumulates_the_same_gradient_again():
     loss.backward()
     np.testing.assert_array_equal(a.grad, 2.0 * first[0])
     np.testing.assert_array_equal(b.grad, 2.0 * first[1])
+    # one `+` hands the same gradient array to both of its leaves
+    c = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    d = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    total = c + d
+    loss = (total * total).sum()
+    loss.backward()
+    np.testing.assert_array_equal(c.grad, 2.0 * total.data)
+    np.testing.assert_array_equal(d.grad, 2.0 * total.data)
+    loss.backward()
+    np.testing.assert_array_equal(c.grad, 4.0 * total.data)
+    np.testing.assert_array_equal(d.grad, 4.0 * total.data)

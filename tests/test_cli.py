@@ -14,6 +14,7 @@ from sheafcast.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_MISSING, EXIT_OK,
 from sheafcast.config import config_hash, default_config, validate_config
 from sheafcast.errors import ConfigError
 from sheafcast.neurosim import load_rates_csv
+from sheafcast.training import load_checkpoint, save_checkpoint
 
 
 def _fast_config(seed=11, count=3):
@@ -125,7 +126,9 @@ def test_prior_respects_top_k(pipeline):
 def test_train_wrote_checkpoint_and_log(pipeline):
     train_dir = pipeline["train"]
     assert (train_dir / "checkpoint.json").exists()
-    assert (train_dir / "checkpoint.bin").exists()
+    assert (train_dir / "checkpoint.npz").exists()
+    outputs = json.loads((train_dir / "manifest_train.json").read_text())["outputs"]
+    assert outputs == ["checkpoint.json", "checkpoint.npz", "train_log.jsonl"]
     log = [json.loads(x) for x in (train_dir / "train_log.jsonl").read_text().splitlines()]
     assert len(log) == 2 and {"epoch", "train_loss", "val_loss", "lr"} == set(log[0])
     ckpt = json.loads((train_dir / "checkpoint.json").read_text())
@@ -193,27 +196,71 @@ def test_perturb_eval_refuses_contaminated_checkpoint(pipeline, tmp_path):
     manifest = json.loads((src / "checkpoint.json").read_text())
     manifest["trained_on_perturbed"] = True
     (dirty_dir / "checkpoint.json").write_text(json.dumps(manifest, sort_keys=True))
-    (dirty_dir / "checkpoint.bin").write_bytes((src / "checkpoint.bin").read_bytes())
+    (dirty_dir / "checkpoint.npz").write_bytes((src / "checkpoint.npz").read_bytes())
     code = main(["perturb-eval", "--config", str(pipeline["cfg_path"]),
                  "--checkpoint", str(dirty_dir / "checkpoint"),
                  "--data", str(pipeline["sim"]), "--out", str(tmp_path / "x")])
     assert code == EXIT_MISMATCH
 
 
-@pytest.mark.parametrize("damage", [lambda raw: raw[:len(raw) // 2],
-                                    lambda raw: raw + b"\0" * 8],
-                         ids=["truncated", "padded"])
-def test_damaged_checkpoint_bin_exits_4(pipeline, tmp_path, capsys, damage):
+def _forecast_with(ckpt_dir, tmp_path, capsys):
+    """Exit code and stderr of `forecast` from `ckpt_dir/checkpoint`."""
+    capsys.readouterr()
+    code = main(["forecast", "--checkpoint", str(ckpt_dir / "checkpoint"),
+                 "--windows", str(tmp_path / "w.json"), "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "padded", "flipped", "other-run", "v1"])
+def test_damaged_checkpoint_exits_4(pipeline, tmp_path, capsys, damage):
     src = pipeline["train"]
     bad = tmp_path / "bad"
     bad.mkdir()
-    (bad / "checkpoint.json").write_bytes((src / "checkpoint.json").read_bytes())
-    (bad / "checkpoint.bin").write_bytes(damage((src / "checkpoint.bin").read_bytes()))
-    capsys.readouterr()
-    code = main(["forecast", "--checkpoint", str(bad / "checkpoint"),
-                 "--windows", str(tmp_path / "w.json"), "--out", str(tmp_path / "o")])
+    manifest = (src / "checkpoint.json").read_text()
+    raw = (src / "checkpoint.npz").read_bytes()
+    mid = len(raw) // 2
+    if damage == "truncated":
+        raw = raw[:mid]
+    elif damage == "padded":
+        raw = raw + b"\0" * 8
+    elif damage == "flipped":
+        raw = raw[:mid] + bytes([raw[mid] ^ 1]) + raw[mid + 1:]
+    elif damage == "other-run":
+        # a well-formed array file with the same names and shapes
+        other = load_checkpoint(src / "checkpoint")
+        other.arrays["field.b2"] = other.arrays["field.b2"] + 1.0
+        save_checkpoint(other, tmp_path / "other" / "checkpoint")
+        raw = (tmp_path / "other" / "checkpoint.npz").read_bytes()
+    else:
+        manifest = manifest.replace("sheafcast-checkpoint-v2", "sheafcast-checkpoint-v1")
+    (bad / "checkpoint.json").write_text(manifest)
+    (bad / "checkpoint.npz").write_bytes(raw)
+    code, err = _forecast_with(bad, tmp_path, capsys)
     assert code == EXIT_MISMATCH
-    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert ("sheafcast-checkpoint-v1" if damage == "v1" else "sha256") in err, err
+
+
+@pytest.mark.parametrize("fault", ["invalid-json", "no-arrays_sha256", "no-n_nodes",
+                                   "unknown-model-key", "unknown-ablation"])
+def test_malformed_checkpoint_manifest_exits_4(pipeline, tmp_path, capsys, fault):
+    src = pipeline["train"]
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    manifest = json.loads((src / "checkpoint.json").read_text())
+    if fault == "no-arrays_sha256":
+        del manifest["arrays_sha256"]
+    elif fault == "no-n_nodes":
+        del manifest["n_nodes"]
+    elif fault == "unknown-model-key":
+        manifest["model_config"]["bogus"] = 1
+    elif fault == "unknown-ablation":
+        manifest["model_config"]["ablation"] = "x"
+    text = json.dumps(manifest, sort_keys=True)
+    (bad / "checkpoint.json").write_text(text[:-1] if fault == "invalid-json" else text)
+    (bad / "checkpoint.npz").write_bytes((src / "checkpoint.npz").read_bytes())
+    code, err = _forecast_with(bad, tmp_path, capsys)
+    assert code == EXIT_MISMATCH, err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
@@ -229,11 +276,8 @@ def test_checkpoint_with_a_bad_edge_exits_4(pipeline, tmp_path, capsys, fault):
     else:
         edges[0] = [edges[0][0], edges[0][0]]
     (bad / "checkpoint.json").write_text(json.dumps(manifest, sort_keys=True))
-    (bad / "checkpoint.bin").write_bytes((src / "checkpoint.bin").read_bytes())
-    capsys.readouterr()
-    code = main(["forecast", "--checkpoint", str(bad / "checkpoint"),
-                 "--windows", str(tmp_path / "w.json"), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
+    (bad / "checkpoint.npz").write_bytes((src / "checkpoint.npz").read_bytes())
+    code, err = _forecast_with(bad, tmp_path, capsys)
     assert code == EXIT_MISMATCH
     assert len(err.strip().splitlines()) == 1 and fault in err, err
 
@@ -400,7 +444,7 @@ def test_missing_inputs_exit_3(tmp_path):
 def test_default_config_is_pinned():
     # a moved or changed default changes this digest and every manifest's
     assert config_hash(default_config(0)) == (
-        "dfd05014786773d8b69c6fcd5d29b0fc9be15c86b1d5a3400935a77c043a492d")
+        "f3f24a7c476417aa0391d7e9e789817ee401e2692847f7075ee380d1ce13fdf4")
     assert validate_config({"seed": 0}) == default_config(0)
 
 

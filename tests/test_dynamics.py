@@ -7,9 +7,9 @@ from sheafcast.errors import (InvalidParameterError, NonFiniteStateError,
                               ShapeMismatchError)
 
 
-def _zero_field(stalk_dim=3, width=4, state_free=False):
+def _zero_field(stalk_dim=3, width=4):
     rng = np.random.default_rng(0)
-    params = VectorFieldParams.init(stalk_dim, width, rng, state_free=state_free)
+    params = VectorFieldParams.init(stalk_dim, width, rng)
     for t in (params.w1, params.b1, params.w2, params.b2):
         t.data[:] = 0.0
     return params
@@ -32,13 +32,6 @@ def test_constructed_negative_feedback_field():
     np.testing.assert_allclose(small, -1e-4, rtol=1e-6)
     exact = vector_field(1.0, np.zeros(2), params)
     np.testing.assert_allclose(exact, -np.tanh(1.0), rtol=1e-12)
-
-
-def test_state_free_field_ignores_x():
-    rng = np.random.default_rng(2)
-    params = VectorFieldParams.init(3, 4, rng, state_free=True)
-    h = rng.normal(size=3)
-    assert vector_field(0.0, h, params) == vector_field(5.0, h, params)
 
 
 # ----------------------------------------------------------------------

@@ -82,16 +82,6 @@ def test_no_lstm_uses_raw_window_stalks():
     np.testing.assert_array_equal(stalks, ctx[:, -6:])
 
 
-def test_state_free_field_gives_straight_line_trajectories():
-    model = _model(field_state_free=True)
-    ctx = np.random.default_rng(1).normal(size=(4, 12))
-    pred = model.predict(ctx, 5)
-    steps = np.diff(np.concatenate([ctx[:, -1:], pred], axis=1), axis=1)
-    # constant per-node slope: every step equals the first one
-    np.testing.assert_allclose(steps, np.broadcast_to(steps[:, :1], steps.shape),
-                               rtol=1e-9, atol=1e-12)
-
-
 def test_full_pipeline_gradients_match_finite_differences():
     from sheafcast.graphs import PriorGraph
     from sheafcast.training import total_loss
@@ -137,11 +127,9 @@ def _value_and_grads(model, forward, ctx, target):
 
 @pytest.mark.parametrize("t_ctx", [1, 9])
 @pytest.mark.parametrize("batch", [1, 7])
-@pytest.mark.parametrize("state_free", [False, True])
 @pytest.mark.parametrize("ablation", ["full", "graph", "no_lstm"])
-def test_fused_nodes_match_composed_oracle(ablation, state_free, batch, t_ctx):
-    model = _model(ablation, seed=3, map_dim=6 if ablation == "graph" else 4,
-                   field_state_free=state_free, dt=0.5)
+def test_fused_nodes_match_composed_oracle(ablation, batch, t_ctx):
+    model = _model(ablation, seed=3, map_dim=6 if ablation == "graph" else 4, dt=0.5)
     rng = np.random.default_rng(batch * 10 + t_ctx)
     ctx = rng.normal(size=(batch, 4, t_ctx))
     target = rng.normal(size=(batch, 4, 5))

@@ -251,7 +251,7 @@ def test_training_is_deterministic(tmp_path):
     b = train(windows, _toy_prior(), cfg, model_config=_small_model_config())
     save_checkpoint(a, tmp_path / "a")
     save_checkpoint(b, tmp_path / "b")
-    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
 
@@ -433,10 +433,13 @@ def test_checkpoint_round_trip_reproduces_forward(tmp_path):
     out1 = first.build_model().predict(ctx, 10)
     out2 = second.build_model().predict(ctx, 10)
     np.testing.assert_array_equal(out1, out2)
+    # the reloaded model is the one training selected, bit for bit
+    np.testing.assert_array_equal(out1, ckpt.build_model().predict(ctx, 10))
 
-    # float32 storage round-trips byte-identically
+    # a loaded checkpoint saves back to the same bytes
     save_checkpoint(first, tmp_path / "ck2")
-    assert (tmp_path / "ck.bin").read_bytes() == (tmp_path / "ck2.bin").read_bytes()
+    assert (tmp_path / "ck.npz").read_bytes() == (tmp_path / "ck2.npz").read_bytes()
+    assert (tmp_path / "ck.json").read_bytes() == (tmp_path / "ck2.json").read_bytes()
 
     assert first.model_config == ckpt.model_config
     assert first.prior_edges == list(ckpt.prior_edges)
