@@ -22,6 +22,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import config_hash, default_config, file_hash, load_config
 from .data import load_windows, make_perturbed_windows, make_windows
@@ -30,7 +32,7 @@ from .errors import (CheckpointMismatchError, ConfigError,
 from .graphs import (generate_small_world, granger_score_matrix, load_prior_csv,
                      prior_from_scores, save_prior_csv)
 from .metrics import evaluate
-from .model import ModelConfig
+from .model import ForecastModel, ModelConfig
 # `simulate` is not called here; the benchmark's tracer wraps it by this name
 from .neurosim import (LifParams, PerturbationSpec, bin_edges, load_record,
                        load_rates_csv, sample_perturbation, save_rates_csv,
@@ -165,6 +167,36 @@ def _load_dataset(data_dir: Path) -> dict:
                                "dataset manifest").read_text())
 
 
+def _load_dataset_record(data_dir: Path, dataset: dict, stem: str):
+    """The record `stem` of a dataset, refused unless its rate rows and bin
+    width are the manifest's `n_nodes` and `bin_ms`."""
+    record = load_record(data_dir, stem)
+    n_rows = record.rates.shape[0]
+    if n_rows != dataset["n_nodes"]:
+        raise InvalidParameterError(
+            f"record {stem} has {n_rows} rate rows but dataset_manifest.json "
+            f"says n_nodes {dataset['n_nodes']}")
+    widths = np.diff(record.bin_edges_ms)
+    off = ~np.isclose(widths, dataset["bin_ms"], rtol=1e-9, atol=0.0)
+    if off.any():
+        raise InvalidParameterError(
+            f"record {stem} has bin width {widths[off][0]:g} ms but "
+            f"dataset_manifest.json says bin_ms {dataset['bin_ms']:g}")
+    return record
+
+
+def _load_model(ckpt_prefix: Path, refuse_perturbed: bool = False) -> ForecastModel:
+    """The model of a checkpoint. The loaded checkpoint dies with this call,
+    so its arrays are freed once the model holds its own copies."""
+    _require(ckpt_prefix.with_suffix(".json"), "checkpoint")
+    ckpt = load_checkpoint(ckpt_prefix)
+    if refuse_perturbed and ckpt.trained_on_perturbed:
+        raise CheckpointMismatchError(
+            "checkpoint was trained on perturbed sources; refusing to score "
+            "the out-of-distribution protocol with a contaminated model")
+    return ckpt.build_model()
+
+
 def cmd_prior(args) -> int:
     cfg = _load_cfg(args)
     data_dir = Path(args.data)
@@ -175,7 +207,7 @@ def cmd_prior(args) -> int:
     score_sum = None
     n_windows = 0
     for entry in dataset["instances"]:
-        record = load_record(data_dir, entry["pre"])
+        record = _load_dataset_record(data_dir, dataset, entry["pre"])
         for window in make_windows(record.rates, t["t_ctx"], t["t_hor"],
                                    t["stride"]):
             scores = granger_score_matrix(window.context,
@@ -207,7 +239,7 @@ def cmd_train(args) -> int:
     t = cfg["train"]
     windows = []
     for entry in dataset["instances"]:
-        record = load_record(data_dir, entry["pre"])
+        record = _load_dataset_record(data_dir, dataset, entry["pre"])
         windows += make_windows(record.rates, t["t_ctx"], t["t_hor"],
                                 t["stride"], time_step=dataset["bin_ms"],
                                 source_id=entry["pre"])
@@ -227,9 +259,7 @@ def cmd_train(args) -> int:
 
 def cmd_forecast(args) -> int:
     ckpt_prefix = Path(args.checkpoint)
-    _require(ckpt_prefix.with_suffix(".json"), "checkpoint")
-    ckpt = load_checkpoint(ckpt_prefix)
-    model = ckpt.build_model()
+    model = _load_model(ckpt_prefix)
     manifest_path = _require(args.windows, "windows manifest")
     windows = load_windows(manifest_path)
     out_dir = Path(args.out)
@@ -259,13 +289,7 @@ def cmd_forecast(args) -> int:
 def cmd_perturb_eval(args) -> int:
     cfg = _load_cfg(args)
     ckpt_prefix = Path(args.checkpoint)
-    _require(ckpt_prefix.with_suffix(".json"), "checkpoint")
-    ckpt = load_checkpoint(ckpt_prefix)
-    if ckpt.trained_on_perturbed:
-        raise CheckpointMismatchError(
-            "checkpoint was trained on perturbed sources; refusing to score "
-            "the out-of-distribution protocol with a contaminated model")
-    model = ckpt.build_model()
+    model = _load_model(ckpt_prefix, refuse_perturbed=True)
     data_dir = Path(args.data)
     dataset = _load_dataset(data_dir)
     ev = cfg["eval"]
@@ -274,8 +298,8 @@ def cmd_perturb_eval(args) -> int:
     for entry in dataset["instances"]:
         if not entry["post"]:
             continue
-        pre = load_record(data_dir, entry["pre"])
-        post = load_record(data_dir, entry["post"])
+        pre = _load_dataset_record(data_dir, dataset, entry["pre"])
+        post = _load_dataset_record(data_dir, dataset, entry["post"])
         spec = PerturbationSpec(**entry["perturbation"])
         try:
             eval_windows += make_perturbed_windows(pre, post, spec,

@@ -240,19 +240,35 @@ def _snapshot(model: ForecastModel) -> dict:
     return {name: t.data.copy() for name, t in model.all_tensors().items()}
 
 
+def _write_npz(path: Path, arrays: dict) -> None:
+    """The `.npz` that `np.savez(path, **arrays)` writes for little-endian
+    float64 arrays, members in name order, written straight from each
+    array's buffer: `np.savez` hands every member a `tobytes()` copy of the
+    whole array. Any name is allowed, `file` and `allow_pickle` included."""
+    with zipfile.ZipFile(path, "w", allowZip64=True) as archive:
+        for name in sorted(arrays):
+            # "A" keeps a Fortran-ordered array in its order, as np.savez
+            # does, and keeps 0-d arrays 0-d; a float64 array is not copied
+            array = np.asarray(arrays[name], dtype="<f8", order="A")
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array))
+                member.write(array.ravel(order="A"))
+
+
 def save_checkpoint(ckpt: ModelCheckpoint, path_prefix) -> list:
     """Write `<prefix>.npz` (every array as little-endian float64, in name
-    order) and `<prefix>.json` (the other fields, and the sha256 of the
-    `.npz` that pins it); returns both paths. Equal checkpoints give
-    byte-identical files: `np.savez` stamps every member with one fixed
-    date."""
+    order, each `.npy` member written from the array's own buffer) and
+    `<prefix>.json` (the other fields, and the sha256 of the `.npz` that
+    pins it); returns both paths. The `.npz` has the bytes `np.savez` would
+    write, so equal checkpoints give byte-identical files: every member
+    carries the same fixed date."""
     from .config import file_hash
 
     prefix = Path(path_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     npz_path, json_path = prefix.with_suffix(".npz"), prefix.with_suffix(".json")
-    np.savez(npz_path, **{name: np.asarray(ckpt.arrays[name], dtype="<f8")
-                          for name in sorted(ckpt.arrays)})
+    _write_npz(npz_path, ckpt.arrays)
     manifest = {f.name: getattr(ckpt, f.name) for f in fields(ModelCheckpoint)
                 if f.name != "arrays"}
     manifest.update(format=CHECKPOINT_FORMAT, arrays_sha256=file_hash(npz_path),

@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +204,76 @@ def test_perturb_eval_refuses_contaminated_checkpoint(pipeline, tmp_path):
                  "--checkpoint", str(dirty_dir / "checkpoint"),
                  "--data", str(pipeline["sim"]), "--out", str(tmp_path / "x")])
     assert code == EXIT_MISMATCH
+
+
+def test_forecast_frees_the_loaded_checkpoint(tmp_path):
+    """`forecast` holds the loaded checkpoint's arrays only until the model
+    has its copies: its peak is the model twice (while it is built) or once
+    beside a forward's working set, never both at once."""
+    from sheafcast.data import make_windows, save_windows
+    from sheafcast.model import ForecastModel, ModelConfig
+    from sheafcast.training import ModelCheckpoint, forecast_windows
+
+    n, n_edges = 40, 800
+    rng = np.random.default_rng(6)
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+    edges = sorted(pairs[i] for i in rng.choice(len(pairs), n_edges, replace=False))
+    config = ModelConfig(stalk_dim=24, rounds=1, field_width=8)
+    model = ForecastModel.init(np.asarray(edges), n, config, seed=0)
+    arrays = {k: t.data.copy() for k, t in model.all_tensors().items()}
+    param_bytes = sum(a.nbytes for a in arrays.values())
+    save_checkpoint(ModelCheckpoint(
+        arrays=arrays, model_config=config, training_config={}, prior_edges=edges,
+        prior_scores=[1.0] * n_edges, prior_meta={}, n_nodes=n, val_loss=0.0,
+        epoch=0, sources=[], trained_on_perturbed=False), tmp_path / "ck")
+    del arrays
+    windows = make_windows(rng.normal(size=(n, 30)), 20, 5, 1)[:4]
+    argv = ["forecast", "--checkpoint", str(tmp_path / "ck"),
+            "--windows", str(save_windows(tmp_path / "w", windows)), "--out"]
+    assert main(argv + [str(tmp_path / "warm")]) == EXIT_OK
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forecast_windows(model, windows)
+        working_set = tracemalloc.get_traced_memory()[1] - base
+        del model
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv + [str(tmp_path / "fc")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert param_bytes > working_set      # the maps dominate
+    # kept through the forecast, the checkpoint's arrays add a third copy of
+    # the parameters beside the working set: 2 * param_bytes + working_set
+    assert peak < 2 * param_bytes + working_set / 2, (peak, param_bytes, working_set)
+
+
+@pytest.mark.parametrize("command", ["prior", "train", "perturb-eval"])
+@pytest.mark.parametrize("key, value, found", [("n_nodes", 7, "10 rate rows"),
+                                               ("bin_ms", 20.0, "bin width 10 ms")])
+def test_records_must_match_the_dataset_manifest(pipeline, tmp_path, capsys,
+                                                 command, key, value, found):
+    data = tmp_path / "sim"
+    shutil.copytree(pipeline["sim"], data)
+    dataset = json.loads((data / "dataset_manifest.json").read_text())
+    dataset[key] = value
+    (data / "dataset_manifest.json").write_text(json.dumps(dataset))
+    extra = {"prior": [], "train": ["--prior", pipeline["prior"] / "prior.csv"],
+             "perturb-eval": ["--checkpoint", pipeline["train"] / "checkpoint"]}[command]
+    capsys.readouterr()
+    code = main([str(a) for a in [command, "--config", pipeline["cfg_path"], "--data", data,
+                                  *extra, "--out", tmp_path / "o"]])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert len(err.strip().splitlines()) == 1, err
+    assert f"record 00000_pre has {found}" in err
+    assert f"says {key} {value:g}" in err
 
 
 def _forecast_with(ckpt_dir, tmp_path, capsys):

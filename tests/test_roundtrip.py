@@ -1,6 +1,7 @@
 """Property tests: every artifact the package writes reads back unchanged."""
 
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -129,3 +130,13 @@ def test_checkpoint_round_trip(ckpt):
     for field in ("training_config", "prior_scores", "prior_meta", "n_nodes",
                   "val_loss", "epoch", "trained_on_perturbed"):
         assert getattr(back, field) == getattr(ckpt, field), field
+
+
+@settings(max_examples=40, deadline=None)
+@given(ckpt=checkpoints())
+def test_checkpoint_npz_matches_np_savez(ckpt):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(ckpt, f"{tmp}/ck")
+        np.savez(f"{tmp}/oracle.npz", **{name: ckpt.arrays[name]
+                                         for name in sorted(ckpt.arrays)})
+        assert Path(f"{tmp}/ck.npz").read_bytes() == Path(f"{tmp}/oracle.npz").read_bytes()

@@ -1,6 +1,7 @@
 import gc
 import json
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -470,6 +471,61 @@ def test_build_model_draws_nothing_and_matches_init_then_copy(monkeypatch, ablat
         assert not np.shares_memory(tensor.data, ckpt.arrays[name])
     ctx = np.stack([w.context for w in windows[:3]])
     assert np.array_equal(got.predict(ctx, 10), want.predict(ctx, 10))
+
+
+def _checkpoint_of(arrays):
+    return training.ModelCheckpoint(
+        arrays=arrays, model_config=_small_model_config(), training_config={},
+        prior_edges=[], prior_scores=[], prior_meta={}, n_nodes=4, val_loss=0.0,
+        epoch=0, sources=[], trained_on_perturbed=False)
+
+
+def test_checkpoint_arrays_named_like_savez_arguments_round_trip(tmp_path):
+    # np.savez takes the names as keywords and refuses these two
+    arrays = {"file": np.arange(3.0), "allow_pickle": np.ones((2, 2))}
+    save_checkpoint(_checkpoint_of(arrays), tmp_path / "ck")
+    back = load_checkpoint(tmp_path / "ck")
+    assert sorted(back.arrays) == ["allow_pickle", "file"]
+    for name, arr in arrays.items():
+        assert np.array_equal(back.arrays[name], arr)
+
+
+def test_checkpoint_npz_has_the_bytes_np_savez_writes(tmp_path):
+    rng = np.random.default_rng(4)
+    arrays = {"c_order": rng.normal(size=(3, 4)), "zero_d": np.array(2.5),
+              "fortran": rng.normal(size=(4, 3)).T, "strided": rng.normal(size=(6, 5))[::2, 1:],
+              "empty": np.zeros((0, 3)), "big_endian": rng.normal(size=5).astype(">f8"),
+              "float32": rng.normal(size=(2, 3)).astype(np.float32), "ints": np.arange(4)}
+    save_checkpoint(_checkpoint_of(arrays), tmp_path / "ck")
+    # the oracle: np.savez, with the names as keywords
+    np.savez(tmp_path / "oracle.npz", **{name: np.asarray(arrays[name], dtype="<f8")
+                                         for name in sorted(arrays)})
+    assert (tmp_path / "ck.npz").read_bytes() == (tmp_path / "oracle.npz").read_bytes()
+    back = load_checkpoint(tmp_path / "ck").arrays
+    for name, arr in arrays.items():
+        assert back[name].shape == arr.shape and np.array_equal(back[name], arr), name
+
+
+def test_save_checkpoint_holds_no_copy_of_an_array(tmp_path):
+    # the two restriction maps at config defaults: 800 edges, m = d = 32
+    rng = np.random.default_rng(5)
+    arrays = {"sheaf.rho_src": rng.normal(size=(800, 32, 32)),
+              "sheaf.rho_dst": rng.normal(size=(800, 32, 32))}
+    ckpt = _checkpoint_of(arrays)
+    save_checkpoint(ckpt, tmp_path / "warm")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_checkpoint(ckpt, tmp_path / "ck")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    # a whole-array copy of one map alone would reach the bound
+    assert peak < arrays["sheaf.rho_src"].nbytes, peak
 
 
 def test_checkpoint_marks_perturbed_sources():
