@@ -200,8 +200,6 @@ def _load_model(ckpt_prefix: Path, refuse_perturbed: bool = False) -> ForecastMo
 def cmd_prior(args) -> int:
     cfg = _load_cfg(args)
     data_dir = Path(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset(data_dir)
     t = cfg["train"]
     score_sum = None
@@ -220,6 +218,8 @@ def cmd_prior(args) -> int:
     prior = prior_from_scores(score_sum / n_windows,
                               lag_order=cfg["prior"]["lag_order"],
                               top_k=cfg["prior"]["top_k"])
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     prior_path = out_dir / "prior.csv"
     save_prior_csv(prior_path, prior)
     _write_manifest(out_dir, "prior", cfg,
@@ -233,8 +233,6 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     data_dir = Path(args.data)
     prior_path = _require(args.prior, "prior CSV")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset(data_dir)
     t = cfg["train"]
     windows = []
@@ -245,6 +243,8 @@ def cmd_train(args) -> int:
                                 source_id=entry["pre"])
     prior = load_prior_csv(prior_path, cfg["prior"]["lag_order"],
                            cfg["prior"]["top_k"], n_nodes=dataset["n_nodes"])
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = train(windows, prior, _train_config(cfg),
                  model_config=_model_config(cfg),
                  log_path=out_dir / "train_log.jsonl")

@@ -12,13 +12,24 @@ w * ((t-s-delay)/tau) * exp(1 - (t-s-delay)/tau) at grid times.
 
 `simulate_many` steps any number of runs (graphs, seeds, perturbations;
 one `LifParams`) in a single loop over time. Every neuron of every run
-sits on one flat axis at its run's node offset, so each step is a fixed
-handful of in-place ufuncs over that axis, whatever the number of runs.
+sits on one flat axis at its run's node offset, so each step is a few
+in-place ufuncs over that axis, whatever the number of runs. A quiet step
+(nothing arrives, no neuron is refractory or silenced, none fires) is 12
+numpy calls: gather each neuron's background state, integrate the
+membrane, test the threshold, and advance both alpha-kernel states, which
+are the two rows of one array so that one multiply decays both. Scalar
+operands are 0-d arrays, which spares each call a float conversion.
+A step with events adds only the calls they need. Delayed spikes reach
+their targets through a CSR out-edge list and one `bincount` (the 0/1
+weights make the counts exact); a background spike is one add to its
+run's entry. A spiking or silenced neuron gets a first free step, and
+the refractory mask (`less_equal` and a masked add) runs only on steps
+before the last of these; a neuron is released on reaching its own.
+Spikes go straight into per-bin counts, flushed at each bin boundary.
 Each run draws from its own generator before the loop, so a run's record
 does not depend on the batch it is in; `simulate` is a batch of one.
-Delayed spikes reach their targets through a CSR out-edge list and one
-`bincount` (the 0/1 weights make the counts exact), and spikes go straight
-into per-bin counts, flushed at each bin boundary. The background counts
+Every record is byte-identical to `tests/oracles.py::simulate_loop`,
+which steps one run with the same float operations. The background counts
 and the bin counts stay per run, and the background is gathered one bin
 at a time, so with no more runs than bins no temporary is larger than the
 float64 vector of uniforms each run draws anyway: freeing a larger block
@@ -220,13 +231,17 @@ def _run_lif(runs, params: LifParams, n_steps: int, starts: np.ndarray) -> list:
     sizes = [graph.n_nodes for graph, _, _ in runs]
     offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
     n, n_runs = offsets[-1], len(runs)
-    decay = np.exp(-dt / params.syn_tau)
+    # scalar operands are 0-d arrays: a Python float operand costs every
+    # ufunc call a conversion, and the arithmetic is the same
+    decay = np.array(np.exp(-dt / params.syn_tau))
+    dt_op = np.array(dt)
     # impulse height making the kernel peak equal the weight
-    amp_rec = params.syn_weight * np.e / params.syn_tau
+    amp_rec = np.array(params.syn_weight * np.e / params.syn_tau)
     amp_bg = params.poisson_weight * np.e / params.syn_tau
-    leak = dt / params.membrane_tau
-    inv_c = dt / params.capacitance_pF
-    rest, reset, threshold = params.resting_mV, params.reset_mV, params.threshold_mV
+    leak = np.array(dt / params.membrane_tau)
+    inv_c = np.array(dt / params.capacitance_pF)
+    rest, threshold = np.array(params.resting_mV), np.array(params.threshold_mV)
+    reset = params.reset_mV
     refr_steps = int(round(params.refractory_ms / dt))
 
     # out-edges of the flat axis in CSR form: neuron i sends to
@@ -248,12 +263,14 @@ def _run_lif(runs, params: LifParams, n_steps: int, starts: np.ndarray) -> list:
             if start < end:
                 onsets.setdefault(start, []).append((o + p.neuron, end))
 
-    # alpha-kernel states: n recurrent entries, then one background per run
-    syn1 = np.zeros(n + n_runs)
-    syn2 = np.zeros(n + n_runs)
+    # alpha-kernel states, one row per propagator state: n recurrent
+    # entries, then one background entry per run
+    syn = np.zeros((2, n + n_runs))
+    syn1, syn2 = syn
     rec1, bg1, rec2 = syn1[:n], syn1[n:], syn2[:n]
     bg_of = n + np.repeat(np.arange(n_runs), sizes)
     free_at = np.zeros(n, dtype=np.int64)       # first step a neuron may integrate
+    busy_until = 0                              # every neuron is free from here on
     current = np.empty(n)
     drift = np.empty(n)
     syn_step = np.empty(n + n_runs)
@@ -278,11 +295,15 @@ def _run_lif(runs, params: LifParams, n_steps: int, starts: np.ndarray) -> list:
             for i, end in onsets.get(step, ()):
                 v[i] = reset
                 free_at[i] = max(free_at[i], end)
-            np.less_equal(free_at, step, out=active)
+                busy_until = max(busy_until, end)
             np.subtract(v, rest, out=drift)
             drift *= leak
             current -= drift
-            np.add(v, current, out=v, where=active)
+            if step < busy_until:
+                np.less_equal(free_at, step, out=active)
+                np.add(v, current, out=v, where=active)
+            else:
+                v += current
 
             # no mask needed: a neuron that is not free sits at reset < threshold
             np.greater_equal(v, threshold, out=fired)
@@ -290,17 +311,17 @@ def _run_lif(runs, params: LifParams, n_steps: int, starts: np.ndarray) -> list:
             if idx.size:
                 v[idx] = reset
                 free_at[idx] = step + refr_steps + 1
+                busy_until = max(busy_until, step + refr_steps + 1)
                 acc[idx] += 1
                 arrivals[slot] = np.concatenate(
                     [out_dst[ptr[i]:ptr[i + 1]] for i in idx.tolist()])
             else:
                 arrivals[slot] = None
 
-            # advance the exact alpha-kernel propagator
-            np.multiply(syn1, dt, out=syn_step)
+            # advance the exact alpha-kernel propagator of both states
+            np.multiply(syn1, dt_op, out=syn_step)
             syn2 += syn_step
-            syn2 *= decay
-            syn1 *= decay
+            syn *= decay
         for c, o0, o1 in zip(counts, offsets[:-1], offsets[1:]):
             c[:, b] = acc[o0:o1]
         acc[:] = 0

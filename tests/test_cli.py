@@ -254,11 +254,9 @@ def test_forecast_frees_the_loaded_checkpoint(tmp_path):
     assert peak < 2 * param_bytes + working_set / 2, (peak, param_bytes, working_set)
 
 
-@pytest.mark.parametrize("command", ["prior", "train", "perturb-eval"])
-@pytest.mark.parametrize("key, value, found", [("n_nodes", 7, "10 rate rows"),
-                                               ("bin_ms", 20.0, "bin width 10 ms")])
-def test_records_must_match_the_dataset_manifest(pipeline, tmp_path, capsys,
-                                                 command, key, value, found):
+def _run_on_mismatched_dataset(pipeline, tmp_path, command, key, value):
+    """Exit code of `command` on a copy of the pipeline's dataset whose
+    manifest says `key` is `value`, with `--out tmp_path / "o"`."""
     data = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], data)
     dataset = json.loads((data / "dataset_manifest.json").read_text())
@@ -266,14 +264,28 @@ def test_records_must_match_the_dataset_manifest(pipeline, tmp_path, capsys,
     (data / "dataset_manifest.json").write_text(json.dumps(dataset))
     extra = {"prior": [], "train": ["--prior", pipeline["prior"] / "prior.csv"],
              "perturb-eval": ["--checkpoint", pipeline["train"] / "checkpoint"]}[command]
-    capsys.readouterr()
-    code = main([str(a) for a in [command, "--config", pipeline["cfg_path"], "--data", data,
+    return main([str(a) for a in [command, "--config", pipeline["cfg_path"], "--data", data,
                                   *extra, "--out", tmp_path / "o"]])
+
+
+@pytest.mark.parametrize("command", ["prior", "train", "perturb-eval"])
+@pytest.mark.parametrize("key, value, found", [("n_nodes", 7, "10 rate rows"),
+                                               ("bin_ms", 20.0, "bin width 10 ms")])
+def test_records_must_match_the_dataset_manifest(pipeline, tmp_path, capsys,
+                                                 command, key, value, found):
+    capsys.readouterr()
+    code = _run_on_mismatched_dataset(pipeline, tmp_path, command, key, value)
     err = capsys.readouterr().err
     assert code == EXIT_RUNTIME
     assert len(err.strip().splitlines()) == 1, err
     assert f"record 00000_pre has {found}" in err
     assert f"says {key} {value:g}" in err
+
+
+@pytest.mark.parametrize("command", ["prior", "train"])
+def test_refused_input_leaves_no_out_dir(pipeline, tmp_path, command):
+    assert _run_on_mismatched_dataset(pipeline, tmp_path, command, "n_nodes", 7) == EXIT_RUNTIME
+    assert not (tmp_path / "o").exists()
 
 
 def _forecast_with(ckpt_dir, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import simulate_loop
 from sheafcast import neurosim
+from sheafcast.config import default_config
 from sheafcast.errors import InvalidParameterError
 from sheafcast.graphs import generate_small_world
 from sheafcast.neurosim import (LifParams, PerturbationSpec, bin_and_smooth,
@@ -132,6 +135,47 @@ def test_simulate_many_matches_loop_oracle(params, bin_ms, sigma_ms, rate_band):
             np.arange(int(params.duration_ms / bin_ms) + 1) * bin_ms)
     mean_rate = np.mean([r.rates.mean() for r in records])
     assert rate_band[0] <= mean_rate <= rate_band[1] + 1e-9
+
+
+def _default_runs(seed, count):
+    """The runs `sheafcast simulate` steps at config defaults: a pre/post
+    pair per instance on 100 nodes, 2000 ms."""
+    sim = default_config(seed)["simulate"]
+    params = LifParams(**sim["lif"])
+    runs = []
+    for s in range(seed, seed + count):
+        graph = generate_small_world(sim["n_nodes"], sim["small_world_k"],
+                                     sim["small_world_beta"], seed=s)
+        spec = sample_perturbation(params.duration_ms, s, n_nodes=sim["n_nodes"])
+        runs += [(graph, s, None), (graph, s, spec)]
+    return runs, params
+
+
+def test_full_size_pair_matches_loop_oracle():
+    """At full size coincident spikes share targets and the silenced neuron
+    is released with most of the run still to go."""
+    runs, params = _default_runs(7, 1)
+    for (graph, seed, spec), record in zip(runs, simulate_many(runs, params)):
+        assert record.rates.tobytes() == simulate_loop(graph, params, seed, spec).tobytes()
+
+
+def test_simulate_many_memory_stays_near_its_draws():
+    """The module docstring's limit: no temporary outgrows one run's uniform
+    draw. The pipeline-default dataset (2 instances, 4 runs) holds 4 int64
+    background vectors and 4 count matrices, 1.28 MB, before its rates."""
+    runs, params = _default_runs(7, 2)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_many(runs, params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert peak < 1.6 * 2 ** 20, peak
 
 
 @settings(max_examples=12, deadline=None)
