@@ -243,6 +243,8 @@ def cmd_train(args) -> int:
                                 source_id=entry["pre"])
     prior = load_prior_csv(prior_path, cfg["prior"]["lag_order"],
                            cfg["prior"]["top_k"], n_nodes=dataset["n_nodes"])
+    if not windows:
+        raise InvalidParameterError("dataset produced no context windows")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = train(windows, prior, _train_config(cfg),

@@ -288,6 +288,18 @@ def test_refused_input_leaves_no_out_dir(pipeline, tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["prior", "train"])
+def test_empty_dataset_leaves_no_out_dir(pipeline, tmp_path, capsys, command):
+    cfg_path = _write_config(tmp_path, _fast_config(count=0))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == EXIT_OK
+    extra = ["--prior", str(pipeline["prior"] / "prior.csv")] if command == "train" else []
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path), "--data", str(tmp_path / "sim"), *extra,
+                 "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+    assert "no context windows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def _forecast_with(ckpt_dir, tmp_path, capsys):
     """Exit code and stderr of `forecast` from `ckpt_dir/checkpoint`."""
     capsys.readouterr()

