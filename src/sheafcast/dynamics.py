@@ -91,7 +91,8 @@ class Horizon:
     of the field in numpy; while the tape records, the stage keeps its
     input and hidden activation. `node` wraps the RK4 states as one
     (..., n, n_steps) tensor whose backward is the exact discrete adjoint
-    of the RK4 tableau.
+    of the RK4 tableau; it builds every stage's slope 1 - h^2 in one
+    buffer the size of the kept activations, its largest temporary.
 
     Stages are evaluated as `field_batch(x, horizon)`, so every field
     evaluation has one entry point; the bench harness
@@ -141,7 +142,9 @@ class Horizon:
         a_weights = (dt / 2.0, dt / 2.0, dt)
 
         def backward(g):
-            slopes = 1.0 - hidden * hidden         # d tanh / d pre, per stage
+            # d tanh / d pre, per stage, built in one activation-sized buffer
+            slopes = hidden * hidden
+            np.subtract(1.0, slopes, out=slopes)
             # d k / d x of each stage: the field is per node in the state
             g_slope = slopes @ (w2 * p.w1.data[0])
             g_k = np.empty(inputs.shape)
@@ -159,7 +162,8 @@ class Horizon:
                 g_x = g_next
             # d loss / d pre = slopes * g_k * w2; w2 is applied after the sums
             slopes *= g_k[..., None]
-            g_term = slopes.sum(axis=0) * w2
+            g_term = slopes.sum(axis=0)
+            g_term *= w2
             g_wx = (inputs.reshape(-1) @ slopes.reshape(-1, slopes.shape[-1])) * w2
             g_w1 = np.vstack([g_wx, _contract(stalks, g_term)])
             return (g_term @ w_h.T, g_w1, g_term.reshape(-1, g_term.shape[-1]).sum(axis=0),

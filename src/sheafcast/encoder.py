@@ -71,9 +71,12 @@ def encode_all(context, params: LstmParams) -> ad.Tensor:
     through one recurrence, and the whole sequence is one tape node. Each
     step is one (..., n, d + 2) @ (d + 2, 4d) stacked product of the
     step input [h, x_t, 1] with the stacked weights [w_h; w_x; bias], so
-    it stays window-sized. The forward keeps each step's input, gate
-    activations and cell state only while the tape records; the backward
-    runs BPTT over them in one loop.
+    it stays window-sized. While the tape records, the forward keeps each
+    step's gate activations and cell state, and nothing else; the backward
+    runs BPTT over them in one loop, rebuilding tanh(c_t) and the step
+    input h_(t-1) = o_(t-1) * tanh(c_(t-1)) with the forward's own float
+    operations, so the gradients are those of the kept-everything version
+    bit for bit.
     """
     x = context.data if isinstance(context, ad.Tensor) else np.asarray(context, dtype=np.float64)
     if x.ndim not in (2, 3):
@@ -89,31 +92,23 @@ def encode_all(context, params: LstmParams) -> ad.Tensor:
     weights = np.vstack([w_h, params.w_x.data, params.bias.data]) * scale
     rows, t_len = x.shape[:-1], x.shape[-1]
     keep = ad.records(params.w_x, params.w_h, params.bias)
-    # inputs[t] = [h_(t-1), x_t, 1]; kept for every step only while recording
-    inputs = np.empty((t_len + 1 if keep else 1,) + rows + (d + 2,))
-    inputs[..., d + 1] = 1.0
-    inputs[0, ..., :d] = 0.0
+    step = np.empty(rows + (d + 2,))             # [h_(t-1), x_t, 1]
+    step[..., :d] = 0.0
+    step[..., d + 1] = 1.0
     if keep:
-        inputs[:-1, ..., d] = np.moveaxis(x, -1, 0)
         gates = np.empty((t_len,) + rows + (4 * d,))
         cells = np.zeros((t_len + 1,) + rows + (d,))
-        tanh_c = np.empty((t_len,) + rows + (d,))
     c = np.zeros(rows + (d,))
     for t in range(t_len):
-        step = inputs[t] if keep else inputs[0]
-        if not keep:
-            step[..., d] = x[..., t]
+        step[..., d] = x[..., t]
         act = np.matmul(step, weights, out=gates[t] if keep else None)
         np.tanh(act, out=act)
         act *= scale
         act += shift
-        c = act[..., d:2 * d] * c
+        c = np.multiply(act[..., d:2 * d], c, out=cells[t + 1] if keep else None)
         c += act[..., :d] * act[..., 2 * d:3 * d]
-        tc = np.tanh(c, out=tanh_c[t] if keep else None)
-        np.multiply(act[..., 3 * d:], tc, out=inputs[t + 1 if keep else 0, ..., :d])
-        if keep:
-            cells[t + 1] = c
-    h = inputs[-1, ..., :d].copy()
+        np.multiply(act[..., 3 * d:], np.tanh(c), out=step[..., :d])
+    h = step[..., :d].copy()
     if not keep:
         return ad.Tensor(h)
 
@@ -127,8 +122,11 @@ def encode_all(context, params: LstmParams) -> ad.Tensor:
         g_weights = np.zeros(rows[:-1] + (d + 2, 4 * d))
         g_c = np.zeros(rows + (d,))
         g_z = np.empty(rows + (4 * d,))
+        step = np.empty(rows + (d + 2,))
+        step[..., d + 1] = 1.0
+        tc = np.tanh(cells[t_len])
         for t in reversed(range(t_len)):
-            act, tc = gates[t], tanh_c[t]
+            act = gates[t]
             i, f = act[..., :d], act[..., d:2 * d]
             g, o = act[..., 2 * d:3 * d], act[..., 3 * d:]
             g_c += g_h * o * (1.0 - tc * tc)
@@ -139,7 +137,13 @@ def encode_all(context, params: LstmParams) -> ad.Tensor:
             g_z *= 1.0 - act
             g_z *= act + tanh_slope
             g_c *= f
-            g_weights += np.swapaxes(inputs[t], -1, -2) @ g_z
+            step[..., d] = x[..., t]
+            if t:
+                tc = np.tanh(cells[t])
+                np.multiply(gates[t - 1][..., 3 * d:], tc, out=step[..., :d])
+            else:
+                step[..., :d] = 0.0
+            g_weights += np.swapaxes(step, -1, -2) @ g_z
             g_h = g_z @ w_h.T
         g_weights = g_weights.reshape(-1, d + 2, 4 * d).sum(axis=0)
         return g_weights[d:d + 1], g_weights[:d], g_weights[d + 1]

@@ -88,9 +88,6 @@ class PriorGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
-
 
 def generate_small_world(n: int, k: int, beta: float, seed: int) -> BrainGraph:
     """Directed small-world graph: ring lattice plus random rewiring.

@@ -59,13 +59,15 @@ def loss_prior(discrepancies, prior: PriorGraph, edges) -> ad.Tensor:
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     if delta.data.ndim < 2 or delta.data.shape[-2] != len(edges):
         raise ShapeMismatchError("one discrepancy per sheaf edge required")
-    prior_set = prior.edge_set()
-    indicator = np.array([1.0 if (int(s), int(d)) in prior_set else 0.0
-                          for s, d in edges])
+    prior_edges = np.asarray(prior.edges, dtype=np.intp).reshape(-1, 2)
+    # one integer key per edge: source * (largest id + 1) + target
+    base = max(edges.max(initial=-1), prior_edges.max(initial=-1)) + 1
+    sheaf_keys = edges[:, 0] * base + edges[:, 1]
+    prior_keys = prior_edges[:, 0] * base + prior_edges[:, 1]
+    indicator = np.isin(sheaf_keys, prior_keys).astype(np.float64)
     norms = ad.sqrt((delta * delta).sum(axis=-1))
     loss = ad.absolute(norms - indicator).sum(axis=-1).mean()
-    sheaf_set = {(int(s), int(d)) for s, d in edges}
-    missing = sum(1 for e in prior_set if e not in sheaf_set)
+    missing = np.count_nonzero(~np.isin(prior_keys, sheaf_keys))
     return loss + float(missing)
 
 

@@ -186,6 +186,63 @@ def encode_all_composed(context, params):
     return h
 
 
+def encode_all_kept(context, params):
+    """The fused LSTM node that keeps every step's input [h, x_t, 1], gates,
+    cell state and tanh(c) for its backward: `encoder.encode_all` must
+    match it bit for bit, output and gradients."""
+    from sheafcast.encoder import _gate_affine
+
+    x = np.asarray(context, dtype=np.float64)
+    d = params.hidden_dim
+    w_h = params.w_h.data
+    scale, shift = _gate_affine(d)
+    weights = np.vstack([w_h, params.w_x.data, params.bias.data]) * scale
+    rows, t_len = x.shape[:-1], x.shape[-1]
+    inputs = np.empty((t_len + 1,) + rows + (d + 2,))
+    inputs[..., d + 1] = 1.0
+    inputs[0, ..., :d] = 0.0
+    inputs[:-1, ..., d] = np.moveaxis(x, -1, 0)
+    gates = np.empty((t_len,) + rows + (4 * d,))
+    cells = np.zeros((t_len + 1,) + rows + (d,))
+    tanh_c = np.empty((t_len,) + rows + (d,))
+    c = np.zeros(rows + (d,))
+    for t in range(t_len):
+        act = np.matmul(inputs[t], weights, out=gates[t])
+        np.tanh(act, out=act)
+        act *= scale
+        act += shift
+        c = act[..., d:2 * d] * c
+        c += act[..., :d] * act[..., 2 * d:3 * d]
+        tc = np.tanh(c, out=tanh_c[t])
+        np.multiply(act[..., 3 * d:], tc, out=inputs[t + 1, ..., :d])
+        cells[t + 1] = c
+    h = inputs[-1, ..., :d].copy()
+    tanh_slope = 1.0 - shift * 2.0
+
+    def backward(g_h):
+        g_weights = np.zeros(rows[:-1] + (d + 2, 4 * d))
+        g_c = np.zeros(rows + (d,))
+        g_z = np.empty(rows + (4 * d,))
+        for t in reversed(range(t_len)):
+            act, tc = gates[t], tanh_c[t]
+            i, f = act[..., :d], act[..., d:2 * d]
+            g, o = act[..., 2 * d:3 * d], act[..., 3 * d:]
+            g_c += g_h * o * (1.0 - tc * tc)
+            np.multiply(g_c, g, out=g_z[..., :d])
+            np.multiply(g_c, cells[t], out=g_z[..., d:2 * d])
+            np.multiply(g_c, i, out=g_z[..., 2 * d:3 * d])
+            np.multiply(g_h, tc, out=g_z[..., 3 * d:])
+            g_z *= 1.0 - act
+            g_z *= act + tanh_slope
+            g_c *= f
+            g_weights += np.swapaxes(inputs[t], -1, -2) @ g_z
+            g_h = g_z @ w_h.T
+        g_weights = g_weights.reshape(-1, d + 2, 4 * d).sum(axis=0)
+        return g_weights[d:d + 1], g_weights[:d], g_weights[d + 1]
+
+    return ad.node(h, (params.w_x, params.w_h, params.bias), backward)
+
+
 def field_batch_composed(x, stalks, params):
     """The vector field on [x; h] from composed tape ops: (..., n) states
     and (..., n, d) stalks give (..., n, 1)."""
@@ -401,6 +458,20 @@ def top_k_incoming(scores, top_k):
             strengths.append(float(scores[s, d]))
     order = sorted(range(len(edges)), key=lambda i: edges[i])
     return [edges[i] for i in order], [strengths[i] for i in order]
+
+
+def loss_prior_sets(discrepancies, prior, edges):
+    """`training.loss_prior` with the prior indicator and the missing-edge
+    count taken from Python sets of edge tuples."""
+    delta = ad.lift(discrepancies)
+    prior_set = frozenset(prior.edges)
+    indicator = np.array([1.0 if (int(s), int(d)) in prior_set else 0.0
+                          for s, d in edges])
+    norms = ad.sqrt((delta * delta).sum(axis=-1))
+    loss = ad.absolute(norms - indicator).sum(axis=-1).mean()
+    sheaf_set = {(int(s), int(d)) for s, d in edges}
+    missing = sum(1 for e in prior_set if e not in sheaf_set)
+    return loss + float(missing)
 
 
 def per_window_loss(model, windows, prior, lambda1, lambda2):

@@ -175,10 +175,9 @@ def _model_loss(t_ctx, t_hor):
                          ids=["short", "deep"])
 def test_tape_is_freed_without_the_cycle_collector(t_ctx, t_hor):
     # the fused LSTM and RK4 nodes keep their per-step caches in their
-    # backward closures: per LSTM step and (2·3) rows, the gates (4d), c
-    # and tanh c (d each) and the step input [h, x, 1] (d + 2) at d = 4;
-    # per RK4 stage a (2·3, 5) activation and a (2·3,) input
-    cache_bytes = 8 * (t_ctx * 6 * (7 * 4 + 2) + 4 * t_hor * 6 * (5 + 1))
+    # backward closures: per LSTM step and (2·3) rows, the gates (4d) and
+    # c (d) at d = 4; per RK4 stage a (2·3, 5) activation and a (2·3,) input
+    cache_bytes = 8 * (t_ctx * 6 * (5 * 4) + 4 * t_hor * 6 * (5 + 1))
     was_enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()

@@ -1,8 +1,12 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sheafcast.dynamics import (ForecastTrajectory, VectorFieldParams,
-                                rk4_integrate, vector_field)
+from sheafcast import autodiff as ad
+from sheafcast.dynamics import (ForecastTrajectory, Horizon, VectorFieldParams,
+                                rk4_integrate, rk4_states, vector_field)
 from sheafcast.errors import (InvalidParameterError, NonFiniteStateError,
                               ShapeMismatchError)
 
@@ -100,3 +104,38 @@ def test_shape_mismatch_raises():
     params = _zero_field(stalk_dim=3)
     with pytest.raises(ShapeMismatchError):
         vector_field(0.0, np.zeros(5), params)
+
+
+def test_horizon_backward_builds_its_slopes_in_one_block():
+    # pipeline-default's training step: B 5, n 100, d 32, field width 64,
+    # t_hor 10
+    B, n, d, width, t_hor, dt = 5, 100, 32, 64, 10, 0.1
+    rng = np.random.default_rng(15)
+    params = VectorFieldParams.init(d, width, rng)
+    stalks = ad.Tensor(rng.normal(size=(B, n, d)), requires_grad=True)
+    x0 = rng.normal(size=(B, n))
+    block = 8 * 4 * t_hor * B * n * width          # every stage's activation
+    # the other backward arrays: the gradients into and out of the node,
+    # g_k and d k / d x per stage, the stalk term's gradient and the
+    # stalks' gradient
+    window_sized = 8 * B * n * (3 * t_hor + 2 * 4 * t_hor + width + d)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        horizon = Horizon(stalks, params, dt, t_hor)
+        out = horizon.node(rk4_states(lambda _t, x: horizon.stage(x), x0, 0.0, dt, t_hor))
+        del horizon
+        tape = tracemalloc.get_traced_memory()[0] - base
+        loss = (out * out).sum()
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert stalks.grad is not None
+    assert tape >= block
+    assert peak - tape <= block + window_sized + 2 ** 16, (peak - tape, block)

@@ -1,10 +1,15 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sheafcast import autodiff as ad
 from sheafcast.encoder import LstmParams, encode_all, encode_history, raw_stalks
 from sheafcast.errors import ShapeMismatchError
 
-from oracles import finite_difference_grads, lstm_reference, relative_errors
+from oracles import (encode_all_kept, finite_difference_grads, lstm_reference,
+                     relative_errors)
 
 
 def test_zero_parameters_encode_to_zero():
@@ -85,6 +90,54 @@ def test_gradients_match_finite_differences():
     for name, t in tensors.items():
         errs = relative_errors(t.grad, numeric[name])
         assert errs.max() <= 1e-4, f"{name}: {errs.max():.2e}"
+
+
+def _stalks_and_grads(encode, params, ctx, g_out):
+    for t in (params.w_x, params.w_h, params.bias):
+        t.grad = None
+    out = encode(ctx, params)
+    (out * ad.Tensor(g_out)).sum().backward()
+    return out.data, [t.grad.copy() for t in (params.w_x, params.w_h, params.bias)]
+
+
+@pytest.mark.parametrize("shape, d", [((32, 10, 30), 16), ((5, 100, 30), 32),
+                                      ((3, 10, 1), 16), ((10, 1), 16)],
+                         ids=["fixture", "default", "one-step", "one-window"])
+def test_encode_all_equals_the_kept_input_node_bit_for_bit(shape, d):
+    # the backward rebuilds tanh(c) and the step input with the forward's
+    # own float operations, so nothing may differ in the last bit
+    rng = np.random.default_rng(d + shape[-1])
+    params = LstmParams.init(d, rng)
+    ctx = rng.normal(size=shape)
+    g_out = rng.normal(size=shape[:-1] + (d,))
+    got, got_grads = _stalks_and_grads(encode_all, params, ctx, g_out)
+    want, want_grads = _stalks_and_grads(encode_all_kept, params, ctx, g_out)
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert np.array_equal(g, w)
+
+
+def test_encode_tape_keeps_only_gates_and_cells_at_the_default_training_shape():
+    # pipeline-default's training step: B 5, n 100, t_ctx 30, d 32
+    B, n, t_ctx, d = 5, 100, 30, 32
+    rng = np.random.default_rng(14)
+    params = LstmParams.init(d, rng)
+    ctx = rng.normal(size=(B, n, t_ctx))
+    gates = 8 * t_ctx * B * n * 4 * d
+    cells = 8 * (t_ctx + 1) * B * n * d
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        h = encode_all(ctx, params)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert h._backward is not None
+    assert kept <= gates + cells + h.data.nbytes + 2 ** 16, kept
 
 
 def test_shape_errors():

@@ -149,7 +149,7 @@ def test_no_grad_forward_records_nothing_and_keeps_no_cache():
     model = _model(stalk_dim=16, map_dim=4, field_width=32)
     ctx = np.random.default_rng(5).normal(size=(8, 4, 200))
     rows = 8 * 4
-    gate_cache = 200 * rows * (7 * 16 + 2) * 8            # gates, c, tanh c, [h, x, 1]
+    gate_cache = 200 * rows * (5 * 16) * 8                # gates, c
     stage_cache = 4 * 100 * rows * (32 + 1) * 8           # hidden, input
     model.predict(ctx, 100)                               # warm up
     tracemalloc.start()

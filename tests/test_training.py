@@ -14,7 +14,7 @@ from sheafcast.errors import InvalidParameterError
 from sheafcast.graphs import PriorGraph
 from sheafcast.model import ForecastModel, ModelConfig
 
-from oracles import adamw_step_reference, per_window_loss
+from oracles import adamw_step_reference, loss_prior_sets, per_window_loss
 from sheafcast.training import (AdamState, SeriesData, TrainingConfig,
                                 _batch_loss, adamw_step, assign_folds,
                                 baseline_copy_last,
@@ -91,6 +91,31 @@ def test_loss_prior_zero_iff_indicator_matched():
     exact = loss_prior(np.array([[0.6, 0.8], [0.0, 0.0]]), prior,
                        edges=[(0, 1), (1, 0)])
     assert float(exact.data) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, n_edges, n_prior", [(100, 800, 800), (7, 12, 5), (3, 0, 2),
+                                                  (4, 3, 0)])
+def test_loss_prior_equals_the_set_membership_version(n, n_edges, n_prior):
+    # half the prior edges are sheaf edges, so both the indicator and the
+    # missing-edge count have ones and zeros
+    rng = np.random.default_rng(n)
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+    picked = rng.permutation(len(pairs))
+    sheaf = [pairs[i] for i in picked[:n_edges]]
+    shared = min(n_prior // 2, n_edges)
+    prior_edges = sorted([pairs[i] for i in picked[:shared]]
+                         + [pairs[i] for i in picked[n_edges:n_edges + n_prior - shared]])
+    prior = PriorGraph(edges=tuple(prior_edges), scores=(1.0,) * len(prior_edges),
+                       lag_order=3, top_k=n, n_nodes=n)
+    delta = rng.normal(size=(5, n_edges, 4))
+    got_delta = ad.Tensor(delta, requires_grad=True)
+    want_delta = ad.Tensor(delta, requires_grad=True)
+    got = loss_prior(got_delta, prior, sheaf)
+    want = loss_prior_sets(want_delta, prior, sheaf)
+    assert np.array_equal(got.data, want.data)
+    got.backward()
+    want.backward()
+    assert np.array_equal(got_delta.grad, want_delta.grad)
 
 
 def test_total_loss_weighted_sum_and_linearity():
