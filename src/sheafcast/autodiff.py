@@ -2,9 +2,11 @@
 
 A small tape-based engine: ``Tensor`` wraps a float64 ndarray, every
 operation records a backward closure, and ``Tensor.backward()`` walks the
-tape in reverse topological order accumulating gradients. Float64 is used
-throughout so analytic gradients can be checked against central finite
-differences at tight tolerances.
+tape in reverse topological order accumulating gradients. Backward consumes
+the tape: each closure, and the arrays it keeps, is dropped as soon as it
+has run, so a graph can be backpropagated once; a second ``backward()``
+through it raises. Float64 is used throughout so analytic gradients can be
+checked against central finite differences at tight tolerances.
 
 Only the operations the forecasting pipeline needs are implemented:
 addition, subtraction and multiplication with broadcasting, matmul, sum,
@@ -23,6 +25,13 @@ import numpy as np
 from .errors import ShapeMismatchError
 
 _grad_enabled = True
+
+_SPENT = "backward() through a graph that was already backpropagated"
+
+
+def _spent(_g):
+    """The backward of a node whose own backward has already run."""
+    raise RuntimeError(_SPENT)
 
 
 @contextlib.contextmanager
@@ -81,8 +90,12 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self, grad=None) -> None:
-        """Backpropagate from this tensor into the `.grad` of its leaves;
-        a second call on the same graph adds the same amount again.
+        """Backpropagate from this tensor into the `.grad` of its leaves.
+
+        Each recorded node's backward closure is released once it has run,
+        with the arrays it keeps, so a graph is backpropagated once: a
+        second call through any node of it raises before any `.grad`
+        changes. A leaf accumulates over separately built graphs.
 
         A leaf's first gradient is stored without a copy, so `.grad` may be
         a read-only view or share memory with another leaf's `.grad`: read
@@ -105,6 +118,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _spent:
+                raise RuntimeError(_SPENT)
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -119,7 +134,9 @@ class Tensor:
             if node._backward is None:          # a leaf
                 node.grad = g if node.grad is None else node.grad + g
                 continue
-            for p, pg in zip(node._parents, node._backward(g)):
+            parent_grads = node._backward(g)
+            node._backward = _spent             # frees what the closure kept
+            for p, pg in zip(node._parents, parent_grads):
                 if pg is not None and p.requires_grad:
                     pg = _unbroadcast(pg, p.data.shape)
                     grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg

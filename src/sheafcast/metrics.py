@@ -93,7 +93,8 @@ def _dtw_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise InvalidParameterError("sequences must be non-empty")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise InvalidParameterError("sequences must be finite")
-    cost = a.T[:, None, :] - b.T[None, :, :]                  # (n, m, rows)
+    # C-ordered whatever the inputs' layout, so every layer reads contiguous rows
+    cost = np.subtract(a.T[:, None, :], b.T[None, :, :], order="C")   # (n, m, rows)
     np.abs(cost, out=cost)
     if n == 1 and m == 1:
         return cost[0, 0]

@@ -409,8 +409,9 @@ def train(windows, prior: PriorGraph, config: TrainingConfig,
                         f"batch starting at {b_start}")
                 batch_loss.backward()
                 epoch_losses.append(float(batch_loss.data))
-                # the loss holds the whole tape: free it, and the gradients,
-                # before the next forward
+                # backward() has dropped every node's kept arrays; the loss
+                # still holds the nodes' outputs: free them, and the
+                # gradients, before the next forward
                 del batch_loss
                 adamw_step(params, {k: p.grad for k, p in params.items()},
                            state, lr, config.weight_decay)

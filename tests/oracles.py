@@ -253,6 +253,49 @@ def field_batch_composed(x, stalks, params):
     return hidden @ params.w2 + params.b2
 
 
+def horizon_node_slopes_buffer(horizon, states):
+    """`Horizon.node` with a backward that builds every stage's slope
+    1 - h^2 in a buffer of its own, the size of the kept activations, and
+    leaves the activations as they are. `Horizon.node` builds the slopes in
+    the activations themselves and must match it bit for bit."""
+    from sheafcast.dynamics import _contract
+
+    values = np.stack(states, axis=-1)
+    p = horizon.params
+    dt, (*rows, n_steps), w2 = horizon.dt, values.shape, p.w2.data[:, 0]
+    inputs, hidden, stalks = horizon.inputs, horizon.hidden, horizon.stalks.data
+    w_h = p.w1.data[1:]
+    b_weights = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
+    a_weights = (dt / 2.0, dt / 2.0, dt)
+
+    def backward(g):
+        slopes = hidden * hidden
+        np.subtract(1.0, slopes, out=slopes)
+        g_slope = slopes @ (w2 * p.w1.data[0])
+        g_k = np.empty(inputs.shape)
+        g_x = np.zeros(rows)
+        for step in reversed(range(n_steps)):
+            g_x = g_x + g[..., step]
+            g_next = g_x
+            for j in (3, 2, 1, 0):
+                s = 4 * step + j
+                g_k[s] = b_weights[j] * g_x
+                if j < 3:
+                    g_k[s] += a_weights[j] * g_in
+                g_in = g_slope[s] * g_k[s]
+                g_next = g_next + g_in
+            g_x = g_next
+        slopes *= g_k[..., None]
+        g_term = slopes.sum(axis=0)
+        g_term *= w2
+        g_wx = (inputs.reshape(-1) @ slopes.reshape(-1, slopes.shape[-1])) * w2
+        g_w1 = np.vstack([g_wx, _contract(stalks, g_term)])
+        return (g_term @ w_h.T, g_w1, g_term.reshape(-1, g_term.shape[-1]).sum(axis=0),
+                _contract(hidden, g_k[..., None]), g_k.reshape(-1).sum(keepdims=True))
+
+    return ad.node(values, (horizon.stalks, p.w1, p.b1, p.w2, p.b2), backward)
+
+
 def forward_composed(model, context, t_hor):
     """`ForecastModel.forward` with the encoder, the message pass and the
     RK4 horizon unrolled op by op: the LSTM on B·n rows, every sheaf round

@@ -1,7 +1,5 @@
 """Engine-level gradient checks against central finite differences."""
 
-import gc
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -173,33 +171,29 @@ def _model_loss(t_ctx, t_hor):
 
 @pytest.mark.parametrize("t_ctx, t_hor", [(6, 3), (200, 100)],
                          ids=["short", "deep"])
-def test_tape_is_freed_without_the_cycle_collector(t_ctx, t_hor):
+def test_tape_is_freed_without_the_cycle_collector(t_ctx, t_hor, traced_memory):
     # the fused LSTM and RK4 nodes keep their per-step caches in their
     # backward closures: per LSTM step and (2·3) rows, the gates (4d) and
-    # c (d) at d = 4; per RK4 stage a (2·3, 5) activation and a (2·3,) input
+    # c (d) at d = 4; per RK4 stage a (2·3, 5) activation and a (2·3,) input.
+    # backward() drops each closure once it has run and `del loss` drops
+    # the nodes' outputs; the gradients are not part of the tape
     cache_bytes = 8 * (t_ctx * 6 * (5 * 4) + 4 * t_hor * 6 * (5 + 1))
-    was_enabled = gc.isenabled()
-    gc.disable()
-    tracemalloc.start()
-    try:
-        model, loss = _model_loss(t_ctx, t_hor)
-        refs = _tape_refs(loss)
-        for leaf in (model.lstm.w_h, model.vfield.w2):     # both fused nodes
-            assert any(any(p is leaf for p in r()._parents) for r in refs)
-        loss.backward()
-        assert all(p.grad is not None for p in model.parameters().values())
-        held, _ = tracemalloc.get_traced_memory()
-        del loss
-        assert all(r() is None for r in refs)
-        freed = held - tracemalloc.get_traced_memory()[0]
-        assert freed >= cache_bytes, (freed, cache_bytes)
-    finally:
-        tracemalloc.stop()
-        if was_enabled:
-            gc.enable()
+    model, loss = _model_loss(t_ctx, t_hor)
+    built, _ = traced_memory()
+    refs = _tape_refs(loss)
+    for leaf in (model.lstm.w_h, model.vfield.w2):     # both fused nodes
+        assert any(any(p is leaf for p in r()._parents) for r in refs)
+    loss.backward()
+    assert all(p.grad is not None for p in model.parameters().values())
+    del loss
+    assert all(r() is None for r in refs)
+    for p in model.parameters().values():
+        p.grad = None
+    freed = built - traced_memory()[0]
+    assert freed >= cache_bytes, (freed, cache_bytes)
 
 
-def test_second_backward_accumulates_the_same_gradient_again():
+def test_second_backward_through_a_spent_graph_raises():
     rng = np.random.default_rng(8)
     a = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     b = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
@@ -207,17 +201,19 @@ def test_second_backward_accumulates_the_same_gradient_again():
     loss = (hidden * hidden).sum() + a.sum()
     loss.backward()
     first = a.grad.copy(), b.grad.copy()
-    loss.backward()
-    np.testing.assert_array_equal(a.grad, 2.0 * first[0])
-    np.testing.assert_array_equal(b.grad, 2.0 * first[1])
-    # one `+` hands the same gradient array to both of its leaves
+    for again in (loss, loss * 2.0 + b.sum()):       # the root or a node under it
+        with pytest.raises(RuntimeError) as raised:
+            again.backward()
+        assert str(raised.value) == ("backward() through a graph that was "
+                                     "already backpropagated")
+        np.testing.assert_array_equal(a.grad, first[0])
+        np.testing.assert_array_equal(b.grad, first[1])
+    # one `+` hands the same gradient array to both of its leaves: a second,
+    # separately built graph over them adds to each leaf's .grad on its own
     c = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     d = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    total = c + d
-    loss = (total * total).sum()
-    loss.backward()
-    np.testing.assert_array_equal(c.grad, 2.0 * total.data)
-    np.testing.assert_array_equal(d.grad, 2.0 * total.data)
-    loss.backward()
-    np.testing.assert_array_equal(c.grad, 4.0 * total.data)
-    np.testing.assert_array_equal(d.grad, 4.0 * total.data)
+    for times in (2.0, 4.0):
+        total = c + d
+        (total * total).sum().backward()
+        np.testing.assert_array_equal(c.grad, times * total.data)
+        np.testing.assert_array_equal(d.grad, times * total.data)

@@ -1,4 +1,3 @@
-import gc
 import tracemalloc
 
 import numpy as np
@@ -9,6 +8,8 @@ from sheafcast.dynamics import (ForecastTrajectory, Horizon, VectorFieldParams,
                                 rk4_integrate, rk4_states, vector_field)
 from sheafcast.errors import (InvalidParameterError, NonFiniteStateError,
                               ShapeMismatchError)
+
+from oracles import horizon_node_slopes_buffer
 
 
 def _zero_field(stalk_dim=3, width=4):
@@ -106,7 +107,34 @@ def test_shape_mismatch_raises():
         vector_field(0.0, np.zeros(5), params)
 
 
-def test_horizon_backward_builds_its_slopes_in_one_block():
+@pytest.mark.parametrize("rows, d, width, t_hor", [
+    ((32, 10), 16, 32, 10),         # the acceptance fixture's training step
+    ((5, 100), 32, 64, 10),         # pipeline-default's training step
+    ((4,), 3, 5, 1),                # one unbatched window, one RK4 step
+], ids=["fixture", "default", "t_hor-1"])
+def test_horizon_backward_matches_the_slopes_buffer_oracle_bit_for_bit(rows, d, width,
+                                                                      t_hor):
+    dt = 0.1
+    rng = np.random.default_rng(16)
+    params = VectorFieldParams.init(d, width, rng)
+    stalks = ad.Tensor(rng.normal(size=rows + (d,)), requires_grad=True)
+    x0 = rng.normal(size=rows)
+    weights = rng.normal(size=rows + (t_hor,))
+    leaves = (stalks, params.w1, params.b1, params.w2, params.b2)
+    grads = []
+    for build in (Horizon.node, horizon_node_slopes_buffer):
+        horizon = Horizon(stalks, params, dt, t_hor)
+        out = build(horizon, rk4_states(lambda _t, x: horizon.stage(x), x0, 0.0, dt,
+                                        t_hor))
+        (out * out * weights).sum().backward()
+        grads.append([t.grad for t in leaves])
+        for t in leaves:
+            t.grad = None
+    for got, want in zip(*grads):
+        assert np.array_equal(got, want)
+
+
+def test_horizon_backward_builds_its_slopes_in_the_kept_activations(traced_memory):
     # pipeline-default's training step: B 5, n 100, d 32, field width 64,
     # t_hor 10
     B, n, d, width, t_hor, dt = 5, 100, 32, 64, 10, 0.1
@@ -115,27 +143,21 @@ def test_horizon_backward_builds_its_slopes_in_one_block():
     stalks = ad.Tensor(rng.normal(size=(B, n, d)), requires_grad=True)
     x0 = rng.normal(size=(B, n))
     block = 8 * 4 * t_hor * B * n * width          # every stage's activation
-    # the other backward arrays: the gradients into and out of the node,
-    # g_k and d k / d x per stage, the stalk term's gradient and the
-    # stalks' gradient
+    # the backward's own arrays: the window-sized gradients into and out of
+    # the node, g_k and as much again for the per-stage products, the stalk
+    # term's gradient and the stalks' gradient, and one stage's
+    # (B, n, width) slope
     window_sized = 8 * B * n * (3 * t_hor + 2 * 4 * t_hor + width + d)
-    was_enabled = gc.isenabled()
-    gc.disable()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        horizon = Horizon(stalks, params, dt, t_hor)
-        out = horizon.node(rk4_states(lambda _t, x: horizon.stage(x), x0, 0.0, dt, t_hor))
-        del horizon
-        tape = tracemalloc.get_traced_memory()[0] - base
-        loss = (out * out).sum()
-        tracemalloc.reset_peak()
-        loss.backward()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-        if was_enabled:
-            gc.enable()
+    stage = 8 * B * n * width
+    traced_memory.rebase()
+    horizon = Horizon(stalks, params, dt, t_hor)
+    out = horizon.node(rk4_states(lambda _t, x: horizon.stage(x), x0, 0.0, dt, t_hor))
+    del horizon
+    tape, _ = traced_memory()
+    loss = (out * out).sum()
+    tracemalloc.reset_peak()
+    loss.backward()
+    _, peak = traced_memory()
     assert stalks.grad is not None
     assert tape >= block
-    assert peak - tape <= block + window_sized + 2 ** 16, (peak - tape, block)
+    assert peak - tape <= window_sized + stage + 2 ** 16, (peak - tape, block)

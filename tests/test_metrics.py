@@ -141,6 +141,17 @@ def test_batched_dtw_at_the_forecast_long_shape():
     _assert_rows_match_oracle(rng.normal(size=(100, 50)), rng.normal(size=(100, 50)))
 
 
+def test_batched_dtw_does_not_depend_on_memory_order():
+    # forecasts reach `evaluate` C-ordered, the CSVs `metrics` reads come
+    # back Fortran-ordered
+    rng = np.random.default_rng(16)
+    a, b = rng.normal(size=(100, 50)), rng.normal(size=(100, 40))
+    want = _dtw_rows(a, b)
+    for a_, b_ in ((np.asfortranarray(a), np.asfortranarray(b)),
+                   (a, np.asfortranarray(b)), (np.asfortranarray(a), b)):
+        assert np.array_equal(_dtw_rows(a_, b_), want)
+
+
 def test_batched_dtw_rejects_bad_rows():
     rng = np.random.default_rng(15)
     a, b = rng.normal(size=(6, 5)), rng.normal(size=(6, 4))

@@ -11,7 +11,7 @@ from sheafcast import autodiff as ad
 from sheafcast import training
 from sheafcast.data import make_windows
 from sheafcast.errors import InvalidParameterError
-from sheafcast.graphs import PriorGraph
+from sheafcast.graphs import PriorGraph, generate_small_world
 from sheafcast.model import ForecastModel, ModelConfig
 
 from oracles import adamw_step_reference, loss_prior_sets, per_window_loss
@@ -268,6 +268,55 @@ def test_a_training_step_runs_no_unbuffered_scatter():
     finally:
         sys.setprofile(None)
     assert not seen, seen
+
+
+def _recorded_outputs(root):
+    """Bytes of the outputs of every recorded (non-leaf) node under `root`."""
+    total, seen, stack = 0, set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        total += node.data.nbytes
+        stack.extend(node._parents)
+    return total
+
+
+def test_a_training_step_frees_each_node_once_its_backward_has_run(traced_memory):
+    # pipeline-default's training step: B 5, n 100 (small world k 8),
+    # t_ctx 30, d = m = 32, field width 64, t_hor 10
+    B, n, t_ctx, d, width, t_hor = 5, 100, 30, 32, 64, 10
+    graph = generate_small_world(n, 8, 0.1, seed=3)
+    model = ForecastModel.init(graph.edges, n, ModelConfig(stalk_dim=d, field_width=width),
+                               seed=1)
+    rng = np.random.default_rng(17)
+    context, target = rng.normal(size=(B, n, t_ctx)), rng.normal(size=(B, n, t_hor))
+    config, prior = TrainingConfig(), _toy_prior(n)
+
+    def step_loss():
+        pred, delta = model.forward(context, t_hor)
+        return total_loss(pred, target, delta, prior, config.lambda1,
+                          config.lambda2, model.sheaf.edges)
+
+    step_loss().backward()      # modules the first step imports stay held
+    for p in model.parameters().values():
+        p.grad = None
+    traced_memory.rebase()
+    loss = step_loss()
+    tape, _ = traced_memory()
+    outputs = _recorded_outputs(loss)
+    tracemalloc.reset_peak()
+    loss.backward()
+    held, peak = traced_memory()
+    # one Horizon activation block, every RK4 stage's (B, n, width) tanh
+    block = 8 * 4 * t_hor * B * n * width
+    assert peak - tape < block, (peak - tape, block)
+    # what backward() leaves held is the gradients and the recorded nodes'
+    # outputs (the loss still refers to them); every kept activation, gate
+    # and cell state has gone with its node's backward closure
+    grads = sum(p.grad.nbytes for p in model.parameters().values())
+    assert held <= grads + outputs + 2 ** 16, (held, grads, outputs)
 
 
 def test_training_is_deterministic(tmp_path):
