@@ -7,8 +7,7 @@ channels degrade gracefully.
 
 import numpy as np
 
-from sheafcast import generate_small_world, granger_prior
-from sheafcast.graphs import granger_score_matrix
+from sheafcast import generate_small_world, granger_score_matrix, prior_from_scores
 
 graph = generate_small_world(n=100, k=8, beta=0.1, seed=7)
 print(f"small-world graph: {graph.n_nodes} nodes, {graph.n_edges} directed edges")
@@ -28,9 +27,10 @@ scores = granger_score_matrix(context, lag_order=3)
 print(f"\nscore(driver 1 -> 0) = {scores[1, 0]:.3f}")
 print(f"score(reverse 0 -> 1) = {scores[0, 1]:.3f}")
 
-prior = granger_prior(context, lag_order=3, top_k=1)
+prior = prior_from_scores(scores, lag_order=3, top_k=1)
 print(f"prior keeps the top edge per node: {prior.edges}")
 
 flat = np.vstack([np.ones(t_len), 2.0 * np.ones(t_len)])
-degenerate = granger_prior(flat, lag_order=3, top_k=1)
+degenerate = prior_from_scores(granger_score_matrix(flat, lag_order=3),
+                               lag_order=3, top_k=1)
 print(f"\nconstant channels never crash; scores = {degenerate.scores}")

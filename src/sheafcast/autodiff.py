@@ -8,12 +8,13 @@ has run, so a graph can be backpropagated once; a second ``backward()``
 through it raises. Float64 is used throughout so analytic gradients can be
 checked against central finite differences at tight tolerances.
 
-Only the operations the forecasting pipeline needs are implemented:
-addition, subtraction and multiplication with broadcasting, matmul, sum,
-mean and reshape, basic slicing, sigmoid, absolute value and a
-gradient-safe sqrt. An op computed outside the tape, such as the whole
-LSTM sequence, the whole sheaf message pass or the whole RK4 horizon,
-enters it as one node through `node`, with a hand-written backward.
+The pipeline uses addition, subtraction and multiplication with
+broadcasting, sum, mean, sigmoid, absolute value and a gradient-safe sqrt.
+An op computed outside the tape, such as the whole LSTM sequence, the
+whole sheaf message pass or the whole RK4 horizon, enters it as one node
+through `node`, with a hand-written backward. Matmul (`@`), `reshape` and
+slicing have no pipeline caller: they serve the composed-op oracles the
+tests check those fused nodes against.
 """
 
 from __future__ import annotations

@@ -367,10 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sheaf message passing + neural ODE forecasting pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="run configuration JSON")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("simulate", help="generate spiking-network records")
     common(p)
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("forecast", help="forecast saved windows")
-    common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--checkpoint", required=True, help="checkpoint prefix")
     p.add_argument("--windows", required=True, help="windows manifest JSON")
     p.set_defaults(func=cmd_forecast)
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_perturb_eval)
 
     p = sub.add_parser("metrics", help="score forecast CSVs against targets")
-    common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--forecasts", required=True)
     p.add_argument("--targets", required=True)
     p.set_defaults(func=cmd_metrics)

@@ -180,15 +180,11 @@ class Horizon:
         return ad.node(values, (self.stalks, p.w1, p.b1, p.w2, p.b2), backward)
 
 
-def vector_field(x_i: float, h_i, params: VectorFieldParams) -> float:
-    """Scalar derivative for a single node."""
-    with ad.no_grad():
-        horizon = Horizon(np.asarray(h_i, dtype=np.float64)[None, :], params, 1.0, 1)
-        return float(field_batch(np.array([float(x_i)]), horizon)[0])
-
-
 def rk4_step(f, t: float, x, dt: float):
-    """One classical RK4 step; works on ndarrays and Tensors alike."""
+    """One classical RK4 step; works on ndarrays and Tensors alike.
+
+    The pipeline steps ndarrays (`Horizon` records the tape node); the
+    Tensor path serves the composed-op oracles of the tests."""
     k1 = f(t, x)
     k2 = f(t + dt / 2.0, x + (dt / 2.0) * k1)
     k3 = f(t + dt / 2.0, x + (dt / 2.0) * k2)

@@ -154,14 +154,6 @@ def encode_all(context, params: LstmParams) -> ad.Tensor:
     return ad.node(h, (params.w_x, params.w_h, params.bias), backward)
 
 
-def encode_history(x, params: LstmParams) -> ad.Tensor:
-    """Encode a single scalar sequence; returns the final hidden state (d,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeMismatchError("encode_history expects a 1-D sequence")
-    return encode_all(x[None, :], params).reshape(params.hidden_dim)
-
-
 def raw_stalks(context: np.ndarray, hidden_dim: int) -> np.ndarray:
     """Encoder-ablation stalks: the raw window (or window stack) fitted to
     length d.

@@ -25,10 +25,6 @@ class InfeasiblePlacementError(SheafcastError):
     """A perturbation-straddling window cannot be placed inside the series."""
 
 
-class UnknownEdgeError(SheafcastError):
-    """The requested edge is not part of the working graph."""
-
-
 class MissingEdgeParametersError(SheafcastError):
     """Sheaf parameters do not cover every edge of the working graph."""
 

@@ -145,21 +145,15 @@ def _ridge_rss(design: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
     return (resid * resid).sum(axis=(1, 2))
 
 
-def granger_prior(context: np.ndarray, lag_order: int = 3, top_k: int = 8,
-                  ridge: float = 1e-6) -> PriorGraph:
-    """Pairwise Granger prior over a context block (never sees the horizon).
-
-    Channels are standardized internally, which makes the scores invariant
-    under per-channel affine rescaling and lets constant channels degrade
-    to a zero score instead of a singular solve.
-    """
-    scores = granger_score_matrix(context, lag_order, ridge)
-    return prior_from_scores(scores, lag_order=lag_order, top_k=top_k)
-
-
 def granger_score_matrix(context: np.ndarray, lag_order: int = 3,
                          ridge: float = 1e-6) -> np.ndarray:
-    """Matrix S with S[source, target] = Granger score of source -> target."""
+    """Matrix S with S[source, target] = Granger score of source -> target,
+    from a context block only (never the horizon).
+
+    Rows are standardized first, so the scores are invariant under
+    per-channel affine rescaling, and a constant channel scores 0 instead
+    of making the solve singular.
+    """
     context = np.asarray(context, dtype=np.float64)
     if context.ndim != 2:
         raise InvalidParameterError("context must be a 2-D (nodes x time) matrix")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import (InvalidParameterError, MissingEdgeParametersError,
-                     ShapeMismatchError, UnknownEdgeError)
+                     ShapeMismatchError)
 from .graphs import check_edges
 
 
@@ -99,64 +99,6 @@ class SheafParameters:
     def degrees(self) -> np.ndarray:
         return (np.bincount(self.edges[:, 0], minlength=self.n_nodes)
                 + np.bincount(self.edges[:, 1], minlength=self.n_nodes)).astype(np.float64)
-
-
-@dataclass
-class EdgeDiscrepancy:
-    """Single-edge discrepancy with the gates that produced it."""
-
-    delta: np.ndarray
-    alpha_src: float
-    alpha_dst: float
-
-
-def edge_project(h, rho):
-    """Transport a stalk vector into the edge space: rho @ h."""
-    h = ad.lift(h)
-    rho = ad.lift(rho)
-    if rho.data.ndim != 2 or h.data.ndim != 1 or rho.data.shape[1] != h.data.shape[0]:
-        raise ShapeMismatchError(
-            f"edge_project: map {rho.data.shape} incompatible with stalk {h.data.shape}")
-    return (rho @ h.reshape(-1, 1)).reshape(rho.data.shape[0])
-
-
-def attention_coeffs(h_src_proj, h_dst_proj, a):
-    """Logistic gates sigma(a^T h) for both projected endpoints."""
-    a = ad.lift(a)
-    h_src_proj, h_dst_proj = ad.lift(h_src_proj), ad.lift(h_dst_proj)
-    if h_src_proj.data.shape != a.data.shape or h_dst_proj.data.shape != a.data.shape:
-        raise ShapeMismatchError("projected stalks must match the attention vector")
-    col = a.reshape(-1, 1)
-    alpha_src = ad.sigmoid(h_src_proj.reshape(1, -1) @ col).reshape(())
-    alpha_dst = ad.sigmoid(h_dst_proj.reshape(1, -1) @ col).reshape(())
-    return alpha_src, alpha_dst
-
-
-def edge_discrepancy(edge, H, params: SheafParameters) -> EdgeDiscrepancy:
-    """Gated discrepancy of one stored edge, evaluated in plain numpy."""
-    edge = (int(edge[0]), int(edge[1]))
-    matches = np.flatnonzero((params.edges[:, 0] == edge[0])
-                             & (params.edges[:, 1] == edge[1]))
-    if len(matches) == 0:
-        raise UnknownEdgeError(f"edge {edge} not in the working graph")
-    k = int(matches[0])
-    h = H.data if isinstance(H, ad.Tensor) else np.asarray(H, dtype=np.float64)
-    proj_s = params.rho_src.data[k] @ h[edge[0]]
-    proj_d = params.rho_dst.data[k] @ h[edge[1]]
-    a = params.attention.data
-    alpha_s, alpha_d = map(float, ad.sigmoid(np.array([a @ proj_s, a @ proj_d])).data)
-    return EdgeDiscrepancy(delta=alpha_s * proj_s - alpha_d * proj_d,
-                           alpha_src=alpha_s, alpha_dst=alpha_d)
-
-
-def _check_graph(params: SheafParameters, graph) -> None:
-    if graph is None:
-        return
-    stored = {tuple(e) for e in params.edges}
-    wanted = set(graph.edges)
-    if stored != wanted or params.n_nodes != graph.n_nodes:
-        raise MissingEdgeParametersError(
-            "sheaf parameters do not cover the working graph's edge set")
 
 
 # edges per GEMM block in `_outer_sum`: 1 MB of output at m = d = 32
@@ -259,8 +201,7 @@ def _discrepancies(H, params: SheafParameters, alpha_override) -> ad.Tensor:
     return ad.Tensor(_windows_first(delta, h.shape[:-2]))
 
 
-def sheaf_laplacian_apply(H, params: SheafParameters, graph=None,
-                          alpha_override=None) -> ad.Tensor:
+def sheaf_laplacian_apply(H, params: SheafParameters, alpha_override=None) -> ad.Tensor:
     """Apply the learnable sheaf Laplacian to an (n, d) stalk matrix or a
     (..., n, d) stack of them. It runs the kernel of one `message_pass`
     round and is not recorded on the tape.
@@ -268,7 +209,6 @@ def sheaf_laplacian_apply(H, params: SheafParameters, graph=None,
     `alpha_override` pins every gate to a constant, bypassing the sigmoid
     (used by the positive-semidefiniteness checks with alpha = 1).
     """
-    _check_graph(params, graph)
     h = _stalk_data(H, params)
     delta, _ = _project(_windows_last(h), params, alpha_override)
     return ad.Tensor(_windows_first(_pull(delta, params), h.shape[:-2]))

@@ -386,6 +386,21 @@ def test_threads_flag_is_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--config", "/nonexistent.json"], ["--seed", "7"]],
+                         ids=["config", "seed"])
+@pytest.mark.parametrize("command", [
+    ["forecast", "--checkpoint", "ck", "--windows", "w.json"],
+    ["metrics", "--forecasts", "f", "--targets", "t"],
+], ids=["forecast", "metrics"])
+def test_commands_without_a_config_refuse_config_and_seed(command, flag, tmp_path):
+    # forecast and metrics read no config, so a --config or --seed given to
+    # them would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(command + flag + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_schema_violations_exit_2(tmp_path):
     bad = {"seed": 1, "simulate": {"banana": 3}}
     path = _write_config(tmp_path, bad)

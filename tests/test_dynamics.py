@@ -5,7 +5,7 @@ import pytest
 
 from sheafcast import autodiff as ad
 from sheafcast.dynamics import (ForecastTrajectory, Horizon, VectorFieldParams,
-                                rk4_integrate, rk4_states, vector_field)
+                                rk4_integrate, rk4_states)
 from sheafcast.errors import (InvalidParameterError, NonFiniteStateError,
                               ShapeMismatchError)
 
@@ -20,9 +20,16 @@ def _zero_field(stalk_dim=3, width=4):
     return params
 
 
+def _field(x, h, params):
+    """The field at one node's state x and stalk h: one RK4 stage."""
+    with ad.no_grad():
+        horizon = Horizon(np.asarray(h, dtype=np.float64)[None, :], params, 1.0, 1)
+        return float(horizon.stage(np.array([x]))[0])
+
+
 def test_zero_weights_zero_derivative():
     params = _zero_field()
-    assert vector_field(1.7, np.array([1.0, -2.0, 0.5]), params) == 0.0
+    assert _field(1.7, [1.0, -2.0, 0.5], params) == 0.0
 
 
 def test_constructed_negative_feedback_field():
@@ -30,12 +37,12 @@ def test_constructed_negative_feedback_field():
     params = _zero_field(stalk_dim=2, width=1)
     params.w1.data[0, 0] = 1.0      # picks up x from [x; h]
     params.w2.data[0, 0] = -1.0
-    out = vector_field(0.0, np.zeros(2), params)
+    out = _field(0.0, np.zeros(2), params)
     assert out == 0.0
     # for small x, tanh(x) ~ x so the field is approximately -x
-    small = vector_field(1e-4, np.zeros(2), params)
+    small = _field(1e-4, np.zeros(2), params)
     np.testing.assert_allclose(small, -1e-4, rtol=1e-6)
-    exact = vector_field(1.0, np.zeros(2), params)
+    exact = _field(1.0, np.zeros(2), params)
     np.testing.assert_allclose(exact, -np.tanh(1.0), rtol=1e-12)
 
 
@@ -104,7 +111,7 @@ def test_trajectory_invariants():
 def test_shape_mismatch_raises():
     params = _zero_field(stalk_dim=3)
     with pytest.raises(ShapeMismatchError):
-        vector_field(0.0, np.zeros(5), params)
+        _field(0.0, np.zeros(5), params)
 
 
 @pytest.mark.parametrize("rows, d, width, t_hor", [

@@ -5,34 +5,39 @@ import numpy as np
 import pytest
 
 from sheafcast import autodiff as ad
-from sheafcast.encoder import LstmParams, encode_all, encode_history, raw_stalks
+from sheafcast.encoder import LstmParams, encode_all, raw_stalks
 from sheafcast.errors import ShapeMismatchError
 
 from oracles import (encode_all_kept, finite_difference_grads, lstm_reference,
                      relative_errors)
 
 
+def _encode_row(x, params):
+    """The stalk of one scalar sequence: a (1, T) context, (1, d) stalks."""
+    return encode_all(np.asarray(x, dtype=np.float64)[None, :], params)
+
+
 def test_zero_parameters_encode_to_zero():
     params = LstmParams.zeros(4)
-    out = encode_history(np.array([1.0, -2.0, 3.0]), params)
-    np.testing.assert_array_equal(out.data, np.zeros(4))
+    out = _encode_row([1.0, -2.0, 3.0], params)
+    np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
 
 def test_scalar_hand_trace_single_step():
     # d=1, unit input weights, zero recurrents and biases, x=[1]
     params = LstmParams.zeros(1)
     params.w_x.data[:] = 1.0
-    out = encode_history(np.array([1.0]), params)
+    out = _encode_row([1.0], params)
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     expected = sig(1.0) * np.tanh(sig(1.0) * np.tanh(1.0))
-    np.testing.assert_allclose(out.data, [expected], rtol=1e-12)
+    np.testing.assert_allclose(out.data, [[expected]], rtol=1e-12)
 
 
 def test_matches_plain_loop_reference():
     rng = np.random.default_rng(0)
     params = LstmParams.init(5, rng)
     x = rng.normal(size=12)
-    got = encode_history(x, params).data
+    got = _encode_row(x, params).data[0]
     want = lstm_reference(x, params.w_x.data, params.w_h.data, params.bias.data)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -43,9 +48,9 @@ def test_constant_input_converges_for_contractive_draw():
     for t in (params.w_x, params.w_h, params.bias):
         t.data *= 0.5
     x = np.ones(64)
-    h_16 = encode_history(x[:16], params).data
-    h_32 = encode_history(x[:32], params).data
-    h_64 = encode_history(x, params).data
+    h_16 = _encode_row(x[:16], params).data
+    h_32 = _encode_row(x[:32], params).data
+    h_64 = _encode_row(x, params).data
     assert np.linalg.norm(h_64 - h_32) < np.linalg.norm(h_32 - h_16)
 
 
@@ -55,8 +60,7 @@ def test_encode_all_matches_per_row_encoding():
     ctx = rng.normal(size=(4, 7))
     stacked = encode_all(ctx, params).data
     for i in range(4):
-        np.testing.assert_allclose(stacked[i],
-                                   encode_history(ctx[i], params).data)
+        np.testing.assert_allclose(stacked[i], _encode_row(ctx[i], params).data[0])
 
 
 def test_identical_rows_share_stalks_and_permutation_equivariance():
@@ -73,14 +77,14 @@ def test_identical_rows_share_stalks_and_permutation_equivariance():
 
 
 def test_gradients_match_finite_differences():
-    # scalar loss through encode_history on a d=3, T=5 instance
+    # scalar loss through one encoded sequence on a d=3, T=5 instance
     rng = np.random.default_rng(4)
     params = LstmParams.init(3, rng)
     seq = rng.normal(size=5)
     tensors = params.parameters()
 
     def loss_fn():
-        out = encode_history(seq, params)
+        out = _encode_row(seq, params)
         return (out * out).sum()
 
     for t in tensors.values():
@@ -145,7 +149,7 @@ def test_shape_errors():
     with pytest.raises(ShapeMismatchError):
         encode_all(np.zeros((2, 3, 4, 5)), params)
     with pytest.raises(ShapeMismatchError):
-        encode_history(np.zeros((2, 2)), params)
+        encode_all(np.zeros(3), params)
     with pytest.raises(ShapeMismatchError):
         encode_all(np.zeros((2, 0)), params)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sheafcast.errors import InvalidParameterError, WindowTooShortError
 from sheafcast.graphs import (BrainGraph, PriorGraph, generate_small_world,
-                              granger_prior, granger_score_matrix,
+                              granger_score_matrix,
                               load_edges_csv, load_prior_csv, prior_from_scores,
                               save_edges_csv, save_prior_csv)
 
@@ -85,7 +85,7 @@ def test_driver_edge_outscores_reverse():
 def test_constant_channels_score_zero_but_edges_selected():
     ctx = np.ones((2, 50))
     ctx[1] *= 3.0
-    prior = granger_prior(ctx, lag_order=3, top_k=1)
+    prior = prior_from_scores(granger_score_matrix(ctx, 3), lag_order=3, top_k=1)
     assert prior.n_edges == 2
     assert all(s == 0.0 for s in prior.scores)
 
@@ -93,10 +93,10 @@ def test_constant_channels_score_zero_but_edges_selected():
 def test_affine_rescaling_preserves_scores_and_edges():
     ctx = _driven_pair(3, t_len=120)
     ctx = np.vstack([ctx, np.random.default_rng(9).normal(size=(2, 120))])
-    base = granger_prior(ctx, lag_order=2, top_k=2)
+    base = prior_from_scores(granger_score_matrix(ctx, 2), lag_order=2, top_k=2)
     scaled = ctx * np.array([[3.0], [0.2], [-1.4], [10.0]]) + \
         np.array([[5.0], [-2.0], [0.0], [100.0]])
-    other = granger_prior(scaled, lag_order=2, top_k=2)
+    other = prior_from_scores(granger_score_matrix(scaled, 2), lag_order=2, top_k=2)
     assert base.edges == other.edges
     np.testing.assert_allclose(base.scores, other.scores, rtol=1e-8)
 
@@ -115,7 +115,7 @@ def test_white_noise_scores_far_below_driver():
 def test_in_degree_never_exceeds_top_k():
     rng = np.random.default_rng(5)
     ctx = rng.normal(size=(6, 60))
-    prior = granger_prior(ctx, lag_order=2, top_k=3)
+    prior = prior_from_scores(granger_score_matrix(ctx, 2), lag_order=2, top_k=3)
     indeg = {}
     for _, d in prior.edges:
         indeg[d] = indeg.get(d, 0) + 1
@@ -176,7 +176,7 @@ def test_top_k_matches_sorted_tuple_rule(data, n, top_k):
 
 def test_window_too_short_raises():
     with pytest.raises(WindowTooShortError):
-        granger_prior(np.zeros((2, 8)), lag_order=3)
+        granger_score_matrix(np.zeros((2, 8)), lag_order=3)
 
 
 def test_prior_graph_invariants_enforced():

@@ -8,11 +8,8 @@ import pytest
 
 from sheafcast import autodiff as ad
 from sheafcast import sheaf
-from sheafcast.errors import (InvalidParameterError, MissingEdgeParametersError,
-                              ShapeMismatchError, UnknownEdgeError)
-from sheafcast.graphs import BrainGraph
-from sheafcast.sheaf import (SheafParameters, attention_coeffs, edge_discrepancy,
-                             edge_project, message_pass, sheaf_laplacian_apply,
+from sheafcast.errors import InvalidParameterError, MissingEdgeParametersError
+from sheafcast.sheaf import (SheafParameters, message_pass, sheaf_laplacian_apply,
                              _discrepancies)
 
 from oracles import (finite_difference_grads, graph_laplacian, message_pass_composed,
@@ -26,70 +23,78 @@ def _random_edges(rng, n, n_edges):
 
 
 # ----------------------------------------------------------------------
-# primitive ops
+# gates and discrepancies, read from message_pass's first discrepancy
 # ----------------------------------------------------------------------
-def test_edge_project_identity_zero_and_arithmetic():
-    h = np.array([1.0, 1.0])
-    np.testing.assert_array_equal(edge_project(h, np.eye(2)).data, h)
-    np.testing.assert_array_equal(edge_project(h, np.zeros((2, 2))).data, [0, 0])
-    np.testing.assert_array_equal(
-        edge_project(h, np.array([[1.0, 2.0], [3.0, 4.0]])).data, [3.0, 7.0])
-    with pytest.raises(ShapeMismatchError):
-        edge_project(np.ones(3), np.eye(2))
+def _first_delta(H, params):
+    """The first round's (n_edges, m) discrepancies of (n, d) stalks."""
+    return message_pass(np.asarray(H, dtype=np.float64), params)[1].data
+
+
+def _one_edge(stalk_dim, attention=None):
+    """Edge (0, 1) with identity maps: with a zero stalk at one end, the
+    discrepancy is the other end's stalk times its gate (minus at dst)."""
+    params = SheafParameters.init([(0, 1)], 2, stalk_dim=stalk_dim, identity=True)
+    if attention is not None:
+        params.attention.data[:] = attention
+    return params
 
 
 def test_attention_coeffs_values_and_range():
-    a_zero = np.zeros(3)
-    s, d = attention_coeffs(np.ones(3), -np.ones(3), a_zero)
-    assert float(s.data) == 0.5 and float(d.data) == 0.5
+    zero = _one_edge(3)
+    np.testing.assert_array_equal(_first_delta([np.ones(3), np.zeros(3)], zero),
+                                  [[0.5] * 3])
+    np.testing.assert_array_equal(_first_delta([np.zeros(3), -np.ones(3)], zero),
+                                  [[0.5] * 3])
 
-    a = np.array([1.0, 0.0, 0.0])
-    s, _ = attention_coeffs(np.array([1.0, 5.0, -2.0]), np.zeros(3), a)
-    np.testing.assert_allclose(float(s.data), 1.0 / (1.0 + np.exp(-1.0)),
-                               rtol=1e-12)
+    h = np.array([1.0, 5.0, -2.0])
+    got = _first_delta([h, np.zeros(3)], _one_edge(3, [1.0, 0.0, 0.0]))
+    np.testing.assert_allclose(got, [h / (1.0 + np.exp(-1.0))], rtol=1e-12)
 
+    ones = _one_edge(3, 1.0)
     prev = 0.0
     for scale in (0.5, 1.0, 2.0, 4.0):
-        s, _ = attention_coeffs(scale * np.ones(3), np.zeros(3), np.ones(3))
-        val = float(s.data)
+        val = _first_delta([scale * np.ones(3), np.zeros(3)], ones)[0, 0] / scale
         assert prev < val < 1.0
         prev = val
-    saturated, _ = attention_coeffs(500.0 * np.ones(3), np.zeros(3), np.ones(3))
-    assert float(saturated.data) <= 1.0
+    saturated = _first_delta([500.0 * np.ones(3), np.zeros(3)], ones)[0, 0] / 500.0
+    assert saturated <= 1.0
 
 
 def test_edge_discrepancy_examples():
-    params = SheafParameters.init([(0, 1)], 2, stalk_dim=2, identity=True)
+    params = _one_edge(2)
     H = np.array([[0.3, -0.7], [0.3, -0.7]])
-    out = edge_discrepancy((0, 1), H, params)
-    np.testing.assert_allclose(out.delta, 0.0, atol=1e-15)
-    assert out.alpha_src == out.alpha_dst == 0.5
+    np.testing.assert_allclose(_first_delta(H, params), 0.0, atol=1e-15)
 
     H2 = np.array([[0.3, -0.7], [0.0, 0.0]])
-    one_sided = edge_discrepancy((0, 1), H2, params)
-    np.testing.assert_allclose(one_sided.delta, 0.5 * H2[0])
+    np.testing.assert_allclose(_first_delta(H2, params), [0.5 * H2[0]])
 
-    scalar = SheafParameters.init([(0, 1)], 2, stalk_dim=1, identity=True)
-    d = edge_discrepancy((0, 1), np.array([[2.0], [1.0]]), scalar)
-    np.testing.assert_allclose(d.delta, [0.5])
+    scalar = _one_edge(1)
+    np.testing.assert_allclose(_first_delta([[2.0], [1.0]], scalar), [[0.5]])
 
-    with pytest.raises(UnknownEdgeError):
-        edge_discrepancy((1, 0), H, params)
-
-    # a gate logit of -10000: exp(10000) would overflow in the naive logistic
-    saturated = SheafParameters.init([(0, 1)], 2, stalk_dim=2, identity=True)
-    saturated.attention.data[:] = 1000.0
+    # gate logits of -10000 and +2000: exp(10000) would overflow in the
+    # naive logistic; the gates are exactly 0 and 1
+    saturated = _one_edge(2, 1000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gated = edge_discrepancy((0, 1), np.array([[-5.0, -5.0], [1.0, 1.0]]), saturated)
-    assert gated.alpha_src == 0.0 and gated.alpha_dst == 1.0
-    np.testing.assert_array_equal(gated.delta, [-1.0, -1.0])
+        off = _first_delta([[-5.0, -5.0], [0.0, 0.0]], saturated)
+        on = _first_delta([[0.0, 0.0], [1.0, 1.0]], saturated)
+        gated = _first_delta([[-5.0, -5.0], [1.0, 1.0]], saturated)
+    np.testing.assert_array_equal(off, [[0.0, 0.0]])
+    np.testing.assert_array_equal(on, [[-1.0, -1.0]])
+    np.testing.assert_array_equal(gated, [[-1.0, -1.0]])
 
 
 @pytest.mark.parametrize("edges", [[(-1, 0)], [(0, 4)]])
 def test_sheaf_parameters_refuse_edge_ids_outside_the_graph(edges):
     with pytest.raises(InvalidParameterError):
         SheafParameters.init(edges, 4, stalk_dim=2)
+
+
+def test_sheaf_parameters_need_one_map_pair_per_edge():
+    maps = SheafParameters.init([(0, 1), (1, 2)], 3, stalk_dim=2)
+    with pytest.raises(MissingEdgeParametersError, match="2 restriction-map pairs for 1 edges"):
+        SheafParameters(rho_src=maps.rho_src, rho_dst=maps.rho_dst,
+                        attention=maps.attention, edges=[(0, 1)], n_nodes=3)
 
 
 @pytest.mark.parametrize("edges, named", [([(0, 1), (2, 0), (0, 1)], "duplicate edge (0, 1)"),
@@ -319,13 +324,6 @@ def test_node_permutation_equivariance():
     params_p.attention.data[:] = params.attention.data
     out_p = message_pass(H[perm], params_p)[0].data
     np.testing.assert_allclose(out_p, out[perm], rtol=1e-10, atol=1e-12)
-
-
-def test_graph_cross_check_detects_mismatch():
-    params = SheafParameters.init([(0, 1)], 3, stalk_dim=2, identity=True)
-    graph = BrainGraph(n_nodes=3, edges=((0, 1), (1, 2)))
-    with pytest.raises(MissingEdgeParametersError):
-        sheaf_laplacian_apply(np.zeros((3, 2)), params, graph=graph)
 
 
 def test_gradients_of_rho_and_attention_match_finite_differences():
