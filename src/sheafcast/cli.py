@@ -29,6 +29,9 @@ from .config import config_hash, default_config, file_hash, load_config
 from .data import load_windows, make_perturbed_windows, make_windows
 from .errors import (CheckpointMismatchError, ConfigError,
                      InfeasiblePlacementError, InvalidParameterError)
+# `granger_score_matrix` and `prior_from_scores` are not called here (`prior`
+# reaches them through `prior_from_windows`); the benchmark's tracer wraps
+# them by these names
 from .graphs import (generate_small_world, granger_score_matrix, load_prior_csv,
                      prior_from_scores, save_prior_csv)
 from .metrics import evaluate
@@ -38,7 +41,7 @@ from .neurosim import (LifParams, PerturbationSpec, bin_edges, load_record,
                        load_rates_csv, sample_perturbation, save_rates_csv,
                        save_record, simulate, simulate_many)
 from .training import (TrainingConfig, forecast_windows, load_checkpoint,
-                       save_checkpoint, train)
+                       prior_from_windows, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -202,22 +205,14 @@ def cmd_prior(args) -> int:
     data_dir = Path(args.data)
     dataset = _load_dataset(data_dir)
     t = cfg["train"]
-    score_sum = None
-    n_windows = 0
+    windows = []
     for entry in dataset["instances"]:
         record = _load_dataset_record(data_dir, dataset, entry["pre"])
-        for window in make_windows(record.rates, t["t_ctx"], t["t_hor"],
-                                   t["stride"]):
-            scores = granger_score_matrix(window.context,
-                                          cfg["prior"]["lag_order"],
-                                          cfg["prior"]["ridge"])
-            score_sum = scores if score_sum is None else score_sum + scores
-            n_windows += 1
-    if n_windows == 0:
+        windows += make_windows(record.rates, t["t_ctx"], t["t_hor"], t["stride"])
+    if not windows:
         raise InvalidParameterError("dataset produced no context windows")
-    prior = prior_from_scores(score_sum / n_windows,
-                              lag_order=cfg["prior"]["lag_order"],
-                              top_k=cfg["prior"]["top_k"])
+    p = cfg["prior"]
+    prior = prior_from_windows(windows, p["lag_order"], p["top_k"], p["ridge"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     prior_path = out_dir / "prior.csv"
@@ -225,7 +220,7 @@ def cmd_prior(args) -> int:
     _write_manifest(out_dir, "prior", cfg,
                     {"dataset": data_dir / "dataset_manifest.json"},
                     [prior_path.name], cfg["seed"])
-    print(f"prior: {prior.n_edges} edges from {n_windows} context windows")
+    print(f"prior: {prior.n_edges} edges from {len(windows)} context windows")
     return EXIT_OK
 
 

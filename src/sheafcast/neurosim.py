@@ -1,39 +1,42 @@
 """Leaky integrate-and-fire network simulator with alpha-shaped synapses.
 
-Desk-scale generator of spiking activity on a directed graph: forward-Euler
-membrane integration at sub-millisecond resolution, alpha-current synapses
-driven by recurrent spikes and a shared Poisson background train, spike
-binning into firing rates, Gaussian-kernel smoothing, and single-neuron
-silencing perturbations for out-of-distribution forecasting tests.
+Desk-scale generator of spiking activity on a directed graph: exact
+integration of membrane and alpha-current synapse on a sub-millisecond
+grid, synapses driven by recurrent spikes and a shared Poisson background
+train, spike binning into firing rates, Gaussian-kernel smoothing, and
+single-neuron silencing perturbations for out-of-distribution forecasting
+tests.
 
-The synaptic current uses the exact two-state propagator of the alpha
-kernel, so each presynaptic spike at time s contributes exactly
-w * ((t-s-delay)/tau) * exp(1 - (t-s-delay)/tau) at grid times.
+Between spikes the state (syn1, syn2, v - E_L) of every neuron is linear,
+so one 3x3 propagator exp(A dt) advances it exactly by one step (Rotter and
+Diesmann, Biol. Cybern. 81:381, 1999); each presynaptic spike at time s
+contributes w * ((t-s-delay)/tau) * exp(1 - (t-s-delay)/tau) of current.
 
 `simulate_many` steps any number of runs (graphs, seeds, perturbations;
-one `LifParams`) in a single loop over time. Every neuron of every run
-sits on one flat axis at its run's node offset, so each step is a few
-in-place ufuncs over that axis, whatever the number of runs. A quiet step
-(nothing arrives, no neuron is refractory or silenced, none fires) is 12
-numpy calls: gather each neuron's background state, integrate the
-membrane, test the threshold, and advance both alpha-kernel states, which
-are the two rows of one array so that one multiply decays both. Scalar
-operands are 0-d arrays, which spares each call a float conversion.
-A step with events adds only the calls they need. Delayed spikes reach
-their targets through a CSR out-edge list and one `bincount` (the 0/1
-weights make the counts exact); a background spike is one add to its
-run's entry. A spiking or silenced neuron gets a first free step, and
-the refractory mask (`less_equal` and a masked add) runs only on steps
-before the last of these; a neuron is released on reaching its own.
-Spikes go straight into per-bin counts, flushed at each bin boundary.
-Each run draws from its own generator before the loop, so a run's record
-does not depend on the batch it is in; `simulate` is a batch of one.
-Every record is byte-identical to `tests/oracles.py::simulate_loop`,
-which steps one run with the same float operations. The background counts
-and the bin counts stay per run, and the background is gathered one bin
-at a time, so with no more runs than bins no temporary is larger than the
-float64 vector of uniforms each run draws anyway: freeing a larger block
-raises glibc's mmap threshold and fragments the heap of whatever runs next.
+one `LifParams`) in one loop over blocks of K = min(delay steps,
+refractory steps + 1) grid steps, 15 at the defaults. No spike reaches
+another neuron sooner than the delay, so every input to a block is known
+at its start (Morrison et al., Neural Comput. 17:1776, 2005): arrivals of
+earlier spikes, delivered through a CSR out-edge list, and the run's
+background train, broadcast to its neurons as a (K, N) input. Every
+neuron of every run sits on one flat axis at its run's node offset. One
+(K + 2, K + 3) matrix, applied to each run's columns, maps the start state
+and the block's input to each neuron's free membrane path (no resets) and
+the block-end kernel states; each neuron's first threshold crossing is one
+`argmax` over the (K, N) block. A neuron that fires is not free again
+before the block ends, so it fires at most once per block. Refractory or
+silenced neurons are held at reset; a neuron whose refractory period or
+silencing window ends inside a block restarts from reset at its free step,
+which adds the decay of its offset from reset to its free path. The blocks depend on `params` alone and the
+product is taken per run, so a run's record, and every bit of its state,
+do not depend on the batch it is in; `simulate` is a batch of one.
+Records are byte-equal to `tests/oracles.py::lif_loop`, which steps one
+run with one propagator step per grid step and a dense adjacency; the
+states differ by rounding only (block sums round differently from step
+sums). Each run draws from its own generator before the loop. The
+background counts are int16 per step and run; apart from them and the
+per-bin spike counts, what the loop allocates scales with one (K + 3, N)
+block.
 """
 
 from __future__ import annotations
@@ -58,8 +61,12 @@ class LifParams:
     """Neuron, synapse, and drive parameters.
 
     Defaults follow the standard published values for this neuron model;
-    the two weights were calibrated once so that the default small-world
-    network fires in the 5-50 Hz band (see tests/test_neurosim.py).
+    the two weights were calibrated once, under forward-Euler membrane
+    integration, so that the default small-world network fires in the
+    5-50 Hz band (see tests/test_neurosim.py); it still does with the
+    exact propagator. `syn_tau` may equal `membrane_tau`. The loop steps
+    min(syn_delay_ms, refractory_ms + dt_ms) at a time, rounded to the
+    grid; a zero delay counts as one step.
     """
 
     membrane_tau: float = 10.0        # ms
@@ -182,7 +189,7 @@ def simulate(graph: BrainGraph, params: LifParams, seed: int,
 def simulate_many(runs: Sequence[Tuple[BrainGraph, int, Optional[PerturbationSpec]]],
                   params: LifParams, *, bin_ms: float = 10.0,
                   sigma_ms: float = 20.0) -> list[SimulationRecord]:
-    """Run every `(graph, seed, perturbation)` in `runs` in one step loop.
+    """Run every `(graph, seed, perturbation)` in `runs` in one block loop.
 
     Returns one `SimulationRecord` per run, in order; each is byte-identical
     to what `simulate` gives for that run alone. Every run is validated
@@ -206,126 +213,228 @@ def simulate_many(runs: Sequence[Tuple[BrainGraph, int, Optional[PerturbationSpe
             for c, (graph, seed, perturbation) in zip(counts, runs)]
 
 
+def _propagator(params: LifParams) -> np.ndarray:
+    """exp(A dt) for the state (syn1, syn2, v - E_L): the alpha kernel's two
+    states and the membrane offset from rest, with no reset in between.
+
+    A Taylor series of exp(A dt / 2**s) squared s times, so it needs no
+    case split where closed forms divide by syn_tau - membrane_tau.
+    """
+    inv_s = 1.0 / params.syn_tau
+    a = np.array([[-inv_s, 0.0, 0.0],
+                  [1.0, -inv_s, 0.0],
+                  [0.0, 1.0 / params.capacitance_pF, -1.0 / params.membrane_tau]])
+    a *= params.dt_ms
+    squarings = max(0, int(np.ceil(np.log2(np.abs(a).sum(axis=1).max()))) + 1)
+    a /= 2.0 ** squarings                     # row-sum norm <= 1/2
+    term = np.eye(3)
+    prop = np.eye(3)
+    for k in range(1, 20):
+        term = term @ a / k
+        prop += term
+    for _ in range(squarings):
+        prop = prop @ prop
+    return prop
+
+
+def _block_matrices(powers: np.ndarray, k: int):
+    """The linear maps of a k-step block without resets.
+
+    `powers[j]` is the propagator to the power j. The first returned matrix
+    maps the block's (k + 3, N) input, the start state (syn1, syn2, v - E_L)
+    then the alpha-kernel impulse added at each step, to k membrane offsets
+    (after each step's update) and the two kernel states at the block's end.
+    The second gives the decay over steps r..i of a restart at step r.
+    """
+    i = np.arange(k)
+    lag = i[:, None] - i[None, :]
+    later = lag >= 0
+    # an impulse added at step j moves the state j..i, i + 1 - j propagator
+    # steps; lag 0 (the identity) gives 0 input weight before step j
+    lag = np.where(later, lag + 1, 0)
+    block = np.empty((k + 2, k + 3))
+    block[:k, :3] = powers[i + 1, 2]
+    block[:k, 3:] = powers[lag, 2, 0]
+    block[k:, :3] = powers[k, :2]
+    block[k:, 3:] = powers[k - i, :2, 0].T
+    return block, np.where(later, powers[lag, 2, 2], 0.0)
+
+
 def _run_lif(runs, params: LifParams, n_steps: int, starts: np.ndarray) -> list:
     """Draw and step all runs on one flat neuron axis; per-run (n, n_bins)
     spike counts.
 
     Bin b covers steps starts[b] <= step < starts[b + 1]; nothing after the
-    last bin is stepped. The draws are made here so that the per-run
-    background counts are freed before the caller smooths the rates.
+    last bin is stepped. The draws are made here so that they are freed
+    before the caller smooths the rates.
     """
-    dt = params.dt_ms
-    lam = params.poisson_rate_hz * dt / 1000.0
-    bg_counts, v0 = [], []
-    for graph, seed, _ in runs:
+    bg_counts, v0 = _draw_runs(runs, params, n_steps)
+    counts = np.zeros((len(v0), len(starts) - 1))
+    for _, idx, steps, _ in _lif_blocks(runs, params, bg_counts, v0, int(starts[-1])):
+        if idx.size:
+            # a neuron fires at most once per block, so no index repeats
+            counts[idx, np.searchsorted(starts, steps, "right") - 1] += 1
+    offsets = np.cumsum([0] + [graph.n_nodes for graph, _, _ in runs]).tolist()
+    return [counts[o0:o1] for o0, o1 in zip(offsets[:-1], offsets[1:])]
+
+
+def _draw_runs(runs, params: LifParams, n_steps: int):
+    """Each run's background spike count per step, (n_steps, n_runs), and
+    the initial potentials of the flat neuron axis."""
+    lam = params.poisson_rate_hz * params.dt_ms / 1000.0
+    # counts stay below the 1000 that _poisson_counts_from_uniforms allows
+    bg_counts = np.empty((n_steps, len(runs)), dtype=np.int16)
+    v0 = []
+    for r, (graph, seed, _) in enumerate(runs):
         # one generator per run, drawn in a fixed order: the shared background
         # train (delivered identically to all its neurons), then potentials
         rng = np.random.default_rng(seed)
-        bg_counts.append(_poisson_counts_from_uniforms(rng.random(n_steps), lam))
+        bg_counts[:, r] = _poisson_counts_from_uniforms(rng.random(n_steps), lam)
         # randomized initial potentials break the symmetry the shared drive
         # would otherwise impose (equal-in-degree neurons become exact clones)
         v0.append(rng.uniform(params.reset_mV, params.threshold_mV,
                               size=graph.n_nodes))
-    v = np.concatenate(v0)
+    return bg_counts, np.concatenate(v0)
 
-    sizes = [graph.n_nodes for graph, _, _ in runs]
-    offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
-    n, n_runs = offsets[-1], len(runs)
-    # scalar operands are 0-d arrays: a Python float operand costs every
-    # ufunc call a conversion, and the arithmetic is the same
-    decay = np.array(np.exp(-dt / params.syn_tau))
-    dt_op = np.array(dt)
-    # impulse height making the kernel peak equal the weight
-    amp_rec = np.array(params.syn_weight * np.e / params.syn_tau)
-    amp_bg = params.poisson_weight * np.e / params.syn_tau
-    leak = np.array(dt / params.membrane_tau)
-    inv_c = np.array(dt / params.capacitance_pF)
-    rest, threshold = np.array(params.resting_mV), np.array(params.threshold_mV)
-    reset = params.reset_mV
-    refr_steps = int(round(params.refractory_ms / dt))
 
-    # out-edges of the flat axis in CSR form: neuron i sends to
-    # out_dst[ptr[i]:ptr[i + 1]]
+def _out_edges(runs, offsets):
+    """Out-edges of the flat neuron axis in CSR form: neuron i sends to
+    out_dst[ptr[i]:ptr[i + 1]]."""
     src, dst = np.concatenate([g.edge_array() + o
                                for (g, _, _), o in zip(runs, offsets)]).T
     out_dst = dst[np.argsort(src, kind="stable")]
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n)))).tolist()
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=offsets[-1]))))
+    return out_dst, ptr
+
+
+def _lif_blocks(runs, params: LifParams, bg_counts: np.ndarray, v0: np.ndarray,
+                n_total: int):
+    """Step the first `n_total` steps of the runs' draws one block at a time.
+
+    Yields (end step, fired neurons, their spike steps, state) after each
+    block; the state is the (3, N) array of (syn1, syn2, v - E_L) at the
+    start of the end step, updated in place by the next block.
+    """
+    dt = params.dt_ms
+    sizes = [graph.n_nodes for graph, _, _ in runs]
+    offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    n = offsets[-1]
     delay_steps = max(1, int(round(params.syn_delay_ms / dt)))
-    arrivals = [None] * delay_steps     # targets of the spikes of step - delay
+    refr_steps = int(round(params.refractory_ms / dt))
+    # Within a block every input is known at its start: a spike reaches its
+    # targets no sooner than delay_steps later. A neuron that fires is not
+    # free again before the block ends, so it fires at most once per block.
+    k_max = min(delay_steps, refr_steps + 1)
+
+    rest = params.resting_mV
+    u_reset = params.reset_mV - rest
+    theta = params.threshold_mV - rest
+    # impulse height making the kernel peak equal the weight
+    amp_rec = params.syn_weight * np.e / params.syn_tau
+    amp_bg = params.poisson_weight * np.e / params.syn_tau
+    # rows: the state (syn1, syn2, v - E_L), then one input row per step
+    x = np.zeros((k_max + 3, n))
+    y = np.empty((k_max + 2, n))
+    np.subtract(v0, rest, out=x[2])
+    run_of = np.repeat(np.arange(len(runs)), sizes)
+    state = x[:3]
+
+    out_dst, ptr = _out_edges(runs, offsets)
+    pend_at = np.empty(0, dtype=np.int64)       # arrival step of each sent spike
+    pend_src = np.empty(0, dtype=np.int64)      # and its sender
 
     # silencing: from its onset step the neuron sits at reset and is not
-    # free before the window's end step
-    onsets = {}
+    # free before the window's end step; keyed by the block the window opens in
+    opening = {}
     for (_, _, p), o in zip(runs, offsets):
         if p is not None:
             start = int(round(p.onset_ms / dt))
             end = int(round((p.onset_ms + p.duration_ms) / dt))
             if start < end:
-                onsets.setdefault(start, []).append((o + p.neuron, end))
+                opening.setdefault(start - start % k_max, []).append(
+                    (o + p.neuron, start, end))
 
-    # alpha-kernel states, one row per propagator state: n recurrent
-    # entries, then one background entry per run
-    syn = np.zeros((2, n + n_runs))
-    syn1, syn2 = syn
-    rec1, bg1, rec2 = syn1[:n], syn1[n:], syn2[:n]
-    bg_of = n + np.repeat(np.arange(n_runs), sizes)
+    powers = [np.eye(3)]
+    prop = _propagator(params)
+    for _ in range(k_max):
+        powers.append(powers[-1] @ prop)
+    powers = np.stack(powers)
+    matrices = {}
+    # free_from[i, r]: a neuron first free at block step r integrates at step i
+    free_from = np.tri(k_max, k_max + 1, dtype=bool)
     free_at = np.zeros(n, dtype=np.int64)       # first step a neuron may integrate
     busy_until = 0                              # every neuron is free from here on
-    current = np.empty(n)
-    drift = np.empty(n)
-    syn_step = np.empty(n + n_runs)
-    active = np.empty(n, dtype=bool)
-    fired = np.empty(n, dtype=bool)
-    acc = np.zeros(n, dtype=np.int64)           # spikes in the current bin
-    counts = [np.zeros((size, len(starts) - 1)) for size in sizes]
+    # one product per run, on blocks that depend on `params` alone: BLAS may
+    # pick its kernel by the column count, and a run's bits must not depend
+    # on the batch it is in
+    slices = list(zip(offsets[:-1], offsets[1:]))
 
-    for b, (s0, s1) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist())):
-        bg_in = amp_bg * np.stack([c[s0:s1] for c in bg_counts], axis=1)
-        bg_on = bg_in.any(axis=1).tolist()
-        for step in range(s0, s1):
-            slot = step % delay_steps
-            targets = arrivals[slot]
-            if targets is not None:
-                rec1 += amp_rec * np.bincount(targets, minlength=n)
-            if bg_on[step - s0]:
-                bg1 += bg_in[step - s0]
+    for s0 in range(0, n_total, k_max):
+        s1 = min(s0 + k_max, n_total)
+        k = s1 - s0
+        if k not in matrices:
+            matrices[k] = _block_matrices(powers, k)
+        block, restart = matrices[k]
 
-            np.add(rec2, syn2[bg_of], out=current)
-            current *= inv_c
-            for i, end in onsets.get(step, ()):
-                v[i] = reset
-                free_at[i] = max(free_at[i], end)
-                busy_until = max(busy_until, end)
-            np.subtract(v, rest, out=drift)
-            drift *= leak
-            current -= drift
-            if step < busy_until:
-                np.less_equal(free_at, step, out=active)
-                np.add(v, current, out=v, where=active)
-            else:
-                v += current
+        inputs = x[3:k + 3]
+        (amp_bg * bg_counts[s0:s1]).take(run_of, axis=1, out=inputs, mode="clip")
+        if pend_at.size:
+            due = pend_at < s1
+            if due.any():
+                senders, rows = pend_src[due], pend_at[due] - s0
+                pend_at, pend_src = pend_at[~due], pend_src[~due]
+                first_edge = ptr[senders]
+                degree = ptr[senders + 1] - first_edge
+                ends = np.cumsum(degree)
+                edge = np.arange(ends[-1]) + np.repeat(first_edge - ends + degree, degree)
+                cell = np.repeat(rows * n, degree) + out_dst[edge]
+                np.add.at(inputs.reshape(-1), cell, amp_rec)
 
-            # no mask needed: a neuron that is not free sits at reset < threshold
-            np.greater_equal(v, threshold, out=fired)
-            idx = fired.nonzero()[0]
-            if idx.size:
-                v[idx] = reset
-                free_at[idx] = step + refr_steps + 1
-                busy_until = max(busy_until, step + refr_steps + 1)
-                acc[idx] += 1
-                arrivals[slot] = np.concatenate(
-                    [out_dst[ptr[i]:ptr[i + 1]] for i in idx.tolist()])
-            else:
-                arrivals[slot] = None
+        xs, ys = x[:k + 3], y[:k + 2]
+        for o0, o1 in slices:
+            np.matmul(block, xs[:, o0:o1], out=ys[:, o0:o1])
+        path = ys[:k]                           # v - E_L after each step, no resets
+        if s0 < busy_until:
+            # a held neuron restarts from reset at its free step r: the
+            # free path plus the decay of its offset from reset at r
+            wait = free_at - s0
+            late = ((wait > 0) & (wait < k)).nonzero()[0]
+            if late.size:
+                r = wait[late]
+                path[:, late] += restart[:, r] * (u_reset - path[r - 1, late])
+            crossed = path >= theta
+            crossed &= free_from[:k].take(np.minimum(np.maximum(wait, 0), k), axis=1)
+        else:
+            crossed = path >= theta
+        opened = opening.get(s0, ())
+        for i, start, end in opened:
+            # the neuron may fire before the onset; if it does not, it sits at
+            # reset until the later of its own free step and the window's end
+            j = start - s0
+            fired_before = crossed[:j, i].any()
+            crossed[j:, i] = False
+            q = max(int(free_at[i]), end) - s0
+            if not fired_before and q < k:
+                if end > free_at[i]:    # else its refractory restart at q stands
+                    path[q:, i] += restart[q:, q] * (u_reset - path[q - 1, i])
+                crossed[q:, i] = path[q:, i] >= theta
 
-            # advance the exact alpha-kernel propagator of both states
-            np.multiply(syn1, dt_op, out=syn_step)
-            syn2 += syn_step
-            syn *= decay
-        for c, o0, o1 in zip(counts, offsets[:-1], offsets[1:]):
-            c[:, b] = acc[o0:o1]
-        acc[:] = 0
-    return counts
+        x[:2] = ys[k:]
+        x[2] = path[-1]
+        idx = crossed.any(axis=0).nonzero()[0]
+        steps = idx                             # no spikes: empty too
+        if idx.size:
+            steps = s0 + crossed[:, idx].argmax(axis=0)
+            free_at[idx] = steps + refr_steps + 1
+            busy_until = max(busy_until, int(steps.max()) + refr_steps + 1)
+            pend_at = np.concatenate((pend_at, steps + delay_steps))
+            pend_src = np.concatenate((pend_src, idx))
+        for i, _, end in opened:
+            free_at[i] = max(free_at[i], end)
+            busy_until = max(busy_until, end)
+        if s1 <= busy_until:
+            x[2, free_at >= s1] = u_reset
+        yield s1, idx, steps, state
 
 
 def bin_edges(duration_ms: float, bin_ms: float, sigma_ms: float = 0.0) -> np.ndarray:

@@ -531,26 +531,57 @@ def per_window_loss(model, windows, prior, lambda1, lambda2):
     return out * (1.0 / len(windows))
 
 
-def simulate_loop(graph, params, seed, perturbation=None, bin_ms=10.0,
-                  sigma_ms=20.0):
-    """One LIF run stepped alone, with a dense (dst, src) adjacency product
-    and per-neuron spike-time lists binned by `bin_and_smooth`.
+def lif_propagator_closed_form(params):
+    """The exact one-step propagator of (syn1, syn2, v - E_L) from the
+    closed-form solution of the alpha-current membrane equation, with the
+    limit taken when syn_tau == membrane_tau."""
+    h = params.dt_ms
+    a, b, c = 1.0 / params.syn_tau, 1.0 / params.membrane_tau, 1.0 / params.capacitance_pF
+    ea, eb = np.exp(-a * h), np.exp(-b * h)
+    if params.syn_tau == params.membrane_tau:
+        p31, p32 = c * ea * h * h / 2.0, c * ea * h
+    else:
+        d = b - a
+        p31 = c * (ea * (h / d - 1.0 / d ** 2) + eb / d ** 2)
+        p32 = c * (ea - eb) / d
+    return np.array([[ea, 0.0, 0.0], [h * ea, ea, 0.0], [p31, p32, eb]])
 
-    The same RNG draws, float operations and silencing rule as
-    `neurosim.simulate_many`; returns the rates matrix only.
+
+class LifTrace:
+    """What `lif_loop` saw: the steps each neuron fired at, the state
+    (syn1, syn2, v - E_L) at the start of each kept step, and the closest
+    any integrating neuron came to threshold at a grid point."""
+
+    def __init__(self, n):
+        self.spike_steps = [[] for _ in range(n)]
+        self.states = {}
+        self.closest = (np.inf, -1, -1)     # (|v - threshold| in mV, neuron, step)
+
+
+def lif_loop(graph, params, seed, perturbation=None, keep_steps=()):
+    """One LIF run stepped alone, one exact propagator step per grid step,
+    with a dense (dst, src) adjacency product.
+
+    The same RNG draws, delay, refractory and silencing rules as
+    `neurosim.simulate_many`: a step adds the arriving alpha-kernel
+    impulses, moves every free neuron's membrane and both kernel states
+    through the propagator, and resets each neuron at or above threshold.
     """
-    from sheafcast.neurosim import _poisson_counts_from_uniforms, bin_and_smooth
+    from sheafcast.neurosim import _poisson_counts_from_uniforms
 
     rng = np.random.default_rng(seed)
     n = graph.n_nodes
     dt = params.dt_ms
     n_steps = int(round(params.duration_ms / dt))
-    decay = np.exp(-dt / params.syn_tau)
-    amp_rec = params.syn_weight * np.e / params.syn_tau
-    amp_bg = params.poisson_weight * np.e / params.syn_tau
-
     lam = params.poisson_rate_hz * dt / 1000.0
     bg_counts = _poisson_counts_from_uniforms(rng.random(n_steps), lam)
+    u = rng.uniform(params.reset_mV, params.threshold_mV, size=n) - params.resting_mV
+    amp_rec = params.syn_weight * np.e / params.syn_tau
+    amp_bg = params.poisson_weight * np.e / params.syn_tau
+    prop = lif_propagator_closed_form(params)
+    u_reset = params.reset_mV - params.resting_mV
+    theta = params.threshold_mV - params.resting_mV
+    refr_steps = int(round(params.refractory_ms / dt))
 
     adj = np.zeros((n, n))
     for s, d in graph.edges:
@@ -558,56 +589,62 @@ def simulate_loop(graph, params, seed, perturbation=None, bin_ms=10.0,
     delay_steps = max(1, int(round(params.syn_delay_ms / dt)))
     spike_buffer = np.zeros((delay_steps, n))
 
-    v = rng.uniform(params.reset_mV, params.threshold_mV, size=n)
-    refr = np.zeros(n, dtype=np.int64)
-    rec1 = np.zeros(n)
-    rec2 = np.zeros(n)
-    bg1 = 0.0
-    bg2 = 0.0
-
     p_neuron = perturbation.neuron if perturbation is not None else -1
     p_start = int(round(perturbation.onset_ms / dt)) if perturbation else -1
     p_end = (int(round((perturbation.onset_ms + perturbation.duration_ms) / dt))
              if perturbation else -1)
 
-    spike_times = [[] for _ in range(n)]
-    leak = dt / params.membrane_tau
-    inv_c = dt / params.capacitance_pF
-
+    trace = LifTrace(n)
+    keep = set(keep_steps)
+    syn1 = np.zeros(n)
+    syn2 = np.zeros(n)
+    refr = np.zeros(n, dtype=np.int64)
     for step in range(n_steps):
+        if step in keep:
+            trace.states[step] = np.stack([syn1, syn2, u])
         arriving = spike_buffer[step % delay_steps]
         if arriving.any():
-            rec1 += amp_rec * (adj @ arriving)
+            syn1 = syn1 + amp_rec * (adj @ arriving)
         if bg_counts[step]:
-            bg1 += amp_bg * bg_counts[step]
-
-        current = rec2 + bg2
-        silenced = p_start <= step < p_end
+            syn1 = syn1 + amp_bg * bg_counts[step]
 
         active = refr <= 0
-        if silenced:
+        if p_start <= step < p_end:
             active[p_neuron] = False
-            v[p_neuron] = params.reset_mV
-        v[active] += (-(v[active] - params.resting_mV) * leak
-                      + current[active] * inv_c)
+            u[p_neuron] = u_reset
+        moved = prop[2, 0] * syn1 + prop[2, 1] * syn2 + prop[2, 2] * u
+        u[active] = moved[active]
+        syn1, syn2 = prop[0, 0] * syn1, prop[1, 0] * syn1 + prop[1, 1] * syn2
         refr[refr > 0] -= 1
 
-        fired = active & (v >= params.threshold_mV)
-        if silenced:
-            fired[p_neuron] = False
-        if fired.any():
-            t_ms = step * dt
-            for idx in np.flatnonzero(fired):
-                spike_times[idx].append(t_ms)
-            v[fired] = params.reset_mV
-            refr[fired] = int(round(params.refractory_ms / dt))
-        spike_buffer[step % delay_steps] = fired.astype(np.float64)
+        if active.any():
+            gap = np.abs(u - theta)
+            gap[~active] = np.inf
+            i = int(gap.argmin())
+            if gap[i] < trace.closest[0]:
+                trace.closest = (float(gap[i]), i, step)
+        fired = active & (u >= theta)
+        for i in np.flatnonzero(fired):
+            trace.spike_steps[i].append(step)
+        u[fired] = u_reset
+        refr[fired] = refr_steps
+        spike_buffer[step % delay_steps] = fired
+    if n_steps in keep:
+        trace.states[n_steps] = np.stack([syn1, syn2, u])
+    return trace
 
-        rec2 = (rec2 + dt * rec1) * decay
-        rec1 *= decay
-        bg2 = (bg2 + dt * bg1) * decay
-        bg1 *= decay
 
-    rates, _ = bin_and_smooth(spike_times, params.duration_ms,
-                              bin_ms=bin_ms, sigma_ms=sigma_ms)
-    return rates
+def simulate_loop(graph, params, seed, perturbation=None, bin_ms=10.0,
+                  sigma_ms=20.0):
+    """The rates of one `lif_loop` run, its spike-time lists binned by
+    `bin_and_smooth`."""
+    return lif_rates(lif_loop(graph, params, seed, perturbation), params,
+                     bin_ms, sigma_ms)
+
+
+def lif_rates(trace, params, bin_ms=10.0, sigma_ms=20.0):
+    """`bin_and_smooth` of a `lif_loop` trace's spike times."""
+    from sheafcast.neurosim import bin_and_smooth
+
+    times = [[step * params.dt_ms for step in steps] for steps in trace.spike_steps]
+    return bin_and_smooth(times, params.duration_ms, bin_ms=bin_ms, sigma_ms=sigma_ms)[0]

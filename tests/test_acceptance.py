@@ -473,19 +473,28 @@ def test_criterion_10_perturbation_generalization(lif_dataset,
 # ----------------------------------------------------------------------
 # 11. complexity budget: near-linear in horizon and edge count
 # ----------------------------------------------------------------------
-def _min_forward_times(problems, repeats=9):
-    """Minimum CPU time of this thread per problem, sizes interleaved within
-    each repeat; time spent waiting for a core another process holds is not
-    counted."""
-    times = {key: np.inf for key in problems}
-    for key, (model, ctx, t_hor) in problems.items():
+def _scaling_exponent(problems, repeats=15):
+    """Median over repeats of the log-log slope of this thread's CPU time
+    against problem size.
+
+    Each repeat times every size once, back to back, starting from a
+    different size each time, and gives one slope; a slow repeat or a slow
+    phase moves only the slopes of the repeats it falls in. Time spent
+    waiting for a core another process holds is not counted.
+    """
+    sizes = list(problems)
+    for model, ctx, t_hor in problems.values():
         model.predict(ctx, t_hor)
-    for _ in range(repeats):
-        for key, (model, ctx, t_hor) in problems.items():
+    slopes = []
+    for r in range(repeats):
+        times = {}
+        for size in sizes[r % len(sizes):] + sizes[:r % len(sizes)]:
+            model, ctx, t_hor = problems[size]
             t0 = time.thread_time()
             model.predict(ctx, t_hor)
-            times[key] = min(times[key], time.thread_time() - t0)
-    return times
+            times[size] = time.thread_time() - t0
+        slopes.append(np.polyfit(np.log(sizes), np.log([times[s] for s in sizes]), 1)[0])
+    return float(np.median(slopes))
 
 
 def test_criterion_11_complexity_scaling():
@@ -498,9 +507,7 @@ def test_criterion_11_complexity_scaling():
                       field_width=64)
     problems = {s: (ForecastModel.init(edges, 40, cfg, seed=0), ctx, s)
                 for s in horizons}
-    times = _min_forward_times(problems)
-    hor_exp = float(np.polyfit(np.log(horizons),
-                               np.log([times[s] for s in horizons]), 1)[0])
+    hor_exp = _scaling_exponent(problems)
 
     edge_counts = [750, 1500, 3000, 6000]
     ctx2 = rng.normal(size=(100, 2))
@@ -510,9 +517,7 @@ def test_criterion_11_complexity_scaling():
     for e in edge_counts:
         e_arr = np.array(_random_edges(rng, 100, e))
         problems2[e] = (ForecastModel.init(e_arr, 100, cfg2, seed=0), ctx2, 1)
-    times2 = _min_forward_times(problems2)
-    edge_exp = float(np.polyfit(np.log(edge_counts),
-                                np.log([times2[e] for e in edge_counts]), 1)[0])
+    edge_exp = _scaling_exponent(problems2)
 
     assert 0.8 <= hor_exp <= 1.2, f"horizon exponent {hor_exp:.3f}"
     assert 0.8 <= edge_exp <= 1.2, f"edge exponent {edge_exp:.3f}"

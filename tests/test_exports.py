@@ -1,8 +1,9 @@
-"""Every `sheafcast` name the demos use, and every exported name, exists.
+"""Every `sheafcast` name the demos use, every name the benchmark's traced
+run wraps, and every exported name, exists.
 
-No test runs the demos, so a removed name would break them without any
-test failing. The scan reads their imports from the source (an AST walk)
-and resolves each one; no demo is executed.
+No test runs the demos or the traced benchmark, so a removed or moved name
+would break them without any test failing. The scans read the names from
+the source (an AST walk) and resolve each one; nothing is executed.
 """
 
 import ast
@@ -14,7 +15,9 @@ import pytest
 
 import sheafcast
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+LAYERS = ROOT / "benchmarks" / "layers.py"
 
 
 def _resolve(module: str, name: str):
@@ -62,6 +65,62 @@ def test_every_package_name_a_demo_uses_exists(demo):
             if not hasattr(owner, node.attr):
                 missing.append(f"{owner.__name__}.{node.attr}")
     assert not missing, f"{demo.name} uses names sheafcast does not define: {missing}"
+
+
+def _wrapped_attributes(tree):
+    """(owner, attribute) per wrap call in `install`, owners resolved to
+    package objects. Understands the forms `install` uses: `w = tracer.wrap`,
+    owners that are imported modules or attributes of them, loops over a
+    tuple of owners, and loops over a module-level dict's `.items()`."""
+    constants = {node.targets[0].id: node.value
+                 for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                 and isinstance(node.value, ast.Dict)}
+    install = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    env, wrap_names = {}, set()
+
+    def values(expr):
+        if isinstance(expr, ast.Constant):
+            return [expr.value]
+        if isinstance(expr, ast.Name):
+            return env[expr.id]
+        if isinstance(expr, ast.Attribute):
+            return [getattr(owner, expr.attr) for owner in values(expr.value)]
+        raise AssertionError(f"unresolvable wrap argument: {ast.unparse(expr)}")
+
+    pairs = []
+    for node in ast.walk(install):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                env[alias.asname or alias.name] = [
+                    importlib.import_module(f"{node.module}.{alias.name}")]
+        elif isinstance(node, ast.Assign) and ast.unparse(node.value) == "tracer.wrap":
+            wrap_names.add(node.targets[0].id)
+        elif isinstance(node, ast.For):
+            if isinstance(node.iter, ast.Tuple):
+                env[node.target.id] = [v for elt in node.iter.elts for v in values(elt)]
+            else:
+                table = ast.literal_eval(constants[node.iter.func.value.id])
+                key, value = node.target.elts
+                env[key.id], env[value.id] = list(table), list(table.values())
+    for node in ast.walk(install):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in wrap_names | {"tracer.wrap"}:
+            pairs += [(owner, attr) for owner in values(node.args[0])
+                      for attr in values(node.args[1])]
+    return pairs
+
+
+def test_every_attribute_the_traced_benchmark_wraps_exists():
+    """`benchmarks/layers.py::install` wraps package functions by the name
+    each caller looks them up by; a renamed or moved one crashes the traced
+    run at start-up."""
+    pairs = _wrapped_attributes(ast.parse(LAYERS.read_text(), filename=str(LAYERS)))
+    names = {(getattr(owner, "__name__", owner), attr) for owner, attr in pairs}
+    assert ("sheafcast.cli", "simulate") in names and len(names) > 30
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in pairs
+               if not hasattr(owner, attr)]
+    assert not missing, f"layers.py wraps names sheafcast does not define: {missing}"
 
 
 def test_every_exported_name_exists():

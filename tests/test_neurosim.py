@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import simulate_loop
+from oracles import lif_loop, lif_propagator_closed_form, lif_rates, simulate_loop
 from sheafcast import neurosim
 from sheafcast.config import default_config
 from sheafcast.errors import InvalidParameterError
@@ -108,33 +108,141 @@ def _mixed_runs(duration_ms):
     return runs + [(G10A, 5, None)]
 
 
-@pytest.mark.parametrize("params, bin_ms, sigma_ms, rate_band", [
-    (LifParams(duration_ms=600.0), 10.0, 20.0, (5.0, 50.0)),
-    (LifParams(duration_ms=600.0), 5.0, 0.0, (5.0, 50.0)),
+def _block_steps(params):
+    """Steps per block: K = min(delay steps, refractory steps + 1)."""
+    delay = max(1, int(round(params.syn_delay_ms / params.dt_ms)))
+    return min(delay, int(round(params.refractory_ms / params.dt_ms)) + 1)
+
+
+def _block_states(runs, params, n_total, most=200):
+    """The (3, N) state of one batch at the end of at most `most` evenly
+    spaced blocks, keyed by end step."""
+    n_steps = int(round(params.duration_ms / params.dt_ms))
+    every = -(-n_total // _block_steps(params) // most) or 1
+    draws = neurosim._draw_runs(runs, params, n_steps)
+    return {end: state.copy()
+            for b, (end, _, _, state) in enumerate(neurosim._lif_blocks(runs, params, *draws,
+                                                                         n_total))
+            if b % every == 0}
+
+
+def _block_events(params, runs, traces, n_total):
+    """Which block edge cases the oracle's spike trains reach."""
+    k, dt = _block_steps(params), params.dt_ms
+    refr = int(round(params.refractory_ms / dt))
+    seen = {"one-step blocks"} if k == 1 else set()
+    if n_total % k:
+        seen.add("partial last block")
+    for (_, _, spec), trace in zip(runs, traces):
+        for steps in trace.spike_steps:
+            for t1, t2 in zip(steps, steps[1:] + [n_total]):
+                free = t1 + refr + 1
+                if free < n_total and free % k:
+                    seen.add("refractory end inside a block")
+                    if t2 < n_total and t2 // k == free // k:
+                        seen.add("restart and fire inside a block")
+        if spec is not None:
+            onset = int(round(spec.onset_ms / dt))
+            end = int(round((spec.onset_ms + spec.duration_ms) / dt))
+            if onset % k and end % k and onset // k == end // k:
+                seen.add("silencing opens and ends inside a block")
+    return seen
+
+
+@pytest.mark.parametrize("params, bin_ms, sigma_ms, rate_band, events", [
+    (LifParams(duration_ms=600.0), 10.0, 20.0, (5.0, 50.0), set()),
+    (LifParams(duration_ms=600.0), 5.0, 0.0, (5.0, 50.0), set()),
     (LifParams(duration_ms=600.0, poisson_rate_hz=0.0, syn_weight=0.0), 10.0, 20.0,
-     (0.0, 0.0)),
+     (0.0, 0.0), set()),
     # the 2 ms refractory period caps the rate at 500 Hz
     (LifParams(duration_ms=600.0, poisson_weight=400.0, syn_weight=60.0), 5.0, 20.0,
-     (200.0, 500.0)),
+     (200.0, 500.0), {"restart and fire inside a block"}),
     # refractory outlasting the silencing window: at most 2 spikes in 600 ms
     (LifParams(duration_ms=600.0, poisson_weight=400.0, syn_weight=60.0,
-               refractory_ms=500.0), 10.0, 20.0, (0.5, 10.0 / 3.0)),
-], ids=["default", "raw-5ms", "zero-input", "high-rate", "long-refractory"])
-def test_simulate_many_matches_loop_oracle(params, bin_ms, sigma_ms, rate_band):
+               refractory_ms=500.0), 10.0, 20.0, (0.5, 10.0 / 3.0), set()),
+    # zero delay is one step: K = 1
+    (LifParams(duration_ms=600.0, syn_delay_ms=0.0), 10.0, 20.0, (5.0, 50.0),
+     {"one-step blocks"}),
+    # K = 6 steps of 0.25 ms; 2444 steps leave a last block of 2
+    (LifParams(duration_ms=611.0, dt_ms=0.25), 13.0, 20.0, (5.0, 50.0),
+     {"partial last block", "refractory end inside a block"}),
+    # the propagator's degenerate case; the kernel carries 5x the charge,
+    # so only the refractory cap bounds the rate
+    (LifParams(duration_ms=600.0, syn_tau=10.0), 10.0, 20.0, (5.0, 500.0), set()),
+    # 500 ms blocks: a window opens and ends inside one, refractory periods
+    # end inside them, and at most 2 spikes fit in 1000 ms
+    (LifParams(duration_ms=1000.0, poisson_weight=400.0, syn_weight=60.0,
+               refractory_ms=500.0, syn_delay_ms=500.0), 10.0, 20.0, (0.5, 2.0),
+     {"silencing opens and ends inside a block", "refractory end inside a block",
+      "restart and fire inside a block"}),
+], ids=["default", "raw-5ms", "zero-input", "high-rate", "long-refractory",
+        "zero-delay", "partial-block", "equal-tau", "silenced-in-block"])
+def test_simulate_many_matches_loop_oracle(params, bin_ms, sigma_ms, rate_band, events):
+    """Records byte-equal to the per-step exact oracle, and block-end states
+    within 1e-12 relative of it (block sums round differently from step
+    sums); each case reaches the block edge cases it lists."""
     runs = _mixed_runs(params.duration_ms)
     records = simulate_many(runs, params, bin_ms=bin_ms, sigma_ms=sigma_ms)
     assert len(records) == len(runs)
+    n_steps = int(round(params.duration_ms / params.dt_ms))
+    n_total = int(neurosim._bin_starts(
+        n_steps, params.dt_ms, neurosim.bin_edges(params.duration_ms, bin_ms))[-1])
+    states = _block_states(runs, params, n_total)
+    traces = []
+    offset = 0
     for (graph, seed, spec), record in zip(runs, records):
-        want = simulate_loop(graph, params, seed, spec, bin_ms=bin_ms,
-                             sigma_ms=sigma_ms)
+        trace = lif_loop(graph, params, seed, spec, keep_steps=states)
+        traces.append(trace)
+        want = lif_rates(trace, params, bin_ms, sigma_ms)
         assert record.rates.tobytes() == want.tobytes()
+        for end, state in states.items():
+            np.testing.assert_allclose(state[:, offset:offset + graph.n_nodes],
+                                       trace.states[end], rtol=1e-12, atol=0)
+        offset += graph.n_nodes
         assert (record.adjacency, record.seed, record.perturbation) == (graph, seed, spec)
         assert record.params == params
         np.testing.assert_array_equal(
             record.bin_edges_ms,
             np.arange(int(params.duration_ms / bin_ms) + 1) * bin_ms)
+    assert events <= _block_events(params, runs, traces, n_total)
     mean_rate = np.mean([r.rates.mean() for r in records])
     assert rate_band[0] <= mean_rate <= rate_band[1] + 1e-9
+
+
+def test_refractory_end_after_a_window_closes_in_the_same_block():
+    """A window opens and ends inside one block while its neuron is still
+    refractory: the neuron restarts once, at its own free step, later in
+    that block. Blocks are 3000 steps (300 ms delay); the refractory period
+    (780 ms) puts the first spike's free step late in the third block."""
+    params = LifParams(duration_ms=2000.0, refractory_ms=780.0, syn_delay_ms=300.0)
+    k, dt = _block_steps(params), params.dt_ms
+    refr = int(round(params.refractory_ms / dt))
+    first = [steps[0] for steps in lif_loop(G10A, params, 3).spike_steps]
+    neuron = int(np.argmin(first))
+    free = first[neuron] + refr + 1
+    onset, end = free - free % k + 100, free - 10
+    assert 2400 <= end - onset <= 4000 and free % k > 2400
+    spec = PerturbationSpec(neuron=neuron, onset_ms=onset * dt,
+                            duration_ms=(end - onset) * dt)
+    states = _block_states([(G10A, 3, spec)], params, 20000)
+    trace = lif_loop(G10A, params, 3, spec, keep_steps=states)
+    assert any(free < t < free - free % k + k for t in trace.spike_steps[neuron])
+    assert simulate(G10A, params, 3, spec).rates.tobytes() == lif_rates(trace, params).tobytes()
+    for end_step, state in states.items():
+        np.testing.assert_allclose(state, trace.states[end_step], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("params", [
+    LifParams(), LifParams(dt_ms=0.25), LifParams(syn_tau=10.0),
+    LifParams(syn_tau=5.0, membrane_tau=5.0, dt_ms=2.0, refractory_ms=2.0),
+    LifParams(syn_tau=0.1, membrane_tau=0.3, dt_ms=2.0, refractory_ms=2.0)],
+    ids=["default", "dt-0.25", "equal-tau", "equal-tau-coarse", "stiff"])
+def test_propagator_matches_closed_form(params):
+    """Taylor series with scaling and squaring against the closed-form
+    solution, in the degenerate case too; a step that spans many time
+    constants takes the squarings."""
+    np.testing.assert_allclose(neurosim._propagator(params),
+                               lif_propagator_closed_form(params), rtol=1e-12, atol=1e-15)
 
 
 def _default_runs(seed, count):
@@ -197,6 +305,22 @@ def test_run_record_independent_of_batch(picks, target, data):
     graph, seed, spec = pool[target]
     alone = simulate(graph, params, seed, perturbation=spec)
     assert simulate_many(batch, params)[where].rates.tobytes() == alone.rates.tobytes()
+
+
+def test_block_states_independent_of_batch():
+    """Bit for bit, not only through the records: a run's block-end states
+    are the same alone as in a batch whose other runs open their silencing
+    windows in other blocks."""
+    params = LifParams(duration_ms=600.0, poisson_weight=400.0, syn_weight=60.0)
+    runs = _mixed_runs(params.duration_ms)
+    n_total = int(round(params.duration_ms / params.dt_ms))
+    batch = _block_states(runs, params, n_total)
+    offset = 0
+    for run in runs:
+        size = run[0].n_nodes
+        for end, state in _block_states([run], params, n_total).items():
+            assert state.tobytes() == batch[end][:, offset:offset + size].tobytes()
+        offset += size
 
 
 @pytest.mark.parametrize("n_steps, dt, duration_ms, bin_ms", [
