@@ -6,11 +6,14 @@ tool version and a hash of the package sources; identical manifests
 reproduce identical outputs.
 
 Exit codes: 0 success, 2 configuration/schema violation, 3 missing input,
-4 checkpoint mismatch (a malformed, non-v2 or damaged checkpoint, one whose
-arrays or edges do not fit its model, and the perturbation leakage guard),
-5 any other failure (bad data, I/O, divergence). Failures print one line.
-A checkpoint's JSON file pins its array file by sha256, so the hash of
-`checkpoint.json` in a manifest covers the arrays too.
+4 artifact mismatch (a file that does not match the sha256 its manifest
+pins, a dataset, window set or checkpoint in a format no longer read, a
+malformed checkpoint or one whose arrays or edges do not fit its model, and
+the perturbation leakage guard), 5 any other failure (bad data, I/O,
+divergence, an `--out` that is not empty). Failures print one line.
+A checkpoint's JSON file pins its array file by sha256, `dataset_manifest.json`
+pins every record file and a windows manifest every window file, so the hash
+of the JSON file in a manifest covers the files it pins too.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import config_hash, default_config, file_hash, load_config
+from .config import check_pinned, config_hash, default_config, file_hash, load_config
 from .data import load_windows, make_perturbed_windows, make_windows
-from .errors import (CheckpointMismatchError, ConfigError,
+from .errors import (ArtifactMismatchError, CheckpointMismatchError, ConfigError,
                      InfeasiblePlacementError, InvalidParameterError)
 # `granger_score_matrix` and `prior_from_scores` are not called here (`prior`
 # reaches them through `prior_from_windows`); the benchmark's tracer wraps
@@ -37,9 +40,10 @@ from .graphs import (generate_small_world, granger_score_matrix, load_prior_csv,
 from .metrics import evaluate
 from .model import ForecastModel, ModelConfig
 # `simulate` is not called here; the benchmark's tracer wraps it by this name
-from .neurosim import (LifParams, PerturbationSpec, bin_edges, load_record,
-                       load_rates_csv, sample_perturbation, save_rates_csv,
-                       save_record, simulate, simulate_many)
+from .neurosim import (LifParams, PerturbationSpec, bin_edges, load_rates_csv,
+                       load_rates_npy, load_record, sample_perturbation,
+                       save_rates_csv, save_rates_npy, save_record, simulate,
+                       simulate_many)
 from .training import (TrainingConfig, forecast_windows, load_checkpoint,
                        prior_from_windows, save_checkpoint, train)
 
@@ -48,6 +52,8 @@ EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_MISMATCH = 4
 EXIT_RUNTIME = 5
+
+DATASET_FORMAT = "sheafcast-dataset-v2"
 
 
 def code_hash() -> str:
@@ -155,8 +161,9 @@ def cmd_simulate(args) -> int:
                                      "onset_ms": spec.onset_ms,
                                      "duration_ms": spec.duration_ms}
         instances.append(entry)
-    dataset = {"instances": instances, "n_nodes": sim["n_nodes"],
-               "bin_ms": sim["bin_ms"], "config": cfg}
+    dataset = {"format": DATASET_FORMAT, "instances": instances,
+               "n_nodes": sim["n_nodes"], "bin_ms": sim["bin_ms"], "config": cfg,
+               "sha256": {name: file_hash(out_dir / name) for name in outputs}}
     ds_path = out_dir / "dataset_manifest.json"
     ds_path.write_text(json.dumps(dataset, sort_keys=True, indent=1) + "\n")
     outputs.append(ds_path.name)
@@ -166,13 +173,23 @@ def cmd_simulate(args) -> int:
 
 
 def _load_dataset(data_dir: Path) -> dict:
-    return json.loads(_require(Path(data_dir) / "dataset_manifest.json",
-                               "dataset manifest").read_text())
+    dataset = json.loads(_require(Path(data_dir) / "dataset_manifest.json",
+                                  "dataset manifest").read_text())
+    found = dataset.get("format")
+    if found != DATASET_FORMAT:
+        raise ArtifactMismatchError(
+            f"dataset_manifest.json has format {found!r}, not {DATASET_FORMAT!r}: "
+            f"datasets of CSV rates are no longer read; run simulate again")
+    return dataset
 
 
 def _load_dataset_record(data_dir: Path, dataset: dict, stem: str):
-    """The record `stem` of a dataset, refused unless its rate rows and bin
-    width are the manifest's `n_nodes` and `bin_ms`."""
+    """The record `stem` of a dataset, read only after each of its files
+    matches the sha256 `dataset_manifest.json` pins, and refused unless its
+    rate rows and bin width are the manifest's `n_nodes` and `bin_ms`."""
+    pins = dataset.get("sha256", {})
+    for suffix in ("_meta.json", "_rates.npy", "_adjacency.csv"):
+        check_pinned(data_dir, stem + suffix, pins, "dataset_manifest.json")
     record = load_record(data_dir, stem)
     n_rows = record.rates.shape[0]
     if n_rows != dataset["n_nodes"]:
@@ -189,15 +206,15 @@ def _load_dataset_record(data_dir: Path, dataset: dict, stem: str):
 
 
 def _load_model(ckpt_prefix: Path, refuse_perturbed: bool = False) -> ForecastModel:
-    """The model of a checkpoint. The loaded checkpoint dies with this call,
-    so its arrays are freed once the model holds its own copies."""
+    """The model of a checkpoint, holding the loaded arrays themselves: the
+    checkpoint dies with this call, so the parameters are held once."""
     _require(ckpt_prefix.with_suffix(".json"), "checkpoint")
     ckpt = load_checkpoint(ckpt_prefix)
     if refuse_perturbed and ckpt.trained_on_perturbed:
         raise CheckpointMismatchError(
             "checkpoint was trained on perturbed sources; refusing to score "
             "the out-of-distribution protocol with a contaminated model")
-    return ckpt.build_model()
+    return ckpt.take_model()
 
 
 def cmd_prior(args) -> int:
@@ -269,12 +286,12 @@ def cmd_forecast(args) -> int:
     for i, (window, pred) in enumerate(zip(windows, preds)):
         stem = f"{i:05d}"
         save_rates_csv(fc_dir / f"{stem}.csv", pred)
-        save_rates_csv(tg_dir / f"{stem}.csv", window.horizon)
+        save_rates_npy(tg_dir / f"{stem}.npy", window.horizon)
         meta = {"window": window.source_id, "denormalized": False,
                 "n_nodes": window.n_nodes, "t_hor": window.horizon.shape[1]}
         (fc_dir / f"{stem}.json").write_text(
             json.dumps(meta, sort_keys=True, indent=1) + "\n")
-        outputs += [f"forecasts/{stem}.csv", f"targets/{stem}.csv"]
+        outputs += [f"forecasts/{stem}.csv", f"targets/{stem}.npy"]
     _write_manifest(out_dir, "forecast", None,
                     {"checkpoint": ckpt_prefix.with_suffix(".json"),
                      "windows": manifest_path},
@@ -329,7 +346,7 @@ def cmd_metrics(args) -> int:
     fc_dir = _require(args.forecasts, "forecast directory")
     tg_dir = _require(args.targets, "target directory")
     fc_files = sorted(Path(fc_dir).glob("*.csv"))
-    tg_files = sorted(Path(tg_dir).glob("*.csv"))
+    tg_files = sorted(Path(tg_dir).glob("*.npy"))
     if not fc_files:
         raise FileNotFoundError(f"no forecast CSVs under {fc_dir}")
     unmatched = sorted({f.stem for f in fc_files} ^ {f.stem for f in tg_files})
@@ -338,7 +355,7 @@ def cmd_metrics(args) -> int:
             f"{len(fc_files)} forecasts vs {len(tg_files)} targets; stems "
             f"without a partner: {', '.join(unmatched[:5])}")
     preds = [load_rates_csv(p) for p in fc_files]
-    targets = [load_rates_csv(p) for p in tg_files]
+    targets = [load_rates_npy(p) for p in tg_files]
     report = evaluate(preds, targets)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -404,10 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_used_out(out: Path) -> None:
+    """A command writes only into an absent or empty `--out`, so the
+    directory holds no file its manifest does not list."""
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise FileExistsError(f"--out {out} is not empty; give a new directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_used_out(Path(args.out))
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -417,6 +442,9 @@ def main(argv=None) -> int:
         return EXIT_MISSING
     except CheckpointMismatchError as exc:
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
+    except ArtifactMismatchError as exc:
+        print(f"artifact mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except Exception as exc:
         message = " ".join(str(exc).split()) or "(no message)"

@@ -17,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import ConfigError
+from .errors import ArtifactMismatchError, ConfigError
 from .model import ModelConfig
 from .neurosim import LifParams
 from .training import SchedulerConfig, TrainingConfig
@@ -142,3 +142,17 @@ def file_hash(path) -> str:
         while block := fh.read(1 << 20):
             digest.update(block)
     return digest.hexdigest()
+
+
+def check_pinned(base: Path, name: str, pins: dict, manifest: str) -> Path:
+    """`base / name`, refused unless its sha256 is the digest that `pins`
+    (file name -> sha256, read from `manifest`) gives for `name`. A removed
+    file raises FileNotFoundError; an unpinned or changed one
+    ArtifactMismatchError."""
+    path = Path(base) / name
+    digest = pins.get(name)
+    if digest is None:
+        raise ArtifactMismatchError(f"{name} is not pinned in {manifest}")
+    if file_hash(path) != digest:
+        raise ArtifactMismatchError(f"{name} does not match the sha256 pinned in {manifest}")
+    return path

@@ -17,9 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (InfeasiblePlacementError, InvalidParameterError,
-                     SeriesTooShortError)
-from .neurosim import SimulationRecord, PerturbationSpec, load_rates_csv, save_rates_csv
+from .errors import (ArtifactMismatchError, InfeasiblePlacementError,
+                     InvalidParameterError, SeriesTooShortError)
+# `load_rates_csv` and `save_rates_csv` are not called here (window blocks
+# are `.npy`); the benchmark's tracer wraps them by these names
+from .neurosim import (PerturbationSpec, SimulationRecord, load_rates_csv,
+                       load_rates_npy, save_rates_csv, save_rates_npy)
 
 _STD_FLOOR = 1e-12
 
@@ -148,17 +151,24 @@ def make_perturbed_windows(record_pre: SimulationRecord,
 
 
 # ----------------------------------------------------------------------
-# dataset persistence: manifest JSON + per-window rates CSV and metadata
+# window sets: per-window block `.npy` and metadata JSON, listed and pinned
+# by sha256 in a manifest JSON
 # ----------------------------------------------------------------------
+WINDOWS_FORMAT = "sheafcast-windows-v2"
+
+
 def save_windows(out_dir, windows, name: str = "windows") -> Path:
-    """Write windows and a manifest listing them; returns the manifest path."""
+    """Write windows and a manifest listing them and pinning every file
+    by sha256; returns the manifest path."""
+    from .config import file_hash
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
+    entries, pins = [], {}
     for i, win in enumerate(windows):
         stem = f"{name}_{i:05d}"
         block = np.concatenate([win.context, win.horizon], axis=1)
-        save_rates_csv(out_dir / f"{stem}.csv", block)
+        save_rates_npy(out_dir / f"{stem}.npy", block)
         meta = {
             "source_id": win.source_id,
             "t_ctx": win.context.shape[1],
@@ -170,21 +180,36 @@ def save_windows(out_dir, windows, name: str = "windows") -> Path:
         }
         (out_dir / f"{stem}.json").write_text(
             json.dumps(meta, sort_keys=True, indent=1) + "\n")
-        entries.append({"window": f"{stem}.csv", "meta": f"{stem}.json"})
+        entries.append({"window": f"{stem}.npy", "meta": f"{stem}.json"})
+        pins.update({f: file_hash(out_dir / f) for f in entries[-1].values()})
     manifest_path = out_dir / f"{name}_manifest.json"
-    manifest_path.write_text(
-        json.dumps({"windows": entries}, sort_keys=True, indent=1) + "\n")
+    manifest_path.write_text(json.dumps(
+        {"format": WINDOWS_FORMAT, "windows": entries, "sha256": pins},
+        sort_keys=True, indent=1) + "\n")
     return manifest_path
 
 
 def load_windows(manifest_path) -> list:
+    """The windows of a manifest `save_windows` wrote. Each file is checked
+    against its pinned sha256 before it is read; a changed or unpinned file,
+    or a window set in the older CSV format, raises ArtifactMismatchError."""
+    from .config import check_pinned
+
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     manifest = json.loads(manifest_path.read_text())
+    found = manifest.get("format")
+    if found != WINDOWS_FORMAT:
+        raise ArtifactMismatchError(
+            f"{manifest_path.name} has format {found!r}, not {WINDOWS_FORMAT!r}: "
+            f"window sets of CSV blocks are no longer read; save them again")
+    pins = manifest.get("sha256", {})
     windows = []
     for entry in manifest["windows"]:
-        meta = json.loads((base / entry["meta"]).read_text())
-        block = load_rates_csv(base / entry["window"])
+        meta_path = check_pinned(base, entry["meta"], pins, manifest_path.name)
+        block_path = check_pinned(base, entry["window"], pins, manifest_path.name)
+        meta = json.loads(meta_path.read_text())
+        block = load_rates_npy(block_path)
         t_ctx, t_hor = meta["t_ctx"], meta["t_hor"]
         norm_mean, norm_std = np.array(meta["norm_mean"]), np.array(meta["norm_std"])
         if (t_ctx < 1 or t_hor < 1 or block.shape[1] != t_ctx + t_hor

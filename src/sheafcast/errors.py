@@ -41,5 +41,10 @@ class ConfigError(SheafcastError):
     """A run configuration failed schema validation."""
 
 
-class CheckpointMismatchError(SheafcastError):
+class ArtifactMismatchError(SheafcastError):
+    """A file does not match the sha256 its manifest pins, or an artifact is
+    in a format this version no longer reads."""
+
+
+class CheckpointMismatchError(ArtifactMismatchError):
     """A checkpoint is incompatible with the requested operation."""

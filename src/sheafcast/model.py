@@ -77,9 +77,9 @@ class ForecastModel:
     @classmethod
     def from_arrays(cls, edges, n_nodes: int, config: ModelConfig,
                     arrays: dict) -> "ForecastModel":
-        """A model holding copies of `arrays` (keyed like `all_tensors`,
-        no other key), each group as trainable as `init` makes it; no random
-        draws."""
+        """A model holding `arrays` themselves, not copies (keyed like
+        `all_tensors`, no other key; float64 arrays are not converted), each
+        group as trainable as `init` makes it; no random draws."""
         d, m, width = config.stalk_dim, config.map_dim, config.field_width
         n_edges = len(np.asarray(edges).reshape(-1, 2))
         shapes = {"lstm.w_x": (1, 4 * d), "lstm.w_h": (d, 4 * d), "lstm.bias": (4 * d,),
@@ -96,7 +96,7 @@ class ForecastModel:
                 raise ShapeMismatchError(f"array {name} has shape {got}, expected {shape}")
 
         def tensor(name):
-            return ad.Tensor(np.array(arrays[name], dtype=np.float64))
+            return ad.Tensor(arrays[name])
 
         return cls(config=config,
                    lstm=LstmParams(tensor("lstm.w_x"), tensor("lstm.w_h"),

@@ -510,17 +510,17 @@ def _gaussian_smooth_rows(rows: np.ndarray, sigma_bins: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# persistence: rates CSV (rows = bins, cols = neurons), adjacency CSV,
+# persistence: rates `.npy` (rows = bins, cols = neurons), adjacency CSV,
 # and a JSON sidecar with seed, params, bin edges, and perturbation
 # ----------------------------------------------------------------------
 def save_record(out_dir, stem: str, record: SimulationRecord) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rates_path = out_dir / f"{stem}_rates.csv"
+    rates_path = out_dir / f"{stem}_rates.npy"
     adj_path = out_dir / f"{stem}_adjacency.csv"
     meta_path = out_dir / f"{stem}_meta.json"
 
-    save_rates_csv(rates_path, record.rates)
+    save_rates_npy(rates_path, record.rates)
     save_edges_csv(adj_path, record.adjacency)
     meta = {
         "seed": record.seed,
@@ -539,7 +539,7 @@ def save_record(out_dir, stem: str, record: SimulationRecord) -> dict:
 def load_record(out_dir, stem: str) -> SimulationRecord:
     out_dir = Path(out_dir)
     meta = json.loads((out_dir / f"{stem}_meta.json").read_text())
-    rates = load_rates_csv(out_dir / f"{stem}_rates.csv")
+    rates = load_rates_npy(out_dir / f"{stem}_rates.npy")
     graph = load_edges_csv(out_dir / f"{stem}_adjacency.csv",
                            n_nodes=meta["n_nodes"], seed=meta["graph_seed"])
     pert = meta["perturbation"]
@@ -553,8 +553,32 @@ def load_record(out_dir, stem: str) -> SimulationRecord:
     )
 
 
+def save_rates_npy(path, rates: np.ndarray) -> None:
+    """Write a (nodes, bins) block as the `.npy` of its time-major (bins,
+    nodes) float64 transpose, C-ordered: the rows and columns of a rates
+    CSV, in binary."""
+    np.save(path, np.ascontiguousarray(np.asarray(rates, dtype=np.float64).T),
+            allow_pickle=False)
+
+
+def load_rates_npy(path) -> np.ndarray:
+    """The (nodes, bins) block `save_rates_npy` wrote, as the transpose of
+    the stored C-ordered array: a Fortran-ordered view. The layout is part
+    of the format, because the bits of reductions downstream depend on
+    memory order. Anything but a C-ordered 2-d float64 array is refused."""
+    data = np.load(path, allow_pickle=False)
+    if data.ndim != 2 or data.dtype != np.float64 or not data.flags.c_contiguous:
+        raise InvalidParameterError(
+            f"{path} holds a {data.ndim}-d {data.dtype} array, not a C-ordered "
+            f"2-d float64 block of (bins, nodes)")
+    if data.size == 0:
+        raise InvalidParameterError(f"no data rows in {path}")
+    return data.T
+
+
 def save_rates_csv(path, rates: np.ndarray) -> None:
-    """Rates stored transposed: rows are time bins, columns are neurons."""
+    """Forecasts, the one block people read: rows are time bins, columns
+    are neurons."""
     n = rates.shape[0]
     header = ",".join(f"n{i}" for i in range(n))
     np.savetxt(path, rates.T, delimiter=",", header=header, comments="",

@@ -224,10 +224,21 @@ class ModelCheckpoint:
     def build_model(self) -> ForecastModel:
         """The model holding copies of the checkpoint's arrays; a checkpoint
         whose arrays or edges do not fit its config is refused."""
+        return self._model({name: np.array(a, dtype=np.float64)
+                            for name, a in self.arrays.items()})
+
+    def take_model(self) -> ForecastModel:
+        """The model holding the checkpoint's own arrays, which the
+        checkpoint gives up (`arrays` is empty afterwards), so the
+        parameters are held once; refused like `build_model`."""
+        arrays, self.arrays = self.arrays, {}
+        return self._model(arrays)
+
+    def _model(self, arrays: dict) -> ForecastModel:
         try:
             return ForecastModel.from_arrays(
                 np.asarray(self.prior_edges, dtype=np.intp), self.n_nodes,
-                copy.deepcopy(self.model_config), self.arrays)
+                copy.deepcopy(self.model_config), arrays)
         except (InvalidParameterError, ShapeMismatchError) as exc:
             raise CheckpointMismatchError(f"checkpoint does not fit its model: {exc}") from exc
 

@@ -16,7 +16,7 @@ from sheafcast.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_MISSING, EXIT_OK,
                            EXIT_RUNTIME, main)
 from sheafcast.config import config_hash, default_config, validate_config
 from sheafcast.errors import ConfigError
-from sheafcast.neurosim import load_rates_csv
+from sheafcast.neurosim import load_rates_csv, load_rates_npy, save_rates_csv
 from sheafcast.training import load_checkpoint, save_checkpoint
 
 
@@ -64,14 +64,19 @@ def test_simulate_outputs_and_rerun_reproducibility(pipeline, tmp_path):
     seeds = [e["seed"] for e in manifest["instances"]]
     assert len(set(seeds)) == 3
     for entry in manifest["instances"]:
-        assert (sim / f"{entry['pre']}_rates.csv").exists()
-        assert (sim / f"{entry['post']}_rates.csv").exists()
+        assert (sim / f"{entry['pre']}_rates.npy").exists()
+        assert (sim / f"{entry['post']}_rates.npy").exists()
         assert entry["perturbation"] is not None
+    # every record file is pinned by its sha256
+    records = sorted(p.name for p in sim.glob("0*"))
+    assert len(records) == 3 * 2 * 3 and sorted(manifest["sha256"]) == records
+    assert all(manifest["sha256"][name] == hashlib.sha256((sim / name).read_bytes()).hexdigest()
+               for name in records)
 
     rerun = tmp_path / "sim2"
     assert main(["simulate", "--config", str(pipeline["cfg_path"]),
                  "--out", str(rerun)]) == EXIT_OK
-    for name in ("dataset_manifest.json", "00000_pre_rates.csv",
+    for name in ("dataset_manifest.json", "00000_pre_rates.npy",
                  "00001_post_meta.json", "manifest_simulate.json"):
         assert (rerun / name).read_bytes() == (sim / name).read_bytes()
 
@@ -170,9 +175,9 @@ def test_forecast_shapes_and_metrics_pipeline(pipeline, tmp_path, capsys):
 
     renamed = tmp_path / "renamed_targets"
     renamed.mkdir()
-    for i, f in enumerate(sorted((fc_dir / "targets").glob("*.csv"))):
+    for i, f in enumerate(sorted((fc_dir / "targets").glob("*.npy"))):
         stem = "zz_renamed" if i == 0 else f.stem
-        (renamed / f"{stem}.csv").write_bytes(f.read_bytes())
+        (renamed / f"{stem}.npy").write_bytes(f.read_bytes())
     capsys.readouterr()
     assert main(["metrics", "--forecasts", str(fc_dir / "forecasts"),
                  "--targets", str(renamed),
@@ -206,10 +211,11 @@ def test_perturb_eval_refuses_contaminated_checkpoint(pipeline, tmp_path):
     assert code == EXIT_MISMATCH
 
 
-def test_forecast_frees_the_loaded_checkpoint(tmp_path):
-    """`forecast` holds the loaded checkpoint's arrays only until the model
-    has its copies: its peak is the model twice (while it is built) or once
-    beside a forward's working set, never both at once."""
+def _forecast_peak(tmp_path):
+    """The parameter bytes P of a checkpoint whose restriction maps dominate
+    (n 40, 800 edges, d 24), the working set W of forecasting 4 windows
+    with the model in memory, and the tracemalloc peak of the `forecast`
+    command on them, each above the bytes held before it."""
     from sheafcast.data import make_windows, save_windows
     from sheafcast.model import ForecastModel, ModelConfig
     from sheafcast.training import ModelCheckpoint, forecast_windows
@@ -249,9 +255,26 @@ def test_forecast_frees_the_loaded_checkpoint(tmp_path):
         if was_enabled:
             gc.enable()
     assert param_bytes > working_set      # the maps dominate
+    return peak, param_bytes, working_set
+
+
+def test_forecast_frees_the_loaded_checkpoint(tmp_path):
+    """`forecast` holds the loaded checkpoint's arrays only until the model
+    has them: its peak is never a third copy of the parameters beside a
+    forward's working set."""
+    peak, param_bytes, working_set = _forecast_peak(tmp_path)
     # kept through the forecast, the checkpoint's arrays add a third copy of
     # the parameters beside the working set: 2 * param_bytes + working_set
     assert peak < 2 * param_bytes + working_set / 2, (peak, param_bytes, working_set)
+
+
+def test_forecast_holds_the_parameters_once(tmp_path):
+    """The model is built from the loaded arrays themselves, so `forecast`
+    never holds the parameters twice: its peak is the parameters plus a
+    forward's working set, below 2P (a copy made while the model is built
+    reaches 2P on its own)."""
+    peak, param_bytes, working_set = _forecast_peak(tmp_path)
+    assert peak < 2 * param_bytes, (peak, param_bytes, working_set)
 
 
 def _run_on_mismatched_dataset(pipeline, tmp_path, command, key, value):
@@ -420,16 +443,178 @@ def test_forecast_refuses_a_tampered_window_set(pipeline, tmp_path, capsys):
     record = load_record(pipeline["sim"], "00000_pre")
     windows = make_windows(record.rates, 30, 10, 40, source_id="00000_pre")
     tampers = [("t_ctx", 40), ("t_ctx", 35), ("norm_mean", [0.0]), ("norm_std", [])]
-    for i, (key, value) in enumerate(tampers):
+    for i, (key, value) in enumerate(tampers + [("t_ctx", 31)]):
         manifest = save_windows(tmp_path / f"w{i}", windows)
         meta_path = manifest.parent / "windows_00001.json"
         meta = json.loads(meta_path.read_text())
         meta[key] = value
         meta_path.write_text(json.dumps(meta))
+        pinned = i < len(tampers)
+        if pinned:      # the edit is pinned, so the shape check must refuse it
+            listing = json.loads(manifest.read_text())
+            listing["sha256"][meta_path.name] = hashlib.sha256(
+                meta_path.read_bytes()).hexdigest()
+            manifest.write_text(json.dumps(listing))
         assert _one_line_exit(capsys, [
             "forecast", "--checkpoint", pipeline["train"] / "checkpoint",
-            "--windows", manifest, "--out", tmp_path / f"fc{i}"]) == EXIT_RUNTIME, key
+            "--windows", manifest, "--out", tmp_path / f"fc{i}"]) == (
+                EXIT_RUNTIME if pinned else EXIT_MISMATCH), key
         assert not (tmp_path / f"fc{i}").exists()
+
+
+def _windows_of(pipeline, stem, stride=40):
+    from sheafcast.data import make_windows
+    from sheafcast.neurosim import load_record
+
+    return make_windows(load_record(pipeline["sim"], stem).rates, 30, 10, stride,
+                        source_id=stem)
+
+
+_FAULTS = ["byte", "truncated", "removed", "swapped"]
+_RECORD_FILES = ["rates.npy", "adjacency.csv", "meta.json"]
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("command, name", [
+    *[(c, f"00000_pre_{f}") for c in ("prior", "train", "perturb-eval")
+      for f in _RECORD_FILES],
+    *[("perturb-eval", f"00000_post_{f}") for f in _RECORD_FILES],
+    *[("forecast", f"windows_00001.{ext}") for ext in ("npy", "json")],
+])
+def test_a_faulty_pinned_file_exits_3_or_4(pipeline, tmp_path, capsys, command, name, fault):
+    """Each file a manifest pins and the command reads, with one byte
+    changed, truncated, removed or swapped for another run's file (the same
+    file of the next instance, or of another window set): the command exits
+    3 (removed) or 4, with one stderr line and no `--out` left behind."""
+    from sheafcast.data import save_windows
+
+    if command == "forecast":
+        data = save_windows(tmp_path / "w", _windows_of(pipeline, "00000_pre")).parent
+        other = save_windows(tmp_path / "w2", _windows_of(pipeline, "00001_pre")).parent
+        swap = other / name
+    else:
+        data = tmp_path / "sim"
+        shutil.copytree(pipeline["sim"], data)
+        swap = data / name.replace("00000", "00001")
+    target = data / name
+    raw = target.read_bytes()
+    if fault == "byte":
+        target.write_bytes(raw[:len(raw) // 2] + bytes([raw[len(raw) // 2] ^ 1])
+                           + raw[len(raw) // 2 + 1:])
+    elif fault == "truncated":
+        target.write_bytes(raw[:len(raw) // 2])
+    elif fault == "removed":
+        target.unlink()
+    else:
+        assert swap.read_bytes() != raw
+        target.write_bytes(swap.read_bytes())
+    ck = pipeline["train"] / "checkpoint"
+    argv = {"prior": ["prior", "--config", pipeline["cfg_path"], "--data", data],
+            "train": ["train", "--config", pipeline["cfg_path"], "--data", data,
+                      "--prior", pipeline["prior"] / "prior.csv"],
+            "perturb-eval": ["perturb-eval", "--config", pipeline["cfg_path"],
+                             "--checkpoint", ck, "--data", data],
+            "forecast": ["forecast", "--checkpoint", ck,
+                         "--windows", data / "windows_manifest.json"]}[command]
+    capsys.readouterr()
+    code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
+    err = capsys.readouterr().err
+    assert code == (EXIT_MISSING if fault == "removed" else EXIT_MISMATCH), err
+    assert len(err.strip().splitlines()) == 1 and name in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_one_changed_rate_exits_4_instead_of_another_prior(pipeline, tmp_path, capsys):
+    """One value of a pinned rates file changed, the file still well formed:
+    `prior` refuses it, where it used to write a different `prior.csv` under
+    a byte-identical `manifest_prior.json`."""
+    data = tmp_path / "sim"
+    shutil.copytree(pipeline["sim"], data)
+    path = data / "00000_pre_rates.npy"
+    rates = np.load(path)
+    rates[5, 3] += 1.0
+    np.save(path, rates)
+    capsys.readouterr()
+    code = main(["prior", "--config", str(pipeline["cfg_path"]), "--data", str(data),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_MISMATCH
+    assert len(err.strip().splitlines()) == 1 and "00000_pre_rates.npy" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_csv_datasets_and_window_sets_exit_4_naming_the_format(pipeline, tmp_path, capsys):
+    """A dataset and a window set in the CSV layout of earlier versions
+    (`<stem>_rates.csv` and `windows_<i>.csv`, no format key, no pins)."""
+    data = tmp_path / "sim"
+    shutil.copytree(pipeline["sim"], data)
+    for path in data.glob("*_rates.npy"):
+        save_rates_csv(path.with_suffix(".csv"), load_rates_npy(path))
+        path.unlink()
+    dataset = json.loads((data / "dataset_manifest.json").read_text())
+    del dataset["format"], dataset["sha256"]
+    (data / "dataset_manifest.json").write_text(json.dumps(dataset))
+    capsys.readouterr()
+    assert main(["prior", "--config", str(pipeline["cfg_path"]), "--data", str(data),
+                 "--out", str(tmp_path / "p")]) == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "CSV" in err, err
+
+    window = _windows_of(pipeline, "00000_pre")[0]
+    old = tmp_path / "w"
+    old.mkdir()
+    save_rates_csv(old / "windows_00000.csv",
+                   np.concatenate([window.context, window.horizon], axis=1))
+    (old / "windows_00000.json").write_text(json.dumps({
+        "source_id": window.source_id, "t_ctx": 30, "t_hor": 10, "time_step": 1.0,
+        "norm_mean": window.norm_mean.tolist(), "norm_std": window.norm_std.tolist(),
+        "perturbation_onset_index": None}))
+    (old / "windows_manifest.json").write_text(json.dumps(
+        {"windows": [{"window": "windows_00000.csv", "meta": "windows_00000.json"}]}))
+    assert main(["forecast", "--checkpoint", str(pipeline["train"] / "checkpoint"),
+                 "--windows", str(old / "windows_manifest.json"),
+                 "--out", str(tmp_path / "fc")]) == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "CSV" in err, err
+    assert not (tmp_path / "p").exists() and not (tmp_path / "fc").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--seed", "1"], ["prior", "--seed", "1", "--data", "nowhere"],
+    ["train", "--seed", "1", "--data", "nowhere", "--prior", "nowhere.csv"],
+    ["perturb-eval", "--seed", "1", "--checkpoint", "nowhere", "--data", "nowhere"],
+    ["forecast", "--checkpoint", "nowhere", "--windows", "nowhere.json"],
+    ["metrics", "--forecasts", "nowhere", "--targets", "nowhere"],
+], ids=lambda c: c[0])
+def test_every_command_refuses_a_used_out_before_any_work(tmp_path, capsys, command):
+    # missing inputs would exit 3: the refusal comes first
+    used = tmp_path / "used"
+    used.mkdir()
+    (used / "keep.txt").write_text("kept")
+    assert _one_line_exit(capsys, command + ["--out", used]) == EXIT_RUNTIME
+    assert [p.name for p in used.iterdir()] == ["keep.txt"]
+    assert (used / "keep.txt").read_text() == "kept"
+
+
+def test_a_second_forecast_into_the_same_out_leaves_the_first(pipeline, tmp_path, capsys):
+    """13 windows forecast, then 2 into the same `--out`: the second exits
+    5 before writing, so no stale forecast of the first run sits beside
+    files of the second, and `metrics` still scores the 13."""
+    from sheafcast.data import save_windows
+
+    windows = _windows_of(pipeline, "00000_pre", stride=10)
+    assert len(windows) == 13
+    ck, fc = pipeline["train"] / "checkpoint", tmp_path / "fc"
+    assert main(["forecast", "--checkpoint", str(ck), "--windows",
+                 str(save_windows(tmp_path / "w13", windows)), "--out", str(fc)]) == EXIT_OK
+    first = {p: p.read_bytes() for p in fc.rglob("*") if p.is_file()}
+    assert _one_line_exit(capsys, [
+        "forecast", "--checkpoint", ck, "--windows",
+        save_windows(tmp_path / "w2", windows[:2]), "--out", fc]) == EXIT_RUNTIME
+    assert {p: p.read_bytes() for p in fc.rglob("*") if p.is_file()} == first
+    assert main(["metrics", "--forecasts", str(fc / "forecasts"),
+                 "--targets", str(fc / "targets"), "--out", str(tmp_path / "m")]) == EXIT_OK
+    assert json.loads((tmp_path / "m" / "metric_report.json").read_text())["n_windows"] == 13
 
 
 def _one_line_exit(capsys, argv):
@@ -489,7 +674,7 @@ def test_data_faults_exit_5(pipeline, tmp_path, capsys):
     fc.mkdir()
     tg.mkdir()
     (fc / "a.csv").write_text("n0\n1.0\n")
-    (tg / "b.csv").write_text("n0\n1.0\n")
+    np.save(tg / "b.npy", np.ones((1, 1)))
     assert _one_line_exit(capsys, ["metrics", "--forecasts", fc, "--targets", tg,
                                    "--out", tmp_path / "m"]) == EXIT_RUNTIME
 
@@ -515,7 +700,8 @@ def test_header_only_csvs_exit_5_with_one_stderr_line(tmp_path):
     # a fresh interpreter, so numpy warnings reach stderr as a user sees them
     for name in ("fc", "tg"):
         (tmp_path / name).mkdir()
-        (tmp_path / name / "00000.csv").write_text("n0,n1\n")
+    (tmp_path / "fc" / "00000.csv").write_text("n0,n1\n")
+    np.save(tmp_path / "tg" / "00000.npy", np.zeros((0, 2)))
     env = {**os.environ,
            "PYTHONPATH": str(Path(sheafcast.__file__).resolve().parents[1])}
     run = subprocess.run(

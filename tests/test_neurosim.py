@@ -448,7 +448,9 @@ def test_record_round_trip(tmp_path, graph10):
     assert loaded.adjacency.edges == record.adjacency.edges
     assert loaded.perturbation == record.perturbation
     assert loaded.params == record.params
-    header = (tmp_path / "demo_rates.csv").read_text().splitlines()[0]
-    assert header == ",".join(f"n{i}" for i in range(10))
+    # the file holds the time-major (bins, nodes) block, C-ordered
+    stored = np.load(tmp_path / "demo_rates.npy", allow_pickle=False)
+    assert stored.shape == (record.n_bins, 10) and stored.flags.c_contiguous
+    assert stored.tobytes() == np.ascontiguousarray(record.rates.T).tobytes()
     meta = json.loads((tmp_path / "demo_meta.json").read_text())
     assert meta["seed"] == 3

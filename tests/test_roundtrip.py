@@ -16,10 +16,39 @@ from sheafcast.training import ModelCheckpoint, load_checkpoint, save_checkpoint
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-3, max_value=1e4)
+# values a text round trip or a careless binary one gets wrong
+edge_values = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                               1e308, -1e308, 1.7976931348623157e308])
+values = edge_values | finite
 
 
 def _matrix(n_rows, n_cols, elements=finite):
     return hnp.arrays(np.float64, (n_rows, n_cols), elements=elements)
+
+
+@st.composite
+def blocks(draw, n_rows, n_cols):
+    """An (n_rows, n_cols) float64 block, C-ordered, Fortran-ordered or a
+    strided view of a larger array."""
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "C":
+        return draw(_matrix(n_rows, n_cols, values))
+    if layout == "F":
+        return draw(_matrix(n_cols, n_rows, values)).T
+    return draw(_matrix(2 * n_rows, 3 * n_cols, values))[::2, ::3]
+
+
+def _bits(a):
+    """The bytes of `a` in logical (C) order: equal for bit-equal values,
+    so -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _assert_loaded_layout(a, n_rows):
+    """The documented layout of a loaded block: the transpose of the stored
+    C-ordered (bins, nodes) array, a Fortran-ordered (nodes, bins) view."""
+    assert a.dtype == np.float64 and a.flags.f_contiguous and not a.flags.owndata
+    assert a.strides == (8, 8 * n_rows), a.strides
 
 
 @st.composite
@@ -35,7 +64,7 @@ def records(draw):
         PerturbationSpec, neuron=st.integers(0, n - 1),
         onset_ms=finite, duration_ms=finite))
     return SimulationRecord(
-        rates=draw(_matrix(n, bins)),
+        rates=draw(blocks(n, bins)),
         adjacency=BrainGraph(n_nodes=n, edges=tuple(edges),
                              seed=draw(st.integers(0, 2**32))),
         bin_edges_ms=draw(hnp.arrays(np.float64, bins + 1, elements=finite)),
@@ -49,8 +78,9 @@ def test_record_round_trip(record):
     with tempfile.TemporaryDirectory() as tmp:
         save_record(tmp, "rec", record)
         back = load_record(tmp, "rec")
-    assert np.array_equal(back.rates, record.rates)
     assert back.rates.shape == record.rates.shape
+    assert _bits(back.rates) == _bits(record.rates)
+    _assert_loaded_layout(back.rates, record.rates.shape[0])
     assert back.adjacency == record.adjacency
     assert np.array_equal(back.bin_edges_ms, record.bin_edges_ms)
     assert (back.seed, back.params, back.perturbation) == (
@@ -64,10 +94,10 @@ def window_sets(draw):
     for _ in range(draw(st.integers(0, 3))):
         t_ctx, t_hor = draw(st.integers(1, 5)), draw(st.integers(1, 4))
         out.append(TrajectoryWindow(
-            context=draw(_matrix(n, t_ctx)), horizon=draw(_matrix(n, t_hor)),
+            context=draw(blocks(n, t_ctx)), horizon=draw(blocks(n, t_hor)),
             time_step=draw(finite),
-            norm_mean=draw(hnp.arrays(np.float64, n, elements=finite)),
-            norm_std=draw(hnp.arrays(np.float64, n, elements=finite)),
+            norm_mean=draw(hnp.arrays(np.float64, n, elements=values)),
+            norm_std=draw(hnp.arrays(np.float64, n, elements=values)),
             source_id=draw(st.text(max_size=12)),
             perturbation_onset_index=draw(st.none() | st.integers(0, t_ctx))))
     return out
@@ -81,8 +111,10 @@ def test_windows_round_trip(windows):
     assert len(back) == len(windows)
     for got, want in zip(back, windows):
         for field in ("context", "horizon", "norm_mean", "norm_std"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
             assert getattr(got, field).shape == getattr(want, field).shape
+            assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+        for block in (got.context, got.horizon):
+            _assert_loaded_layout(block, got.n_nodes)
         assert (got.time_step, got.source_id, got.perturbation_onset_index) == (
             want.time_step, want.source_id, want.perturbation_onset_index)
 
