@@ -276,13 +276,13 @@ def cmd_forecast(args) -> int:
     model = _load_model(ckpt_prefix)
     manifest_path = _require(args.windows, "windows manifest")
     windows = load_windows(manifest_path)
+    preds, _ = forecast_windows(model, windows)
     out_dir = Path(args.out)
     fc_dir = out_dir / "forecasts"
     tg_dir = out_dir / "targets"
     fc_dir.mkdir(parents=True, exist_ok=True)
     tg_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    preds, _ = forecast_windows(model, windows)
     for i, (window, pred) in enumerate(zip(windows, preds)):
         stem = f"{i:05d}"
         save_rates_csv(fc_dir / f"{stem}.csv", pred)

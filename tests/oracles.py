@@ -7,6 +7,7 @@ separate from the package code paths it checks.
 import numpy as np
 
 from sheafcast import autodiff as ad
+from sheafcast.errors import InvalidParameterError, ShapeMismatchError
 
 
 def finite_difference_grads(loss_fn, params, step=1e-5):
@@ -82,8 +83,9 @@ def dtw_layered_1d(a, b):
 
     best[i, j] at layer `cells` is the cheapest path of exactly that many
     cells ending at (i, j); every layer updates the full grid. This is the
-    per-row reference for the package's batched, band-limited kernel and
-    must agree with it bit for bit.
+    per-row reference for the package's anti-diagonal sweep over
+    diagonal-step counts, which reaches the same states in another order
+    and must agree with it bit for bit.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -105,6 +107,46 @@ def dtw_layered_1d(a, b):
             result = min(result, best[-1, -1] / cells)
         best_prev = best
     return float(result)
+
+
+def dtw_rows_layered(a, b):
+    """Normalized DTW of every row pair (a[r], b[r]) in one layered DP.
+
+    The package kernel before the anti-diagonal sweep, kept verbatim.
+    Layer `cells` holds the cheapest path of exactly that many cells to each
+    grid cell, which keeps the cost/cells minimum exact when raw-cost ties
+    differ in length. Rows sit on the last axis; a layer refills only the
+    rectangle its paths can reach (i >= cells - m, j >= cells - n, both
+    < cells), and the stale cells outside it are never read. An inf row and
+    column pad the grid for missing predecessors. Every value equals the
+    per-row, full-grid DP bit for bit.
+    """
+    if a.shape[0] != b.shape[0]:
+        raise ShapeMismatchError("row counts differ for multivariate DTW")
+    (rows, n), m = a.shape, b.shape[1]
+    if rows == 0 or n == 0 or m == 0:
+        raise InvalidParameterError("sequences must be non-empty")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InvalidParameterError("sequences must be finite")
+    # C-ordered whatever the inputs' layout, so every layer reads contiguous rows
+    cost = np.subtract(a.T[:, None, :], b.T[None, :, :], order="C")   # (n, m, rows)
+    np.abs(cost, out=cost)
+    if n == 1 and m == 1:
+        return cost[0, 0]
+    prev, cur = np.full((2, n + 1, m + 1, rows), np.inf)
+    prev[1, 1] = cost[0, 0]
+    result = np.full(rows, np.inf)
+    for cells in range(2, n + m):
+        i0, i1 = max(0, cells - m), min(cells, n)
+        j0, j1 = max(0, cells - n), min(cells, m)
+        out = cur[i0 + 1:i1 + 1, j0 + 1:j1 + 1]
+        np.minimum(prev[i0:i1, j0 + 1:j1 + 1], prev[i0 + 1:i1 + 1, j0:j1],
+                   out=out)                                     # down, right
+        np.minimum(out, prev[i0:i1, j0:j1], out=out)            # diagonal
+        out += cost[i0:i1, j0:j1]
+        np.minimum(result, cur[n, m] / cells, out=result)
+        prev, cur = cur, prev
+    return result
 
 
 def enumerate_paths(n, m):

@@ -311,6 +311,22 @@ def test_refused_input_leaves_no_out_dir(pipeline, tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
+def test_refused_forecast_leaves_no_out_dir(pipeline, tmp_path, capsys):
+    """Windows of 7 nodes on the 10-node checkpoint exit 5 and leave no
+    `--out`, so a corrected rerun into it is not refused."""
+    from sheafcast.data import make_windows, save_windows
+
+    ck, out = pipeline["train"] / "checkpoint", tmp_path / "o"
+    rng = np.random.default_rng(8)
+    wrong = save_windows(tmp_path / "w7", make_windows(rng.normal(size=(7, 60)), 30, 10, 40))
+    assert _one_line_exit(capsys, ["forecast", "--checkpoint", ck, "--windows", wrong,
+                                   "--out", out]) == EXIT_RUNTIME
+    assert not out.exists()
+    right = save_windows(tmp_path / "w10", _windows_of(pipeline, "00000_pre"))
+    assert main(["forecast", "--checkpoint", str(ck), "--windows", str(right),
+                 "--out", str(out)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("command", ["prior", "train"])
 def test_empty_dataset_leaves_no_out_dir(pipeline, tmp_path, capsys, command):
     cfg_path = _write_config(tmp_path, _fast_config(count=0))

@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from sheafcast import metrics
 from sheafcast.errors import InvalidParameterError, ShapeMismatchError
 from sheafcast.metrics import _dtw_rows, dtw_normalized, evaluate, mae, mse
 
-from oracles import dtw_bruteforce, dtw_layered_1d
+from oracles import dtw_bruteforce, dtw_layered_1d, dtw_rows_layered
 
 
 def test_pointwise_metrics_examples():
@@ -175,3 +177,81 @@ def test_empty_windows_raise_without_warnings():
             evaluate([np.zeros((0, 5))], [np.zeros((0, 5))])
         with pytest.raises(InvalidParameterError):
             evaluate([np.zeros((3, 0))], [np.zeros((3, 0))])
+
+
+# ----------------------------------------------------------------------
+# the anti-diagonal sweep against the layered DP it replaced
+# ----------------------------------------------------------------------
+def _laid_out(x, layout):
+    """`x` with the same values in C order, Fortran order, or as a view
+    with a column stride of two samples."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+        wide[:, ::2] = x
+        return wide[:, ::2]
+    return np.ascontiguousarray(x)
+
+
+@st.composite
+def _row_pairs(draw):
+    rows = draw(st.integers(1, 6))
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    values = draw(st.sampled_from([st.sampled_from([-1.0, 0.0, 1.0]),
+                                   st.floats(-5, 5)]))
+    a = draw(arrays(np.float64, (rows, n), elements=values))
+    b = draw(arrays(np.float64, (rows, m), elements=values))
+    return (_laid_out(a, draw(st.sampled_from(["C", "F", "strided"]))),
+            _laid_out(b, draw(st.sampled_from(["C", "F", "strided"]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_row_pairs())
+@example(pair=(np.array([[0.5]]), np.array([[-1.0]])))
+@example(pair=(np.array([[0.0], [1.0]]), np.array([[1.0, 0.0, 0.0], [1.0, 1.0, -1.0]])))
+@example(pair=(np.array([[1.0, 0.0, -1.0, 0.0, 1.0]]), np.array([[0.0, 1.0]])))
+def test_sweep_equals_the_layered_dp_bit_for_bit(pair):
+    a, b = pair
+    assert np.array_equal(_dtw_rows(a, b), dtw_rows_layered(a, b))
+
+
+@pytest.mark.parametrize("t_hor", [50, 10])
+def test_sweep_equals_the_layered_dp_at_forecast_shapes(t_hor):
+    rng = np.random.default_rng(17 + t_hor)
+    for draw in (rng.normal, lambda size: rng.choice([-1.0, 0.0, 1.0], size=size)):
+        a, b = draw(size=(100, t_hor)), draw(size=(100, t_hor))
+        assert np.array_equal(_dtw_rows(a, b), dtw_rows_layered(a, b))
+
+
+# the layered DP's tracemalloc peak for one (100, 50) x (100, 50) call
+_LAYERED_PEAK_100x50 = 6_358_824
+
+
+def test_sweep_peak_memory_at_the_forecast_long_shape(traced_memory):
+    """Three (51, 51, 100) diagonal buffers stand in for the layered DP's two
+    (51, 51, 100) layers and its (50, 50, 100) cost array; a kernel that
+    also kept a skewed (n + m - 1, n, rows) cost (+3.96 MB) would fail."""
+    rng = np.random.default_rng(18)
+    a, b = rng.normal(size=(100, 50)), rng.normal(size=(100, 50))
+    traced_memory.rebase()
+    _dtw_rows(a, b)
+    assert traced_memory()[1] <= 1.05 * _LAYERED_PEAK_100x50
+
+
+def test_evaluate_scores_each_window_through_the_module_attribute(monkeypatch):
+    """`evaluate` calls `metrics.dtw_normalized` by module name once per
+    window; the benchmark's `metrics.dtw_s` and `metrics.dtw_calls` wrap
+    that name."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return dtw_normalized(a, b)
+
+    monkeypatch.setattr(metrics, "dtw_normalized", counted)
+    rng = np.random.default_rng(19)
+    windows = [rng.normal(size=(4, 6)) for _ in range(5)]
+    report = evaluate(windows, [w[:, ::-1] for w in windows])
+    assert calls == [((4, 6), (4, 6))] * 5
+    assert report.n_windows == 5
