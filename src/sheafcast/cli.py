@@ -1,9 +1,12 @@
 """Command-line pipeline: simulate, prior, train, forecast, perturb-eval, metrics.
 
-Each command is a thin binding of the corresponding library operation. Every
-run writes a manifest capturing the config hash, input file hashes, seed,
-tool version and a hash of the package sources; identical manifests
-reproduce identical outputs.
+Each command is a thin binding of the corresponding library operation. It
+writes its files into the directory `main` hands it, a fresh hidden sibling
+`.<name>.<random>` of an absent or empty `--out`. `main` then writes
+`manifest_<command>.json` there (config hash, input file hashes, seed, tool
+version, a hash of the package sources, and every file in the directory)
+and renames the sibling onto `--out`; a failure removes the sibling and
+leaves `--out` as it was. Identical manifests reproduce identical outputs.
 
 Exit codes: 0 success, 2 configuration/schema violation, 3 missing input,
 4 artifact mismatch (a file that does not match the sha256 its manifest
@@ -21,6 +24,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -35,8 +40,8 @@ from .errors import (ArtifactMismatchError, CheckpointMismatchError, ConfigError
 # `granger_score_matrix` and `prior_from_scores` are not called here (`prior`
 # reaches them through `prior_from_windows`); the benchmark's tracer wraps
 # them by these names
-from .graphs import (generate_small_world, granger_score_matrix, load_prior_csv,
-                     prior_from_scores, save_prior_csv)
+from .graphs import (check_small_world, generate_small_world, granger_score_matrix,
+                     load_prior_csv, prior_from_scores, save_prior_csv)
 from .metrics import evaluate
 from .model import ForecastModel, ModelConfig
 # `simulate` is not called here; the benchmark's tracer wraps it by this name
@@ -62,8 +67,10 @@ def code_hash() -> str:
     return hashlib.sha256(b"".join(p.read_bytes() for p in sources)).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, cfg, inputs: dict,
-                    outputs: list, seed) -> None:
+def _write_manifest(out_dir: Path, command: str, cfg, inputs: dict, seed) -> None:
+    """`manifest_<command>.json` in `out_dir`, listing every file already
+    there by its POSIX path relative to `out_dir`."""
+    outputs = (p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*") if p.is_file())
     manifest = {
         "command": command,
         "tool_version": __version__,
@@ -100,9 +107,12 @@ def _load_cfg(args):
         raise ConfigError("provide --config or --seed")
     if args.seed is not None:
         cfg["seed"] = args.seed
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     sim = cfg["simulate"]
-    try:        # the parameter objects and the binning check their own domains
+    try:        # the parameter objects, the graph and the binning check their own domains
         _train_config(cfg), _model_config(cfg)
+        check_small_world(sim["n_nodes"], sim["small_world_k"], sim["small_world_beta"])
         bin_edges(LifParams(**sim["lif"]).duration_ms, sim["bin_ms"], sim["sigma_ms"])
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
@@ -123,12 +133,11 @@ def _model_config(cfg) -> ModelConfig:
 
 
 # ----------------------------------------------------------------------
-# commands
+# commands: each writes its files into `out_dir` and returns the config,
+# inputs and seed its manifest records
 # ----------------------------------------------------------------------
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, out_dir: Path):
     cfg = _load_cfg(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sim = cfg["simulate"]
     lif = LifParams(**sim["lif"])
 
@@ -147,15 +156,15 @@ def cmd_simulate(args) -> int:
     records = iter(simulate_many(runs, lif, bin_ms=sim["bin_ms"],
                                  sigma_ms=sim["sigma_ms"]) if runs else [])
 
-    instances, outputs = [], []
+    instances = []
     for i, spec in enumerate(specs):
         stem_pre = f"{i:05d}_pre"
-        outputs += save_record(out_dir, stem_pre, next(records)).values()
+        save_record(out_dir, stem_pre, next(records))
         entry = {"index": i, "seed": cfg["seed"] + i, "pre": stem_pre, "post": None,
                  "perturbation": None}
         if spec is not None:
             stem_post = f"{i:05d}_post"
-            outputs += save_record(out_dir, stem_post, next(records)).values()
+            save_record(out_dir, stem_post, next(records))
             entry["post"] = stem_post
             entry["perturbation"] = {"neuron": spec.neuron,
                                      "onset_ms": spec.onset_ms,
@@ -163,13 +172,11 @@ def cmd_simulate(args) -> int:
         instances.append(entry)
     dataset = {"format": DATASET_FORMAT, "instances": instances,
                "n_nodes": sim["n_nodes"], "bin_ms": sim["bin_ms"], "config": cfg,
-               "sha256": {name: file_hash(out_dir / name) for name in outputs}}
-    ds_path = out_dir / "dataset_manifest.json"
-    ds_path.write_text(json.dumps(dataset, sort_keys=True, indent=1) + "\n")
-    outputs.append(ds_path.name)
-    _write_manifest(out_dir, "simulate", cfg, {}, outputs, cfg["seed"])
-    print(f"simulate: wrote {len(instances)} record pair(s) to {out_dir}")
-    return EXIT_OK
+               "sha256": {p.name: file_hash(p) for p in out_dir.iterdir()}}
+    (out_dir / "dataset_manifest.json").write_text(
+        json.dumps(dataset, sort_keys=True, indent=1) + "\n")
+    print(f"simulate: wrote {len(instances)} record pair(s) to {args.out}")
+    return cfg, {}, cfg["seed"]
 
 
 def _load_dataset(data_dir: Path) -> dict:
@@ -217,35 +224,9 @@ def _load_model(ckpt_prefix: Path, refuse_perturbed: bool = False) -> ForecastMo
     return ckpt.take_model()
 
 
-def cmd_prior(args) -> int:
-    cfg = _load_cfg(args)
-    data_dir = Path(args.data)
-    dataset = _load_dataset(data_dir)
-    t = cfg["train"]
-    windows = []
-    for entry in dataset["instances"]:
-        record = _load_dataset_record(data_dir, dataset, entry["pre"])
-        windows += make_windows(record.rates, t["t_ctx"], t["t_hor"], t["stride"])
-    if not windows:
-        raise InvalidParameterError("dataset produced no context windows")
-    p = cfg["prior"]
-    prior = prior_from_windows(windows, p["lag_order"], p["top_k"], p["ridge"])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prior_path = out_dir / "prior.csv"
-    save_prior_csv(prior_path, prior)
-    _write_manifest(out_dir, "prior", cfg,
-                    {"dataset": data_dir / "dataset_manifest.json"},
-                    [prior_path.name], cfg["seed"])
-    print(f"prior: {prior.n_edges} edges from {len(windows)} context windows")
-    return EXIT_OK
-
-
-def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
-    data_dir = Path(args.data)
-    prior_path = _require(args.prior, "prior CSV")
-    dataset = _load_dataset(data_dir)
+def _pre_windows(data_dir: Path, dataset: dict, cfg) -> list:
+    """The training windows of every pre record of a dataset, refused when
+    there are none."""
     t = cfg["train"]
     windows = []
     for entry in dataset["instances"]:
@@ -253,36 +234,49 @@ def cmd_train(args) -> int:
         windows += make_windows(record.rates, t["t_ctx"], t["t_hor"],
                                 t["stride"], time_step=dataset["bin_ms"],
                                 source_id=entry["pre"])
-    prior = load_prior_csv(prior_path, cfg["prior"]["lag_order"],
-                           cfg["prior"]["top_k"], n_nodes=dataset["n_nodes"])
     if not windows:
         raise InvalidParameterError("dataset produced no context windows")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    return windows
+
+
+def cmd_prior(args, out_dir: Path):
+    cfg = _load_cfg(args)
+    data_dir = Path(args.data)
+    windows = _pre_windows(data_dir, _load_dataset(data_dir), cfg)
+    p = cfg["prior"]
+    prior = prior_from_windows(windows, p["lag_order"], p["top_k"], p["ridge"])
+    save_prior_csv(out_dir / "prior.csv", prior)
+    print(f"prior: {prior.n_edges} edges from {len(windows)} context windows")
+    return cfg, {"dataset": data_dir / "dataset_manifest.json"}, cfg["seed"]
+
+
+def cmd_train(args, out_dir: Path):
+    cfg = _load_cfg(args)
+    data_dir = Path(args.data)
+    prior_path = _require(args.prior, "prior CSV")
+    dataset = _load_dataset(data_dir)
+    windows = _pre_windows(data_dir, dataset, cfg)
+    prior = load_prior_csv(prior_path, cfg["prior"]["lag_order"],
+                           cfg["prior"]["top_k"], n_nodes=dataset["n_nodes"])
     ckpt = train(windows, prior, _train_config(cfg),
                  model_config=_model_config(cfg),
                  log_path=out_dir / "train_log.jsonl")
-    written = save_checkpoint(ckpt, out_dir / "checkpoint")
-    _write_manifest(out_dir, "train", cfg,
-                    {"dataset": data_dir / "dataset_manifest.json",
-                     "prior": prior_path},
-                    [p.name for p in written] + ["train_log.jsonl"], cfg["seed"])
+    save_checkpoint(ckpt, out_dir / "checkpoint")
     print(f"train: best val loss {ckpt.val_loss:.6f} at epoch {ckpt.epoch}")
-    return EXIT_OK
+    return (cfg, {"dataset": data_dir / "dataset_manifest.json", "prior": prior_path},
+            cfg["seed"])
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(args, out_dir: Path):
     ckpt_prefix = Path(args.checkpoint)
     model = _load_model(ckpt_prefix)
     manifest_path = _require(args.windows, "windows manifest")
     windows = load_windows(manifest_path)
     preds, _ = forecast_windows(model, windows)
-    out_dir = Path(args.out)
     fc_dir = out_dir / "forecasts"
     tg_dir = out_dir / "targets"
-    fc_dir.mkdir(parents=True, exist_ok=True)
-    tg_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    fc_dir.mkdir()
+    tg_dir.mkdir()
     for i, (window, pred) in enumerate(zip(windows, preds)):
         stem = f"{i:05d}"
         save_rates_csv(fc_dir / f"{stem}.csv", pred)
@@ -291,16 +285,12 @@ def cmd_forecast(args) -> int:
                 "n_nodes": window.n_nodes, "t_hor": window.horizon.shape[1]}
         (fc_dir / f"{stem}.json").write_text(
             json.dumps(meta, sort_keys=True, indent=1) + "\n")
-        outputs += [f"forecasts/{stem}.csv", f"targets/{stem}.npy"]
-    _write_manifest(out_dir, "forecast", None,
-                    {"checkpoint": ckpt_prefix.with_suffix(".json"),
-                     "windows": manifest_path},
-                    outputs, None)
     print(f"forecast: wrote {len(windows)} window forecast(s)")
-    return EXIT_OK
+    return None, {"checkpoint": ckpt_prefix.with_suffix(".json"),
+                  "windows": manifest_path}, None
 
 
-def cmd_perturb_eval(args) -> int:
+def cmd_perturb_eval(args, out_dir: Path):
     cfg = _load_cfg(args)
     ckpt_prefix = Path(args.checkpoint)
     model = _load_model(ckpt_prefix, refuse_perturbed=True)
@@ -329,20 +319,15 @@ def cmd_perturb_eval(args) -> int:
               f"window placement", file=sys.stderr)
     preds, targets = forecast_windows(model, eval_windows)
     report = evaluate(preds, targets)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "perturb_report.json").write_text(
         json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
-    _write_manifest(out_dir, "perturb-eval", cfg,
-                    {"checkpoint": ckpt_prefix.with_suffix(".json"),
-                     "dataset": data_dir / "dataset_manifest.json"},
-                    ["perturb_report.json"], cfg["seed"])
     print(f"perturb-eval: mse={report.mse:.6f} mae={report.mae:.6f} "
           f"dtw={report.dtw:.6f} over {report.n_windows} window(s)")
-    return EXIT_OK
+    return (cfg, {"checkpoint": ckpt_prefix.with_suffix(".json"),
+                  "dataset": data_dir / "dataset_manifest.json"}, cfg["seed"])
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args, out_dir: Path):
     fc_dir = _require(args.forecasts, "forecast directory")
     tg_dir = _require(args.targets, "target directory")
     fc_files = sorted(Path(fc_dir).glob("*.csv"))
@@ -357,17 +342,12 @@ def cmd_metrics(args) -> int:
     preds = [load_rates_csv(p) for p in fc_files]
     targets = [load_rates_npy(p) for p in tg_files]
     report = evaluate(preds, targets)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metric_report.json").write_text(
         json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
-    _write_manifest(out_dir, "metrics", None,
-                    {**{f"forecasts/{f.name}": f for f in fc_files},
-                     **{f"targets/{f.name}": f for f in tg_files}},
-                    ["metric_report.json"], None)
     print(f"metrics: mse={report.mse:.6f} mae={report.mae:.6f} "
           f"dtw={report.dtw:.6f} over {report.n_windows} window(s)")
-    return EXIT_OK
+    return None, {**{f"forecasts/{f.name}": f for f in fc_files},
+                  **{f"targets/{f.name}": f for f in tg_files}}, None
 
 
 # ----------------------------------------------------------------------
@@ -421,19 +401,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_used_out(out: Path) -> None:
-    """A command writes only into an absent or empty `--out`, so the
-    directory holds no file its manifest does not list."""
+def _refuse_used_out(out: Path) -> Path:
+    """`out` with symlinks resolved, so that a symlinked `--out` gets its
+    target replaced; refused unless absent or an empty directory (so it
+    holds only what its manifest lists), and refused as the working
+    directory, which the rename would delete under its users."""
+    resolved = out.resolve()
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise FileExistsError(f"--out {out} is not empty; give a new directory")
+    if resolved == Path.cwd():
+        raise FileExistsError(f"--out {out} is the working directory; give a new directory")
+    return resolved
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    stage = None
     try:
-        _refuse_used_out(Path(args.out))
-        return args.func(args)
+        out = _refuse_used_out(Path(args.out))
+        # mkdir (not mkdtemp, which makes it 0700) gives `--out` the umask's mode
+        out.parent.mkdir(parents=True, exist_ok=True)
+        stage = out.parent / f".{out.name}.{os.urandom(8).hex()}"
+        stage.mkdir()
+        cfg, inputs, seed = args.func(args, stage)
+        _write_manifest(stage, args.command, cfg, inputs, seed)
+        os.replace(stage, out)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -450,6 +444,9 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split()) or "(no message)"
         print(f"runtime failure: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        if stage is not None:       # gone once renamed onto `--out`
+            shutil.rmtree(stage, ignore_errors=True)
 
 
 if __name__ == "__main__":

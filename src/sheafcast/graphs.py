@@ -89,6 +89,19 @@ class PriorGraph:
         return len(self.edges)
 
 
+def check_small_world(n: int, k: int, beta: float) -> None:
+    """Refuse small-world parameters outside their domain: k even, k >= 2,
+    n > k and 0 <= beta <= 1 (NaN refused)."""
+    if k % 2 != 0:
+        raise InvalidParameterError(f"small-world k must be even, got {k}")
+    if not k >= 2:
+        raise InvalidParameterError(f"small-world k must be >= 2, got {k}")
+    if k >= n:
+        raise InvalidParameterError(f"small-world graph needs n > k, got n {n} and k {k}")
+    if not 0.0 <= beta <= 1.0:
+        raise InvalidParameterError(f"small-world beta must lie in [0, 1], got {beta}")
+
+
 def generate_small_world(n: int, k: int, beta: float, seed: int) -> BrainGraph:
     """Directed small-world graph: ring lattice plus random rewiring.
 
@@ -96,15 +109,7 @@ def generate_small_world(n: int, k: int, beta: float, seed: int) -> BrainGraph:
     edge is independently rewired with probability `beta` to a uniformly
     drawn non-self, non-duplicate target. Total edge count is always n*k/2.
     """
-    if k % 2 != 0:
-        raise InvalidParameterError("k must be even")
-    if not k >= 2:
-        raise InvalidParameterError("k must be >= 2")
-    if k >= n:
-        raise InvalidParameterError("need n > k")
-    if not 0.0 <= beta <= 1.0:
-        raise InvalidParameterError("beta must lie in [0, 1]")
-
+    check_small_world(n, k, beta)
     rng = np.random.default_rng(seed)
     half = k // 2
     out_targets = [set((i + j) % n for j in range(1, half + 1)) for i in range(n)]

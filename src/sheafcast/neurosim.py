@@ -513,7 +513,7 @@ def _gaussian_smooth_rows(rows: np.ndarray, sigma_bins: float) -> np.ndarray:
 # persistence: rates `.npy` (rows = bins, cols = neurons), adjacency CSV,
 # and a JSON sidecar with seed, params, bin edges, and perturbation
 # ----------------------------------------------------------------------
-def save_record(out_dir, stem: str, record: SimulationRecord) -> dict:
+def save_record(out_dir, stem: str, record: SimulationRecord) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rates_path = out_dir / f"{stem}_rates.npy"
@@ -532,8 +532,6 @@ def save_record(out_dir, stem: str, record: SimulationRecord) -> dict:
                          if record.perturbation is not None else None),
     }
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
-    return {"rates": rates_path.name, "adjacency": adj_path.name,
-            "meta": meta_path.name}
 
 
 def load_record(out_dir, stem: str) -> SimulationRecord:

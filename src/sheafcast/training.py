@@ -269,13 +269,13 @@ def _write_npz(path: Path, arrays: dict) -> None:
                 member.write(array.ravel(order="A"))
 
 
-def save_checkpoint(ckpt: ModelCheckpoint, path_prefix) -> list:
+def save_checkpoint(ckpt: ModelCheckpoint, path_prefix) -> None:
     """Write `<prefix>.npz` (every array as little-endian float64, in name
     order, each `.npy` member written from the array's own buffer) and
     `<prefix>.json` (the other fields, and the sha256 of the `.npz` that
-    pins it); returns both paths. The `.npz` has the bytes `np.savez` would
-    write, so equal checkpoints give byte-identical files: every member
-    carries the same fixed date."""
+    pins it). The `.npz` has the bytes `np.savez` would write, so equal
+    checkpoints give byte-identical files: every member carries the same
+    fixed date."""
     from .config import file_hash
 
     prefix = Path(path_prefix)
@@ -289,7 +289,6 @@ def save_checkpoint(ckpt: ModelCheckpoint, path_prefix) -> list:
                     sources=sorted(ckpt.sources),
                     trained_on_perturbed=bool(ckpt.trained_on_perturbed))
     json_path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    return [json_path, npz_path]
 
 
 def load_checkpoint(path_prefix) -> ModelCheckpoint:

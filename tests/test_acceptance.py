@@ -27,7 +27,7 @@ from sheafcast.training import (SeriesData, TrainingConfig,
                                 cross_validate, forecast_windows,
                                 prior_from_windows, total_loss, train)
 
-from oracles import enumerate_paths, graph_laplacian
+from oracles import dtw_layered_1d, enumerate_paths, graph_laplacian
 
 
 def _announce(num, text):
@@ -157,31 +157,6 @@ def test_criterion_4_rk4_order():
 # ----------------------------------------------------------------------
 # 5. DTW equals exhaustive path enumeration
 # ----------------------------------------------------------------------
-def _dtw_grid_implementation(a_set, b_set):
-    """Layered DP evaluated for every (a, b) pair at once."""
-    n_a, la = a_set.shape
-    n_b, lb = b_set.shape
-    cost = np.abs(a_set[:, None, :, None] - b_set[None, :, None, :])
-    inf = np.inf
-    prev = np.full((n_a, n_b, la, lb), inf)
-    prev[:, :, 0, 0] = cost[:, :, 0, 0]
-    best = np.full((n_a, n_b), inf)
-    if la == 1 and lb == 1:
-        return cost[:, :, 0, 0]
-    for cells in range(2, la + lb):
-        cur = np.full_like(prev, inf)
-        cur[:, :, 1:, :] = prev[:, :, :-1, :]
-        np.minimum(cur[:, :, :, 1:], prev[:, :, :, :-1], out=cur[:, :, :, 1:])
-        np.minimum(cur[:, :, 1:, 1:], prev[:, :, :-1, :-1], out=cur[:, :, 1:, 1:])
-        cur += cost
-        cur[:, :, 0, 0] = inf
-        layer = cur[:, :, -1, -1]
-        finite = np.isfinite(layer)
-        np.minimum(best, np.where(finite, layer / cells, inf), out=best)
-        prev = cur
-    return best
-
-
 def _paths_by_length(la, lb):
     """Every path of `enumerate_paths(la, lb)` as linear cell indices
     i * lb + j, grouped into (n_paths, length) arrays by path length, each
@@ -233,21 +208,18 @@ def test_criterion_5_dtw_matches_exhaustive_enumeration():
             paths = _paths_by_length(la, lb)
             for lo in range(0, len(a_set), 27):   # bound peak memory
                 chunk = a_set[lo:lo + 27]
-                got = _dtw_grid_implementation(chunk, b_set)
                 want = _dtw_grid_oracle(chunk, b_set, paths)
-                assert np.array_equal(got, want), (la, lb, lo)
                 # the shipped kernel, one row per (a, b) pair
                 shipped = _dtw_rows(np.repeat(chunk, len(b_set), axis=0),
                                     np.tile(b_set, (len(chunk), 1)))
                 assert np.array_equal(shipped.reshape(want.shape), want), (la, lb, lo)
-                checked += got.size
-    # the vectorized grid equals the public scalar entry point
+                checked += want.size
+    # the public scalar entry point equals the per-row layered DP oracle
     rng = np.random.default_rng(505)
     for _ in range(200):
         a = rng.choice(values, size=rng.integers(1, 7))
         b = rng.choice(values, size=rng.integers(1, 7))
-        grid = _dtw_grid_implementation(a[None, :], b[None, :])[0, 0]
-        assert dtw_normalized(a, b) == grid
+        assert dtw_normalized(a, b) == dtw_layered_1d(a, b)
 
     # identity and symmetry on 1,000 random real-valued pairs
     for _ in range(1000):

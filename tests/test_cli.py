@@ -1,5 +1,7 @@
+import builtins
 import gc
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -641,6 +643,151 @@ def _one_line_exit(capsys, argv):
     return code
 
 
+@pytest.fixture(scope="module")
+def chain(pipeline):
+    """The argv (without `--out`) and the `--out` of each of the six
+    commands of the fixture chain, after running the three that the
+    pipeline fixture does not."""
+    from sheafcast.data import save_windows
+
+    root, ck = pipeline["root"], pipeline["train"] / "checkpoint"
+    windows = save_windows(root / "windows", _windows_of(pipeline, "00000_pre"))
+    argv = {
+        "simulate": ["simulate", "--config", pipeline["cfg_path"]],
+        "prior": ["prior", "--config", pipeline["cfg_path"], "--data", pipeline["sim"]],
+        "train": ["train", "--config", pipeline["cfg_path"], "--data", pipeline["sim"],
+                  "--prior", pipeline["prior"] / "prior.csv"],
+        "perturb-eval": ["perturb-eval", "--config", pipeline["cfg_path"],
+                         "--checkpoint", ck, "--data", pipeline["sim"]],
+        "forecast": ["forecast", "--checkpoint", ck, "--windows", windows],
+        "metrics": ["metrics", "--forecasts", root / "fc" / "forecasts",
+                    "--targets", root / "fc" / "targets"],
+    }
+    out = {"simulate": pipeline["sim"], "prior": pipeline["prior"],
+           "train": pipeline["train"], "perturb-eval": root / "ood",
+           "forecast": root / "fc", "metrics": root / "metrics"}
+    for command in ("perturb-eval", "forecast", "metrics"):
+        assert main([str(a) for a in argv[command] + ["--out", out[command]]]) == EXIT_OK
+    return {c: (argv[c], out[c]) for c in argv}
+
+
+_COMMANDS = ["simulate", "prior", "train", "perturb-eval", "forecast", "metrics"]
+
+
+def _files_under(out):
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+
+
+def test_every_out_holds_exactly_its_manifest_outputs(chain):
+    for command, (_, out) in chain.items():
+        listed = json.loads((out / f"manifest_{command}.json").read_text())["outputs"]
+        assert _files_under(out) == sorted(listed + [f"manifest_{command}.json"]), command
+    forecasts = json.loads((chain["forecast"][1] / "manifest_forecast.json").read_text())
+    assert "forecasts/00000.json" in forecasts["outputs"]
+
+
+def _siblings(out):
+    return sorted(out.parent.glob(f".{out.name}.*"))
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_a_failed_write_leaves_out_as_it_was(chain, tmp_path, capsys, monkeypatch, command):
+    """The k-th file opened for writing cannot be written, for the first,
+    second, middle and last write (the manifest), then the rename onto
+    `--out` raises: each run exits 5 with one line, leaves an absent
+    `--out` absent and an empty one empty, and leaves no staged sibling; a
+    rerun into the same `--out` succeeds."""
+    argv, real_open = chain[command][0], builtins.open
+    writes, fail_at, broken = [], [None], set()
+
+    def faulty_open(file, mode="r", *args, **kwargs):
+        if any(c in mode for c in "wax+"):
+            writes.append(file)
+            if len(writes) == fail_at[0]:
+                broken.add(os.fspath(file))
+            if os.fspath(file) in broken:       # zipfile retries a failed open
+                raise OSError(f"injected fault on write {len(writes)}")
+        return real_open(file, mode, *args, **kwargs)
+
+    def faulty_replace(*args):
+        raise OSError("injected fault on rename")
+
+    def run(out, fault=None):
+        writes.clear()
+        broken.clear()
+        fail_at[0] = fault
+        with monkeypatch.context() as m:
+            m.setattr(builtins, "open", faulty_open)
+            m.setattr(io, "open", faulty_open)
+            if fault == "rename":
+                m.setattr(os, "replace", faulty_replace)
+            if fault is None:
+                return main([str(a) for a in argv + ["--out", out]])
+            return _one_line_exit(capsys, argv + ["--out", out])
+
+    assert run(tmp_path / "counted") == EXIT_OK
+    n_writes = len(writes)
+    out = tmp_path / "o"
+    for i, fault in enumerate(sorted({1, 2, n_writes // 2, n_writes}) + ["rename"]):
+        existed = i % 2 == 1
+        if existed:
+            out.mkdir()
+        assert run(out, fault) == EXIT_RUNTIME, fault
+        assert out.exists() == existed and (not existed or not any(out.iterdir())), fault
+        assert _siblings(out) == [], fault
+        if existed:
+            out.rmdir()
+    assert run(out) == EXIT_OK
+    assert _files_under(out) == _files_under(tmp_path / "counted")
+    assert _siblings(out) == []
+
+
+def test_an_existing_empty_out_and_a_nested_new_out_both_work(tmp_path):
+    """`--out` may be an empty directory, a symlink to one, or a path whose
+    parents do not exist yet; each ends up with a directory's usual mode,
+    not the 0700 of a temporary directory."""
+    cfg_path = _write_config(tmp_path, _fast_config(count=0))
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "reference").mkdir()
+    (tmp_path / "target").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "target")
+    for out in (tmp_path / "empty", tmp_path / "a" / "b" / "c", tmp_path / "link"):
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert _files_under(out) == ["dataset_manifest.json", "manifest_simulate.json"]
+        assert out.stat().st_mode == (tmp_path / "reference").stat().st_mode
+        assert _siblings(out) == [] and _siblings(out.resolve()) == []
+    assert (tmp_path / "link").is_symlink()
+
+
+def test_the_working_directory_is_refused_as_out(tmp_path, capsys, monkeypatch):
+    """Renaming the staged directory onto the working directory would leave
+    the caller in a deleted directory, so an empty `--out .` exits 5."""
+    monkeypatch.chdir(tmp_path)
+    assert _one_line_exit(capsys, ["simulate", "--seed", "1", "--out", "."]) == EXIT_RUNTIME
+    assert list(tmp_path.iterdir()) == []
+
+
+def _run_cli_process(*argv):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(sheafcast.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "sheafcast.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+def test_the_entry_point_exits_2_on_a_negative_seed_and_0_on_a_fixture_simulate(tmp_path):
+    out = tmp_path / "sim"
+    run = _run_cli_process("simulate", "--seed", "-1", "--out", out)
+    assert run.returncode == EXIT_CONFIG, run.stderr
+    assert len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr, run.stderr
+    assert not out.exists() and _siblings(out) == []
+
+    cfg_path = _write_config(tmp_path, _fast_config(count=1))
+    run = _run_cli_process("simulate", "--config", cfg_path, "--out", out)
+    assert run.returncode == EXIT_OK, run.stderr
+    manifest = json.loads((out / "manifest_simulate.json").read_text())
+    assert _files_under(out) == sorted(manifest["outputs"] + ["manifest_simulate.json"])
+
+
 def test_config_domain_error_exits_2(pipeline, tmp_path, capsys):
     bad_values = [
         (("train", "lr"), -1.0),
@@ -656,7 +803,11 @@ def test_config_domain_error_exits_2(pipeline, tmp_path, capsys):
         (("train", "t_ctx"), 0), (("train", "t_hor"), 0), (("train", "stride"), 0),
         (("eval", "t_ctx"), 0), (("eval", "t_hor"), 0),
         (("simulate", "sigma_ms"), -20.0), (("simulate", "bin_ms"), 0.0),
-        (("simulate", "bin_ms"), -10.0),
+        (("simulate", "bin_ms"), -10.0), (("seed",), -1),
+        (("simulate", "n_nodes"), 0), (("simulate", "n_nodes"), -3),
+        (("simulate", "small_world_k"), 3), (("simulate", "small_world_k"), 0),
+        (("simulate", "small_world_beta"), 2.0),
+        (("simulate", "small_world_beta"), float("nan")),
     ]
     for i, (keys, value) in enumerate(bad_values):
         cfg = _fast_config()
@@ -670,10 +821,18 @@ def test_config_domain_error_exits_2(pipeline, tmp_path, capsys):
             "--prior", pipeline["prior"] / "prior.csv",
             "--out", tmp_path / "o"]) == EXIT_CONFIG, (keys, value)
         assert not (tmp_path / "o").exists()
-    # an empty dataset is still a valid request
+    # an empty dataset is still a valid request, but not one of 0 nodes
     cfg = _fast_config(count=0)
     assert main(["simulate", "--config", str(_write_config(tmp_path, cfg, "empty.json")),
                  "--out", str(tmp_path / "empty")]) == EXIT_OK
+    cfg["simulate"]["n_nodes"] = 0
+    assert _one_line_exit(capsys, [
+        "simulate", "--config", _write_config(tmp_path, cfg, "no_nodes.json"),
+        "--out", tmp_path / "o"]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+    assert _one_line_exit(capsys, ["simulate", "--seed", "-1", "--out", tmp_path / "o"]) == (
+        EXIT_CONFIG)
+    assert not (tmp_path / "o").exists()
 
 
 def test_prior_edge_outside_the_graph_exits_5(pipeline, tmp_path, capsys):
