@@ -1,11 +1,14 @@
 """Command-line pipeline: simulate, prior, train, forecast, perturb-eval, metrics.
 
-Each command is a thin binding of the corresponding library operation. It
-writes its files into the directory `main` hands it, a fresh hidden sibling
-`.<name>.<random>` of an absent or empty `--out`. `main` then writes
-`manifest_<command>.json` there (config hash, input file hashes, seed, tool
-version, a hash of the package sources, and every file in the directory)
-and renames the sibling onto `--out`; a failure removes the sibling and
+Each command is a thin binding of the corresponding library operation.
+`main` loads and checks the run config once (`config.validate_config`)
+for the commands that take one, and hands each command that config and a
+fresh hidden sibling `.<name>.<random>` of an absent or empty `--out`. The
+command writes its files there and returns its manifest inputs and its
+success line. `main` then writes `manifest_<command>.json` there (config
+hash, input file hashes, seed, tool version, a hash of the package
+sources, and every file in the directory), renames the sibling onto
+`--out` and only then prints the line; a failure removes the sibling and
 leaves `--out` as it was. Identical manifests reproduce identical outputs.
 
 Exit codes: 0 success, 2 configuration/schema violation, 3 missing input,
@@ -27,30 +30,29 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import check_pinned, config_hash, default_config, file_hash, load_config
+from .config import (check_pinned, config_hash, file_hash, load_config,
+                     training_config as _train_config, validate_config)
 from .data import load_windows, make_perturbed_windows, make_windows
 from .errors import (ArtifactMismatchError, CheckpointMismatchError, ConfigError,
                      InfeasiblePlacementError, InvalidParameterError)
 # `granger_score_matrix` and `prior_from_scores` are not called here (`prior`
 # reaches them through `prior_from_windows`); the benchmark's tracer wraps
 # them by these names
-from .graphs import (check_small_world, generate_small_world, granger_score_matrix,
-                     load_prior_csv, prior_from_scores, save_prior_csv)
+from .graphs import (generate_small_world, granger_score_matrix, load_prior_csv,
+                     prior_from_scores, save_prior_csv)
 from .metrics import evaluate
 from .model import ForecastModel, ModelConfig
 # `simulate` is not called here; the benchmark's tracer wraps it by this name
-from .neurosim import (LifParams, PerturbationSpec, bin_edges, load_rates_csv,
-                       load_rates_npy, load_record, sample_perturbation,
-                       save_rates_csv, save_rates_npy, save_record, simulate,
-                       simulate_many)
-from .training import (TrainingConfig, forecast_windows, load_checkpoint,
-                       prior_from_windows, save_checkpoint, train)
+from .neurosim import (LifParams, PerturbationSpec, load_rates_csv, load_rates_npy,
+                       load_record, sample_perturbation, save_rates_csv,
+                       save_rates_npy, save_record, simulate, simulate_many)
+from .training import (forecast_windows, load_checkpoint, prior_from_windows,
+                       save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,7 +69,7 @@ def code_hash() -> str:
     return hashlib.sha256(b"".join(p.read_bytes() for p in sources)).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, cfg, inputs: dict, seed) -> None:
+def _write_manifest(out_dir: Path, command: str, cfg, inputs: dict) -> None:
     """`manifest_<command>.json` in `out_dir`, listing every file already
     there by its POSIX path relative to `out_dir`."""
     outputs = (p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*") if p.is_file())
@@ -75,7 +77,7 @@ def _write_manifest(out_dir: Path, command: str, cfg, inputs: dict, seed) -> Non
         "command": command,
         "tool_version": __version__,
         "code_hash": code_hash(),
-        "seed": seed,
+        "seed": cfg["seed"] if cfg is not None else None,
         "config_hash": config_hash(cfg) if cfg is not None else None,
         "input_hashes": {str(k): file_hash(v) for k, v in inputs.items()},
         "outputs": sorted(outputs),
@@ -91,53 +93,22 @@ def _require(path, kind: str) -> Path:
     return path
 
 
-# lower bounds of the entries no parameter object checks
-_LOWER_BOUNDS = {("simulate", "count"): 0, ("prior", "lag_order"): 1,
-                 ("prior", "top_k"): 1, ("prior", "ridge"): 0.0,
-                 ("train", "t_ctx"): 1, ("train", "t_hor"): 1, ("train", "stride"): 1,
-                 ("eval", "t_ctx"): 1, ("eval", "t_hor"): 1}
-
-
-def _load_cfg(args):
-    if args.config:
-        cfg = load_config(_require(args.config, "config"))
-    elif args.seed is not None:
-        cfg = default_config(args.seed)
-    else:
+def _load_cfg(args) -> dict:
+    """The run config of `--config` (valid on its own) or of the defaults,
+    with `--seed` applied; `config.validate_config` checks every value."""
+    if not args.config and args.seed is None:
         raise ConfigError("provide --config or --seed")
+    cfg = load_config(_require(args.config, "config")) if args.config else {}
     if args.seed is not None:
-        cfg["seed"] = args.seed
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
-    sim = cfg["simulate"]
-    try:        # the parameter objects, the graph and the binning check their own domains
-        _train_config(cfg), _model_config(cfg)
-        check_small_world(sim["n_nodes"], sim["small_world_k"], sim["small_world_beta"])
-        bin_edges(LifParams(**sim["lif"]).duration_ms, sim["bin_ms"], sim["sigma_ms"])
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    for (section, key), low in _LOWER_BOUNDS.items():
-        if not cfg[section][key] >= low:
-            raise ConfigError(f"{section}.{key} must be >= {low:g}, got {cfg[section][key]}")
+        cfg = validate_config({**cfg, "seed": args.seed})
     return cfg
 
 
-def _train_config(cfg) -> TrainingConfig:
-    names = {f.name for f in fields(TrainingConfig)}
-    return TrainingConfig(**{k: v for k, v in cfg["train"].items() if k in names},
-                          seed=cfg["seed"])
-
-
-def _model_config(cfg) -> ModelConfig:
-    return ModelConfig(**cfg["model"])
-
-
 # ----------------------------------------------------------------------
-# commands: each writes its files into `out_dir` and returns the config,
-# inputs and seed its manifest records
+# commands: each writes its files into `out_dir` and returns the inputs
+# its manifest records and its success line
 # ----------------------------------------------------------------------
-def cmd_simulate(args, out_dir: Path):
-    cfg = _load_cfg(args)
+def cmd_simulate(args, cfg, out_dir: Path):
     sim = cfg["simulate"]
     lif = LifParams(**sim["lif"])
 
@@ -175,8 +146,7 @@ def cmd_simulate(args, out_dir: Path):
                "sha256": {p.name: file_hash(p) for p in out_dir.iterdir()}}
     (out_dir / "dataset_manifest.json").write_text(
         json.dumps(dataset, sort_keys=True, indent=1) + "\n")
-    print(f"simulate: wrote {len(instances)} record pair(s) to {args.out}")
-    return cfg, {}, cfg["seed"]
+    return {}, f"simulate: wrote {len(instances)} record pair(s) to {args.out}"
 
 
 def _load_dataset(data_dir: Path) -> dict:
@@ -239,19 +209,17 @@ def _pre_windows(data_dir: Path, dataset: dict, cfg) -> list:
     return windows
 
 
-def cmd_prior(args, out_dir: Path):
-    cfg = _load_cfg(args)
+def cmd_prior(args, cfg, out_dir: Path):
     data_dir = Path(args.data)
     windows = _pre_windows(data_dir, _load_dataset(data_dir), cfg)
     p = cfg["prior"]
     prior = prior_from_windows(windows, p["lag_order"], p["top_k"], p["ridge"])
     save_prior_csv(out_dir / "prior.csv", prior)
-    print(f"prior: {prior.n_edges} edges from {len(windows)} context windows")
-    return cfg, {"dataset": data_dir / "dataset_manifest.json"}, cfg["seed"]
+    return ({"dataset": data_dir / "dataset_manifest.json"},
+            f"prior: {prior.n_edges} edges from {len(windows)} context windows")
 
 
-def cmd_train(args, out_dir: Path):
-    cfg = _load_cfg(args)
+def cmd_train(args, cfg, out_dir: Path):
     data_dir = Path(args.data)
     prior_path = _require(args.prior, "prior CSV")
     dataset = _load_dataset(data_dir)
@@ -259,15 +227,14 @@ def cmd_train(args, out_dir: Path):
     prior = load_prior_csv(prior_path, cfg["prior"]["lag_order"],
                            cfg["prior"]["top_k"], n_nodes=dataset["n_nodes"])
     ckpt = train(windows, prior, _train_config(cfg),
-                 model_config=_model_config(cfg),
+                 model_config=ModelConfig(**cfg["model"]),
                  log_path=out_dir / "train_log.jsonl")
     save_checkpoint(ckpt, out_dir / "checkpoint")
-    print(f"train: best val loss {ckpt.val_loss:.6f} at epoch {ckpt.epoch}")
-    return (cfg, {"dataset": data_dir / "dataset_manifest.json", "prior": prior_path},
-            cfg["seed"])
+    return ({"dataset": data_dir / "dataset_manifest.json", "prior": prior_path},
+            f"train: best val loss {ckpt.val_loss:.6f} at epoch {ckpt.epoch}")
 
 
-def cmd_forecast(args, out_dir: Path):
+def cmd_forecast(args, cfg, out_dir: Path):
     ckpt_prefix = Path(args.checkpoint)
     model = _load_model(ckpt_prefix)
     manifest_path = _require(args.windows, "windows manifest")
@@ -285,13 +252,11 @@ def cmd_forecast(args, out_dir: Path):
                 "n_nodes": window.n_nodes, "t_hor": window.horizon.shape[1]}
         (fc_dir / f"{stem}.json").write_text(
             json.dumps(meta, sort_keys=True, indent=1) + "\n")
-    print(f"forecast: wrote {len(windows)} window forecast(s)")
-    return None, {"checkpoint": ckpt_prefix.with_suffix(".json"),
-                  "windows": manifest_path}, None
+    return ({"checkpoint": ckpt_prefix.with_suffix(".json"), "windows": manifest_path},
+            f"forecast: wrote {len(windows)} window forecast(s)")
 
 
-def cmd_perturb_eval(args, out_dir: Path):
-    cfg = _load_cfg(args)
+def cmd_perturb_eval(args, cfg, out_dir: Path):
     ckpt_prefix = Path(args.checkpoint)
     model = _load_model(ckpt_prefix, refuse_perturbed=True)
     data_dir = Path(args.data)
@@ -321,13 +286,13 @@ def cmd_perturb_eval(args, out_dir: Path):
     report = evaluate(preds, targets)
     (out_dir / "perturb_report.json").write_text(
         json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
-    print(f"perturb-eval: mse={report.mse:.6f} mae={report.mae:.6f} "
-          f"dtw={report.dtw:.6f} over {report.n_windows} window(s)")
-    return (cfg, {"checkpoint": ckpt_prefix.with_suffix(".json"),
-                  "dataset": data_dir / "dataset_manifest.json"}, cfg["seed"])
+    return ({"checkpoint": ckpt_prefix.with_suffix(".json"),
+             "dataset": data_dir / "dataset_manifest.json"},
+            f"perturb-eval: mse={report.mse:.6f} mae={report.mae:.6f} "
+            f"dtw={report.dtw:.6f} over {report.n_windows} window(s)")
 
 
-def cmd_metrics(args, out_dir: Path):
+def cmd_metrics(args, cfg, out_dir: Path):
     fc_dir = _require(args.forecasts, "forecast directory")
     tg_dir = _require(args.targets, "target directory")
     fc_files = sorted(Path(fc_dir).glob("*.csv"))
@@ -344,10 +309,10 @@ def cmd_metrics(args, out_dir: Path):
     report = evaluate(preds, targets)
     (out_dir / "metric_report.json").write_text(
         json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
-    print(f"metrics: mse={report.mse:.6f} mae={report.mae:.6f} "
-          f"dtw={report.dtw:.6f} over {report.n_windows} window(s)")
-    return None, {**{f"forecasts/{f.name}": f for f in fc_files},
-                  **{f"targets/{f.name}": f for f in tg_files}}, None
+    return ({**{f"forecasts/{f.name}": f for f in fc_files},
+             **{f"targets/{f.name}": f for f in tg_files}},
+            f"metrics: mse={report.mse:.6f} mae={report.mae:.6f} "
+            f"dtw={report.dtw:.6f} over {report.n_windows} window(s)")
 
 
 # ----------------------------------------------------------------------
@@ -420,13 +385,15 @@ def main(argv=None) -> int:
     stage = None
     try:
         out = _refuse_used_out(Path(args.out))
+        cfg = _load_cfg(args) if hasattr(args, "config") else None
         # mkdir (not mkdtemp, which makes it 0700) gives `--out` the umask's mode
         out.parent.mkdir(parents=True, exist_ok=True)
         stage = out.parent / f".{out.name}.{os.urandom(8).hex()}"
         stage.mkdir()
-        cfg, inputs, seed = args.func(args, stage)
-        _write_manifest(stage, args.command, cfg, inputs, seed)
+        inputs, line = args.func(args, cfg, stage)
+        _write_manifest(stage, args.command, cfg, inputs)
         os.replace(stage, out)
+        print(line)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

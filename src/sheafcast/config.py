@@ -6,7 +6,10 @@ prior, model, train, eval. The `simulate.lif`, `model`, `train` and
 `train.scheduler` entries come from the fields of the parameter
 dataclasses (`LifParams`, `ModelConfig`, `TrainingConfig`,
 `SchedulerConfig`), so each of those defaults is written once, in its
-dataclass; the remaining entries are written here.
+dataclass; the remaining entries are written here, with their lower
+bounds. `validate_config` checks every domain: the seed, those bounds, and
+the parameter objects, the small-world rule and the binning, which check
+their own.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import ArtifactMismatchError, ConfigError
+from .errors import ArtifactMismatchError, ConfigError, InvalidParameterError
+from .graphs import check_small_world
 from .model import ModelConfig
-from .neurosim import LifParams
+from .neurosim import LifParams, bin_edges
 from .training import SchedulerConfig, TrainingConfig
 
 
@@ -31,63 +35,61 @@ def _section(cls, *skip, **nested) -> dict:
             for f in fields(cls) if f.name not in skip}
 
 
+# `(type, default)` or `(type, default, lower bound)`
 _SCHEMA = {
-    "seed": int,
     "simulate": {
         "n_nodes": (int, 100),
         "small_world_k": (int, 8),
         "small_world_beta": (float, 0.1),
-        "count": (int, 1),
+        "count": (int, 1, 0),
         "perturb": (bool, True),
         "bin_ms": (float, 10.0),
         "sigma_ms": (float, 20.0),
         "lif": _section(LifParams),
     },
     "prior": {
-        "lag_order": (int, 3),
-        "top_k": (int, 8),
-        "ridge": (float, 1e-6),
+        "lag_order": (int, 3, 1),
+        "top_k": (int, 8, 1),
+        "ridge": (float, 1e-6, 0.0),
     },
     "model": _section(ModelConfig),
     "train": {
         **_section(TrainingConfig, "seed", scheduler=_section(SchedulerConfig)),
-        "t_ctx": (int, 30),
-        "t_hor": (int, 10),
-        "stride": (int, 40),
+        "t_ctx": (int, 30, 1),
+        "t_hor": (int, 10, 1),
+        "stride": (int, 40, 1),
     },
     "eval": {
-        "t_ctx": (int, 30),
-        "t_hor": (int, 10),
+        "t_ctx": (int, 30, 1),
+        "t_hor": (int, 10, 1),
     },
 }
 
 
 def default_config(seed: int) -> dict:
     """The fully explicit default configuration."""
-    def build(schema):
-        out = {}
-        for key, spec in schema.items():
-            if key == "seed":
-                continue
-            if isinstance(spec, dict):
-                out[key] = build(spec)
-            else:
-                out[key] = spec[1]
-        return out
+    return validate_config({"seed": int(seed)})
 
-    cfg = build(_SCHEMA)
-    cfg["seed"] = int(seed)
-    return cfg
+
+def training_config(cfg: dict) -> TrainingConfig:
+    """The `TrainingConfig` of a run config's `train` section and seed."""
+    names = {f.name for f in fields(TrainingConfig)}
+    return TrainingConfig(**{k: v for k, v in cfg["train"].items() if k in names},
+                          seed=cfg["seed"])
 
 
 def validate_config(raw: dict) -> dict:
-    """Fill defaults, coerce numeric types, reject unknown keys."""
+    """Fill defaults, coerce numeric types, reject unknown keys and every
+    value outside its domain."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if "seed" not in raw:
         raise ConfigError("config is missing the mandatory 'seed'")
-    if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
+    seed = raw["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("'seed' must be an integer")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     def walk(schema, node, path):
         if not isinstance(node, dict):
@@ -97,13 +99,11 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"unknown key(s) {sorted(unknown)} under {path or 'config'}")
         out = {}
         for key, spec in schema.items():
-            if key == "seed":
-                continue
             child_path = f"{path}.{key}" if path else key
             if isinstance(spec, dict):
                 out[key] = walk(spec, node.get(key, {}), child_path)
                 continue
-            kind, default = spec
+            kind, default, *low = spec
             value = node.get(key, default)
             if kind is float and isinstance(value, int) and not isinstance(value, bool):
                 value = float(value)
@@ -111,12 +111,20 @@ def validate_config(raw: dict) -> dict:
                 raise ConfigError(f"{child_path} must be {kind.__name__}")
             if not isinstance(value, kind):
                 raise ConfigError(f"{child_path} must be {kind.__name__}")
+            if low and not value >= low[0]:
+                raise ConfigError(f"{child_path} must be >= {low[0]:g}, got {value}")
             out[key] = value
         return out
 
-    top = {k: v for k, v in raw.items() if k != "seed"}
-    cfg = walk({k: v for k, v in _SCHEMA.items() if k != "seed"}, top, "")
-    cfg["seed"] = raw["seed"]
+    cfg = walk(_SCHEMA, {k: v for k, v in raw.items() if k != "seed"}, "")
+    cfg["seed"] = seed
+    sim = cfg["simulate"]
+    try:        # the parameter objects, the graph and the binning check their own domains
+        training_config(cfg), ModelConfig(**cfg["model"])
+        check_small_world(sim["n_nodes"], sim["small_world_k"], sim["small_world_beta"])
+        bin_edges(LifParams(**sim["lif"]).duration_ms, sim["bin_ms"], sim["sigma_ms"])
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 

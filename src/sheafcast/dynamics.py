@@ -32,10 +32,6 @@ class VectorFieldParams:
     def in_dim(self) -> int:
         return self.w1.data.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.w1.data.shape[1]
-
     @classmethod
     def init(cls, stalk_dim: int, width: int,
              rng: np.random.Generator) -> "VectorFieldParams":

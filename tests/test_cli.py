@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 import sheafcast
 from sheafcast.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_MISSING, EXIT_OK,
                            EXIT_RUNTIME, main)
-from sheafcast.config import config_hash, default_config, validate_config
+from sheafcast.config import config_hash, default_config, load_config, validate_config
 from sheafcast.errors import ConfigError
 from sheafcast.neurosim import load_rates_csv, load_rates_npy, save_rates_csv
 from sheafcast.training import load_checkpoint, save_checkpoint
@@ -638,8 +639,10 @@ def test_a_second_forecast_into_the_same_out_leaves_the_first(pipeline, tmp_path
 def _one_line_exit(capsys, argv):
     capsys.readouterr()
     code = main([str(a) for a in argv])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+    # a success line is printed only once `--out` is in place
+    assert code == EXIT_OK or out == "", out
     return code
 
 
@@ -788,33 +791,74 @@ def test_the_entry_point_exits_2_on_a_negative_seed_and_0_on_a_fixture_simulate(
     assert _files_under(out) == sorted(manifest["outputs"] + ["manifest_simulate.json"])
 
 
+# one out-of-domain value per case: (keys into the config, value)
+BAD_VALUES = [
+    (("train", "lr"), -1.0),
+    (("model", "stalk_dim"), 0), (("model", "field_width"), 0),
+    (("model", "rounds"), -1), (("model", "dt"), 0.0), (("model", "dt"), -1.0),
+    (("train", "batch_size"), 0), (("train", "batch_size"), -3),
+    (("train", "max_epochs"), -1), (("train", "val_fraction"), -0.1),
+    (("train", "val_fraction"), 1.0), (("train", "weight_decay"), -1e-5),
+    (("train", "scheduler", "patience_epochs"), 0),
+    (("train", "scheduler", "min_lr"), -1e-6),
+    (("simulate", "count"), -2), (("prior", "top_k"), 0),
+    (("prior", "lag_order"), 0), (("prior", "ridge"), -1e-6),
+    (("train", "t_ctx"), 0), (("train", "t_hor"), 0), (("train", "stride"), 0),
+    (("eval", "t_ctx"), 0), (("eval", "t_hor"), 0),
+    (("simulate", "sigma_ms"), -20.0), (("simulate", "bin_ms"), 0.0),
+    (("simulate", "bin_ms"), -10.0), (("seed",), -1),
+    (("simulate", "n_nodes"), 0), (("simulate", "n_nodes"), -3),
+    (("simulate", "small_world_k"), 3), (("simulate", "small_world_k"), 0),
+    (("simulate", "small_world_beta"), 2.0),
+    (("simulate", "small_world_beta"), float("nan")),
+]
+
+
+def _with_value(cfg, keys, value):
+    section = cfg
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    return cfg
+
+
+# the small-world rule names its parameters as `generate_small_world` does
+_NAME_IN_MESSAGE = {"n_nodes": "got n ", "small_world_k": "small-world k",
+                    "small_world_beta": "small-world beta"}
+
+
+@pytest.mark.parametrize("keys,value", BAD_VALUES,
+                         ids=[".".join(k) + f"={v}" for k, v in BAD_VALUES])
+def test_the_library_refuses_every_value_the_cli_refuses(tmp_path, keys, value):
+    """`validate_config`, and `load_config` of a file holding the value,
+    refuse it naming the key."""
+    cfg = _with_value(_fast_config(), keys, value)
+    name = re.escape(_NAME_IN_MESSAGE.get(keys[-1], keys[-1]))
+    with pytest.raises(ConfigError, match=name):
+        validate_config(cfg)
+    with pytest.raises(ConfigError, match=name):
+        load_config(_write_config(tmp_path, cfg))
+
+
+def test_default_config_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        default_config(-1)
+
+
+def test_a_config_file_must_be_valid_on_its_own(tmp_path, capsys):
+    """`--seed` replaces a valid file's seed; it does not repair a file
+    whose own seed is out of its domain."""
+    cfg = _fast_config(count=0)
+    cfg["seed"] = -1
+    out = tmp_path / "o"
+    assert _one_line_exit(capsys, ["simulate", "--config", _write_config(tmp_path, cfg),
+                                   "--seed", "3", "--out", out]) == EXIT_CONFIG
+    assert not out.exists() and _siblings(out) == []
+
+
 def test_config_domain_error_exits_2(pipeline, tmp_path, capsys):
-    bad_values = [
-        (("train", "lr"), -1.0),
-        (("model", "stalk_dim"), 0), (("model", "field_width"), 0),
-        (("model", "rounds"), -1), (("model", "dt"), 0.0), (("model", "dt"), -1.0),
-        (("train", "batch_size"), 0), (("train", "batch_size"), -3),
-        (("train", "max_epochs"), -1), (("train", "val_fraction"), -0.1),
-        (("train", "val_fraction"), 1.0), (("train", "weight_decay"), -1e-5),
-        (("train", "scheduler", "patience_epochs"), 0),
-        (("train", "scheduler", "min_lr"), -1e-6),
-        (("simulate", "count"), -2), (("prior", "top_k"), 0),
-        (("prior", "lag_order"), 0), (("prior", "ridge"), -1e-6),
-        (("train", "t_ctx"), 0), (("train", "t_hor"), 0), (("train", "stride"), 0),
-        (("eval", "t_ctx"), 0), (("eval", "t_hor"), 0),
-        (("simulate", "sigma_ms"), -20.0), (("simulate", "bin_ms"), 0.0),
-        (("simulate", "bin_ms"), -10.0), (("seed",), -1),
-        (("simulate", "n_nodes"), 0), (("simulate", "n_nodes"), -3),
-        (("simulate", "small_world_k"), 3), (("simulate", "small_world_k"), 0),
-        (("simulate", "small_world_beta"), 2.0),
-        (("simulate", "small_world_beta"), float("nan")),
-    ]
-    for i, (keys, value) in enumerate(bad_values):
-        cfg = _fast_config()
-        section = cfg
-        for key in keys[:-1]:
-            section = section[key]
-        section[keys[-1]] = value
+    for i, (keys, value) in enumerate(BAD_VALUES):
+        cfg = _with_value(_fast_config(), keys, value)
         path = _write_config(tmp_path, cfg, f"config_{i}.json")
         assert _one_line_exit(capsys, [
             "train", "--config", path, "--data", pipeline["sim"],

@@ -127,3 +127,26 @@ def test_every_exported_name_exists():
     missing = [name for name in sheafcast.__all__ if not hasattr(sheafcast, name)]
     assert not missing, missing
     assert len(set(sheafcast.__all__)) == len(sheafcast.__all__)
+
+
+SRC = sorted((ROOT / "src" / "sheafcast").glob("*.py"))
+
+
+@pytest.mark.parametrize("source", SRC, ids=[p.stem for p in SRC])
+def test_every_package_name_a_module_imports_is_used_or_wrapped(source):
+    """A name a package module imports from the package at module level is
+    read in that module, exported by `__all__`, or wrapped under that
+    module by `benchmarks/layers.py::install`, which looks it up there; any
+    other is a stray import left behind by a removed caller."""
+    module = importlib.import_module(f"sheafcast.{source.stem}".removesuffix(".__init__"))
+    wrapped = {attr for owner, attr in
+               _wrapped_attributes(ast.parse(LAYERS.read_text(), filename=str(LAYERS)))
+               if owner is module}
+    tree = ast.parse(source.read_text(), filename=str(source))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level > 0
+                for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= set(getattr(module, "__all__", ()))
+    stray = [name for name in imported if name not in read | wrapped]
+    assert not stray, f"{source.name} imports names it neither reads nor has wrapped: {stray}"
