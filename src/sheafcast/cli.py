@@ -14,19 +14,19 @@ leaves `--out` as it was. Identical manifests reproduce identical outputs.
 Exit codes: 0 success, 2 configuration/schema violation, 3 missing input,
 4 artifact mismatch (a file that does not match the sha256 its manifest
 pins, a dataset, window set or checkpoint in a format no longer read, a
-malformed checkpoint or one whose arrays or edges do not fit its model, and
-the perturbation leakage guard), 5 any other failure (bad data, I/O,
-divergence, an `--out` that is not empty). Failures print one line.
-A checkpoint's JSON file pins its array file by sha256, `dataset_manifest.json`
-pins every record file and a windows manifest every window file, so the hash
-of the JSON file in a manifest covers the files it pins too.
+malformed dataset manifest, windows manifest or checkpoint, a checkpoint
+whose arrays or edges do not fit its model, and the perturbation leakage
+guard), 5 any other failure (bad data, I/O, divergence, an `--out` that is
+not empty). Failures print one line. A checkpoint's JSON file pins its
+array file by sha256, `dataset_manifest.json` pins every record file and a
+windows manifest every window block, so the hash of the JSON file in a
+manifest covers the files it pins too.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import shutil
 import sys
@@ -35,8 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (check_pinned, config_hash, file_hash, load_config,
-                     training_config as _train_config, validate_config)
+from .artifacts import check_pinned, file_hash, read_manifest, write_json
+from .config import (config_hash, load_config, training_config as _train_config,
+                     validate_config)
 from .data import load_windows, make_perturbed_windows, make_windows
 from .errors import (ArtifactMismatchError, CheckpointMismatchError, ConfigError,
                      InfeasiblePlacementError, InvalidParameterError)
@@ -82,8 +83,7 @@ def _write_manifest(out_dir: Path, command: str, cfg, inputs: dict) -> None:
         "input_hashes": {str(k): file_hash(v) for k, v in inputs.items()},
         "outputs": sorted(outputs),
     }
-    (out_dir / f"manifest_{command}.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    write_json(out_dir / f"manifest_{command}.json", manifest)
 
 
 def _require(path, kind: str) -> Path:
@@ -144,20 +144,15 @@ def cmd_simulate(args, cfg, out_dir: Path):
     dataset = {"format": DATASET_FORMAT, "instances": instances,
                "n_nodes": sim["n_nodes"], "bin_ms": sim["bin_ms"], "config": cfg,
                "sha256": {p.name: file_hash(p) for p in out_dir.iterdir()}}
-    (out_dir / "dataset_manifest.json").write_text(
-        json.dumps(dataset, sort_keys=True, indent=1) + "\n")
+    write_json(out_dir / "dataset_manifest.json", dataset)
     return {}, f"simulate: wrote {len(instances)} record pair(s) to {args.out}"
 
 
 def _load_dataset(data_dir: Path) -> dict:
-    dataset = json.loads(_require(Path(data_dir) / "dataset_manifest.json",
-                                  "dataset manifest").read_text())
-    found = dataset.get("format")
-    if found != DATASET_FORMAT:
-        raise ArtifactMismatchError(
-            f"dataset_manifest.json has format {found!r}, not {DATASET_FORMAT!r}: "
-            f"datasets of CSV rates are no longer read; run simulate again")
-    return dataset
+    path = _require(Path(data_dir) / "dataset_manifest.json", "dataset manifest")
+    return read_manifest(path, DATASET_FORMAT,
+                         "datasets of CSV rates are no longer read; run simulate again",
+                         ArtifactMismatchError)
 
 
 def _load_dataset_record(data_dir: Path, dataset: dict, stem: str):
@@ -250,8 +245,7 @@ def cmd_forecast(args, cfg, out_dir: Path):
         save_rates_npy(tg_dir / f"{stem}.npy", window.horizon)
         meta = {"window": window.source_id, "denormalized": False,
                 "n_nodes": window.n_nodes, "t_hor": window.horizon.shape[1]}
-        (fc_dir / f"{stem}.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=1) + "\n")
+        write_json(fc_dir / f"{stem}.json", meta)
     return ({"checkpoint": ckpt_prefix.with_suffix(".json"), "windows": manifest_path},
             f"forecast: wrote {len(windows)} window forecast(s)")
 
@@ -284,8 +278,7 @@ def cmd_perturb_eval(args, cfg, out_dir: Path):
               f"window placement", file=sys.stderr)
     preds, targets = forecast_windows(model, eval_windows)
     report = evaluate(preds, targets)
-    (out_dir / "perturb_report.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
+    write_json(out_dir / "perturb_report.json", report.to_dict())
     return ({"checkpoint": ckpt_prefix.with_suffix(".json"),
              "dataset": data_dir / "dataset_manifest.json"},
             f"perturb-eval: mse={report.mse:.6f} mae={report.mae:.6f} "
@@ -307,8 +300,7 @@ def cmd_metrics(args, cfg, out_dir: Path):
     preds = [load_rates_csv(p) for p in fc_files]
     targets = [load_rates_npy(p) for p in tg_files]
     report = evaluate(preds, targets)
-    (out_dir / "metric_report.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
+    write_json(out_dir / "metric_report.json", report.to_dict())
     return ({**{f"forecasts/{f.name}": f for f in fc_files},
              **{f"targets/{f.name}": f for f in tg_files}},
             f"metrics: mse={report.mse:.6f} mae={report.mae:.6f} "

@@ -20,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import ArtifactMismatchError, ConfigError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError
 from .graphs import check_small_world
 from .model import ModelConfig
 from .neurosim import LifParams, bin_edges
@@ -118,13 +118,24 @@ def validate_config(raw: dict) -> dict:
 
     cfg = walk(_SCHEMA, {k: v for k, v in raw.items() if k != "seed"}, "")
     cfg["seed"] = seed
+    # the parameter objects, the graph and the binning check their own
+    # domains; a refusal is prefixed with the section it comes from
     sim = cfg["simulate"]
-    try:        # the parameter objects, the graph and the binning check their own domains
-        training_config(cfg), ModelConfig(**cfg["model"])
-        check_small_world(sim["n_nodes"], sim["small_world_k"], sim["small_world_beta"])
-        bin_edges(LifParams(**sim["lif"]).duration_ms, sim["bin_ms"], sim["sigma_ms"])
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    checks = [
+        ("train.scheduler", lambda: SchedulerConfig(**cfg["train"]["scheduler"])),
+        ("train", lambda: training_config(cfg)),
+        ("model", lambda: ModelConfig(**cfg["model"])),
+        ("simulate.lif", lambda: LifParams(**sim["lif"])),
+        ("simulate", lambda: check_small_world(
+            sim["n_nodes"], sim["small_world_k"], sim["small_world_beta"])),
+        ("simulate", lambda: bin_edges(
+            sim["lif"]["duration_ms"], sim["bin_ms"], sim["sigma_ms"])),
+    ]
+    for section, check in checks:
+        try:
+            check()
+        except InvalidParameterError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
     return cfg
 
 
@@ -140,27 +151,3 @@ def load_config(path) -> dict:
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def file_hash(path) -> str:
-    """sha256 of a file, read in 1 MiB blocks so that no whole file is held
-    in memory."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def check_pinned(base: Path, name: str, pins: dict, manifest: str) -> Path:
-    """`base / name`, refused unless its sha256 is the digest that `pins`
-    (file name -> sha256, read from `manifest`) gives for `name`. A removed
-    file raises FileNotFoundError; an unpinned or changed one
-    ArtifactMismatchError."""
-    path = Path(base) / name
-    digest = pins.get(name)
-    if digest is None:
-        raise ArtifactMismatchError(f"{name} is not pinned in {manifest}")
-    if file_hash(path) != digest:
-        raise ArtifactMismatchError(f"{name} does not match the sha256 pinned in {manifest}")
-    return path

@@ -5,18 +5,19 @@ Training windows are z-scored per node over the full context+horizon block
 are built for the out-of-distribution protocol: the silencing onset sits at
 90% of the context, pre-onset bins come from the unperturbed record, and
 normalization uses context-only statistics so the horizon is never touched
-on the inference path.
+on the inference path; a context std below 0.1 Hz counts as 0.1 Hz there,
+so a near-silent context row cannot blow up its horizon's z-scores.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .artifacts import check_pinned, file_hash, read_manifest, write_json
 from .errors import (ArtifactMismatchError, InfeasiblePlacementError,
                      InvalidParameterError, SeriesTooShortError)
 # `load_rates_csv` and `save_rates_csv` are not called here (window blocks
@@ -25,6 +26,10 @@ from .neurosim import (PerturbationSpec, SimulationRecord, load_rates_csv,
                        load_rates_npy, save_rates_csv, save_rates_npy)
 
 _STD_FLOOR = 1e-12
+# in evaluation windows, the smallest std (Hz) a non-constant context row is
+# scaled by: a near-silent context row whose horizon fires would otherwise
+# z-score to hundreds
+_CONTEXT_STD_FLOOR_HZ = 0.1
 
 
 @dataclass
@@ -59,17 +64,18 @@ class TrajectoryWindow:
         return block * self.norm_std[:, None] + self.norm_mean[:, None]
 
 
-def _zscore(block: np.ndarray, stats_cols: slice):
+def _zscore(block: np.ndarray, stats_cols: slice, floor: float = 0.0):
     """Z-score rows of `block` using statistics from `block[:, stats_cols]`.
 
     Rows whose statistics window is constant keep std 1, which maps the
     stats region to exact zeros (x - mean) while leaving any remaining
-    columns informative, and makes de-normalization exact.
+    columns informative, and makes de-normalization exact. Any other row's
+    std is raised to at least `floor`.
     """
     stats = block[:, stats_cols]
     mean = stats.mean(axis=1)
     std = stats.std(axis=1)
-    safe_std = np.where(std <= _STD_FLOOR, 1.0, std)
+    safe_std = np.where(std <= _STD_FLOOR, 1.0, np.maximum(std, floor))
     out = (block - mean[:, None]) / safe_std[:, None]
     return out, mean, safe_std
 
@@ -117,7 +123,8 @@ def make_perturbed_windows(record_pre: SimulationRecord,
     The context holds floor(0.9 * t_ctx) pre-onset bins from the unperturbed
     record followed by post-onset bins from the perturbed record; the horizon
     is entirely post-onset perturbed activity. Normalization statistics come
-    from the context only (inference never reads the horizon).
+    from the context only (inference never reads the horizon), with each
+    row's std floored at `_CONTEXT_STD_FLOOR_HZ`.
     """
     if record_pre.rates.shape != record_post.rates.shape:
         raise InvalidParameterError("record pair shapes differ")
@@ -138,7 +145,7 @@ def make_perturbed_windows(record_pre: SimulationRecord,
         record_pre.rates[:, start:onset_bin],
         record_post.rates[:, onset_bin:end],
     ], axis=1)
-    normed, mean, std = _zscore(block, slice(0, t_ctx))
+    normed, mean, std = _zscore(block, slice(0, t_ctx), _CONTEXT_STD_FLOOR_HZ)
     return [TrajectoryWindow(
         context=normed[:, :t_ctx],
         horizon=normed[:, t_ctx:],
@@ -151,80 +158,59 @@ def make_perturbed_windows(record_pre: SimulationRecord,
 
 
 # ----------------------------------------------------------------------
-# window sets: per-window block `.npy` and metadata JSON, listed and pinned
-# by sha256 in a manifest JSON
+# window sets: per-window block `.npy`, listed with its metadata and pinned
+# by sha256 in one manifest JSON
 # ----------------------------------------------------------------------
-WINDOWS_FORMAT = "sheafcast-windows-v2"
+WINDOWS_FORMAT = "sheafcast-windows-v3"
 
 
-def save_windows(out_dir, windows, name: str = "windows") -> Path:
-    """Write windows and a manifest listing them and pinning every file
-    by sha256; returns the manifest path."""
-    from .config import file_hash
-
+def save_windows(out_dir, windows) -> Path:
+    """Write each window's block and `windows_manifest.json`, which holds
+    every window's metadata beside its block name and pins every block by
+    sha256; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries, pins = [], {}
     for i, win in enumerate(windows):
-        stem = f"{name}_{i:05d}"
-        block = np.concatenate([win.context, win.horizon], axis=1)
-        save_rates_npy(out_dir / f"{stem}.npy", block)
-        meta = {
-            "source_id": win.source_id,
-            "t_ctx": win.context.shape[1],
-            "t_hor": win.horizon.shape[1],
-            "time_step": win.time_step,
-            "norm_mean": [float(x) for x in win.norm_mean],
-            "norm_std": [float(x) for x in win.norm_std],
-            "perturbation_onset_index": win.perturbation_onset_index,
-        }
-        (out_dir / f"{stem}.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=1) + "\n")
-        entries.append({"window": f"{stem}.npy", "meta": f"{stem}.json"})
-        pins.update({f: file_hash(out_dir / f) for f in entries[-1].values()})
-    manifest_path = out_dir / f"{name}_manifest.json"
-    manifest_path.write_text(json.dumps(
-        {"format": WINDOWS_FORMAT, "windows": entries, "sha256": pins},
-        sort_keys=True, indent=1) + "\n")
+        name = f"windows_{i:05d}.npy"
+        save_rates_npy(out_dir / name, np.concatenate([win.context, win.horizon], axis=1))
+        pins[name] = file_hash(out_dir / name)
+        entries.append({"window": name, "source_id": win.source_id,
+                        "t_ctx": win.context.shape[1], "t_hor": win.horizon.shape[1],
+                        "time_step": win.time_step,
+                        "norm_mean": [float(x) for x in win.norm_mean],
+                        "norm_std": [float(x) for x in win.norm_std],
+                        "perturbation_onset_index": win.perturbation_onset_index})
+    manifest_path = out_dir / "windows_manifest.json"
+    write_json(manifest_path, {"format": WINDOWS_FORMAT, "windows": entries, "sha256": pins})
     return manifest_path
 
 
 def load_windows(manifest_path) -> list:
-    """The windows of a manifest `save_windows` wrote. Each file is checked
-    against its pinned sha256 before it is read; a changed or unpinned file,
-    or a window set in the older CSV format, raises ArtifactMismatchError."""
-    from .config import check_pinned
-
+    """The windows of a manifest `save_windows` wrote. Each block is checked
+    against its pinned sha256 before it is read; a malformed manifest, one
+    of an older format, or a changed or unpinned block raises
+    ArtifactMismatchError."""
     manifest_path = Path(manifest_path)
-    base = manifest_path.parent
-    manifest = json.loads(manifest_path.read_text())
-    found = manifest.get("format")
-    if found != WINDOWS_FORMAT:
-        raise ArtifactMismatchError(
-            f"{manifest_path.name} has format {found!r}, not {WINDOWS_FORMAT!r}: "
-            f"window sets of CSV blocks are no longer read; save them again")
+    manifest = read_manifest(
+        manifest_path, WINDOWS_FORMAT,
+        "window sets of CSV blocks or per-window JSON files are no longer read; "
+        "save them again", ArtifactMismatchError)
     pins = manifest.get("sha256", {})
     windows = []
     for entry in manifest["windows"]:
-        meta_path = check_pinned(base, entry["meta"], pins, manifest_path.name)
-        block_path = check_pinned(base, entry["window"], pins, manifest_path.name)
-        meta = json.loads(meta_path.read_text())
-        block = load_rates_npy(block_path)
-        t_ctx, t_hor = meta["t_ctx"], meta["t_hor"]
-        norm_mean, norm_std = np.array(meta["norm_mean"]), np.array(meta["norm_std"])
+        block = load_rates_npy(check_pinned(manifest_path.parent, entry["window"], pins,
+                                            manifest_path.name))
+        t_ctx, t_hor = entry["t_ctx"], entry["t_hor"]
+        norm_mean, norm_std = np.array(entry["norm_mean"]), np.array(entry["norm_std"])
         if (t_ctx < 1 or t_hor < 1 or block.shape[1] != t_ctx + t_hor
                 or not norm_mean.shape == norm_std.shape == block.shape[:1]):
             raise InvalidParameterError(
-                f"window {entry['window']} has shape {block.shape}, but "
-                f"{entry['meta']} gives t_ctx {t_ctx} + t_hor {t_hor} columns and "
+                f"window {entry['window']} has shape {block.shape}, but its manifest "
+                f"entry gives t_ctx {t_ctx} + t_hor {t_hor} columns and "
                 f"normalization shapes {norm_mean.shape} and {norm_std.shape}")
         windows.append(TrajectoryWindow(
-            context=block[:, :t_ctx],
-            horizon=block[:, t_ctx:],
-            time_step=meta["time_step"],
-            norm_mean=norm_mean,
-            norm_std=norm_std,
-            source_id=meta["source_id"],
-            perturbation_onset_index=meta["perturbation_onset_index"],
-        ))
+            context=block[:, :t_ctx], horizon=block[:, t_ctx:], time_step=entry["time_step"],
+            norm_mean=norm_mean, norm_std=norm_std, source_id=entry["source_id"],
+            perturbation_onset_index=entry["perturbation_onset_index"]))
     return windows

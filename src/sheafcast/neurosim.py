@@ -49,6 +49,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import InvalidParameterError
 from .graphs import BrainGraph, load_edges_csv, save_edges_csv
 
@@ -531,7 +532,7 @@ def save_record(out_dir, stem: str, record: SimulationRecord) -> None:
         "perturbation": (asdict(record.perturbation)
                          if record.perturbation is not None else None),
     }
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    write_json(meta_path, meta)
 
 
 def load_record(out_dir, stem: str) -> SimulationRecord:

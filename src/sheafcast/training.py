@@ -22,10 +22,11 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import file_hash, read_manifest, write_json
 from .data import TrajectoryWindow
 from .errors import (CheckpointMismatchError, DivergenceError,
                      InvalidParameterError, ShapeMismatchError)
-from .graphs import PriorGraph
+from .graphs import PriorGraph, granger_score_matrix, prior_from_scores
 from .metrics import evaluate
 from .model import ForecastModel, ModelConfig
 
@@ -276,8 +277,6 @@ def save_checkpoint(ckpt: ModelCheckpoint, path_prefix) -> None:
     pins it). The `.npz` has the bytes `np.savez` would write, so equal
     checkpoints give byte-identical files: every member carries the same
     fixed date."""
-    from .config import file_hash
-
     prefix = Path(path_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     npz_path, json_path = prefix.with_suffix(".npz"), prefix.with_suffix(".json")
@@ -288,25 +287,18 @@ def save_checkpoint(ckpt: ModelCheckpoint, path_prefix) -> None:
                     model_config=ckpt.model_config.to_dict(),
                     sources=sorted(ckpt.sources),
                     trained_on_perturbed=bool(ckpt.trained_on_perturbed))
-    json_path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    write_json(json_path, manifest)
 
 
 def load_checkpoint(path_prefix) -> ModelCheckpoint:
     """Read a checkpoint written by `save_checkpoint`. A malformed or
     non-v2 `<prefix>.json`, or a `<prefix>.npz` that does not match its
     pinned sha256, raises CheckpointMismatchError."""
-    from .config import file_hash
-
     prefix = Path(path_prefix)
     json_path, npz_path = prefix.with_suffix(".json"), prefix.with_suffix(".npz")
-    try:
-        manifest = json.loads(json_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointMismatchError(f"{json_path.name} is not valid JSON: {exc}") from exc
-    found = manifest.get("format") if isinstance(manifest, dict) else None
-    if found != CHECKPOINT_FORMAT:
-        raise CheckpointMismatchError(
-            f"checkpoint format {found!r} is not {CHECKPOINT_FORMAT!r}")
+    manifest = read_manifest(json_path, CHECKPOINT_FORMAT,
+                             "checkpoints of float32 arrays are no longer read; train again",
+                             CheckpointMismatchError)
     if set(manifest) != _MANIFEST_KEYS:
         raise CheckpointMismatchError(
             f"{json_path.name} lacks {sorted(_MANIFEST_KEYS - set(manifest))} "
@@ -521,8 +513,6 @@ def prior_from_windows(windows, lag_order: int = 3, top_k: int = 8,
                        ridge: float = 1e-6) -> PriorGraph:
     """Pooled Granger prior: mean score matrix over window contexts, then
     top-k selection. Reads contexts only, never horizons."""
-    from .graphs import granger_score_matrix, prior_from_scores
-
     windows = list(windows)
     if not windows:
         raise InvalidParameterError("need at least one window")

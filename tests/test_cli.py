@@ -456,28 +456,25 @@ def test_schema_violations_exit_2(tmp_path):
 
 
 def test_forecast_refuses_a_tampered_window_set(pipeline, tmp_path, capsys):
-    from sheafcast.data import make_windows, save_windows
-    from sheafcast.neurosim import load_record
+    """The windows manifest is the unpinned root that vouches for every byte
+    `forecast` reads: an entry whose metadata does not fit its block is
+    refused by the shape check."""
+    from sheafcast.data import save_windows
 
-    record = load_record(pipeline["sim"], "00000_pre")
-    windows = make_windows(record.rates, 30, 10, 40, source_id="00000_pre")
-    tampers = [("t_ctx", 40), ("t_ctx", 35), ("norm_mean", [0.0]), ("norm_std", [])]
-    for i, (key, value) in enumerate(tampers + [("t_ctx", 31)]):
+    windows = _windows_of(pipeline, "00000_pre")
+    tampers = [("t_ctx", 40), ("t_ctx", 35), ("norm_mean", [0.0]), ("norm_std", []),
+               ("t_ctx", 31)]
+    for i, (key, value) in enumerate(tampers):
         manifest = save_windows(tmp_path / f"w{i}", windows)
-        meta_path = manifest.parent / "windows_00001.json"
-        meta = json.loads(meta_path.read_text())
-        meta[key] = value
-        meta_path.write_text(json.dumps(meta))
-        pinned = i < len(tampers)
-        if pinned:      # the edit is pinned, so the shape check must refuse it
-            listing = json.loads(manifest.read_text())
-            listing["sha256"][meta_path.name] = hashlib.sha256(
-                meta_path.read_bytes()).hexdigest()
-            manifest.write_text(json.dumps(listing))
-        assert _one_line_exit(capsys, [
-            "forecast", "--checkpoint", pipeline["train"] / "checkpoint",
-            "--windows", manifest, "--out", tmp_path / f"fc{i}"]) == (
-                EXIT_RUNTIME if pinned else EXIT_MISMATCH), key
+        listing = json.loads(manifest.read_text())
+        listing["windows"][1][key] = value
+        manifest.write_text(json.dumps(listing))
+        capsys.readouterr()
+        code = main(["forecast", "--checkpoint", str(pipeline["train"] / "checkpoint"),
+                     "--windows", str(manifest), "--out", str(tmp_path / f"fc{i}")])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME, (key, value, err)
+        assert len(err.strip().splitlines()) == 1 and "windows_00001.npy has shape" in err, err
         assert not (tmp_path / f"fc{i}").exists()
 
 
@@ -498,7 +495,7 @@ _RECORD_FILES = ["rates.npy", "adjacency.csv", "meta.json"]
     *[(c, f"00000_pre_{f}") for c in ("prior", "train", "perturb-eval")
       for f in _RECORD_FILES],
     *[("perturb-eval", f"00000_post_{f}") for f in _RECORD_FILES],
-    *[("forecast", f"windows_00001.{ext}") for ext in ("npy", "json")],
+    ("forecast", "windows_00001.npy"),
 ])
 def test_a_faulty_pinned_file_exits_3_or_4(pipeline, tmp_path, capsys, command, name, fault):
     """Each file a manifest pins and the command reads, with one byte
@@ -596,6 +593,41 @@ def test_csv_datasets_and_window_sets_exit_4_naming_the_format(pipeline, tmp_pat
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "CSV" in err, err
     assert not (tmp_path / "p").exists() and not (tmp_path / "fc").exists()
+
+
+_MALFORMED = {"invalid-json": "{not json", "array": "[1, 2]",
+              "other-format": '{"format": "other"}'}
+
+
+@pytest.mark.parametrize("content", list(_MALFORMED.values()), ids=list(_MALFORMED))
+@pytest.mark.parametrize("name", ["dataset_manifest.json", "windows_manifest.json",
+                                  "checkpoint.json"])
+def test_a_malformed_manifest_exits_4(pipeline, tmp_path, capsys, name, content):
+    """A dataset manifest (read by `prior`), or a windows manifest or a
+    checkpoint's JSON (read by `forecast`), that is not valid JSON, not an
+    object, or of another format: exit 4, one stderr line naming the file,
+    and no `--out`."""
+    from sheafcast.data import save_windows
+
+    if name == "dataset_manifest.json":
+        data = tmp_path / "sim"
+        shutil.copytree(pipeline["sim"], data)
+        argv, target = ["prior", "--config", pipeline["cfg_path"], "--data", data], data / name
+    else:
+        windows = save_windows(tmp_path / "w", _windows_of(pipeline, "00000_pre"))
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        for suffix in (".json", ".npz"):
+            shutil.copy(pipeline["train"] / f"checkpoint{suffix}", ck)
+        argv = ["forecast", "--checkpoint", ck / "checkpoint", "--windows", windows]
+        target = windows if name == "windows_manifest.json" else ck / name
+    target.write_text(content)
+    capsys.readouterr()
+    code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
+    out, err = capsys.readouterr()
+    assert code == EXIT_MISMATCH, err
+    assert len(err.strip().splitlines()) == 1 and name in err and out == "", err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -831,13 +863,14 @@ _NAME_IN_MESSAGE = {"n_nodes": "got n ", "small_world_k": "small-world k",
                          ids=[".".join(k) + f"={v}" for k, v in BAD_VALUES])
 def test_the_library_refuses_every_value_the_cli_refuses(tmp_path, keys, value):
     """`validate_config`, and `load_config` of a file holding the value,
-    refuse it naming the key."""
+    refuse it naming the key, after the path of its section."""
     cfg = _with_value(_fast_config(), keys, value)
     name = re.escape(_NAME_IN_MESSAGE.get(keys[-1], keys[-1]))
-    with pytest.raises(ConfigError, match=name):
-        validate_config(cfg)
-    with pytest.raises(ConfigError, match=name):
-        load_config(_write_config(tmp_path, cfg))
+    section = ".".join(keys[:-1]) or "seed"
+    for refuse in (validate_config, lambda c: load_config(_write_config(tmp_path, c))):
+        with pytest.raises(ConfigError, match=name) as refusal:
+            refuse(cfg)
+        assert str(refusal.value).startswith(section), refusal.value
 
 
 def test_default_config_refuses_a_negative_seed():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +111,30 @@ def test_normalization_uses_context_statistics_only(record_pair):
     live = win.norm_std != 1.0  # rows that were not constant
     np.testing.assert_allclose(win.context[live].mean(axis=1), 0.0, atol=1e-9)
     np.testing.assert_allclose(win.context[live].std(axis=1), 1.0, atol=1e-9)
+
+
+def test_a_near_silent_context_row_keeps_a_bounded_z(record_pair):
+    """A row all but silent in the context (std 0.001 Hz) whose horizon
+    fires: its std counts as 0.1 Hz, so every |z| stays within
+    |x - mean| / 0.1 (unfloored, row 0's horizon would reach |z| 40,000),
+    and de-normalization gives the block back to rounding."""
+    pre, post, spec = record_pair
+    onset_bin = int(spec.onset_ms // 10.0)
+    start = onset_bin - 27
+    pre_rates, post_rates = pre.rates.copy(), post.rates.copy()
+    quiet = 0.002 + 0.001 * (-1.0) ** np.arange(30)
+    pre_rates[0, start:onset_bin] = quiet[:27]
+    post_rates[0, onset_bin:onset_bin + 3] = quiet[27:]
+    post_rates[0, onset_bin + 3:onset_bin + 13] = 40.0
+    win = make_perturbed_windows(replace(pre, rates=pre_rates),
+                                 replace(post, rates=post_rates), spec, t_ctx=30, t_hor=10)[0]
+    block = np.concatenate([pre_rates[:, start:onset_bin],
+                            post_rates[:, onset_bin:onset_bin + 13]], axis=1)
+    assert block[0, :30].std() == pytest.approx(0.001)
+    assert win.norm_std[0] == 0.1
+    z = np.concatenate([win.context, win.horizon], axis=1)
+    assert np.all(np.abs(z) <= np.abs(block - win.norm_mean[:, None]) / 0.1)
+    np.testing.assert_allclose(win.denormalize(z), block, rtol=1e-12, atol=1e-12)
 
 
 def test_infeasible_placement_at_series_edge(record_pair):

@@ -150,3 +150,22 @@ def test_every_package_name_a_module_imports_is_used_or_wrapped(source):
     read |= set(getattr(module, "__all__", ()))
     stray = [name for name in imported if name not in read | wrapped]
     assert not stray, f"{source.name} imports names it neither reads nor has wrapped: {stray}"
+
+
+def _is_package_import(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "sheafcast"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "sheafcast" for alias in node.names)
+
+
+@pytest.mark.parametrize("source", SRC, ids=[p.stem for p in SRC])
+def test_no_module_imports_from_the_package_inside_a_function(source):
+    """Package imports sit at module level, so a module's header shows every
+    package module it depends on, and an import cycle fails at import time
+    instead of hiding behind a call."""
+    tree = ast.parse(source.read_text(), filename=str(source))
+    nested = sorted({node.lineno for func in ast.walk(tree)
+                     if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for node in ast.walk(func) if _is_package_import(node)})
+    assert not nested, f"{source.name} imports from the package inside a function, lines {nested}"
