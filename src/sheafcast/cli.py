@@ -13,14 +13,17 @@ leaves `--out` as it was. Identical manifests reproduce identical outputs.
 
 Exit codes: 0 success, 2 configuration/schema violation, 3 missing input,
 4 artifact mismatch (a file that does not match the sha256 its manifest
-pins, a dataset, window set or checkpoint in a format no longer read, a
-malformed dataset manifest, windows manifest or checkpoint, a checkpoint
-whose arrays or edges do not fit its model, and the perturbation leakage
+pins or that it does not pin, a dataset, window set, forecast set or
+checkpoint in a format no longer read, a dataset manifest, windows
+manifest, forecast-set manifest or checkpoint that is malformed (invalid
+JSON, or a key missing, unknown or of the wrong type), a checkpoint whose
+arrays or edges do not fit its model, and the perturbation leakage
 guard), 5 any other failure (bad data, I/O, divergence, an `--out` that is
 not empty). Failures print one line. A checkpoint's JSON file pins its
-array file by sha256, `dataset_manifest.json` pins every record file and a
-windows manifest every window block, so the hash of the JSON file in a
-manifest covers the files it pins too.
+array file by sha256, `dataset_manifest.json` pins every record file, a
+windows manifest every window block and `forecasts_manifest.json` every
+forecast and target, so the hash of the JSON file in a manifest covers the
+files it pins too.
 """
 
 from __future__ import annotations
@@ -61,7 +64,19 @@ EXIT_MISSING = 3
 EXIT_MISMATCH = 4
 EXIT_RUNTIME = 5
 
-DATASET_FORMAT = "sheafcast-dataset-v2"
+DATASET_FORMAT = "sheafcast-dataset-v3"
+# the keys and value types of the dataset manifest `simulate` writes
+_DATASET_SCHEMA = {
+    "format": str, "n_nodes": int, "bin_ms": float, "config": dict, "sha256": {str: str},
+    "instances": [{"index": int, "seed": int, "pre": str, "post": (str, type(None)),
+                   "perturbation": ({"neuron": int, "onset_ms": float, "duration_ms": float},
+                                    type(None))}]}
+FORECASTS_FORMAT = "sheafcast-forecasts-v1"
+FORECASTS_MANIFEST = "forecasts_manifest.json"
+_FORECASTS_SCHEMA = {
+    "format": str, "sha256": {str: str},
+    "forecasts": [{"forecast": str, "target": str, "source_id": str, "n_nodes": int,
+                   "t_hor": int}]}
 
 
 def code_hash() -> str:
@@ -151,17 +166,16 @@ def cmd_simulate(args, cfg, out_dir: Path):
 def _load_dataset(data_dir: Path) -> dict:
     path = _require(Path(data_dir) / "dataset_manifest.json", "dataset manifest")
     return read_manifest(path, DATASET_FORMAT,
-                         "datasets of CSV rates are no longer read; run simulate again",
-                         ArtifactMismatchError)
+                         "datasets of CSV rates or adjacency CSV files are no longer read; "
+                         "run simulate again", ArtifactMismatchError, _DATASET_SCHEMA)
 
 
 def _load_dataset_record(data_dir: Path, dataset: dict, stem: str):
     """The record `stem` of a dataset, read only after each of its files
     matches the sha256 `dataset_manifest.json` pins, and refused unless its
     rate rows and bin width are the manifest's `n_nodes` and `bin_ms`."""
-    pins = dataset.get("sha256", {})
-    for suffix in ("_meta.json", "_rates.npy", "_adjacency.csv"):
-        check_pinned(data_dir, stem + suffix, pins, "dataset_manifest.json")
+    for suffix in ("_meta.json", "_rates.npy"):
+        check_pinned(data_dir, stem + suffix, dataset["sha256"], "dataset_manifest.json")
     record = load_record(data_dir, stem)
     n_rows = record.rates.shape[0]
     if n_rows != dataset["n_nodes"]:
@@ -235,17 +249,21 @@ def cmd_forecast(args, cfg, out_dir: Path):
     manifest_path = _require(args.windows, "windows manifest")
     windows = load_windows(manifest_path)
     preds, _ = forecast_windows(model, windows)
-    fc_dir = out_dir / "forecasts"
-    tg_dir = out_dir / "targets"
+    fc_dir, tg_dir = out_dir / "forecasts", out_dir / "targets"
     fc_dir.mkdir()
     tg_dir.mkdir()
+    entries, pins = [], {}
     for i, (window, pred) in enumerate(zip(windows, preds)):
-        stem = f"{i:05d}"
-        save_rates_csv(fc_dir / f"{stem}.csv", pred)
-        save_rates_npy(tg_dir / f"{stem}.npy", window.horizon)
-        meta = {"window": window.source_id, "denormalized": False,
-                "n_nodes": window.n_nodes, "t_hor": window.horizon.shape[1]}
-        write_json(fc_dir / f"{stem}.json", meta)
+        entry = {"forecast": f"{i:05d}.csv", "target": f"{i:05d}.npy",
+                 "source_id": window.source_id, "n_nodes": window.n_nodes,
+                 "t_hor": window.horizon.shape[1]}
+        save_rates_csv(fc_dir / entry["forecast"], pred)
+        save_rates_npy(tg_dir / entry["target"], window.horizon)
+        pins[entry["forecast"]] = file_hash(fc_dir / entry["forecast"])
+        pins[entry["target"]] = file_hash(tg_dir / entry["target"])
+        entries.append(entry)
+    write_json(fc_dir / FORECASTS_MANIFEST,
+               {"format": FORECASTS_FORMAT, "forecasts": entries, "sha256": pins})
     return ({"checkpoint": ckpt_prefix.with_suffix(".json"), "windows": manifest_path},
             f"forecast: wrote {len(windows)} window forecast(s)")
 
@@ -286,23 +304,26 @@ def cmd_perturb_eval(args, cfg, out_dir: Path):
 
 
 def cmd_metrics(args, cfg, out_dir: Path):
-    fc_dir = _require(args.forecasts, "forecast directory")
-    tg_dir = _require(args.targets, "target directory")
-    fc_files = sorted(Path(fc_dir).glob("*.csv"))
-    tg_files = sorted(Path(tg_dir).glob("*.npy"))
-    if not fc_files:
-        raise FileNotFoundError(f"no forecast CSVs under {fc_dir}")
-    unmatched = sorted({f.stem for f in fc_files} ^ {f.stem for f in tg_files})
-    if unmatched:
-        raise InvalidParameterError(
-            f"{len(fc_files)} forecasts vs {len(tg_files)} targets; stems "
-            f"without a partner: {', '.join(unmatched[:5])}")
-    preds = [load_rates_csv(p) for p in fc_files]
-    targets = [load_rates_npy(p) for p in tg_files]
+    fc_dir, tg_dir = Path(args.forecasts), Path(args.targets)
+    manifest_path = _require(fc_dir / FORECASTS_MANIFEST, "forecast-set manifest")
+    listing = read_manifest(manifest_path, FORECASTS_FORMAT, "run forecast again",
+                            ArtifactMismatchError, _FORECASTS_SCHEMA)
+    preds, targets = [], []
+    for entry in listing["forecasts"]:
+        pred = load_rates_csv(check_pinned(fc_dir, entry["forecast"], listing["sha256"],
+                                           FORECASTS_MANIFEST))
+        target = load_rates_npy(check_pinned(tg_dir, entry["target"], listing["sha256"],
+                                             FORECASTS_MANIFEST))
+        if not pred.shape == target.shape == (entry["n_nodes"], entry["t_hor"]):
+            raise InvalidParameterError(
+                f"forecast {entry['forecast']} has shape {pred.shape} and target "
+                f"{entry['target']} {target.shape}, but {FORECASTS_MANIFEST} gives "
+                f"n_nodes {entry['n_nodes']} and t_hor {entry['t_hor']}")
+        preds.append(pred)
+        targets.append(target)
     report = evaluate(preds, targets)
     write_json(out_dir / "metric_report.json", report.to_dict())
-    return ({**{f"forecasts/{f.name}": f for f in fc_files},
-             **{f"targets/{f.name}": f for f in tg_files}},
+    return ({"forecasts": manifest_path},
             f"metrics: mse={report.mse:.6f} mae={report.mae:.6f} "
             f"dtw={report.dtw:.6f} over {report.n_windows} window(s)")
 

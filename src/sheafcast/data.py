@@ -162,6 +162,12 @@ def make_perturbed_windows(record_pre: SimulationRecord,
 # by sha256 in one manifest JSON
 # ----------------------------------------------------------------------
 WINDOWS_FORMAT = "sheafcast-windows-v3"
+# the keys and value types of the manifest `save_windows` writes
+_WINDOWS_SCHEMA = {
+    "format": str, "sha256": {str: str},
+    "windows": [{"window": str, "source_id": str, "t_ctx": int, "t_hor": int,
+                 "time_step": float, "norm_mean": [float], "norm_std": [float],
+                 "perturbation_onset_index": (int, type(None))}]}
 
 
 def save_windows(out_dir, windows) -> Path:
@@ -195,12 +201,11 @@ def load_windows(manifest_path) -> list:
     manifest = read_manifest(
         manifest_path, WINDOWS_FORMAT,
         "window sets of CSV blocks or per-window JSON files are no longer read; "
-        "save them again", ArtifactMismatchError)
-    pins = manifest.get("sha256", {})
+        "save them again", ArtifactMismatchError, _WINDOWS_SCHEMA)
     windows = []
     for entry in manifest["windows"]:
-        block = load_rates_npy(check_pinned(manifest_path.parent, entry["window"], pins,
-                                            manifest_path.name))
+        block = load_rates_npy(check_pinned(manifest_path.parent, entry["window"],
+                                            manifest["sha256"], manifest_path.name))
         t_ctx, t_hor = entry["t_ctx"], entry["t_hor"]
         norm_mean, norm_std = np.array(entry["norm_mean"]), np.array(entry["norm_std"])
         if (t_ctx < 1 or t_hor < 1 or block.shape[1] != t_ctx + t_hor

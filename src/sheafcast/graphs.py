@@ -212,25 +212,8 @@ def prior_from_scores(scores: np.ndarray, lag_order: int, top_k: int) -> PriorGr
 
 
 # ----------------------------------------------------------------------
-# CSV interchange: header `src,dst` (plus `score` for priors), 0-based ids
+# CSV interchange: header `src,dst,score`, 0-based ids
 # ----------------------------------------------------------------------
-def save_edges_csv(path, graph: BrainGraph) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst"])
-        for s, d in graph.edges:
-            writer.writerow([s, d])
-
-
-def load_edges_csv(path, n_nodes: int, seed: int = 0) -> BrainGraph:
-    edges = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            edges.append((int(row["src"]), int(row["dst"])))
-    return BrainGraph(n_nodes=n_nodes, edges=tuple(edges), seed=seed)
-
-
 def save_prior_csv(path, prior: PriorGraph) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

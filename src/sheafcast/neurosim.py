@@ -51,7 +51,7 @@ import numpy as np
 
 from .artifacts import write_json
 from .errors import InvalidParameterError
-from .graphs import BrainGraph, load_edges_csv, save_edges_csv
+from .graphs import BrainGraph
 
 _MIN_PERTURB_MS = 240.0
 _MAX_PERTURB_MS = 400.0
@@ -511,36 +511,31 @@ def _gaussian_smooth_rows(rows: np.ndarray, sigma_bins: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# persistence: rates `.npy` (rows = bins, cols = neurons), adjacency CSV,
-# and a JSON sidecar with seed, params, bin edges, and perturbation
+# persistence: rates `.npy` (rows = bins, cols = neurons) and a JSON
+# sidecar with seed, params, graph edges, bin edges, and perturbation
 # ----------------------------------------------------------------------
 def save_record(out_dir, stem: str, record: SimulationRecord) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rates_path = out_dir / f"{stem}_rates.npy"
-    adj_path = out_dir / f"{stem}_adjacency.csv"
-    meta_path = out_dir / f"{stem}_meta.json"
-
-    save_rates_npy(rates_path, record.rates)
-    save_edges_csv(adj_path, record.adjacency)
+    save_rates_npy(out_dir / f"{stem}_rates.npy", record.rates)
     meta = {
         "seed": record.seed,
         "n_nodes": record.adjacency.n_nodes,
         "graph_seed": record.adjacency.seed,
+        "edges": record.adjacency.edges,        # pairs of ints, written as lists
         "params": asdict(record.params),
         "bin_edges_ms": [float(e) for e in record.bin_edges_ms],
         "perturbation": (asdict(record.perturbation)
                          if record.perturbation is not None else None),
     }
-    write_json(meta_path, meta)
+    write_json(out_dir / f"{stem}_meta.json", meta)
 
 
 def load_record(out_dir, stem: str) -> SimulationRecord:
     out_dir = Path(out_dir)
     meta = json.loads((out_dir / f"{stem}_meta.json").read_text())
     rates = load_rates_npy(out_dir / f"{stem}_rates.npy")
-    graph = load_edges_csv(out_dir / f"{stem}_adjacency.csv",
-                           n_nodes=meta["n_nodes"], seed=meta["graph_seed"])
+    graph = BrainGraph(n_nodes=meta["n_nodes"], edges=meta["edges"], seed=meta["graph_seed"])
     pert = meta["perturbation"]
     return SimulationRecord(
         rates=rates,

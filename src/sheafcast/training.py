@@ -92,21 +92,30 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
+# elements per block of the AdamW update: on a 2-vCPU Xeon, a step over the
+# default model's 1.64 M parameters took 21 ms at 16,384 (two 128 KiB
+# scratch arrays), against 46 ms unblocked, 28 ms at 4,096 and 23 ms at 65,536
+_ADAMW_BLOCK = 16384
+
+
 def adamw_step(params: dict, grads: dict, state: AdamState, lr: float,
                weight_decay: float, betas=(0.9, 0.999), eps: float = 1e-8):
     """One decoupled-weight-decay Adam update, in place.
 
     `params` maps names to Tensors (or ndarrays); `grads` holds matching
     arrays. Bias-corrected first and second moments, decay applied to the
-    pre-update parameters. The moments and parameters are updated in place
-    through two scratch arrays per parameter, in the operation order of
-    `m = b1 m + (1 - b1) g`, `v = b2 v + (1 - b2) g g`,
-    `p -= lr wd p` and `p -= lr m_hat / (sqrt(v_hat) + eps)`.
+    pre-update parameters. The moments and parameters are updated in place,
+    one block of `_ADAMW_BLOCK` elements at a time through two block-sized
+    scratch arrays, in the operation order of `m = b1 m + (1 - b1) g`,
+    `v = b2 v + (1 - b2) g g`, `p -= lr wd p` and
+    `p -= lr m_hat / (sqrt(v_hat) + eps)`. Parameters and moments must be
+    C-contiguous, so that their flat views write through.
     """
     state.step += 1
     b1, b2 = betas
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
+    scratch = np.empty((2, _ADAMW_BLOCK))
     for name, param in params.items():
         data = param.data if isinstance(param, ad.Tensor) else param
         g = grads[name]
@@ -116,20 +125,26 @@ def adamw_step(params: dict, grads: dict, state: AdamState, lr: float,
             state.m[name] = np.zeros_like(data)
             state.v[name] = np.zeros_like(data)
         m, v = state.m[name], state.v[name]
-        step, root = np.empty_like(data), np.empty_like(data)
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=step)
-        v *= b2
-        np.multiply(1.0 - b2, g, out=step)
-        v += np.multiply(step, g, out=step)
-        data -= np.multiply(lr * weight_decay, data, out=step)
-        np.divide(m, c1, out=step)
-        step *= lr
-        np.divide(v, c2, out=root)
-        np.sqrt(root, out=root)
-        root += eps
-        step /= root
-        data -= step
+        if not (data.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise InvalidParameterError(
+                f"AdamW updates {name} in place: it and its moments must be C-contiguous")
+        flat = data.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for lo in range(0, data.size, _ADAMW_BLOCK):
+            p_b, g_b, m_b, v_b = (a[lo:lo + _ADAMW_BLOCK] for a in flat)
+            step, root = scratch[:, :p_b.size]
+            m_b *= b1
+            m_b += np.multiply(1.0 - b1, g_b, out=step)
+            v_b *= b2
+            np.multiply(1.0 - b2, g_b, out=step)
+            v_b += np.multiply(step, g_b, out=step)
+            p_b -= np.multiply(lr * weight_decay, p_b, out=step)
+            np.divide(m_b, c1, out=step)
+            step *= lr
+            np.divide(v_b, c2, out=root)
+            np.sqrt(root, out=root)
+            root += eps
+            step /= root
+            p_b -= step
     return params, state
 
 
@@ -387,15 +402,14 @@ def train(windows, prior: PriorGraph, config: TrainingConfig,
     state = AdamState()
     scheduler = PlateauScheduler(config.lr, config.scheduler)
     lr = config.lr
-    best_val = np.inf
-    best_arrays = _snapshot(model)
-    best_epoch = 0
+    # the initial weights, until a validation loss beats theirs
+    best_val, best_arrays, best_epoch = np.inf, _snapshot(model), 0
     log_fh = open(log_path, "w") if log_path else None
 
     try:
         val_loss = _dataset_loss(model, val_windows, prior, config)
         if val_loss < best_val:
-            best_val, best_arrays, best_epoch = val_loss, _snapshot(model), 0
+            best_val = val_loss
 
         for epoch in range(1, config.max_epochs + 1):
             rng = np.random.default_rng((config.seed, epoch))

@@ -72,7 +72,7 @@ def test_simulate_outputs_and_rerun_reproducibility(pipeline, tmp_path):
         assert entry["perturbation"] is not None
     # every record file is pinned by its sha256
     records = sorted(p.name for p in sim.glob("0*"))
-    assert len(records) == 3 * 2 * 3 and sorted(manifest["sha256"]) == records
+    assert len(records) == 3 * 2 * 2 and sorted(manifest["sha256"]) == records
     assert all(manifest["sha256"][name] == hashlib.sha256((sim / name).read_bytes()).hexdigest()
                for name in records)
 
@@ -172,10 +172,15 @@ def test_forecast_shapes_and_metrics_pipeline(pipeline, tmp_path, capsys):
     report = json.loads((out / "metric_report.json").read_text())
     assert report["n_windows"] == len(windows)
     assert np.isfinite(report["mse"]) and report["mse"] >= 0.0
+    # the one input is the forecast-set manifest, which pins every pair
+    listing = fc_dir / "forecasts" / "forecasts_manifest.json"
     hashes = json.loads((out / "manifest_metrics.json").read_text())["input_hashes"]
-    assert len(hashes) == 2 * len(windows)
-    assert {f"forecasts/{f.name}" for f in fc_files} <= set(hashes)
+    assert hashes == {"forecasts": hashlib.sha256(listing.read_bytes()).hexdigest()}
+    pins = json.loads(listing.read_text())["sha256"]
+    assert sorted(pins) == sorted([f.name for f in fc_files]
+                                  + [f.name for f in (fc_dir / "targets").glob("*.npy")])
 
+    # a target renamed away is a removed pinned file: exit 3, naming it
     renamed = tmp_path / "renamed_targets"
     renamed.mkdir()
     for i, f in enumerate(sorted((fc_dir / "targets").glob("*.npy"))):
@@ -184,9 +189,9 @@ def test_forecast_shapes_and_metrics_pipeline(pipeline, tmp_path, capsys):
     capsys.readouterr()
     assert main(["metrics", "--forecasts", str(fc_dir / "forecasts"),
                  "--targets", str(renamed),
-                 "--out", str(tmp_path / "m2")]) != EXIT_OK
+                 "--out", str(tmp_path / "m2")]) == EXIT_MISSING
     err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and "zz_renamed" in err
+    assert len(err.strip().splitlines()) == 1 and "00000.npy" in err
 
 
 def test_perturb_eval_emits_report(pipeline, tmp_path):
@@ -487,7 +492,7 @@ def _windows_of(pipeline, stem, stride=40):
 
 
 _FAULTS = ["byte", "truncated", "removed", "swapped"]
-_RECORD_FILES = ["rates.npy", "adjacency.csv", "meta.json"]
+_RECORD_FILES = ["rates.npy", "meta.json"]
 
 
 @pytest.mark.parametrize("fault", _FAULTS)
@@ -559,6 +564,85 @@ def test_one_changed_rate_exits_4_instead_of_another_prior(pipeline, tmp_path, c
     assert not (tmp_path / "o").exists()
 
 
+def _metrics_of_copy(chain, tmp_path):
+    """A copy of the fixture chain's `forecast` output, and the `metrics`
+    argv (without `--out`) that scores it."""
+    fc = tmp_path / "fc"
+    shutil.copytree(chain["forecast"][1], fc)
+    return fc, ["metrics", "--forecasts", fc / "forecasts", "--targets", fc / "targets"]
+
+
+@pytest.mark.parametrize("fault", ["changed-target", "changed-forecast", "removed-target",
+                                   "no-manifest", "unpinned-entry"])
+def test_a_faulty_forecast_set_exits_3_or_4(chain, tmp_path, capsys, fault):
+    """`metrics` scores only the pairs `forecasts_manifest.json` pins. One
+    changed target value (which used to shift the fixture's mse with exit
+    0), one changed forecast value, or an entry naming a file the manifest
+    does not pin exits 4; a removed target or manifest exits 3. Each prints
+    one stderr line naming the file and leaves no `--out`."""
+    fc, argv = _metrics_of_copy(chain, tmp_path)
+    forecasts, targets = fc / "forecasts", fc / "targets"
+    listing = forecasts / "forecasts_manifest.json"
+    if fault == "changed-target":
+        name = "00001.npy"
+        rates = np.load(targets / name)
+        rates[2, 3] += 1.0
+        np.save(targets / name, rates)
+    elif fault == "changed-forecast":
+        name = "00001.csv"
+        header, first, *rest = (forecasts / name).read_text().splitlines()
+        changed = "0" + first[first.index(","):]
+        assert changed != first
+        (forecasts / name).write_text("\n".join([header, changed, *rest]) + "\n")
+    elif fault == "removed-target":
+        name = "00001.npy"
+        (targets / name).unlink()
+    elif fault == "no-manifest":
+        name = listing.name
+        listing.unlink()
+    else:
+        name = "extra.csv"
+        shutil.copy(forecasts / "00001.csv", forecasts / name)
+        manifest = json.loads(listing.read_text())
+        manifest["forecasts"][1]["forecast"] = name
+        listing.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
+    err = capsys.readouterr().err
+    missing = fault in ("removed-target", "no-manifest")
+    assert code == (EXIT_MISSING if missing else EXIT_MISMATCH), err
+    assert len(err.strip().splitlines()) == 1 and name in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_unpinned_extra_pair_is_not_scored(chain, tmp_path):
+    """A forecast and a target beside the pinned ones, but not in
+    `forecasts_manifest.json`, leave `metric_report.json` byte-identical."""
+    fc, argv = _metrics_of_copy(chain, tmp_path)
+    (fc / "forecasts" / "99999.csv").write_text("n0\n1e9\n")
+    np.save(fc / "targets" / "99999.npy", np.zeros((1, 1)))
+    assert main([str(a) for a in argv + ["--out", tmp_path / "o"]]) == EXIT_OK
+    report = (tmp_path / "o" / "metric_report.json").read_bytes()
+    assert report == (chain["metrics"][1] / "metric_report.json").read_bytes()
+
+
+def test_a_v2_dataset_exits_4_naming_its_format(pipeline, tmp_path, capsys):
+    """A dataset of the layout before record metas held their edges (a
+    `<stem>_adjacency.csv` per record) is refused, not read."""
+    data = tmp_path / "sim"
+    shutil.copytree(pipeline["sim"], data)
+    dataset = json.loads((data / "dataset_manifest.json").read_text())
+    dataset["format"] = "sheafcast-dataset-v2"
+    (data / "dataset_manifest.json").write_text(json.dumps(dataset))
+    capsys.readouterr()
+    assert main(["prior", "--config", str(pipeline["cfg_path"]), "--data", str(data),
+                 "--out", str(tmp_path / "p")]) == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "sheafcast-dataset-v2" in err and "run simulate again" in err, err
+    assert not (tmp_path / "p").exists()
+
+
 def test_csv_datasets_and_window_sets_exit_4_naming_the_format(pipeline, tmp_path, capsys):
     """A dataset and a window set in the CSV layout of earlier versions
     (`<stem>_rates.csv` and `windows_<i>.csv`, no format key, no pins)."""
@@ -601,15 +685,18 @@ _MALFORMED = {"invalid-json": "{not json", "array": "[1, 2]",
 
 @pytest.mark.parametrize("content", list(_MALFORMED.values()), ids=list(_MALFORMED))
 @pytest.mark.parametrize("name", ["dataset_manifest.json", "windows_manifest.json",
-                                  "checkpoint.json"])
-def test_a_malformed_manifest_exits_4(pipeline, tmp_path, capsys, name, content):
-    """A dataset manifest (read by `prior`), or a windows manifest or a
-    checkpoint's JSON (read by `forecast`), that is not valid JSON, not an
-    object, or of another format: exit 4, one stderr line naming the file,
-    and no `--out`."""
+                                  "checkpoint.json", "forecasts_manifest.json"])
+def test_a_malformed_manifest_exits_4(pipeline, chain, tmp_path, capsys, name, content):
+    """A dataset manifest (read by `prior`), a windows manifest or a
+    checkpoint's JSON (read by `forecast`), or a forecast-set manifest (read
+    by `metrics`) that is not valid JSON, not an object, or of another
+    format: exit 4, one stderr line naming the file, and no `--out`."""
     from sheafcast.data import save_windows
 
-    if name == "dataset_manifest.json":
+    if name == "forecasts_manifest.json":
+        fc, argv = _metrics_of_copy(chain, tmp_path)
+        target = fc / "forecasts" / name
+    elif name == "dataset_manifest.json":
         data = tmp_path / "sim"
         shutil.copytree(pipeline["sim"], data)
         argv, target = ["prior", "--config", pipeline["cfg_path"], "--data", data], data / name
@@ -622,6 +709,65 @@ def test_a_malformed_manifest_exits_4(pipeline, tmp_path, capsys, name, content)
         argv = ["forecast", "--checkpoint", ck / "checkpoint", "--windows", windows]
         target = windows if name == "windows_manifest.json" else ck / name
     target.write_text(content)
+    capsys.readouterr()
+    code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
+    out, err = capsys.readouterr()
+    assert code == EXIT_MISMATCH, err
+    assert len(err.strip().splitlines()) == 1 and name in err and out == "", err
+    assert not (tmp_path / "o").exists()
+
+
+_DROP = object()
+# (manifest, path of keys to the damaged value, new value or _DROP)
+_MALFORMED_KEYS = [
+    ("dataset_manifest.json", ("instances",), _DROP),
+    ("dataset_manifest.json", ("n_nodes",), "10"),
+    ("dataset_manifest.json", ("bin_ms",), None),
+    ("dataset_manifest.json", ("sha256",), ["00000_pre_rates.npy"]),
+    ("dataset_manifest.json", ("instances", 0, "pre"), 0),
+    ("dataset_manifest.json", ("instances", 0, "perturbation", "neuron"), True),
+    ("windows_manifest.json", ("windows",), _DROP),
+    ("windows_manifest.json", ("windows", 0, "t_ctx"), _DROP),
+    ("windows_manifest.json", ("windows", 0, "t_ctx"), "30"),
+    ("windows_manifest.json", ("windows", 1, "norm_mean", 0), "0.5"),
+    ("windows_manifest.json", ("sha256",), ["windows_00000.npy"]),
+    ("forecasts_manifest.json", ("forecasts",), _DROP),
+    ("forecasts_manifest.json", ("forecasts", 0, "t_hor"), "10"),
+    ("forecasts_manifest.json", ("forecasts", 0, "unknown"), 1),
+    ("forecasts_manifest.json", ("sha256",), ["00000.csv"]),
+]
+
+
+@pytest.mark.parametrize("name, keys, value", _MALFORMED_KEYS, ids=[
+    f"{n.split('_')[0]}-{'.'.join(map(str, k))}-{'drop' if v is _DROP else repr(v)}"
+    for n, k, v in _MALFORMED_KEYS])
+def test_a_manifest_with_a_missing_or_mistyped_key_exits_4(pipeline, chain, tmp_path, capsys,
+                                                           name, keys, value):
+    """A dataset, windows or forecast-set manifest of the right format with
+    a key missing, unknown or of the wrong type is refused before anything
+    reads it: exit 4 and one stderr line naming the file, where a bare
+    KeyError, TypeError or AttributeError used to exit 5, and no `--out`."""
+    from sheafcast.data import save_windows
+
+    if name == "dataset_manifest.json":
+        data = tmp_path / "sim"
+        shutil.copytree(pipeline["sim"], data)
+        argv, path = ["prior", "--config", pipeline["cfg_path"], "--data", data], data / name
+    elif name == "windows_manifest.json":
+        path = save_windows(tmp_path / "w", _windows_of(pipeline, "00000_pre"))
+        argv = ["forecast", "--checkpoint", pipeline["train"] / "checkpoint", "--windows", path]
+    else:
+        fc, argv = _metrics_of_copy(chain, tmp_path)
+        path = fc / "forecasts" / name
+    manifest = json.loads(path.read_text())
+    parent = manifest
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    path.write_text(json.dumps(manifest))
     capsys.readouterr()
     code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
     out, err = capsys.readouterr()
@@ -717,8 +863,10 @@ def test_every_out_holds_exactly_its_manifest_outputs(chain):
     for command, (_, out) in chain.items():
         listed = json.loads((out / f"manifest_{command}.json").read_text())["outputs"]
         assert _files_under(out) == sorted(listed + [f"manifest_{command}.json"]), command
-    forecasts = json.loads((chain["forecast"][1] / "manifest_forecast.json").read_text())
-    assert "forecasts/00000.json" in forecasts["outputs"]
+    # `forecasts/` holds the forecast CSVs and the manifest that pins them
+    forecasts = _files_under(chain["forecast"][1] / "forecasts")
+    assert forecasts == ["00000.csv", "00001.csv", "00002.csv", "00003.csv",
+                         "forecasts_manifest.json"], forecasts
 
 
 def _siblings(out):
@@ -921,12 +1069,31 @@ def test_prior_edge_outside_the_graph_exits_5(pipeline, tmp_path, capsys):
         "--prior", bad, "--out", tmp_path / "o"]) == EXIT_RUNTIME
 
 
-def test_data_faults_exit_5(pipeline, tmp_path, capsys):
-    fc, tg = tmp_path / "fc", tmp_path / "tg"
+def _pinned_forecast_set(root, pairs):
+    """`root/fc` and `root/tg` holding the forecast CSV text and the
+    time-major target array of each pair, listed and pinned by
+    `fc/forecasts_manifest.json`."""
+    fc, tg = root / "fc", root / "tg"
     fc.mkdir()
     tg.mkdir()
-    (fc / "a.csv").write_text("n0\n1.0\n")
-    np.save(tg / "b.npy", np.ones((1, 1)))
+    entries, pins = [], {}
+    for i, (text, target) in enumerate(pairs):
+        forecast, target_name = f"{i:05d}.csv", f"{i:05d}.npy"
+        (fc / forecast).write_text(text)
+        np.save(tg / target_name, target)
+        entries.append({"forecast": forecast, "target": target_name, "source_id": f"w{i:03d}",
+                        "n_nodes": target.shape[1], "t_hor": target.shape[0]})
+        pins[forecast] = hashlib.sha256((fc / forecast).read_bytes()).hexdigest()
+        pins[target_name] = hashlib.sha256((tg / target_name).read_bytes()).hexdigest()
+    (fc / "forecasts_manifest.json").write_text(json.dumps(
+        {"format": "sheafcast-forecasts-v1", "forecasts": entries, "sha256": pins}))
+    return fc, tg
+
+
+def test_data_faults_exit_5(pipeline, tmp_path, capsys):
+    # a pinned pair whose forecast (1 node, 1 bin) does not fit its target
+    # (1 node, 2 bins)
+    fc, tg = _pinned_forecast_set(tmp_path, [("n0\n1.0\n", np.ones((2, 1)))])
     assert _one_line_exit(capsys, ["metrics", "--forecasts", fc, "--targets", tg,
                                    "--out", tmp_path / "m"]) == EXIT_RUNTIME
 
@@ -950,10 +1117,7 @@ def test_data_faults_exit_5(pipeline, tmp_path, capsys):
 
 def test_header_only_csvs_exit_5_with_one_stderr_line(tmp_path):
     # a fresh interpreter, so numpy warnings reach stderr as a user sees them
-    for name in ("fc", "tg"):
-        (tmp_path / name).mkdir()
-    (tmp_path / "fc" / "00000.csv").write_text("n0,n1\n")
-    np.save(tmp_path / "tg" / "00000.npy", np.zeros((0, 2)))
+    _pinned_forecast_set(tmp_path, [("n0,n1\n", np.zeros((0, 2)))])
     env = {**os.environ,
            "PYTHONPATH": str(Path(sheafcast.__file__).resolve().parents[1])}
     run = subprocess.run(
@@ -967,13 +1131,13 @@ def test_header_only_csvs_exit_5_with_one_stderr_line(tmp_path):
 
 
 def test_foreign_exceptions_exit_5_with_one_line(pipeline, tmp_path, capsys):
-    dataset = json.loads((pipeline["sim"] / "dataset_manifest.json").read_text())
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    del dataset["instances"]
-    (broken / "dataset_manifest.json").write_text(json.dumps(dataset))
-    assert _one_line_exit(capsys, ["prior", "--config", pipeline["cfg_path"],
-                                   "--data", broken, "--out", tmp_path / "p"]) == EXIT_RUNTIME
+    # a prior CSV without its `score` column raises a bare KeyError
+    header, *rows = (pipeline["prior"] / "prior.csv").read_text().splitlines()
+    broken = tmp_path / "prior.csv"
+    broken.write_text("\n".join(["src,dst", *(r.rsplit(",", 1)[0] for r in rows)]) + "\n")
+    assert _one_line_exit(capsys, ["train", "--config", pipeline["cfg_path"],
+                                   "--data", pipeline["sim"], "--prior", broken,
+                                   "--out", tmp_path / "p"]) == EXIT_RUNTIME
 
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

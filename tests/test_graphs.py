@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from sheafcast.errors import InvalidParameterError, WindowTooShortError
 from sheafcast.graphs import (BrainGraph, PriorGraph, generate_small_world,
-                              granger_score_matrix,
-                              load_edges_csv, load_prior_csv, prior_from_scores,
-                              save_edges_csv, save_prior_csv)
+                              granger_score_matrix, load_prior_csv, prior_from_scores,
+                              save_prior_csv)
 
 from oracles import granger_score_matrix_loop, ols_granger_score, top_k_incoming
 
@@ -196,15 +195,6 @@ def test_prior_graph_invariants_enforced():
 # ----------------------------------------------------------------------
 # CSV interchange
 # ----------------------------------------------------------------------
-def test_edge_csv_round_trip(tmp_path):
-    graph = generate_small_world(12, 4, 0.3, seed=2)
-    path = tmp_path / "edges.csv"
-    save_edges_csv(path, graph)
-    assert path.read_text().splitlines()[0] == "src,dst"
-    loaded = load_edges_csv(path, n_nodes=12, seed=2)
-    assert loaded.edges == graph.edges
-
-
 def test_prior_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     prior = prior_from_scores(rng.random((5, 5)), lag_order=3, top_k=2)

@@ -11,8 +11,8 @@ from sheafcast import neurosim
 from sheafcast.config import default_config
 from sheafcast.errors import InvalidParameterError
 from sheafcast.graphs import generate_small_world
-from sheafcast.neurosim import (LifParams, PerturbationSpec, bin_and_smooth,
-                                gaussian_kernel, load_record,
+from sheafcast.neurosim import (LifParams, PerturbationSpec, SimulationRecord,
+                                bin_and_smooth, gaussian_kernel, load_record,
                                 sample_perturbation, save_record, simulate,
                                 simulate_many)
 
@@ -454,3 +454,17 @@ def test_record_round_trip(tmp_path, graph10):
     assert stored.tobytes() == np.ascontiguousarray(record.rates.T).tobytes()
     meta = json.loads((tmp_path / "demo_meta.json").read_text())
     assert meta["seed"] == 3
+
+
+def test_record_meta_round_trips_its_edges(tmp_path):
+    """A record is its rates `.npy` and its meta JSON, which holds the
+    graph's edges in stored order (a rewired graph's are not sorted)."""
+    graph = generate_small_world(12, 4, 0.3, seed=2)
+    assert list(graph.edges) != sorted(graph.edges)
+    record = SimulationRecord(rates=np.zeros((12, 3)), adjacency=graph,
+                              bin_edges_ms=np.arange(4.0) * 10.0, seed=5, params=LifParams())
+    save_record(tmp_path, "rec", record)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rec_meta.json", "rec_rates.npy"]
+    meta = json.loads((tmp_path / "rec_meta.json").read_text())
+    assert meta["edges"] == [list(e) for e in graph.edges]
+    assert load_record(tmp_path, "rec").adjacency == graph

@@ -190,6 +190,37 @@ def test_adamw_in_place_matches_the_reference_bit_for_bit():
             assert np.array_equal(state.v[k], ref_state.v[k])
 
 
+def test_adamw_step_holds_no_parameter_sized_scratch():
+    """Once its moments exist, a step over the two restriction maps at the
+    default training shape peaks below one map's bytes: the update runs in
+    blocks through block-sized scratch, where two parameter-sized scratch
+    arrays per tensor used to take 2 maps' worth."""
+    rng = np.random.default_rng(4)
+    params = {k: rng.normal(size=(800, 32, 32)) for k in ("rho_src", "rho_dst")}
+    grads = {k: rng.normal(size=(800, 32, 32)) for k in params}
+    state = AdamState()
+    adamw_step(params, grads, state, lr=1e-3, weight_decay=1e-2)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        adamw_step(params, grads, state, lr=1e-3, weight_decay=1e-2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert peak < params["rho_src"].nbytes, peak
+
+
+def test_adamw_step_refuses_a_parameter_it_cannot_update_in_place():
+    # a flat view of a non-contiguous array is a copy, which would lose the update
+    p = {"w": np.zeros((4, 3)).T}
+    with pytest.raises(InvalidParameterError, match="C-contiguous"):
+        adamw_step(p, {"w": np.ones((3, 4))}, AdamState(), lr=0.1, weight_decay=0.0)
+
+
 # ----------------------------------------------------------------------
 # configuration invariants
 # ----------------------------------------------------------------------
@@ -481,6 +512,26 @@ def test_scheduler_reduces_lr_during_stalled_training(tmp_path):
     lrs = [json.loads(line)["lr"] for line in log.read_text().splitlines()]
     assert all(b <= a for a, b in zip(lrs, lrs[1:]))
     assert min(lrs) >= 1e-6
+
+
+def test_a_run_that_never_improves_snapshots_the_weights_once(monkeypatch):
+    """The initial weights are copied once, before the first validation
+    loss; a loss that never improves on it adds no copy, and the run keeps
+    the initial weights."""
+    losses = iter([1.0, 2.0, 3.0])
+    monkeypatch.setattr(training, "_dataset_loss", lambda *args: next(losses))
+    snapshots = []
+    real_snapshot = training._snapshot
+
+    def counted(model):
+        snapshots.append(real_snapshot(model))
+        return snapshots[-1]
+
+    monkeypatch.setattr(training, "_snapshot", counted)
+    ckpt = train(_toy_windows(2), _toy_prior(), TrainingConfig(max_epochs=2, seed=0),
+                 model_config=_small_model_config())
+    assert len(snapshots) == 1
+    assert ckpt.arrays is snapshots[0] and (ckpt.epoch, ckpt.val_loss) == (0, 1.0)
 
 
 def test_training_log_is_jsonl(tmp_path):
