@@ -27,9 +27,9 @@ def _departure(value, spec, at: str = ""):
     """How the decoded JSON `value` found at `at` ("" is the top level)
     departs from `spec`, or None if it fits. A spec is a type (`float`
     takes integers too, `int` takes no booleans, `type(None)` is null),
-    `[item]` for a list of items, `{key: spec}` for an object of exactly
-    these keys, `{str: spec}` for an object of any keys, or a tuple of
-    alternatives."""
+    `[item]` for a list of items, `[item, item, ...]` for a list of exactly
+    that many, `{key: spec}` for an object of exactly these keys,
+    `{str: spec}` for an object of any keys, or a tuple of alternatives."""
     alternatives = spec if isinstance(spec, tuple) else (spec,)
     kinds = [type(alt) if isinstance(alt, (list, dict)) else alt for alt in alternatives]
     found = type(value)
@@ -39,7 +39,9 @@ def _departure(value, spec, at: str = ""):
     spec = alternatives[kinds.index(found if found in kinds else float)]
     prefix = f"{at}." if at else ""
     if isinstance(spec, list):
-        items = [(item, spec[0], f"{at}[{i}]") for i, item in enumerate(value)]
+        if len(spec) > 1 and len(value) != len(spec):
+            return f"{at or 'the top level'} has {len(value)} items, not {len(spec)}"
+        items = [(item, spec[min(i, len(spec) - 1)], f"{at}[{i}]") for i, item in enumerate(value)]
     elif isinstance(spec, dict) and str in spec:
         items = [(item, spec[str], prefix + key) for key, item in value.items()]
     elif isinstance(spec, dict):
@@ -53,11 +55,11 @@ def _departure(value, spec, at: str = ""):
     return next(filter(None, (_departure(*item) for item in items)), None)
 
 
-def read_manifest(path, fmt: str, stale: str, error, schema=None) -> dict:
+def read_manifest(path, fmt, stale: str, error, schema=None) -> dict:
     """The JSON object at `path`, refused with `error` (an
     ArtifactMismatchError class) unless it is valid JSON, an object, has
-    `format` `fmt` and, if a `schema` (a spec as `_departure` reads it) is
-    given, fits it; `stale` ends the refusal of another format."""
+    `format` `fmt` (None: any) and, if a `schema` (a spec as `_departure`
+    reads it) is given, fits it; `stale` ends the refusal of another format."""
     path = Path(path)
     try:
         manifest = json.loads(path.read_text())
@@ -66,7 +68,7 @@ def read_manifest(path, fmt: str, stale: str, error, schema=None) -> dict:
     if not isinstance(manifest, dict):
         raise error(f"{path.name} holds a JSON {type(manifest).__name__}, not an object")
     found = manifest.get("format")
-    if found != fmt:
+    if fmt is not None and found != fmt:
         raise error(f"{path.name} has format {found!r}, not {fmt!r}: {stale}")
     departure = None if schema is None else _departure(manifest, schema)
     if departure is not None:

@@ -14,16 +14,18 @@ leaves `--out` as it was. Identical manifests reproduce identical outputs.
 Exit codes: 0 success, 2 configuration/schema violation, 3 missing input,
 4 artifact mismatch (a file that does not match the sha256 its manifest
 pins or that it does not pin, a dataset, window set, forecast set or
-checkpoint in a format no longer read, a dataset manifest, windows
-manifest, forecast-set manifest or checkpoint that is malformed (invalid
-JSON, or a key missing, unknown or of the wrong type), a checkpoint whose
-arrays or edges do not fit its model, and the perturbation leakage
-guard), 5 any other failure (bad data, I/O, divergence, an `--out` that is
-not empty). Failures print one line. A checkpoint's JSON file pins its
-array file by sha256, `dataset_manifest.json` pins every record file, a
-windows manifest every window block and `forecasts_manifest.json` every
-forecast and target, so the hash of the JSON file in a manifest covers the
-files it pins too.
+checkpoint in a format no longer read, a dataset manifest, record meta,
+windows manifest, forecast-set manifest or `checkpoint.json` that is
+malformed (invalid JSON, or a key missing, unknown or of the wrong type),
+a checkpoint array file that is not a C-ordered float64 array, a
+checkpoint whose arrays or edges do not fit its model, and the
+perturbation leakage guard), 5 any other failure (bad data, I/O,
+divergence, an `--out` that is not empty). Failures print one line. A
+checkpoint is the directory `train` writes: its `checkpoint.json` pins
+every array file by sha256, as `dataset_manifest.json` pins every record
+file, a windows manifest every window block and `forecasts_manifest.json`
+every forecast and target, so the hash of the JSON file in a manifest
+covers the files it pins too.
 """
 
 from __future__ import annotations
@@ -50,13 +52,13 @@ from .errors import (ArtifactMismatchError, CheckpointMismatchError, ConfigError
 from .graphs import (generate_small_world, granger_score_matrix, load_prior_csv,
                      prior_from_scores, save_prior_csv)
 from .metrics import evaluate
-from .model import ForecastModel, ModelConfig
+from .model import ModelConfig
 # `simulate` is not called here; the benchmark's tracer wraps it by this name
 from .neurosim import (LifParams, PerturbationSpec, load_rates_csv, load_rates_npy,
                        load_record, sample_perturbation, save_rates_csv,
                        save_rates_npy, save_record, simulate, simulate_many)
-from .training import (forecast_windows, load_checkpoint, prior_from_windows,
-                       save_checkpoint, train)
+from .training import (CHECKPOINT_MANIFEST, forecast_windows, load_checkpoint,
+                       prior_from_windows, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -191,16 +193,17 @@ def _load_dataset_record(data_dir: Path, dataset: dict, stem: str):
     return record
 
 
-def _load_model(ckpt_prefix: Path, refuse_perturbed: bool = False) -> ForecastModel:
-    """The model of a checkpoint, holding the loaded arrays themselves: the
-    checkpoint dies with this call, so the parameters are held once."""
-    _require(ckpt_prefix.with_suffix(".json"), "checkpoint")
-    ckpt = load_checkpoint(ckpt_prefix)
+def _load_model(ckpt_dir, refuse_perturbed: bool = False):
+    """The model of a checkpoint directory, holding the loaded arrays
+    themselves (the checkpoint dies with this call, so the parameters are
+    held once), and the path of its `checkpoint.json`."""
+    manifest_path = _require(Path(ckpt_dir) / CHECKPOINT_MANIFEST, "checkpoint")
+    ckpt = load_checkpoint(manifest_path.parent)
     if refuse_perturbed and ckpt.trained_on_perturbed:
         raise CheckpointMismatchError(
             "checkpoint was trained on perturbed sources; refusing to score "
             "the out-of-distribution protocol with a contaminated model")
-    return ckpt.take_model()
+    return ckpt.take_model(), manifest_path
 
 
 def _pre_windows(data_dir: Path, dataset: dict, cfg) -> list:
@@ -244,8 +247,7 @@ def cmd_train(args, cfg, out_dir: Path):
 
 
 def cmd_forecast(args, cfg, out_dir: Path):
-    ckpt_prefix = Path(args.checkpoint)
-    model = _load_model(ckpt_prefix)
+    model, ckpt_path = _load_model(args.checkpoint)
     manifest_path = _require(args.windows, "windows manifest")
     windows = load_windows(manifest_path)
     preds, _ = forecast_windows(model, windows)
@@ -264,13 +266,12 @@ def cmd_forecast(args, cfg, out_dir: Path):
         entries.append(entry)
     write_json(fc_dir / FORECASTS_MANIFEST,
                {"format": FORECASTS_FORMAT, "forecasts": entries, "sha256": pins})
-    return ({"checkpoint": ckpt_prefix.with_suffix(".json"), "windows": manifest_path},
+    return ({"checkpoint": ckpt_path, "windows": manifest_path},
             f"forecast: wrote {len(windows)} window forecast(s)")
 
 
 def cmd_perturb_eval(args, cfg, out_dir: Path):
-    ckpt_prefix = Path(args.checkpoint)
-    model = _load_model(ckpt_prefix, refuse_perturbed=True)
+    model, ckpt_path = _load_model(args.checkpoint, refuse_perturbed=True)
     data_dir = Path(args.data)
     dataset = _load_dataset(data_dir)
     ev = cfg["eval"]
@@ -297,7 +298,7 @@ def cmd_perturb_eval(args, cfg, out_dir: Path):
     preds, targets = forecast_windows(model, eval_windows)
     report = evaluate(preds, targets)
     write_json(out_dir / "perturb_report.json", report.to_dict())
-    return ({"checkpoint": ckpt_prefix.with_suffix(".json"),
+    return ({"checkpoint": ckpt_path,
              "dataset": data_dir / "dataset_manifest.json"},
             f"perturb-eval: mse={report.mse:.6f} mae={report.mae:.6f} "
             f"dtw={report.dtw:.6f} over {report.n_windows} window(s)")
@@ -359,14 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="forecast saved windows")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--checkpoint", required=True, help="checkpoint prefix")
+    p.add_argument("--checkpoint", required=True, help="checkpoint directory")
     p.add_argument("--windows", required=True, help="windows manifest JSON")
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("perturb-eval",
                        help="score a clean checkpoint on perturbed windows")
     common(p)
-    p.add_argument("--checkpoint", required=True, help="checkpoint prefix")
+    p.add_argument("--checkpoint", required=True, help="checkpoint directory")
     p.add_argument("--data", required=True, help="simulate output directory")
     p.set_defaults(func=cmd_perturb_eval)
 
@@ -414,9 +415,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except CheckpointMismatchError as exc:
-        print(f"checkpoint mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except ArtifactMismatchError as exc:
         print(f"artifact mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

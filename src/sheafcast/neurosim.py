@@ -41,16 +41,15 @@ block.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from .artifacts import write_json
-from .errors import InvalidParameterError
+from .artifacts import read_manifest, write_json
+from .errors import ArtifactMismatchError, InvalidParameterError
 from .graphs import BrainGraph
 
 _MIN_PERTURB_MS = 240.0
@@ -531,9 +530,18 @@ def save_record(out_dir, stem: str, record: SimulationRecord) -> None:
     write_json(out_dir / f"{stem}_meta.json", meta)
 
 
+# the meta `save_record` writes, which has no format key (its dataset's has)
+_META_SCHEMA = {
+    "seed": int, "n_nodes": int, "graph_seed": int, "edges": [[int, int]],
+    "params": get_type_hints(LifParams), "bin_edges_ms": [float],
+    "perturbation": (get_type_hints(PerturbationSpec), type(None))}
+
+
 def load_record(out_dir, stem: str) -> SimulationRecord:
+    """The record `save_record` wrote; a malformed meta raises ArtifactMismatchError."""
     out_dir = Path(out_dir)
-    meta = json.loads((out_dir / f"{stem}_meta.json").read_text())
+    meta = read_manifest(out_dir / f"{stem}_meta.json", None, "", ArtifactMismatchError,
+                         _META_SCHEMA)
     rates = load_rates_npy(out_dir / f"{stem}_rates.npy")
     graph = BrainGraph(n_nodes=meta["n_nodes"], edges=meta["edges"], seed=meta["graph_seed"])
     pert = meta["perturbation"]

@@ -5,24 +5,23 @@ penalty on first-round edge discrepancies and a term pulling each
 discrepancy's L2 norm toward the 0/1 indicator of the prior graph. The
 optimizer is decoupled-weight-decay Adam with a reduce-on-plateau schedule;
 the checkpoint with the lowest validation loss is retained. A saved
-checkpoint is a float64 `.npz` of its arrays plus a JSON file of the other
-fields that pins the `.npz` by sha256, so it reloads as exactly the model
-that was selected.
+checkpoint is a directory of one C-ordered float64 `<name>.npy` per array
+and `checkpoint.json`, which holds the other fields and pins every array
+file by sha256, so it reloads as exactly the model that was selected.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
-from .artifacts import file_hash, read_manifest, write_json
+from .artifacts import check_pinned, file_hash, read_manifest, write_json
 from .data import TrajectoryWindow
 from .errors import (CheckpointMismatchError, DivergenceError,
                      InvalidParameterError, ShapeMismatchError)
@@ -220,7 +219,8 @@ class TrainingConfig:
 # ----------------------------------------------------------------------
 # checkpoints
 # ----------------------------------------------------------------------
-CHECKPOINT_FORMAT = "sheafcast-checkpoint-v2"
+CHECKPOINT_FORMAT = "sheafcast-checkpoint-v3"
+CHECKPOINT_MANIFEST = "checkpoint.json"
 
 
 @dataclass
@@ -259,77 +259,68 @@ class ModelCheckpoint:
             raise CheckpointMismatchError(f"checkpoint does not fit its model: {exc}") from exc
 
 
-# the keys of checkpoint.json: every field but the arrays, the format and the
-# digest of the array file
-_MANIFEST_KEYS = ({f.name for f in fields(ModelCheckpoint)} - {"arrays"}
-                  | {"format", "arrays_sha256"})
+# checkpoint.json: every field but the arrays, the format and the array pins
+_CHECKPOINT_SCHEMA = {
+    "format": str, "sha256": {str: str}, "model_config": get_type_hints(ModelConfig),
+    "training_config": dict, "prior_edges": [[int, int]], "prior_scores": [float],
+    "prior_meta": {str: int}, "n_nodes": int, "val_loss": float, "epoch": int,
+    "sources": [str], "trained_on_perturbed": bool}
 
 
 def _snapshot(model: ForecastModel) -> dict:
     return {name: t.data.copy() for name, t in model.all_tensors().items()}
 
 
-def _write_npz(path: Path, arrays: dict) -> None:
-    """The `.npz` that `np.savez(path, **arrays)` writes for little-endian
-    float64 arrays, members in name order, written straight from each
-    array's buffer: `np.savez` hands every member a `tobytes()` copy of the
-    whole array. Any name is allowed, `file` and `allow_pickle` included."""
-    with zipfile.ZipFile(path, "w", allowZip64=True) as archive:
-        for name in sorted(arrays):
-            # "A" keeps a Fortran-ordered array in its order, as np.savez
-            # does, and keeps 0-d arrays 0-d; a float64 array is not copied
-            array = np.asarray(arrays[name], dtype="<f8", order="A")
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(
-                    member, np.lib.format.header_data_from_array_1_0(array))
-                member.write(array.ravel(order="A"))
-
-
-def save_checkpoint(ckpt: ModelCheckpoint, path_prefix) -> None:
-    """Write `<prefix>.npz` (every array as little-endian float64, in name
-    order, each `.npy` member written from the array's own buffer) and
-    `<prefix>.json` (the other fields, and the sha256 of the `.npz` that
-    pins it). The `.npz` has the bytes `np.savez` would write, so equal
-    checkpoints give byte-identical files: every member carries the same
-    fixed date."""
-    prefix = Path(path_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    npz_path, json_path = prefix.with_suffix(".npz"), prefix.with_suffix(".json")
-    _write_npz(npz_path, ckpt.arrays)
+def save_checkpoint(ckpt: ModelCheckpoint, directory) -> None:
+    """Write `<name>.npy` for every array, as C-ordered little-endian
+    float64 (`np.save` writes a float64 array straight from its buffer), and
+    `checkpoint.json`: the other fields and the sha256 of every array file.
+    Equal checkpoints give byte-identical files."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    pins = {}
+    for name, array in ckpt.arrays.items():
+        path = directory / f"{name}.npy"
+        # not np.ascontiguousarray, which makes a 0-d array 1-d
+        np.save(path, np.asarray(array, dtype="<f8", order="C"), allow_pickle=False)
+        pins[path.name] = file_hash(path)
     manifest = {f.name: getattr(ckpt, f.name) for f in fields(ModelCheckpoint)
                 if f.name != "arrays"}
-    manifest.update(format=CHECKPOINT_FORMAT, arrays_sha256=file_hash(npz_path),
+    manifest.update(format=CHECKPOINT_FORMAT, sha256=pins,
                     model_config=ckpt.model_config.to_dict(),
                     sources=sorted(ckpt.sources),
                     trained_on_perturbed=bool(ckpt.trained_on_perturbed))
-    write_json(json_path, manifest)
+    write_json(directory / CHECKPOINT_MANIFEST, manifest)
 
 
-def load_checkpoint(path_prefix) -> ModelCheckpoint:
+def load_checkpoint(directory) -> ModelCheckpoint:
     """Read a checkpoint written by `save_checkpoint`. A malformed or
-    non-v2 `<prefix>.json`, or a `<prefix>.npz` that does not match its
-    pinned sha256, raises CheckpointMismatchError."""
-    prefix = Path(path_prefix)
-    json_path, npz_path = prefix.with_suffix(".json"), prefix.with_suffix(".npz")
-    manifest = read_manifest(json_path, CHECKPOINT_FORMAT,
-                             "checkpoints of float32 arrays are no longer read; train again",
-                             CheckpointMismatchError)
-    if set(manifest) != _MANIFEST_KEYS:
-        raise CheckpointMismatchError(
-            f"{json_path.name} lacks {sorted(_MANIFEST_KEYS - set(manifest))} "
-            f"and has unknown {sorted(set(manifest) - _MANIFEST_KEYS)}")
+    non-v3 `checkpoint.json`, a model config outside its domain, an array
+    file that does not match its pinned sha256, and one that is not a
+    C-ordered float64 array are refused with an ArtifactMismatchError; a
+    removed array file raises FileNotFoundError."""
+    directory = Path(directory)
+    manifest = read_manifest(
+        directory / CHECKPOINT_MANIFEST, CHECKPOINT_FORMAT,
+        "checkpoints of one .npz or .bin array file are no longer read; train again",
+        CheckpointMismatchError, _CHECKPOINT_SCHEMA)
     del manifest["format"]
-    if file_hash(npz_path) != manifest.pop("arrays_sha256"):
-        raise CheckpointMismatchError(
-            f"{npz_path.name} does not match the sha256 pinned in {json_path.name}")
     try:
-        with np.load(npz_path, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
         manifest["model_config"] = ModelConfig(**manifest["model_config"])
-        manifest["prior_edges"] = [tuple(e) for e in manifest["prior_edges"]]
-    except (zipfile.BadZipFile, OSError, EOFError, ValueError, TypeError,
-            InvalidParameterError) as exc:
-        raise CheckpointMismatchError(f"unreadable checkpoint {prefix.name}: {exc}") from exc
+    except InvalidParameterError as exc:
+        raise CheckpointMismatchError(
+            f"{CHECKPOINT_MANIFEST} has an invalid model_config: {exc}") from exc
+    manifest["prior_edges"] = [tuple(e) for e in manifest["prior_edges"]]
+    pins = manifest.pop("sha256")
+    arrays = {}
+    for file in pins:
+        array = np.load(check_pinned(directory, file, pins, CHECKPOINT_MANIFEST),
+                        allow_pickle=False)
+        if array.dtype != np.float64 or not array.flags.c_contiguous:
+            raise CheckpointMismatchError(
+                f"{file} is not a C-ordered float64 array ({array.dtype}, "
+                f"C-ordered: {array.flags.c_contiguous})")
+        arrays[file.removesuffix(".npy")] = array
     return ModelCheckpoint(arrays=arrays, **manifest)
 
 

@@ -431,9 +431,9 @@ def test_criterion_10_perturbation_generalization(lif_dataset,
 
     dirty = ckpt
     save_checkpoint(dirty, tmp_path / "dirty")
-    manifest = json.loads((tmp_path / "dirty.json").read_text())
+    manifest = json.loads((tmp_path / "dirty" / "checkpoint.json").read_text())
     manifest["trained_on_perturbed"] = True
-    (tmp_path / "dirty.json").write_text(json.dumps(manifest, sort_keys=True))
+    (tmp_path / "dirty" / "checkpoint.json").write_text(json.dumps(manifest, sort_keys=True))
     code = main(["perturb-eval", "--config", str(cfg_path),
                  "--checkpoint", str(tmp_path / "dirty"),
                  "--data", str(sim_dir), "--out", str(tmp_path / "out")])

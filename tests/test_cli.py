@@ -136,13 +136,15 @@ def test_prior_respects_top_k(pipeline):
 
 def test_train_wrote_checkpoint_and_log(pipeline):
     train_dir = pipeline["train"]
-    assert (train_dir / "checkpoint.json").exists()
-    assert (train_dir / "checkpoint.npz").exists()
+    assert (train_dir / "checkpoint" / "checkpoint.json").exists()
+    assert (train_dir / "checkpoint" / "sheaf.rho_src.npy").exists()
     outputs = json.loads((train_dir / "manifest_train.json").read_text())["outputs"]
-    assert outputs == ["checkpoint.json", "checkpoint.npz", "train_log.jsonl"]
+    assert outputs == ["checkpoint/checkpoint.json", *[f"checkpoint/{name}.npy" for name in (
+        "field.b1", "field.b2", "field.w1", "field.w2", "lstm.bias", "lstm.w_h", "lstm.w_x",
+        "sheaf.attention", "sheaf.rho_dst", "sheaf.rho_src")], "train_log.jsonl"]
     log = [json.loads(x) for x in (train_dir / "train_log.jsonl").read_text().splitlines()]
     assert len(log) == 2 and {"epoch", "train_loss", "val_loss", "lr"} == set(log[0])
-    ckpt = json.loads((train_dir / "checkpoint.json").read_text())
+    ckpt = json.loads((train_dir / "checkpoint" / "checkpoint.json").read_text())
     assert ckpt["trained_on_perturbed"] is False
 
 
@@ -208,11 +210,10 @@ def test_perturb_eval_emits_report(pipeline, tmp_path):
 def test_perturb_eval_refuses_contaminated_checkpoint(pipeline, tmp_path):
     src = pipeline["train"]
     dirty_dir = tmp_path / "dirty"
-    dirty_dir.mkdir()
-    manifest = json.loads((src / "checkpoint.json").read_text())
+    shutil.copytree(src / "checkpoint", dirty_dir / "checkpoint")
+    manifest = json.loads((src / "checkpoint" / "checkpoint.json").read_text())
     manifest["trained_on_perturbed"] = True
-    (dirty_dir / "checkpoint.json").write_text(json.dumps(manifest, sort_keys=True))
-    (dirty_dir / "checkpoint.npz").write_bytes((src / "checkpoint.npz").read_bytes())
+    (dirty_dir / "checkpoint" / "checkpoint.json").write_text(json.dumps(manifest, sort_keys=True))
     code = main(["perturb-eval", "--config", str(pipeline["cfg_path"]),
                  "--checkpoint", str(dirty_dir / "checkpoint"),
                  "--data", str(pipeline["sim"]), "--out", str(tmp_path / "x")])
@@ -348,20 +349,23 @@ def test_empty_dataset_leaves_no_out_dir(pipeline, tmp_path, capsys, command):
 
 
 def _forecast_with(ckpt_dir, tmp_path, capsys):
-    """Exit code and stderr of `forecast` from `ckpt_dir/checkpoint`."""
+    """Exit code and stderr of `forecast` from `ckpt_dir/checkpoint`; a
+    failure prints nothing to stdout and leaves no `--out`."""
     capsys.readouterr()
     code = main(["forecast", "--checkpoint", str(ckpt_dir / "checkpoint"),
                  "--windows", str(tmp_path / "w.json"), "--out", str(tmp_path / "o")])
-    return code, capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK or (out == "" and not (tmp_path / "o").exists()), out
+    return code, err
 
 
-@pytest.mark.parametrize("damage", ["truncated", "padded", "flipped", "other-run", "v1"])
+@pytest.mark.parametrize("damage", ["truncated", "padded", "flipped", "other-run", "v1", "v2"])
 def test_damaged_checkpoint_exits_4(pipeline, tmp_path, capsys, damage):
     src = pipeline["train"]
     bad = tmp_path / "bad"
-    bad.mkdir()
-    manifest = (src / "checkpoint.json").read_text()
-    raw = (src / "checkpoint.npz").read_bytes()
+    shutil.copytree(src / "checkpoint", bad / "checkpoint")
+    manifest = (src / "checkpoint" / "checkpoint.json").read_text()
+    raw = (src / "checkpoint" / "field.b2.npy").read_bytes()
     mid = len(raw) // 2
     if damage == "truncated":
         raw = raw[:mid]
@@ -374,26 +378,62 @@ def test_damaged_checkpoint_exits_4(pipeline, tmp_path, capsys, damage):
         other = load_checkpoint(src / "checkpoint")
         other.arrays["field.b2"] = other.arrays["field.b2"] + 1.0
         save_checkpoint(other, tmp_path / "other" / "checkpoint")
-        raw = (tmp_path / "other" / "checkpoint.npz").read_bytes()
+        raw = (tmp_path / "other" / "checkpoint" / "field.b2.npy").read_bytes()
     else:
-        manifest = manifest.replace("sheafcast-checkpoint-v2", "sheafcast-checkpoint-v1")
-    (bad / "checkpoint.json").write_text(manifest)
-    (bad / "checkpoint.npz").write_bytes(raw)
+        # the JSON of an older layout, placed in a checkpoint directory
+        manifest = manifest.replace("sheafcast-checkpoint-v3", f"sheafcast-checkpoint-{damage}")
+    (bad / "checkpoint" / "checkpoint.json").write_text(manifest)
+    (bad / "checkpoint" / "field.b2.npy").write_bytes(raw)
     code, err = _forecast_with(bad, tmp_path, capsys)
     assert code == EXIT_MISMATCH
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    assert ("sheafcast-checkpoint-v1" if damage == "v1" else "sha256") in err, err
+    assert (f"sheafcast-checkpoint-{damage}" if damage in ("v1", "v2") else "sha256") in err, err
 
 
-@pytest.mark.parametrize("fault", ["invalid-json", "no-arrays_sha256", "no-n_nodes",
-                                   "unknown-model-key", "unknown-ablation"])
+def test_a_checkpoint_of_the_old_layout_is_not_found(pipeline, tmp_path, capsys):
+    """A `checkpoint.json` and `checkpoint.npz` beside each other, as `train`
+    wrote them before a checkpoint was a directory, are not looked for:
+    `--checkpoint old/checkpoint` names the missing `checkpoint/checkpoint.json`."""
+    old = tmp_path / "old"
+    old.mkdir()
+    manifest = (pipeline["train"] / "checkpoint" / "checkpoint.json").read_text()
+    (old / "checkpoint.json").write_text(
+        manifest.replace("sheafcast-checkpoint-v3", "sheafcast-checkpoint-v2"))
+    (old / "checkpoint.npz").write_bytes(b"PK\x05\x06" + b"\0" * 18)
+    code, err = _forecast_with(old, tmp_path, capsys)
+    assert code == EXIT_MISSING
+    assert len(err.strip().splitlines()) == 1 and "checkpoint/checkpoint.json" in err, err
+
+
+# a value of the wrong type under a key checkpoint.json has: (key, entry
+# index or None, value)
+_MISTYPED_CHECKPOINT = {
+    "edge-of-3": ("prior_edges", 0, [0, 1, 2]),
+    "edge-of-1": ("prior_edges", 0, [0]),
+    "n_nodes-string": ("n_nodes", None, "10"),
+    "epoch-null": ("epoch", None, None),
+    "sources-int": ("sources", None, 3),
+    "trained_on_perturbed-string": ("trained_on_perturbed", None, "no"),
+    "prior_meta-list": ("prior_meta", None, []),
+}
+
+
+@pytest.mark.parametrize("fault", ["invalid-json", "no-sha256", "no-n_nodes",
+                                   "unknown-model-key", "unknown-ablation",
+                                   *_MISTYPED_CHECKPOINT])
 def test_malformed_checkpoint_manifest_exits_4(pipeline, tmp_path, capsys, fault):
     src = pipeline["train"]
     bad = tmp_path / "bad"
-    bad.mkdir()
-    manifest = json.loads((src / "checkpoint.json").read_text())
-    if fault == "no-arrays_sha256":
-        del manifest["arrays_sha256"]
+    shutil.copytree(src / "checkpoint", bad / "checkpoint")
+    manifest = json.loads((src / "checkpoint" / "checkpoint.json").read_text())
+    if fault == "no-sha256":
+        del manifest["sha256"]
+    elif fault in _MISTYPED_CHECKPOINT:
+        key, index, value = _MISTYPED_CHECKPOINT[fault]
+        if index is None:
+            manifest[key] = value
+        else:
+            manifest[key][index] = value
     elif fault == "no-n_nodes":
         del manifest["n_nodes"]
     elif fault == "unknown-model-key":
@@ -401,26 +441,27 @@ def test_malformed_checkpoint_manifest_exits_4(pipeline, tmp_path, capsys, fault
     elif fault == "unknown-ablation":
         manifest["model_config"]["ablation"] = "x"
     text = json.dumps(manifest, sort_keys=True)
-    (bad / "checkpoint.json").write_text(text[:-1] if fault == "invalid-json" else text)
-    (bad / "checkpoint.npz").write_bytes((src / "checkpoint.npz").read_bytes())
+    (bad / "checkpoint" / "checkpoint.json").write_text(
+        text[:-1] if fault == "invalid-json" else text)
     code, err = _forecast_with(bad, tmp_path, capsys)
     assert code == EXIT_MISMATCH, err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    if fault in _MISTYPED_CHECKPOINT:
+        assert f"checkpoint.json is malformed: {_MISTYPED_CHECKPOINT[fault][0]}" in err, err
 
 
 @pytest.mark.parametrize("fault", ["duplicate edge", "self-loop"])
 def test_checkpoint_with_a_bad_edge_exits_4(pipeline, tmp_path, capsys, fault):
     src = pipeline["train"]
     bad = tmp_path / "bad"
-    bad.mkdir()
-    manifest = json.loads((src / "checkpoint.json").read_text())
+    shutil.copytree(src / "checkpoint", bad / "checkpoint")
+    manifest = json.loads((src / "checkpoint" / "checkpoint.json").read_text())
     edges = manifest["prior_edges"]
     if fault == "duplicate edge":
         edges[1] = list(edges[0])
     else:
         edges[0] = [edges[0][0], edges[0][0]]
-    (bad / "checkpoint.json").write_text(json.dumps(manifest, sort_keys=True))
-    (bad / "checkpoint.npz").write_bytes((src / "checkpoint.npz").read_bytes())
+    (bad / "checkpoint" / "checkpoint.json").write_text(json.dumps(manifest, sort_keys=True))
     code, err = _forecast_with(bad, tmp_path, capsys)
     assert code == EXIT_MISMATCH
     assert len(err.strip().splitlines()) == 1 and fault in err, err
@@ -501,14 +542,17 @@ _RECORD_FILES = ["rates.npy", "meta.json"]
       for f in _RECORD_FILES],
     *[("perturb-eval", f"00000_post_{f}") for f in _RECORD_FILES],
     ("forecast", "windows_00001.npy"),
+    *[(c, "checkpoint/sheaf.rho_src.npy") for c in ("forecast", "perturb-eval")],
 ])
 def test_a_faulty_pinned_file_exits_3_or_4(pipeline, tmp_path, capsys, command, name, fault):
     """Each file a manifest pins and the command reads, with one byte
     changed, truncated, removed or swapped for another run's file (the same
-    file of the next instance, or of another window set): the command exits
-    3 (removed) or 4, with one stderr line and no `--out` left behind."""
+    file of the next instance, of another window set or of another
+    checkpoint): the command exits 3 (removed) or 4, with one stderr line
+    and no `--out` left behind."""
     from sheafcast.data import save_windows
 
+    ck = pipeline["train"] / "checkpoint"
     if command == "forecast":
         data = save_windows(tmp_path / "w", _windows_of(pipeline, "00000_pre")).parent
         other = save_windows(tmp_path / "w2", _windows_of(pipeline, "00001_pre")).parent
@@ -518,6 +562,13 @@ def test_a_faulty_pinned_file_exits_3_or_4(pipeline, tmp_path, capsys, command, 
         shutil.copytree(pipeline["sim"], data)
         swap = data / name.replace("00000", "00001")
     target = data / name
+    if name.startswith("checkpoint/"):
+        other = load_checkpoint(ck)
+        other.arrays["sheaf.rho_src"] = other.arrays["sheaf.rho_src"] + 1.0
+        save_checkpoint(other, tmp_path / "other" / "checkpoint")
+        shutil.copytree(ck, tmp_path / "train" / "checkpoint")
+        ck, target = tmp_path / "train" / "checkpoint", tmp_path / "train" / name
+        swap = tmp_path / "other" / name
     raw = target.read_bytes()
     if fault == "byte":
         target.write_bytes(raw[:len(raw) // 2] + bytes([raw[len(raw) // 2] ^ 1])
@@ -529,7 +580,6 @@ def test_a_faulty_pinned_file_exits_3_or_4(pipeline, tmp_path, capsys, command, 
     else:
         assert swap.read_bytes() != raw
         target.write_bytes(swap.read_bytes())
-    ck = pipeline["train"] / "checkpoint"
     argv = {"prior": ["prior", "--config", pipeline["cfg_path"], "--data", data],
             "train": ["train", "--config", pipeline["cfg_path"], "--data", data,
                       "--prior", pipeline["prior"] / "prior.csv"],
@@ -541,7 +591,7 @@ def test_a_faulty_pinned_file_exits_3_or_4(pipeline, tmp_path, capsys, command, 
     code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
     err = capsys.readouterr().err
     assert code == (EXIT_MISSING if fault == "removed" else EXIT_MISMATCH), err
-    assert len(err.strip().splitlines()) == 1 and name in err, err
+    assert len(err.strip().splitlines()) == 1 and Path(name).name in err, err
     assert not (tmp_path / "o").exists()
 
 
@@ -703,11 +753,9 @@ def test_a_malformed_manifest_exits_4(pipeline, chain, tmp_path, capsys, name, c
     else:
         windows = save_windows(tmp_path / "w", _windows_of(pipeline, "00000_pre"))
         ck = tmp_path / "ck"
-        ck.mkdir()
-        for suffix in (".json", ".npz"):
-            shutil.copy(pipeline["train"] / f"checkpoint{suffix}", ck)
+        shutil.copytree(pipeline["train"] / "checkpoint", ck / "checkpoint")
         argv = ["forecast", "--checkpoint", ck / "checkpoint", "--windows", windows]
-        target = windows if name == "windows_manifest.json" else ck / name
+        target = windows if name == "windows_manifest.json" else ck / "checkpoint" / name
     target.write_text(content)
     capsys.readouterr()
     code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
@@ -735,6 +783,10 @@ _MALFORMED_KEYS = [
     ("forecasts_manifest.json", ("forecasts", 0, "t_hor"), "10"),
     ("forecasts_manifest.json", ("forecasts", 0, "unknown"), 1),
     ("forecasts_manifest.json", ("sha256",), ["00000.csv"]),
+    ("00000_pre_meta.json", ("edges",), _DROP),
+    ("00000_pre_meta.json", ("params",), _DROP),
+    ("00000_pre_meta.json", ("bin_edges_ms",), _DROP),
+    ("00000_pre_meta.json", ("params", "dt_ms"), "0.1"),
 ]
 
 
@@ -743,13 +795,14 @@ _MALFORMED_KEYS = [
     for n, k, v in _MALFORMED_KEYS])
 def test_a_manifest_with_a_missing_or_mistyped_key_exits_4(pipeline, chain, tmp_path, capsys,
                                                            name, keys, value):
-    """A dataset, windows or forecast-set manifest of the right format with
+    """A dataset, windows or forecast-set manifest of the right format, or a
+    record meta (re-pinned, so that only its own check can refuse it), with
     a key missing, unknown or of the wrong type is refused before anything
     reads it: exit 4 and one stderr line naming the file, where a bare
     KeyError, TypeError or AttributeError used to exit 5, and no `--out`."""
     from sheafcast.data import save_windows
 
-    if name == "dataset_manifest.json":
+    if name in ("dataset_manifest.json", "00000_pre_meta.json"):
         data = tmp_path / "sim"
         shutil.copytree(pipeline["sim"], data)
         argv, path = ["prior", "--config", pipeline["cfg_path"], "--data", data], data / name
@@ -768,11 +821,16 @@ def test_a_manifest_with_a_missing_or_mistyped_key_exits_4(pipeline, chain, tmp_
     else:
         parent[keys[-1]] = value
     path.write_text(json.dumps(manifest))
+    if name.endswith("_meta.json"):
+        dataset = json.loads((data / "dataset_manifest.json").read_text())
+        dataset["sha256"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (data / "dataset_manifest.json").write_text(json.dumps(dataset))
     capsys.readouterr()
     code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
     out, err = capsys.readouterr()
     assert code == EXIT_MISMATCH, err
     assert len(err.strip().splitlines()) == 1 and name in err and out == "", err
+    assert str(keys[-1]) in err, err      # the key, or the path it ends
     assert not (tmp_path / "o").exists()
 
 

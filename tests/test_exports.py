@@ -169,3 +169,23 @@ def test_no_module_imports_from_the_package_inside_a_function(source):
                      if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
                      for node in ast.walk(func) if _is_package_import(node)})
     assert not nested, f"{source.name} imports from the package inside a function, lines {nested}"
+
+
+_JSON_READERS = ("artifacts", "config")
+
+
+@pytest.mark.parametrize("source", [p for p in SRC if p.stem not in _JSON_READERS],
+                         ids=[p.stem for p in SRC if p.stem not in _JSON_READERS])
+def test_only_the_artifact_and_config_readers_decode_json(source):
+    """`artifacts.read_manifest` (every pinned artifact and record meta) and
+    `config.load_config` are the package's JSON readers, so every JSON it
+    reads gets the object, format and schema checks; a second reader would
+    index unchecked values."""
+    tree = ast.parse(source.read_text(), filename=str(source))
+    calls = sorted({node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"}
+                   | {node.lineno for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.module == "json"
+                      and {"load", "loads"} & {alias.name for alias in node.names}})
+    assert not calls, f"{source.name} decodes JSON itself, lines {calls}"

@@ -3,6 +3,7 @@ import json
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from sheafcast import autodiff as ad
 from sheafcast import training
 from sheafcast.data import make_windows
-from sheafcast.errors import InvalidParameterError
+from sheafcast.artifacts import file_hash
+from sheafcast.errors import CheckpointMismatchError, InvalidParameterError
 from sheafcast.graphs import PriorGraph, generate_small_world
 from sheafcast.model import ForecastModel, ModelConfig
 
@@ -357,8 +359,9 @@ def test_training_is_deterministic(tmp_path):
     b = train(windows, _toy_prior(), cfg, model_config=_small_model_config())
     save_checkpoint(a, tmp_path / "a")
     save_checkpoint(b, tmp_path / "b")
-    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
-    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+    assert _array_files(tmp_path / "a") == _array_files(tmp_path / "b")
+    assert ((tmp_path / "a" / "checkpoint.json").read_text()
+            == (tmp_path / "b" / "checkpoint.json").read_text())
 
 
 def test_trained_model_beats_copy_last_on_ar_data():
@@ -547,6 +550,11 @@ def test_training_log_is_jsonl(tmp_path):
 # ----------------------------------------------------------------------
 # checkpoints
 # ----------------------------------------------------------------------
+def _array_files(directory) -> dict:
+    """The bytes of every array file of a checkpoint directory, by name."""
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).glob("*.npy"))}
+
+
 def test_checkpoint_round_trip_reproduces_forward(tmp_path):
     windows = _toy_windows(2)
     ckpt = train(windows, _toy_prior(), TrainingConfig(max_epochs=1, seed=2),
@@ -564,8 +572,9 @@ def test_checkpoint_round_trip_reproduces_forward(tmp_path):
 
     # a loaded checkpoint saves back to the same bytes
     save_checkpoint(first, tmp_path / "ck2")
-    assert (tmp_path / "ck.npz").read_bytes() == (tmp_path / "ck2.npz").read_bytes()
-    assert (tmp_path / "ck.json").read_bytes() == (tmp_path / "ck2.json").read_bytes()
+    assert _array_files(tmp_path / "ck") == _array_files(tmp_path / "ck2")
+    assert ((tmp_path / "ck" / "checkpoint.json").read_bytes()
+            == (tmp_path / "ck2" / "checkpoint.json").read_bytes())
 
     assert first.model_config == ckpt.model_config
     assert first.prior_edges == list(ckpt.prior_edges)
@@ -622,13 +631,38 @@ def test_checkpoint_npz_has_the_bytes_np_savez_writes(tmp_path):
               "empty": np.zeros((0, 3)), "big_endian": rng.normal(size=5).astype(">f8"),
               "float32": rng.normal(size=(2, 3)).astype(np.float32), "ints": np.arange(4)}
     save_checkpoint(_checkpoint_of(arrays), tmp_path / "ck")
-    # the oracle: np.savez, with the names as keywords
-    np.savez(tmp_path / "oracle.npz", **{name: np.asarray(arrays[name], dtype="<f8")
-                                         for name in sorted(arrays)})
-    assert (tmp_path / "ck.npz").read_bytes() == (tmp_path / "oracle.npz").read_bytes()
+    # the oracle: np.save of each array as a C-ordered little-endian float64 copy
+    oracle = {}
+    for name, arr in arrays.items():
+        np.save(tmp_path / "oracle.npy", np.array(arr, dtype="<f8", order="C"))
+        oracle[f"{name}.npy"] = (tmp_path / "oracle.npy").read_bytes()
+    assert _array_files(tmp_path / "ck") == oracle
     back = load_checkpoint(tmp_path / "ck").arrays
     for name, arr in arrays.items():
         assert back[name].shape == arr.shape and np.array_equal(back[name], arr), name
+
+
+def test_checkpoints_whose_names_differ_after_a_dot_keep_their_own_arrays(tmp_path):
+    # a name is a directory, not a prefix whose suffix is replaced
+    save_checkpoint(_checkpoint_of({"w": np.zeros(3)}), tmp_path / "d" / "model.a")
+    save_checkpoint(_checkpoint_of({"w": np.ones(3)}), tmp_path / "d" / "model.b")
+    assert np.array_equal(load_checkpoint(tmp_path / "d" / "model.a").arrays["w"], np.zeros(3))
+    assert np.array_equal(load_checkpoint(tmp_path / "d" / "model.b").arrays["w"], np.ones(3))
+
+
+@pytest.mark.parametrize("stored", [np.zeros((2, 3)).T, np.zeros((3, 2), dtype=np.float32),
+                                    np.zeros((3, 2), dtype=">f8"), np.zeros((3, 2), dtype=int)],
+                         ids=["fortran", "float32", "big-endian", "ints"])
+def test_an_array_file_that_is_not_c_ordered_float64_is_refused(tmp_path, stored):
+    """Re-pinned, so only the layout check can refuse it."""
+    save_checkpoint(_checkpoint_of({"w": np.zeros((3, 2))}), tmp_path / "ck")
+    path = tmp_path / "ck" / "w.npy"
+    np.save(path, stored)
+    manifest = json.loads((tmp_path / "ck" / "checkpoint.json").read_text())
+    manifest["sha256"]["w.npy"] = file_hash(path)
+    (tmp_path / "ck" / "checkpoint.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointMismatchError, match="w.npy is not a C-ordered float64"):
+        load_checkpoint(tmp_path / "ck")
 
 
 def test_save_checkpoint_holds_no_copy_of_an_array(tmp_path):
