@@ -1,14 +1,16 @@
-"""Pinned JSON artifacts: the one JSON writer of the package (so equal
-content gives equal bytes), the check that a manifest is a JSON object of
-its format whose keys and values have the types its reader needs, the
-sha256 of a file, and the check of a file against the digest its manifest
-pins."""
+"""Pinned artifacts: the one JSON writer of the package (so equal content
+gives equal bytes), the check that a manifest is a JSON object of its
+format whose keys and values have the types its reader needs, the one
+`.npy` writer and reader (C-ordered float64 arrays only), the sha256 of a
+file, and the check of a file against the digest its manifest pins."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ArtifactMismatchError
 
@@ -55,25 +57,48 @@ def _departure(value, spec, at: str = ""):
     return next(filter(None, (_departure(*item) for item in items)), None)
 
 
-def read_manifest(path, fmt, stale: str, error, schema=None) -> dict:
-    """The JSON object at `path`, refused with `error` (an
-    ArtifactMismatchError class) unless it is valid JSON, an object, has
-    `format` `fmt` (None: any) and, if a `schema` (a spec as `_departure`
-    reads it) is given, fits it; `stale` ends the refusal of another format."""
+def read_manifest(path, fmt, stale: str, schema=None) -> dict:
+    """The JSON object at `path`, refused with an ArtifactMismatchError
+    unless it is valid JSON, an object, has `format` `fmt` (None: any) and,
+    if a `schema` (a spec as `_departure` reads it) is given, fits it;
+    `stale` ends the refusal of another format."""
     path = Path(path)
     try:
         manifest = json.loads(path.read_text())
     except ValueError as exc:       # invalid JSON or invalid UTF-8
-        raise error(f"{path.name} is not valid JSON: {exc}") from exc
+        raise ArtifactMismatchError(f"{path.name} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
-        raise error(f"{path.name} holds a JSON {type(manifest).__name__}, not an object")
+        raise ArtifactMismatchError(
+            f"{path.name} holds a JSON {type(manifest).__name__}, not an object")
     found = manifest.get("format")
     if fmt is not None and found != fmt:
-        raise error(f"{path.name} has format {found!r}, not {fmt!r}: {stale}")
+        raise ArtifactMismatchError(f"{path.name} has format {found!r}, not {fmt!r}: {stale}")
     departure = None if schema is None else _departure(manifest, schema)
     if departure is not None:
-        raise error(f"{path.name} is malformed: {departure}")
+        raise ArtifactMismatchError(f"{path.name} is malformed: {departure}")
     return manifest
+
+
+def save_array(path, array) -> str:
+    """Write `array` as the `.npy` of a C-ordered little-endian float64
+    array (no copy if it is one; 0-d stays 0-d); returns the file's sha256."""
+    np.save(path, np.asarray(array, dtype="<f8", order="C"), allow_pickle=False)
+    return file_hash(path)
+
+
+def read_array(path) -> np.ndarray:
+    """The array of an `.npy` file, read as `np.load` reads one (no second
+    copy); anything but a C-ordered float64 array raises ArtifactMismatchError."""
+    with open(path, "rb") as fh:
+        try:
+            array = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:       # not an .npy, cut short, or pickled objects
+            raise ArtifactMismatchError(f"{Path(path).name} is not an .npy file: "
+                                        + " ".join(str(exc).split())) from exc
+    if array.dtype != np.float64 or not array.flags.c_contiguous:
+        raise ArtifactMismatchError(f"{Path(path).name} is not a C-ordered float64 array "
+                                    f"({array.dtype}, C-ordered: {array.flags.c_contiguous})")
+    return array
 
 
 def file_hash(path) -> str:
@@ -87,10 +112,12 @@ def file_hash(path) -> str:
 
 
 def check_pinned(base: Path, name: str, pins: dict, manifest: str) -> Path:
-    """`base / name`, refused unless its sha256 is the digest that `pins`
-    (file name -> sha256, read from `manifest`) gives for `name`. A removed
-    file raises FileNotFoundError; an unpinned or changed one
-    ArtifactMismatchError."""
+    """`base / name`, refused unless `name` is a plain file name, so every
+    read stays inside `base`, and its sha256 is the digest that `pins` (file
+    name -> sha256, read from `manifest`) gives for it. A removed file
+    raises FileNotFoundError; any other refusal is ArtifactMismatchError."""
+    if name in ("", ".", "..") or "/" in name:
+        raise ArtifactMismatchError(f"{manifest} names {name!r}, not a file name in its directory")
     path = Path(base) / name
     digest = pins.get(name)
     if digest is None:

@@ -11,21 +11,21 @@ sources, and every file in the directory), renames the sibling onto
 `--out` and only then prints the line; a failure removes the sibling and
 leaves `--out` as it was. Identical manifests reproduce identical outputs.
 
-Exit codes: 0 success, 2 configuration/schema violation, 3 missing input,
-4 artifact mismatch (a file that does not match the sha256 its manifest
-pins or that it does not pin, a dataset, window set, forecast set or
-checkpoint in a format no longer read, a dataset manifest, record meta,
-windows manifest, forecast-set manifest or `checkpoint.json` that is
-malformed (invalid JSON, or a key missing, unknown or of the wrong type),
-a checkpoint array file that is not a C-ordered float64 array, a
-checkpoint whose arrays or edges do not fit its model, and the
-perturbation leakage guard), 5 any other failure (bad data, I/O,
-divergence, an `--out` that is not empty). Failures print one line. A
-checkpoint is the directory `train` writes: its `checkpoint.json` pins
-every array file by sha256, as `dataset_manifest.json` pins every record
-file, a windows manifest every window block and `forecasts_manifest.json`
-every forecast and target, so the hash of the JSON file in a manifest
-covers the files it pins too.
+Exit codes: 0 success, 2 configuration/schema violation, 3 missing
+input, 4 artifact mismatch (a file that does not match the sha256 its
+manifest pins or that it does not pin, a dataset, window set, forecast
+set or checkpoint in a format no longer read, a dataset manifest, record
+meta, windows manifest, forecast-set manifest or `checkpoint.json` that
+is malformed (invalid JSON, or a key missing, unknown or of the wrong
+type), any array file that is not an `.npy` of a C-ordered float64
+array, a pinned name outside its artifact, a checkpoint whose arrays or
+edges do not fit its model, and the perturbation leakage guard), 5 any
+other failure (bad data, I/O, divergence, an `--out` that is not empty).
+Failures print one line. A checkpoint is the directory `train` writes:
+its `checkpoint.json` pins every array file by sha256, as
+`dataset_manifest.json` pins every record file, a windows manifest every
+window block and `forecasts_manifest.json` every forecast and target, so
+the hash of the JSON file in a manifest covers the files it pins too.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .artifacts import check_pinned, file_hash, read_manifest, write_json
 from .config import (config_hash, load_config, training_config as _train_config,
                      validate_config)
 from .data import load_windows, make_perturbed_windows, make_windows
-from .errors import (ArtifactMismatchError, CheckpointMismatchError, ConfigError,
+from .errors import (ArtifactMismatchError, ConfigError,
                      InfeasiblePlacementError, InvalidParameterError)
 # `granger_score_matrix` and `prior_from_scores` are not called here (`prior`
 # reaches them through `prior_from_windows`); the benchmark's tracer wraps
@@ -169,7 +169,7 @@ def _load_dataset(data_dir: Path) -> dict:
     path = _require(Path(data_dir) / "dataset_manifest.json", "dataset manifest")
     return read_manifest(path, DATASET_FORMAT,
                          "datasets of CSV rates or adjacency CSV files are no longer read; "
-                         "run simulate again", ArtifactMismatchError, _DATASET_SCHEMA)
+                         "run simulate again", _DATASET_SCHEMA)
 
 
 def _load_dataset_record(data_dir: Path, dataset: dict, stem: str):
@@ -200,7 +200,7 @@ def _load_model(ckpt_dir, refuse_perturbed: bool = False):
     manifest_path = _require(Path(ckpt_dir) / CHECKPOINT_MANIFEST, "checkpoint")
     ckpt = load_checkpoint(manifest_path.parent)
     if refuse_perturbed and ckpt.trained_on_perturbed:
-        raise CheckpointMismatchError(
+        raise ArtifactMismatchError(
             "checkpoint was trained on perturbed sources; refusing to score "
             "the out-of-distribution protocol with a contaminated model")
     return ckpt.take_model(), manifest_path
@@ -260,9 +260,8 @@ def cmd_forecast(args, cfg, out_dir: Path):
                  "source_id": window.source_id, "n_nodes": window.n_nodes,
                  "t_hor": window.horizon.shape[1]}
         save_rates_csv(fc_dir / entry["forecast"], pred)
-        save_rates_npy(tg_dir / entry["target"], window.horizon)
         pins[entry["forecast"]] = file_hash(fc_dir / entry["forecast"])
-        pins[entry["target"]] = file_hash(tg_dir / entry["target"])
+        pins[entry["target"]] = save_rates_npy(tg_dir / entry["target"], window.horizon)
         entries.append(entry)
     write_json(fc_dir / FORECASTS_MANIFEST,
                {"format": FORECASTS_FORMAT, "forecasts": entries, "sha256": pins})
@@ -308,7 +307,7 @@ def cmd_metrics(args, cfg, out_dir: Path):
     fc_dir, tg_dir = Path(args.forecasts), Path(args.targets)
     manifest_path = _require(fc_dir / FORECASTS_MANIFEST, "forecast-set manifest")
     listing = read_manifest(manifest_path, FORECASTS_FORMAT, "run forecast again",
-                            ArtifactMismatchError, _FORECASTS_SCHEMA)
+                            _FORECASTS_SCHEMA)
     preds, targets = [], []
     for entry in listing["forecasts"]:
         pred = load_rates_csv(check_pinned(fc_dir, entry["forecast"], listing["sha256"],

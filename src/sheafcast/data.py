@@ -17,9 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .artifacts import check_pinned, file_hash, read_manifest, write_json
-from .errors import (ArtifactMismatchError, InfeasiblePlacementError,
-                     InvalidParameterError, SeriesTooShortError)
+from .artifacts import check_pinned, read_manifest, write_json
+from .errors import InfeasiblePlacementError, InvalidParameterError, SeriesTooShortError
 # `load_rates_csv` and `save_rates_csv` are not called here (window blocks
 # are `.npy`); the benchmark's tracer wraps them by these names
 from .neurosim import (PerturbationSpec, SimulationRecord, load_rates_csv,
@@ -179,8 +178,8 @@ def save_windows(out_dir, windows) -> Path:
     entries, pins = [], {}
     for i, win in enumerate(windows):
         name = f"windows_{i:05d}.npy"
-        save_rates_npy(out_dir / name, np.concatenate([win.context, win.horizon], axis=1))
-        pins[name] = file_hash(out_dir / name)
+        pins[name] = save_rates_npy(out_dir / name,
+                                    np.concatenate([win.context, win.horizon], axis=1))
         entries.append({"window": name, "source_id": win.source_id,
                         "t_ctx": win.context.shape[1], "t_hor": win.horizon.shape[1],
                         "time_step": win.time_step,
@@ -201,7 +200,7 @@ def load_windows(manifest_path) -> list:
     manifest = read_manifest(
         manifest_path, WINDOWS_FORMAT,
         "window sets of CSV blocks or per-window JSON files are no longer read; "
-        "save them again", ArtifactMismatchError, _WINDOWS_SCHEMA)
+        "save them again", _WINDOWS_SCHEMA)
     windows = []
     for entry in manifest["windows"]:
         block = load_rates_npy(check_pinned(manifest_path.parent, entry["window"],

@@ -42,9 +42,6 @@ class ConfigError(SheafcastError):
 
 
 class ArtifactMismatchError(SheafcastError):
-    """A file does not match the sha256 its manifest pins, or an artifact is
-    in a format this version no longer reads."""
-
-
-class CheckpointMismatchError(ArtifactMismatchError):
-    """A checkpoint is incompatible with the requested operation."""
+    """An artifact file is not pinned, not as pinned, or not one this version
+    reads (say an array file that is not an `.npy` of a C-ordered float64
+    array); a checkpoint does not fit its model; or the leakage guard."""

@@ -48,8 +48,8 @@ from typing import Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from .artifacts import read_manifest, write_json
-from .errors import ArtifactMismatchError, InvalidParameterError
+from .artifacts import read_array, read_manifest, save_array, write_json
+from .errors import InvalidParameterError
 from .graphs import BrainGraph
 
 _MIN_PERTURB_MS = 240.0
@@ -540,8 +540,7 @@ _META_SCHEMA = {
 def load_record(out_dir, stem: str) -> SimulationRecord:
     """The record `save_record` wrote; a malformed meta raises ArtifactMismatchError."""
     out_dir = Path(out_dir)
-    meta = read_manifest(out_dir / f"{stem}_meta.json", None, "", ArtifactMismatchError,
-                         _META_SCHEMA)
+    meta = read_manifest(out_dir / f"{stem}_meta.json", None, "", _META_SCHEMA)
     rates = load_rates_npy(out_dir / f"{stem}_rates.npy")
     graph = BrainGraph(n_nodes=meta["n_nodes"], edges=meta["edges"], seed=meta["graph_seed"])
     pert = meta["perturbation"]
@@ -555,24 +554,21 @@ def load_record(out_dir, stem: str) -> SimulationRecord:
     )
 
 
-def save_rates_npy(path, rates: np.ndarray) -> None:
+def save_rates_npy(path, rates: np.ndarray) -> str:
     """Write a (nodes, bins) block as the `.npy` of its time-major (bins,
-    nodes) float64 transpose, C-ordered: the rows and columns of a rates
-    CSV, in binary."""
-    np.save(path, np.ascontiguousarray(np.asarray(rates, dtype=np.float64).T),
-            allow_pickle=False)
+    nodes) transpose (`artifacts.save_array`): the rows and columns of a
+    rates CSV, in binary. Returns the file's sha256."""
+    return save_array(path, np.asarray(rates).T)
 
 
 def load_rates_npy(path) -> np.ndarray:
     """The (nodes, bins) block `save_rates_npy` wrote, as the transpose of
-    the stored C-ordered array: a Fortran-ordered view. The layout is part
-    of the format, because the bits of reductions downstream depend on
-    memory order. Anything but a C-ordered 2-d float64 array is refused."""
-    data = np.load(path, allow_pickle=False)
-    if data.ndim != 2 or data.dtype != np.float64 or not data.flags.c_contiguous:
-        raise InvalidParameterError(
-            f"{path} holds a {data.ndim}-d {data.dtype} array, not a C-ordered "
-            f"2-d float64 block of (bins, nodes)")
+    the stored array (`artifacts.read_array`): a Fortran-ordered view. The
+    layout is part of the format, because the bits of reductions downstream
+    depend on memory order. A block that is not 2-d, or empty, is refused."""
+    data = read_array(path)
+    if data.ndim != 2:
+        raise InvalidParameterError(f"{path} holds a {data.ndim}-d array, not (bins, nodes)")
     if data.size == 0:
         raise InvalidParameterError(f"no data rows in {path}")
     return data.T

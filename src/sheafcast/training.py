@@ -21,9 +21,9 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import autodiff as ad
-from .artifacts import check_pinned, file_hash, read_manifest, write_json
+from .artifacts import check_pinned, read_array, read_manifest, save_array, write_json
 from .data import TrajectoryWindow
-from .errors import (CheckpointMismatchError, DivergenceError,
+from .errors import (ArtifactMismatchError, DivergenceError,
                      InvalidParameterError, ShapeMismatchError)
 from .graphs import PriorGraph, granger_score_matrix, prior_from_scores
 from .metrics import evaluate
@@ -256,7 +256,7 @@ class ModelCheckpoint:
                 np.asarray(self.prior_edges, dtype=np.intp), self.n_nodes,
                 copy.deepcopy(self.model_config), arrays)
         except (InvalidParameterError, ShapeMismatchError) as exc:
-            raise CheckpointMismatchError(f"checkpoint does not fit its model: {exc}") from exc
+            raise ArtifactMismatchError(f"checkpoint does not fit its model: {exc}") from exc
 
 
 # checkpoint.json: every field but the arrays, the format and the array pins
@@ -272,18 +272,13 @@ def _snapshot(model: ForecastModel) -> dict:
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, directory) -> None:
-    """Write `<name>.npy` for every array, as C-ordered little-endian
-    float64 (`np.save` writes a float64 array straight from its buffer), and
+    """Write `<name>.npy` for every array (`artifacts.save_array`) and
     `checkpoint.json`: the other fields and the sha256 of every array file.
     Equal checkpoints give byte-identical files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    pins = {}
-    for name, array in ckpt.arrays.items():
-        path = directory / f"{name}.npy"
-        # not np.ascontiguousarray, which makes a 0-d array 1-d
-        np.save(path, np.asarray(array, dtype="<f8", order="C"), allow_pickle=False)
-        pins[path.name] = file_hash(path)
+    pins = {f"{name}.npy": save_array(directory / f"{name}.npy", array)
+            for name, array in ckpt.arrays.items()}
     manifest = {f.name: getattr(ckpt, f.name) for f in fields(ModelCheckpoint)
                 if f.name != "arrays"}
     manifest.update(format=CHECKPOINT_FORMAT, sha256=pins,
@@ -294,33 +289,26 @@ def save_checkpoint(ckpt: ModelCheckpoint, directory) -> None:
 
 
 def load_checkpoint(directory) -> ModelCheckpoint:
-    """Read a checkpoint written by `save_checkpoint`. A malformed or
-    non-v3 `checkpoint.json`, a model config outside its domain, an array
-    file that does not match its pinned sha256, and one that is not a
-    C-ordered float64 array are refused with an ArtifactMismatchError; a
-    removed array file raises FileNotFoundError."""
+    """Read a checkpoint written by `save_checkpoint`. A malformed or non-v3
+    `checkpoint.json`, a model config outside its domain and an array file
+    that is not as pinned or not a C-ordered float64 `.npy` raise
+    ArtifactMismatchError; a removed array file raises FileNotFoundError."""
     directory = Path(directory)
     manifest = read_manifest(
         directory / CHECKPOINT_MANIFEST, CHECKPOINT_FORMAT,
         "checkpoints of one .npz or .bin array file are no longer read; train again",
-        CheckpointMismatchError, _CHECKPOINT_SCHEMA)
+        _CHECKPOINT_SCHEMA)
     del manifest["format"]
     try:
         manifest["model_config"] = ModelConfig(**manifest["model_config"])
     except InvalidParameterError as exc:
-        raise CheckpointMismatchError(
+        raise ArtifactMismatchError(
             f"{CHECKPOINT_MANIFEST} has an invalid model_config: {exc}") from exc
     manifest["prior_edges"] = [tuple(e) for e in manifest["prior_edges"]]
     pins = manifest.pop("sha256")
-    arrays = {}
-    for file in pins:
-        array = np.load(check_pinned(directory, file, pins, CHECKPOINT_MANIFEST),
-                        allow_pickle=False)
-        if array.dtype != np.float64 or not array.flags.c_contiguous:
-            raise CheckpointMismatchError(
-                f"{file} is not a C-ordered float64 array ({array.dtype}, "
-                f"C-ordered: {array.flags.c_contiguous})")
-        arrays[file.removesuffix(".npy")] = array
+    arrays = {file.removesuffix(".npy"):
+              read_array(check_pinned(directory, file, pins, CHECKPOINT_MANIFEST))
+              for file in pins}
     return ModelCheckpoint(arrays=arrays, **manifest)
 
 

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 import sheafcast
+from sheafcast.artifacts import check_pinned, file_hash
 from sheafcast.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_MISSING, EXIT_OK,
-                           EXIT_RUNTIME, main)
+                           EXIT_RUNTIME, FORECASTS_MANIFEST, main)
 from sheafcast.config import config_hash, default_config, load_config, validate_config
-from sheafcast.errors import ConfigError
+from sheafcast.errors import ArtifactMismatchError, ConfigError
 from sheafcast.neurosim import load_rates_csv, load_rates_npy, save_rates_csv
 from sheafcast.training import load_checkpoint, save_checkpoint
 
@@ -674,6 +675,128 @@ def test_an_unpinned_extra_pair_is_not_scored(chain, tmp_path):
     assert main([str(a) for a in argv + ["--out", tmp_path / "o"]]) == EXIT_OK
     report = (tmp_path / "o" / "metric_report.json").read_bytes()
     assert report == (chain["metrics"][1] / "metric_report.json").read_bytes()
+
+
+def _artifact_copy(kind, pipeline, chain, tmp_path):
+    """A copy of one artifact of the fixture chain: the directory of one of
+    its pinned `.npy` files, that file's name, the manifest that pins it,
+    and the argv (without `--out`) of a command that reads it."""
+    from sheafcast.data import save_windows
+
+    if kind == "record-rates":
+        data = tmp_path / "sim"
+        shutil.copytree(pipeline["sim"], data)
+        return (data, "00000_pre_rates.npy", data / "dataset_manifest.json",
+                ["prior", "--config", pipeline["cfg_path"], "--data", data])
+    if kind == "forecast-target":
+        fc, argv = _metrics_of_copy(chain, tmp_path)
+        return fc / "targets", "00001.npy", fc / "forecasts" / FORECASTS_MANIFEST, argv
+    windows = save_windows(tmp_path / "w", _windows_of(pipeline, "00000_pre"))
+    if kind == "window-block":
+        return (windows.parent, "windows_00001.npy", windows,
+                ["forecast", "--checkpoint", pipeline["train"] / "checkpoint",
+                 "--windows", windows])
+    ck = tmp_path / "train" / "checkpoint"
+    shutil.copytree(pipeline["train"] / "checkpoint", ck)
+    return (ck, "sheaf.rho_src.npy", ck / "checkpoint.json",
+            ["forecast", "--checkpoint", ck, "--windows", windows])
+
+
+def _refused(argv, tmp_path, capsys):
+    """Exit code and stderr of `argv` with a fresh `--out`, which a refusal
+    leaves absent, with nothing on stdout."""
+    capsys.readouterr()
+    code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "o").exists(), (code, out)
+    return code, err
+
+
+_ARTIFACT_KINDS = ["checkpoint-array", "window-block", "forecast-target", "record-rates"]
+
+
+def _npy_bytes(array, **kwargs):
+    buffer = io.BytesIO()
+    np.save(buffer, array, **kwargs)
+    return buffer.getvalue()
+
+
+def _zip_bytes():
+    buffer = io.BytesIO()
+    np.savez(buffer, a=np.zeros((3, 2)))
+    return buffer.getvalue()
+
+
+# bytes that are not the `.npy` of a C-ordered float64 array, given the
+# pinned file's own bytes
+_NOT_NPY = {
+    "empty": lambda raw: b"",
+    "text": lambda raw: b"not an array\n",
+    "truncated-header": lambda raw: raw[:40],
+    "truncated-data": lambda raw: raw[:-8],
+    "zip": lambda raw: _zip_bytes(),
+    "pickled-objects": lambda raw: _npy_bytes(np.array([{"a": 1}], dtype=object),
+                                              allow_pickle=True),
+}
+_LAYOUTS = {
+    "fortran": lambda raw: _npy_bytes(np.zeros((2, 3)).T),
+    "float32": lambda raw: _npy_bytes(np.zeros((3, 2), dtype=np.float32)),
+    "big-endian": lambda raw: _npy_bytes(np.zeros((3, 2), dtype=">f8")),
+    "ints": lambda raw: _npy_bytes(np.zeros((3, 2), dtype=int)),
+}
+
+
+@pytest.mark.parametrize("kind, content", [
+    *[(k, c) for k in _ARTIFACT_KINDS for c in _NOT_NPY],
+    *[(k, c) for k in _ARTIFACT_KINDS if k != "checkpoint-array" for c in _LAYOUTS]])
+def test_a_repinned_file_that_is_not_a_float64_npy_exits_4(pipeline, chain, tmp_path, capsys,
+                                                           kind, content):
+    """A pinned array file replaced by bytes that are not the `.npy` of a
+    C-ordered float64 array, and pinned again, so only the one `.npy`
+    reader (`artifacts.read_array`) can refuse it: exit 4 with one stderr
+    line naming the file, for every kind of array file. (The layouts of a
+    checkpoint array are in `test_training.py`.)"""
+    base, name, manifest, argv = _artifact_copy(kind, pipeline, chain, tmp_path)
+    raw = (base / name).read_bytes()
+    new = {**_NOT_NPY, **_LAYOUTS}[content](raw)
+    (base / name).write_bytes(new)
+    text = manifest.read_text()
+    old_digest = hashlib.sha256(raw).hexdigest()
+    assert text.count(old_digest) == 1
+    manifest.write_text(text.replace(old_digest, hashlib.sha256(new).hexdigest()))
+    code, err = _refused(argv, tmp_path, capsys)
+    assert code == EXIT_MISMATCH, err
+    assert len(err.strip().splitlines()) == 1 and name in err, err
+
+
+@pytest.mark.parametrize("kind", _ARTIFACT_KINDS)
+def test_a_pinned_name_outside_its_artifact_exits_4(pipeline, chain, tmp_path, capsys, kind):
+    """A manifest that names and pins a file outside its artifact's
+    directory, with the right digest, is refused before that file is read:
+    every read stays inside the artifact. (A record's files are named by
+    its stem, so both move.)"""
+    base, name, manifest, argv = _artifact_copy(kind, pipeline, chain, tmp_path)
+    prefix = "00000_pre" if kind == "record-rates" else name
+    outside = base.parent / "outside"
+    outside.mkdir()
+    for path in base.glob(prefix + "*"):
+        path.rename(outside / path.name)
+    manifest.write_text(manifest.read_text().replace(f'"{prefix}', f'"../outside/{prefix}'))
+    code, err = _refused(argv, tmp_path, capsys)
+    assert code == EXIT_MISMATCH, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert f"{manifest.name} names '../outside/{prefix}" in err, err
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "sub/a.npy", "absolute"])
+def test_check_pinned_takes_only_a_plain_file_name(tmp_path, name):
+    """Refused before anything is read, even when the digest is right."""
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "a.npy").write_bytes(b"x")
+    if name == "absolute":
+        name = str(tmp_path / "sub" / "a.npy")
+    with pytest.raises(ArtifactMismatchError, match="m.json names"):
+        check_pinned(tmp_path, name, {name: file_hash(tmp_path / "sub" / "a.npy")}, "m.json")
 
 
 def test_a_v2_dataset_exits_4_naming_its_format(pipeline, tmp_path, capsys):

@@ -189,3 +189,25 @@ def test_only_the_artifact_and_config_readers_decode_json(source):
                       if isinstance(node, ast.ImportFrom) and node.module == "json"
                       and {"load", "loads"} & {alias.name for alias in node.names}})
     assert not calls, f"{source.name} decodes JSON itself, lines {calls}"
+
+
+
+# the numpy names of `.npy` reading and writing, as written in a module
+_NPY_NAMES = {f"{prefix}{name}" for prefix in ("np.", "numpy.")
+              for name in ("load", "save", "lib.format")}
+
+
+@pytest.mark.parametrize("source", [p for p in SRC if p.stem != "artifacts"],
+                         ids=[p.stem for p in SRC if p.stem != "artifacts"])
+def test_only_the_artifact_module_reads_and_writes_npy_files(source):
+    """`artifacts.save_array` and `artifacts.read_array` are the package's
+    one `.npy` writer and reader, so every array file it reads is refused
+    alike unless it is the `.npy` of a C-ordered float64 array; a second
+    reader would let other files through or refuse them differently."""
+    tree = ast.parse(source.read_text(), filename=str(source))
+    uses = sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and ast.unparse(node) in _NPY_NAMES}
+                  | {node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+                     and {"load", "save", "format"} & {alias.name for alias in node.names}})
+    assert not uses, f"{source.name} reads or writes .npy files itself, lines {uses}"

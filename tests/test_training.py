@@ -12,7 +12,7 @@ from sheafcast import autodiff as ad
 from sheafcast import training
 from sheafcast.data import make_windows
 from sheafcast.artifacts import file_hash
-from sheafcast.errors import CheckpointMismatchError, InvalidParameterError
+from sheafcast.errors import ArtifactMismatchError, InvalidParameterError
 from sheafcast.graphs import PriorGraph, generate_small_world
 from sheafcast.model import ForecastModel, ModelConfig
 
@@ -661,7 +661,7 @@ def test_an_array_file_that_is_not_c_ordered_float64_is_refused(tmp_path, stored
     manifest = json.loads((tmp_path / "ck" / "checkpoint.json").read_text())
     manifest["sha256"]["w.npy"] = file_hash(path)
     (tmp_path / "ck" / "checkpoint.json").write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointMismatchError, match="w.npy is not a C-ordered float64"):
+    with pytest.raises(ArtifactMismatchError, match="w.npy is not a C-ordered float64"):
         load_checkpoint(tmp_path / "ck")
 
 
