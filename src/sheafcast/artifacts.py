@@ -112,11 +112,12 @@ def file_hash(path) -> str:
 
 
 def check_pinned(base: Path, name: str, pins: dict, manifest: str) -> Path:
-    """`base / name`, refused unless `name` is a plain file name, so every
-    read stays inside `base`, and its sha256 is the digest that `pins` (file
-    name -> sha256, read from `manifest`) gives for it. A removed file
-    raises FileNotFoundError; any other refusal is ArtifactMismatchError."""
-    if name in ("", ".", "..") or "/" in name:
+    """`base / name`, refused unless `name` is a plain, printable file name
+    (no NUL, newline or other control character), so every read stays inside
+    `base`, and its sha256 is the digest that `pins` (file name -> sha256,
+    read from `manifest`) gives for it. A removed file raises
+    FileNotFoundError; any other refusal is ArtifactMismatchError."""
+    if name in ("", ".", "..") or "/" in name or not name.isprintable():
         raise ArtifactMismatchError(f"{manifest} names {name!r}, not a file name in its directory")
     path = Path(base) / name
     digest = pins.get(name)

@@ -17,15 +17,19 @@ manifest pins or that it does not pin, a dataset, window set, forecast
 set or checkpoint in a format no longer read, a dataset manifest, record
 meta, windows manifest, forecast-set manifest or `checkpoint.json` that
 is malformed (invalid JSON, or a key missing, unknown or of the wrong
-type), any array file that is not an `.npy` of a C-ordered float64
-array, a pinned name outside its artifact, a checkpoint whose arrays or
-edges do not fit its model, and the perturbation leakage guard), 5 any
-other failure (bad data, I/O, divergence, an `--out` that is not empty).
-Failures print one line. A checkpoint is the directory `train` writes:
-its `checkpoint.json` pins every array file by sha256, as
-`dataset_manifest.json` pins every record file, a windows manifest every
-window block and `forecasts_manifest.json` every forecast and target, so
-the hash of the JSON file in a manifest covers the files it pins too.
+type), a record meta outside its domain, a dataset instance whose post
+record is not a perturbed run of its pre record, any array file that is
+not an `.npy` of a C-ordered float64 array, a rates block or forecast
+not of the shape its meta or manifest gives, a pinned name outside its
+artifact or not printable, a checkpoint whose arrays or edges do not fit
+its model, and the perturbation leakage guard), 5 any other failure (bad
+data, I/O, divergence, an `--out` that is not empty). Failures print one
+line. A
+checkpoint is the directory `train` writes: its `checkpoint.json` pins
+every array file by sha256, as `dataset_manifest.json` pins the files of
+every record (whose meta alone states its facts), a windows manifest
+every window block and `forecasts_manifest.json` every forecast and
+target, so the hash of a manifest covers the files it pins too.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ import os
 import shutil
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .artifacts import check_pinned, file_hash, read_manifest, write_json
@@ -54,9 +56,9 @@ from .graphs import (generate_small_world, granger_score_matrix, load_prior_csv,
 from .metrics import evaluate
 from .model import ModelConfig
 # `simulate` is not called here; the benchmark's tracer wraps it by this name
-from .neurosim import (LifParams, PerturbationSpec, load_rates_csv, load_rates_npy,
-                       load_record, sample_perturbation, save_rates_csv,
-                       save_rates_npy, save_record, simulate, simulate_many)
+from .neurosim import (LifParams, load_rates_csv, load_rates_npy, load_record,
+                       sample_perturbation, save_rates_csv, save_rates_npy, save_record,
+                       simulate, simulate_many)
 from .training import (CHECKPOINT_MANIFEST, forecast_windows, load_checkpoint,
                        prior_from_windows, save_checkpoint, train)
 
@@ -66,13 +68,10 @@ EXIT_MISSING = 3
 EXIT_MISMATCH = 4
 EXIT_RUNTIME = 5
 
-DATASET_FORMAT = "sheafcast-dataset-v3"
+DATASET_FORMAT = "sheafcast-dataset-v4"
 # the keys and value types of the dataset manifest `simulate` writes
-_DATASET_SCHEMA = {
-    "format": str, "n_nodes": int, "bin_ms": float, "config": dict, "sha256": {str: str},
-    "instances": [{"index": int, "seed": int, "pre": str, "post": (str, type(None)),
-                   "perturbation": ({"neuron": int, "onset_ms": float, "duration_ms": float},
-                                    type(None))}]}
+_DATASET_SCHEMA = {"format": str, "config": dict, "sha256": {str: str},
+                   "instances": [{"pre": str, "post": (str, type(None))}]}
 FORECASTS_FORMAT = "sheafcast-forecasts-v1"
 FORECASTS_MANIFEST = "forecasts_manifest.json"
 _FORECASTS_SCHEMA = {
@@ -144,53 +143,30 @@ def cmd_simulate(args, cfg, out_dir: Path):
     records = iter(simulate_many(runs, lif, bin_ms=sim["bin_ms"],
                                  sigma_ms=sim["sigma_ms"]) if runs else [])
 
-    instances = []
+    instances, pins = [], {}
     for i, spec in enumerate(specs):
-        stem_pre = f"{i:05d}_pre"
-        save_record(out_dir, stem_pre, next(records))
-        entry = {"index": i, "seed": cfg["seed"] + i, "pre": stem_pre, "post": None,
-                 "perturbation": None}
-        if spec is not None:
-            stem_post = f"{i:05d}_post"
-            save_record(out_dir, stem_post, next(records))
-            entry["post"] = stem_post
-            entry["perturbation"] = {"neuron": spec.neuron,
-                                     "onset_ms": spec.onset_ms,
-                                     "duration_ms": spec.duration_ms}
+        entry = {"pre": f"{i:05d}_pre", "post": None if spec is None else f"{i:05d}_post"}
+        for stem in filter(None, entry.values()):
+            pins.update(save_record(out_dir, stem, next(records)))
         instances.append(entry)
-    dataset = {"format": DATASET_FORMAT, "instances": instances,
-               "n_nodes": sim["n_nodes"], "bin_ms": sim["bin_ms"], "config": cfg,
-               "sha256": {p.name: file_hash(p) for p in out_dir.iterdir()}}
-    write_json(out_dir / "dataset_manifest.json", dataset)
+    write_json(out_dir / "dataset_manifest.json", {
+        "format": DATASET_FORMAT, "instances": instances, "config": cfg, "sha256": pins})
     return {}, f"simulate: wrote {len(instances)} record pair(s) to {args.out}"
 
 
 def _load_dataset(data_dir: Path) -> dict:
     path = _require(Path(data_dir) / "dataset_manifest.json", "dataset manifest")
     return read_manifest(path, DATASET_FORMAT,
-                         "datasets of CSV rates or adjacency CSV files are no longer read; "
-                         "run simulate again", _DATASET_SCHEMA)
+                         "datasets of CSV files or with record facts in the manifest are "
+                         "no longer read; run simulate again", _DATASET_SCHEMA)
 
 
 def _load_dataset_record(data_dir: Path, dataset: dict, stem: str):
     """The record `stem` of a dataset, read only after each of its files
-    matches the sha256 `dataset_manifest.json` pins, and refused unless its
-    rate rows and bin width are the manifest's `n_nodes` and `bin_ms`."""
+    matches the sha256 `dataset_manifest.json` pins."""
     for suffix in ("_meta.json", "_rates.npy"):
         check_pinned(data_dir, stem + suffix, dataset["sha256"], "dataset_manifest.json")
-    record = load_record(data_dir, stem)
-    n_rows = record.rates.shape[0]
-    if n_rows != dataset["n_nodes"]:
-        raise InvalidParameterError(
-            f"record {stem} has {n_rows} rate rows but dataset_manifest.json "
-            f"says n_nodes {dataset['n_nodes']}")
-    widths = np.diff(record.bin_edges_ms)
-    off = ~np.isclose(widths, dataset["bin_ms"], rtol=1e-9, atol=0.0)
-    if off.any():
-        raise InvalidParameterError(
-            f"record {stem} has bin width {widths[off][0]:g} ms but "
-            f"dataset_manifest.json says bin_ms {dataset['bin_ms']:g}")
-    return record
+    return load_record(data_dir, stem)
 
 
 def _load_model(ckpt_dir, refuse_perturbed: bool = False):
@@ -214,7 +190,7 @@ def _pre_windows(data_dir: Path, dataset: dict, cfg) -> list:
     for entry in dataset["instances"]:
         record = _load_dataset_record(data_dir, dataset, entry["pre"])
         windows += make_windows(record.rates, t["t_ctx"], t["t_hor"],
-                                t["stride"], time_step=dataset["bin_ms"],
+                                t["stride"], time_step=record.bin_ms,
                                 source_id=entry["pre"])
     if not windows:
         raise InvalidParameterError("dataset produced no context windows")
@@ -234,10 +210,9 @@ def cmd_prior(args, cfg, out_dir: Path):
 def cmd_train(args, cfg, out_dir: Path):
     data_dir = Path(args.data)
     prior_path = _require(args.prior, "prior CSV")
-    dataset = _load_dataset(data_dir)
-    windows = _pre_windows(data_dir, dataset, cfg)
+    windows = _pre_windows(data_dir, _load_dataset(data_dir), cfg)
     prior = load_prior_csv(prior_path, cfg["prior"]["lag_order"],
-                           cfg["prior"]["top_k"], n_nodes=dataset["n_nodes"])
+                           cfg["prior"]["top_k"], n_nodes=windows[0].n_nodes)
     ckpt = train(windows, prior, _train_config(cfg),
                  model_config=ModelConfig(**cfg["model"]),
                  log_path=out_dir / "train_log.jsonl")
@@ -281,9 +256,12 @@ def cmd_perturb_eval(args, cfg, out_dir: Path):
             continue
         pre = _load_dataset_record(data_dir, dataset, entry["pre"])
         post = _load_dataset_record(data_dir, dataset, entry["post"])
-        spec = PerturbationSpec(**entry["perturbation"])
+        if post.perturbation is None or (post.seed, post.adjacency) != (pre.seed, pre.adjacency):
+            raise ArtifactMismatchError(
+                f"dataset_manifest.json pairs {entry['pre']} with {entry['post']}, "
+                f"not a perturbed run of its seed and graph")
         try:
-            eval_windows += make_perturbed_windows(pre, post, spec,
+            eval_windows += make_perturbed_windows(pre, post, post.perturbation,
                                                    t_ctx=ev["t_ctx"],
                                                    t_hor=ev["t_hor"],
                                                    source_id=entry["post"])
@@ -310,15 +288,15 @@ def cmd_metrics(args, cfg, out_dir: Path):
                             _FORECASTS_SCHEMA)
     preds, targets = [], []
     for entry in listing["forecasts"]:
+        shape = (entry["n_nodes"], entry["t_hor"])
         pred = load_rates_csv(check_pinned(fc_dir, entry["forecast"], listing["sha256"],
                                            FORECASTS_MANIFEST))
+        if pred.shape != shape:
+            raise ArtifactMismatchError(
+                f"forecast {entry['forecast']} has shape {pred.shape}, but "
+                f"{FORECASTS_MANIFEST} gives (n_nodes, t_hor) {shape}")
         target = load_rates_npy(check_pinned(tg_dir, entry["target"], listing["sha256"],
-                                             FORECASTS_MANIFEST))
-        if not pred.shape == target.shape == (entry["n_nodes"], entry["t_hor"]):
-            raise InvalidParameterError(
-                f"forecast {entry['forecast']} has shape {pred.shape} and target "
-                f"{entry['target']} {target.shape}, but {FORECASTS_MANIFEST} gives "
-                f"n_nodes {entry['n_nodes']} and t_hor {entry['t_hor']}")
+                                             FORECASTS_MANIFEST), *shape)
         preds.append(pred)
         targets.append(target)
     report = evaluate(preds, targets)

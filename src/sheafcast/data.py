@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .artifacts import check_pinned, read_manifest, write_json
-from .errors import InfeasiblePlacementError, InvalidParameterError, SeriesTooShortError
+from .errors import (ArtifactMismatchError, InfeasiblePlacementError, InvalidParameterError,
+                     SeriesTooShortError)
 # `load_rates_csv` and `save_rates_csv` are not called here (window blocks
 # are `.npy`); the benchmark's tracer wraps them by these names
 from .neurosim import (PerturbationSpec, SimulationRecord, load_rates_csv,
@@ -129,7 +130,7 @@ def make_perturbed_windows(record_pre: SimulationRecord,
         raise InvalidParameterError("record pair shapes differ")
     if not np.array_equal(record_pre.bin_edges_ms, record_post.bin_edges_ms):
         raise InvalidParameterError("record pair must share bin edges")
-    bin_ms = float(record_pre.bin_edges_ms[1] - record_pre.bin_edges_ms[0])
+    bin_ms = record_pre.bin_ms
     onset_bin = int(spec.onset_ms // bin_ms)
     pre_bins = int(np.floor(0.9 * t_ctx))
     start = onset_bin - pre_bins
@@ -193,9 +194,10 @@ def save_windows(out_dir, windows) -> Path:
 
 def load_windows(manifest_path) -> list:
     """The windows of a manifest `save_windows` wrote. Each block is checked
-    against its pinned sha256 before it is read; a malformed manifest, one
-    of an older format, or a changed or unpinned block raises
-    ArtifactMismatchError."""
+    against its pinned sha256 before it is read at the shape its entry
+    gives; a malformed manifest, one of an older format, an entry whose
+    sizes do not fit each other, or a changed, unpinned or differently
+    shaped block raises ArtifactMismatchError."""
     manifest_path = Path(manifest_path)
     manifest = read_manifest(
         manifest_path, WINDOWS_FORMAT,
@@ -203,16 +205,15 @@ def load_windows(manifest_path) -> list:
         "save them again", _WINDOWS_SCHEMA)
     windows = []
     for entry in manifest["windows"]:
-        block = load_rates_npy(check_pinned(manifest_path.parent, entry["window"],
-                                            manifest["sha256"], manifest_path.name))
         t_ctx, t_hor = entry["t_ctx"], entry["t_hor"]
         norm_mean, norm_std = np.array(entry["norm_mean"]), np.array(entry["norm_std"])
-        if (t_ctx < 1 or t_hor < 1 or block.shape[1] != t_ctx + t_hor
-                or not norm_mean.shape == norm_std.shape == block.shape[:1]):
-            raise InvalidParameterError(
-                f"window {entry['window']} has shape {block.shape}, but its manifest "
-                f"entry gives t_ctx {t_ctx} + t_hor {t_hor} columns and "
-                f"normalization shapes {norm_mean.shape} and {norm_std.shape}")
+        if t_ctx < 1 or t_hor < 1 or norm_mean.shape != norm_std.shape:
+            raise ArtifactMismatchError(
+                f"{manifest_path.name} gives {entry['window']} t_ctx {t_ctx}, t_hor "
+                f"{t_hor}, {len(norm_mean)} means and {len(norm_std)} stds")
+        block = load_rates_npy(check_pinned(manifest_path.parent, entry["window"],
+                                            manifest["sha256"], manifest_path.name),
+                               len(norm_mean), t_ctx + t_hor)
         windows.append(TrajectoryWindow(
             context=block[:, :t_ctx], horizon=block[:, t_ctx:], time_step=entry["time_step"],
             norm_mean=norm_mean, norm_std=norm_std, source_id=entry["source_id"],

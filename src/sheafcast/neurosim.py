@@ -48,8 +48,8 @@ from typing import Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from .artifacts import read_array, read_manifest, save_array, write_json
-from .errors import InvalidParameterError
+from .artifacts import file_hash, read_array, read_manifest, save_array, write_json
+from .errors import ArtifactMismatchError, InvalidParameterError
 from .graphs import BrainGraph
 
 _MIN_PERTURB_MS = 240.0
@@ -130,6 +130,11 @@ class SimulationRecord:
     @property
     def n_bins(self) -> int:
         return self.rates.shape[1]
+
+    @property
+    def bin_ms(self) -> float:
+        """The width of the first bin, which every bin has."""
+        return float(self.bin_edges_ms[1] - self.bin_edges_ms[0])
 
 
 def sample_perturbation(duration_ms: float, seed: int,
@@ -510,13 +515,17 @@ def _gaussian_smooth_rows(rows: np.ndarray, sigma_bins: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# persistence: rates `.npy` (rows = bins, cols = neurons) and a JSON
-# sidecar with seed, params, graph edges, bin edges, and perturbation
+# persistence: rates `.npy` (rows = bins, cols = neurons), read at the shape
+# its JSON meta gives, which alone states seed, node count, params, graph
+# edges, bin edges and perturbation
 # ----------------------------------------------------------------------
-def save_record(out_dir, stem: str, record: SimulationRecord) -> None:
+def save_record(out_dir, stem: str, record: SimulationRecord) -> dict:
+    """Write `<stem>_rates.npy` and `<stem>_meta.json`; returns the sha256
+    of each by file name."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_rates_npy(out_dir / f"{stem}_rates.npy", record.rates)
+    rates_name, meta_name = f"{stem}_rates.npy", f"{stem}_meta.json"
+    pins = {rates_name: save_rates_npy(out_dir / rates_name, record.rates)}
     meta = {
         "seed": record.seed,
         "n_nodes": record.adjacency.n_nodes,
@@ -527,7 +536,9 @@ def save_record(out_dir, stem: str, record: SimulationRecord) -> None:
         "perturbation": (asdict(record.perturbation)
                          if record.perturbation is not None else None),
     }
-    write_json(out_dir / f"{stem}_meta.json", meta)
+    write_json(out_dir / meta_name, meta)
+    pins[meta_name] = file_hash(out_dir / meta_name)
+    return pins
 
 
 # the meta `save_record` writes, which has no format key (its dataset's has)
@@ -538,20 +549,24 @@ _META_SCHEMA = {
 
 
 def load_record(out_dir, stem: str) -> SimulationRecord:
-    """The record `save_record` wrote; a malformed meta raises ArtifactMismatchError."""
+    """The record `save_record` wrote. A meta that is malformed or outside
+    its domain (a graph, params or perturbation its class refuses), and
+    rates that are not the meta's block, raise ArtifactMismatchError."""
     out_dir = Path(out_dir)
-    meta = read_manifest(out_dir / f"{stem}_meta.json", None, "", _META_SCHEMA)
-    rates = load_rates_npy(out_dir / f"{stem}_rates.npy")
-    graph = BrainGraph(n_nodes=meta["n_nodes"], edges=meta["edges"], seed=meta["graph_seed"])
+    meta_name = f"{stem}_meta.json"
+    meta = read_manifest(out_dir / meta_name, None, "", _META_SCHEMA)
     pert = meta["perturbation"]
-    return SimulationRecord(
-        rates=rates,
-        adjacency=graph,
-        bin_edges_ms=np.array(meta["bin_edges_ms"]),
-        seed=meta["seed"],
-        params=LifParams(**meta["params"]),
-        perturbation=PerturbationSpec(**pert) if pert else None,
-    )
+    try:
+        return SimulationRecord(
+            adjacency=BrainGraph(meta["n_nodes"], meta["edges"], meta["graph_seed"]),
+            params=LifParams(**meta["params"]),
+            perturbation=PerturbationSpec(**pert) if pert else None,
+            rates=load_rates_npy(out_dir / f"{stem}_rates.npy", meta["n_nodes"],
+                                 len(meta["bin_edges_ms"]) - 1),
+            bin_edges_ms=np.array(meta["bin_edges_ms"]),
+            seed=meta["seed"])
+    except InvalidParameterError as exc:
+        raise ArtifactMismatchError(f"{meta_name} is outside its domain: {exc}") from exc
 
 
 def save_rates_npy(path, rates: np.ndarray) -> str:
@@ -561,16 +576,16 @@ def save_rates_npy(path, rates: np.ndarray) -> str:
     return save_array(path, np.asarray(rates).T)
 
 
-def load_rates_npy(path) -> np.ndarray:
-    """The (nodes, bins) block `save_rates_npy` wrote, as the transpose of
-    the stored array (`artifacts.read_array`): a Fortran-ordered view. The
-    layout is part of the format, because the bits of reductions downstream
-    depend on memory order. A block that is not 2-d, or empty, is refused."""
+def load_rates_npy(path, n_nodes: int, n_bins: int) -> np.ndarray:
+    """The (n_nodes, n_bins) block `save_rates_npy` wrote, the shape its
+    listing gives (any other raises ArtifactMismatchError), as the transpose
+    of the stored array (`artifacts.read_array`): a Fortran-ordered view.
+    The layout is part of the format, because the bits of reductions
+    downstream depend on memory order."""
     data = read_array(path)
-    if data.ndim != 2:
-        raise InvalidParameterError(f"{path} holds a {data.ndim}-d array, not (bins, nodes)")
-    if data.size == 0:
-        raise InvalidParameterError(f"no data rows in {path}")
+    if data.shape != (n_bins, n_nodes):
+        raise ArtifactMismatchError(f"{Path(path).name} holds a {data.shape} array, not the "
+                                    f"(bins, nodes) {(n_bins, n_nodes)} its listing gives")
     return data.T
 
 

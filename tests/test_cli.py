@@ -20,7 +20,7 @@ from sheafcast.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_MISSING, EXIT_OK,
                            EXIT_RUNTIME, FORECASTS_MANIFEST, main)
 from sheafcast.config import config_hash, default_config, load_config, validate_config
 from sheafcast.errors import ArtifactMismatchError, ConfigError
-from sheafcast.neurosim import load_rates_csv, load_rates_npy, save_rates_csv
+from sheafcast.neurosim import load_rates_csv, save_rates_csv
 from sheafcast.training import load_checkpoint, save_checkpoint
 
 
@@ -64,13 +64,18 @@ def pipeline(tmp_path_factory):
 def test_simulate_outputs_and_rerun_reproducibility(pipeline, tmp_path):
     sim = pipeline["sim"]
     manifest = json.loads((sim / "dataset_manifest.json").read_text())
-    assert len(manifest["instances"]) == 3
-    seeds = [e["seed"] for e in manifest["instances"]]
-    assert len(set(seeds)) == 3
+    # the manifest lists record stems only; each record's facts are in its meta
+    assert sorted(manifest) == ["config", "format", "instances", "sha256"]
+    assert manifest["format"] == "sheafcast-dataset-v4"
+    assert manifest["instances"] == [{"pre": f"{i:05d}_pre", "post": f"{i:05d}_post"}
+                                     for i in range(3)]
+    metas = {p.name: json.loads(p.read_text()) for p in sim.glob("*_meta.json")}
+    assert [metas[f"{i:05d}_pre_meta.json"]["seed"] for i in range(3)] == [11, 12, 13]
     for entry in manifest["instances"]:
         assert (sim / f"{entry['pre']}_rates.npy").exists()
         assert (sim / f"{entry['post']}_rates.npy").exists()
-        assert entry["perturbation"] is not None
+        assert metas[f"{entry['pre']}_meta.json"]["perturbation"] is None
+        assert metas[f"{entry['post']}_meta.json"]["perturbation"] is not None
     # every record file is pinned by its sha256
     records = sorted(p.name for p in sim.glob("0*"))
     assert len(records) == 3 * 2 * 2 and sorted(manifest["sha256"]) == records
@@ -88,17 +93,20 @@ def test_simulate_outputs_and_rerun_reproducibility(pipeline, tmp_path):
 def test_simulate_records_match_one_run_oracle(pipeline):
     """The records of one batched `simulate` equal each run stepped alone."""
     from oracles import simulate_loop
-    from sheafcast.neurosim import LifParams, PerturbationSpec, load_record
+    from sheafcast.neurosim import LifParams, load_record, sample_perturbation
 
     sim, cfg = pipeline["sim"], pipeline["cfg"]
     params = LifParams(**cfg["simulate"]["lif"])
     manifest = json.loads((sim / "dataset_manifest.json").read_text())
-    for entry in manifest["instances"]:
-        spec = PerturbationSpec(**entry["perturbation"])
-        for stem, perturbation in ((entry["pre"], None), (entry["post"], spec)):
-            record = load_record(sim, stem)
-            assert record.perturbation == perturbation
-            want = simulate_loop(record.adjacency, params, entry["seed"], perturbation,
+    for i, entry in enumerate(manifest["instances"]):
+        pre, post = load_record(sim, entry["pre"]), load_record(sim, entry["post"])
+        # each record states the seed and perturbation `simulate` drew for it
+        assert pre.seed == post.seed == cfg["seed"] + i
+        assert pre.params == post.params == params and pre.perturbation is None
+        assert post.perturbation == sample_perturbation(
+            params.duration_ms, pre.seed, n_nodes=cfg["simulate"]["n_nodes"])
+        for stem, record in ((entry["pre"], pre), (entry["post"], post)):
+            want = simulate_loop(record.adjacency, params, record.seed, record.perturbation,
                                  bin_ms=cfg["simulate"]["bin_ms"],
                                  sigma_ms=cfg["simulate"]["sigma_ms"])
             assert record.rates.tobytes() == want.tobytes(), stem
@@ -287,14 +295,29 @@ def test_forecast_holds_the_parameters_once(tmp_path):
     assert peak < 2 * param_bytes, (peak, param_bytes, working_set)
 
 
-def _run_on_mismatched_dataset(pipeline, tmp_path, command, key, value):
-    """Exit code of `command` on a copy of the pipeline's dataset whose
-    manifest says `key` is `value`, with `--out tmp_path / "o"`."""
+def _repin(data, name):
+    """Pin the bytes `data / name` now holds in the dataset manifest of `data`."""
+    path = data / "dataset_manifest.json"
+    dataset = json.loads(path.read_text())
+    dataset["sha256"][name] = file_hash(data / name)
+    path.write_text(json.dumps(dataset))
+
+
+def _run_on_reshaped_rates(pipeline, tmp_path, command, key, value):
+    """Exit code of `command`, with `--out tmp_path / "o"`, on a copy of the
+    pipeline's dataset whose `00000_pre_rates.npy` is replaced, and pinned
+    again, by the block the record would have at `key` `value`: its first
+    7 nodes (`n_nodes` 7) or every second of its 10 ms bins (`bin_ms` 20)."""
     data = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], data)
-    dataset = json.loads((data / "dataset_manifest.json").read_text())
-    dataset[key] = value
-    (data / "dataset_manifest.json").write_text(json.dumps(dataset))
+    path = data / "00000_pre_rates.npy"
+    stored = np.load(path)          # time-major: (bins, nodes)
+    if key == "n_nodes":
+        stored = stored[:, :value]
+    else:
+        stored = stored[::int(value / pipeline["cfg"]["simulate"]["bin_ms"])]
+    np.save(path, np.ascontiguousarray(stored))
+    _repin(data, path.name)
     extra = {"prior": [], "train": ["--prior", pipeline["prior"] / "prior.csv"],
              "perturb-eval": ["--checkpoint", pipeline["train"] / "checkpoint"]}[command]
     return main([str(a) for a in [command, "--config", pipeline["cfg_path"], "--data", data,
@@ -306,18 +329,25 @@ def _run_on_mismatched_dataset(pipeline, tmp_path, command, key, value):
                                                ("bin_ms", 20.0, "bin width 10 ms")])
 def test_records_must_match_the_dataset_manifest(pipeline, tmp_path, capsys,
                                                  command, key, value, found):
+    """A record's rates must be the block its own meta, which the dataset
+    manifest pins, gives: 160 bins of the meta's bin edges by its 10 nodes,
+    so `found` is what the meta says. A re-pinned block of 7 nodes, or of
+    20 ms bins, is refused by `load_record` as the wrong shape: exit 4 and
+    one stderr line naming the file. (The manifest's own `n_nodes` and
+    `bin_ms`, which this used to check with exit 5, are gone.)"""
     capsys.readouterr()
-    code = _run_on_mismatched_dataset(pipeline, tmp_path, command, key, value)
+    code = _run_on_reshaped_rates(pipeline, tmp_path, command, key, value)
     err = capsys.readouterr().err
-    assert code == EXIT_RUNTIME
+    assert code == EXIT_MISMATCH, err
     assert len(err.strip().splitlines()) == 1, err
-    assert f"record 00000_pre has {found}" in err
-    assert f"says {key} {value:g}" in err
+    stored = (160, 7) if key == "n_nodes" else (80, 10)
+    assert (f"00000_pre_rates.npy holds a {stored} array, not the (bins, nodes) (160, 10)"
+            in err), (found, err)
 
 
 @pytest.mark.parametrize("command", ["prior", "train"])
 def test_refused_input_leaves_no_out_dir(pipeline, tmp_path, command):
-    assert _run_on_mismatched_dataset(pipeline, tmp_path, command, "n_nodes", 7) == EXIT_RUNTIME
+    assert _run_on_reshaped_rates(pipeline, tmp_path, command, "n_nodes", 7) == EXIT_MISMATCH
     assert not (tmp_path / "o").exists()
 
 
@@ -468,6 +498,64 @@ def test_checkpoint_with_a_bad_edge_exits_4(pipeline, tmp_path, capsys, fault):
     assert len(err.strip().splitlines()) == 1 and fault in err, err
 
 
+@pytest.mark.parametrize("fault", ["membrane_tau must be positive",
+                                   "out of range for 10 nodes", "duplicate edge"])
+def test_record_meta_outside_its_domain_exits_4(pipeline, tmp_path, capsys, fault):
+    """A record meta, re-pinned, whose params, or whose graph, its class
+    refuses (a negative membrane time constant, an edge to node 500 of 10,
+    a repeated edge) exits 4 with one stderr line naming the meta, and no
+    `--out`, as a checkpoint's bad edge does."""
+    data = tmp_path / "sim"
+    shutil.copytree(pipeline["sim"], data)
+    path = data / "00000_pre_meta.json"
+    meta = json.loads(path.read_text())
+    if fault.startswith("membrane_tau"):
+        meta["params"]["membrane_tau"] = -1.0
+    elif fault.startswith("out of range"):
+        meta["edges"][0] = [0, 500]
+    else:
+        meta["edges"][1] = list(meta["edges"][0])
+    path.write_text(json.dumps(meta))
+    _repin(data, path.name)
+    code, err = _refused(["prior", "--config", pipeline["cfg_path"], "--data", data],
+                         tmp_path, capsys)
+    assert code == EXIT_MISMATCH, err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "00000_pre_meta.json" in err and fault in err, err
+
+
+@pytest.mark.parametrize("fault", ["no-perturbation", "swapped-posts"])
+def test_a_post_record_that_is_not_its_pre_perturbed_exits_4(pipeline, tmp_path, capsys,
+                                                              fault):
+    """`perturb-eval` places each window at the onset its post record's own
+    meta gives, after its pre record's context. A post meta, re-pinned,
+    that holds no perturbation, or a dataset manifest that pairs each pre
+    record with another instance's post record (which used to score other
+    windows with exit 0), is refused."""
+    data = tmp_path / "sim"
+    shutil.copytree(pipeline["sim"], data)
+    if fault == "no-perturbation":
+        path = data / "00000_post_meta.json"
+        meta = json.loads(path.read_text())
+        meta["perturbation"] = None
+        path.write_text(json.dumps(meta))
+        _repin(data, path.name)
+    else:
+        path = data / "dataset_manifest.json"
+        dataset = json.loads(path.read_text())
+        posts = [entry["post"] for entry in dataset["instances"]]
+        for entry, post in zip(dataset["instances"], posts[1:] + posts[:1]):
+            entry["post"] = post
+        path.write_text(json.dumps(dataset))
+    code, err = _refused(["perturb-eval", "--config", pipeline["cfg_path"],
+                          "--checkpoint", pipeline["train"] / "checkpoint", "--data", data],
+                         tmp_path, capsys)
+    assert code == EXIT_MISMATCH, err
+    assert len(err.strip().splitlines()) == 1, err
+    post = "00000_post" if fault == "no-perturbation" else "00001_post"
+    assert f"pairs 00000_pre with {post}, not a perturbed run" in err, err
+
+
 def test_threads_flag_is_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["prior", "--threads", "2", "--seed", "1",
@@ -504,8 +592,9 @@ def test_schema_violations_exit_2(tmp_path):
 
 def test_forecast_refuses_a_tampered_window_set(pipeline, tmp_path, capsys):
     """The windows manifest is the unpinned root that vouches for every byte
-    `forecast` reads: an entry whose metadata does not fit its block is
-    refused by the shape check."""
+    `forecast` reads: an entry whose metadata does not fit its block, or
+    itself, is refused as an artifact mismatch (exit 4), the block being
+    read at the shape its entry gives."""
     from sheafcast.data import save_windows
 
     windows = _windows_of(pipeline, "00000_pre")
@@ -520,8 +609,8 @@ def test_forecast_refuses_a_tampered_window_set(pipeline, tmp_path, capsys):
         code = main(["forecast", "--checkpoint", str(pipeline["train"] / "checkpoint"),
                      "--windows", str(manifest), "--out", str(tmp_path / f"fc{i}")])
         err = capsys.readouterr().err
-        assert code == EXIT_RUNTIME, (key, value, err)
-        assert len(err.strip().splitlines()) == 1 and "windows_00001.npy has shape" in err, err
+        assert code == EXIT_MISMATCH, (key, value, err)
+        assert len(err.strip().splitlines()) == 1 and "windows_00001.npy" in err, err
         assert not (tmp_path / f"fc{i}").exists()
 
 
@@ -744,21 +833,35 @@ _LAYOUTS = {
     "big-endian": lambda raw: _npy_bytes(np.zeros((3, 2), dtype=">f8")),
     "ints": lambda raw: _npy_bytes(np.zeros((3, 2), dtype=int)),
 }
+# C-ordered float64 `.npy` files of the pinned block's values in a shape
+# other than the (bins, nodes) its manifest or meta gives
+_SHAPES = {
+    "1-d": lambda raw: _npy_bytes(np.load(io.BytesIO(raw)).ravel()),
+    "3-d": lambda raw: _npy_bytes(np.load(io.BytesIO(raw))[None]),
+    "transposed": lambda raw: _npy_bytes(np.ascontiguousarray(np.load(io.BytesIO(raw)).T)),
+    "one-bin-short": lambda raw: _npy_bytes(np.load(io.BytesIO(raw))[:-1]),
+}
 
 
 @pytest.mark.parametrize("kind, content", [
     *[(k, c) for k in _ARTIFACT_KINDS for c in _NOT_NPY],
-    *[(k, c) for k in _ARTIFACT_KINDS if k != "checkpoint-array" for c in _LAYOUTS]])
+    *[(k, c) for k in _ARTIFACT_KINDS if k != "checkpoint-array" for c in _LAYOUTS],
+    # the fixture's targets are 10 bins by 10 nodes, so a transposed one
+    # has the shape its entry gives
+    *[(k, c) for k in _ARTIFACT_KINDS if k != "checkpoint-array" for c in _SHAPES
+      if (k, c) != ("forecast-target", "transposed")]])
 def test_a_repinned_file_that_is_not_a_float64_npy_exits_4(pipeline, chain, tmp_path, capsys,
                                                            kind, content):
     """A pinned array file replaced by bytes that are not the `.npy` of a
-    C-ordered float64 array, and pinned again, so only the one `.npy`
-    reader (`artifacts.read_array`) can refuse it: exit 4 with one stderr
-    line naming the file, for every kind of array file. (The layouts of a
-    checkpoint array are in `test_training.py`.)"""
+    C-ordered float64 array, or of one whose shape is not the (bins, nodes)
+    its manifest or record meta gives, and pinned again, so only the one
+    `.npy` reader (`artifacts.read_array`) or the rates reader's shape
+    check can refuse it: exit 4 with one stderr line naming the file, for
+    every kind of array file. (The layouts of a checkpoint array are in
+    `test_training.py`; its shapes are checked against its model.)"""
     base, name, manifest, argv = _artifact_copy(kind, pipeline, chain, tmp_path)
     raw = (base / name).read_bytes()
-    new = {**_NOT_NPY, **_LAYOUTS}[content](raw)
+    new = {**_NOT_NPY, **_LAYOUTS, **_SHAPES}[content](raw)
     (base / name).write_bytes(new)
     text = manifest.read_text()
     old_digest = hashlib.sha256(raw).hexdigest()
@@ -769,23 +872,35 @@ def test_a_repinned_file_that_is_not_a_float64_npy_exits_4(pipeline, chain, tmp_
     assert len(err.strip().splitlines()) == 1 and name in err, err
 
 
-@pytest.mark.parametrize("kind", _ARTIFACT_KINDS)
-def test_a_pinned_name_outside_its_artifact_exits_4(pipeline, chain, tmp_path, capsys, kind):
+_UNPRINTABLE = {"nul": "\0", "newline": "\n"}
+
+
+@pytest.mark.parametrize("kind, form", [
+    *[(k, "outside") for k in _ARTIFACT_KINDS],
+    *[(k, f) for k in _ARTIFACT_KINDS for f in _UNPRINTABLE]],
+    ids=[*_ARTIFACT_KINDS, *[f"{k}-{f}" for k in _ARTIFACT_KINDS for f in _UNPRINTABLE]])
+def test_a_pinned_name_outside_its_artifact_exits_4(pipeline, chain, tmp_path, capsys,
+                                                    kind, form):
     """A manifest that names and pins a file outside its artifact's
-    directory, with the right digest, is refused before that file is read:
-    every read stays inside the artifact. (A record's files are named by
-    its stem, so both move.)"""
+    directory, with the right digest, or a name that is not printable (the
+    file's name and a NUL or a newline), is refused before any file is
+    read: every read stays inside the artifact, and a NUL no longer reaches
+    `open`. (A record's files are named by its stem, so both move.)"""
     base, name, manifest, argv = _artifact_copy(kind, pipeline, chain, tmp_path)
     prefix = "00000_pre" if kind == "record-rates" else name
-    outside = base.parent / "outside"
-    outside.mkdir()
-    for path in base.glob(prefix + "*"):
-        path.rename(outside / path.name)
-    manifest.write_text(manifest.read_text().replace(f'"{prefix}', f'"../outside/{prefix}'))
+    if form == "outside":
+        outside = base.parent / "outside"
+        outside.mkdir()
+        for path in base.glob(prefix + "*"):
+            path.rename(outside / path.name)
+        named = f"../outside/{prefix}"
+    else:
+        named = prefix + _UNPRINTABLE[form]
+    manifest.write_text(manifest.read_text().replace(f'"{prefix}', json.dumps(named)[:-1]))
     code, err = _refused(argv, tmp_path, capsys)
     assert code == EXIT_MISMATCH, err
     assert len(err.strip().splitlines()) == 1, err
-    assert f"{manifest.name} names '../outside/{prefix}" in err, err
+    assert f"{manifest.name} names {named!r}"[:-1] in err, err
 
 
 @pytest.mark.parametrize("name", ["", ".", "..", "sub/a.npy", "absolute"])
@@ -799,20 +914,23 @@ def test_check_pinned_takes_only_a_plain_file_name(tmp_path, name):
         check_pinned(tmp_path, name, {name: file_hash(tmp_path / "sub" / "a.npy")}, "m.json")
 
 
-def test_a_v2_dataset_exits_4_naming_its_format(pipeline, tmp_path, capsys):
-    """A dataset of the layout before record metas held their edges (a
-    `<stem>_adjacency.csv` per record) is refused, not read."""
+@pytest.mark.parametrize("version", ["v2", "v3"])
+def test_an_older_dataset_exits_4_naming_its_format(pipeline, tmp_path, capsys, version):
+    """A dataset of the layout before record metas held their edges (v2, a
+    `<stem>_adjacency.csv` per record), or before they were the one place
+    of every record fact (v3, whose manifest repeated each record's node
+    count, bin width, seed and perturbation), is refused, not read."""
     data = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], data)
     dataset = json.loads((data / "dataset_manifest.json").read_text())
-    dataset["format"] = "sheafcast-dataset-v2"
+    dataset["format"] = f"sheafcast-dataset-{version}"
     (data / "dataset_manifest.json").write_text(json.dumps(dataset))
     capsys.readouterr()
     assert main(["prior", "--config", str(pipeline["cfg_path"]), "--data", str(data),
                  "--out", str(tmp_path / "p")]) == EXIT_MISMATCH
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
-    assert "sheafcast-dataset-v2" in err and "run simulate again" in err, err
+    assert f"sheafcast-dataset-{version}" in err and "run simulate again" in err, err
     assert not (tmp_path / "p").exists()
 
 
@@ -822,7 +940,7 @@ def test_csv_datasets_and_window_sets_exit_4_naming_the_format(pipeline, tmp_pat
     data = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], data)
     for path in data.glob("*_rates.npy"):
-        save_rates_csv(path.with_suffix(".csv"), load_rates_npy(path))
+        save_rates_csv(path.with_suffix(".csv"), np.load(path).T)
         path.unlink()
     dataset = json.loads((data / "dataset_manifest.json").read_text())
     del dataset["format"], dataset["sha256"]
@@ -889,14 +1007,17 @@ def test_a_malformed_manifest_exits_4(pipeline, chain, tmp_path, capsys, name, c
 
 
 _DROP = object()
-# (manifest, path of keys to the damaged value, new value or _DROP)
+# (manifest, path of keys to the damaged value, new value or _DROP); the
+# dataset's `n_nodes`, `bin_ms` and `instances[0].perturbation` are keys of
+# its v3 manifest that v4 refuses as unknown (each record's meta holds them)
 _MALFORMED_KEYS = [
     ("dataset_manifest.json", ("instances",), _DROP),
     ("dataset_manifest.json", ("n_nodes",), "10"),
     ("dataset_manifest.json", ("bin_ms",), None),
     ("dataset_manifest.json", ("sha256",), ["00000_pre_rates.npy"]),
     ("dataset_manifest.json", ("instances", 0, "pre"), 0),
-    ("dataset_manifest.json", ("instances", 0, "perturbation", "neuron"), True),
+    ("dataset_manifest.json", ("instances", 0, "post"), True),
+    ("dataset_manifest.json", ("instances", 0, "perturbation"), None),
     ("windows_manifest.json", ("windows",), _DROP),
     ("windows_manifest.json", ("windows", 0, "t_ctx"), _DROP),
     ("windows_manifest.json", ("windows", 0, "t_ctx"), "30"),
@@ -945,9 +1066,7 @@ def test_a_manifest_with_a_missing_or_mistyped_key_exits_4(pipeline, chain, tmp_
         parent[keys[-1]] = value
     path.write_text(json.dumps(manifest))
     if name.endswith("_meta.json"):
-        dataset = json.loads((data / "dataset_manifest.json").read_text())
-        dataset["sha256"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
-        (data / "dataset_manifest.json").write_text(json.dumps(dataset))
+        _repin(data, name)
     capsys.readouterr()
     code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
     out, err = capsys.readouterr()
@@ -1272,11 +1391,12 @@ def _pinned_forecast_set(root, pairs):
 
 
 def test_data_faults_exit_5(pipeline, tmp_path, capsys):
-    # a pinned pair whose forecast (1 node, 1 bin) does not fit its target
-    # (1 node, 2 bins)
+    # a pinned pair whose forecast (1 node, 1 bin) is not the (n_nodes,
+    # t_hor) of its entry and target (1 node, 2 bins): not a data fault but
+    # a forecast set that does not fit its manifest, so exit 4
     fc, tg = _pinned_forecast_set(tmp_path, [("n0\n1.0\n", np.ones((2, 1)))])
     assert _one_line_exit(capsys, ["metrics", "--forecasts", fc, "--targets", tg,
-                                   "--out", tmp_path / "m"]) == EXIT_RUNTIME
+                                   "--out", tmp_path / "m"]) == EXIT_MISMATCH
 
     dataset = json.loads((pipeline["sim"] / "dataset_manifest.json").read_text())
     empty = tmp_path / "empty"

@@ -166,7 +166,7 @@ def test_checkpoint_round_trip(ckpt):
 
 @settings(max_examples=40, deadline=None)
 @given(ckpt=checkpoints())
-def test_checkpoint_npz_matches_np_savez(ckpt):
+def test_checkpoint_arrays_match_np_save(ckpt):
     with tempfile.TemporaryDirectory() as tmp:
         save_checkpoint(ckpt, f"{tmp}/ck")
         assert sorted(p.name for p in Path(f"{tmp}/ck").glob("*.npy")) == sorted(
