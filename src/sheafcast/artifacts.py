@@ -1,13 +1,15 @@
-"""Pinned artifacts: the one JSON writer of the package (so equal content
-gives equal bytes), the check that a manifest is a JSON object of its
-format whose keys and values have the types its reader needs, the one
-`.npy` writer and reader (C-ordered float64 arrays only), the sha256 of a
-file, and the check of a file against the digest its manifest pins."""
+"""Pinned artifacts: the one JSON reader and writer of the package (so
+equal content gives equal bytes), the one type check of decoded JSON (the
+run config's too), the check that a manifest is an object of its format
+that fits its schema, the one `.npy` writer and reader (C-ordered float64
+arrays only), the sha256 of a file, and the check of a file against the
+digest its manifest pins."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,18 @@ from .errors import ArtifactMismatchError
 
 
 def write_json(path, obj) -> None:
-    """`obj` as JSON with sorted keys, one-space indent and a final newline."""
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    """`obj` as JSON with sorted keys, one-space indent and a final newline;
+    a number that is not finite, which no reader takes, raises ValueError."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n")
+
+
+def read_json(path, error):
+    """The decoded JSON file `path`; invalid JSON or UTF-8 raises `error`."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise error(f"{path.name} is not valid JSON: {exc}") from exc
 
 
 # the names of decoded JSON values in refusals
@@ -25,57 +37,56 @@ _JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
                list: "a list", dict: "an object", type(None): "null"}
 
 
-def _departure(value, spec, at: str = ""):
+def departure(value, spec, at: str = ""):
     """How the decoded JSON `value` found at `at` ("" is the top level)
     departs from `spec`, or None if it fits. A spec is a type (`float`
     takes integers too, `int` takes no booleans, `type(None)` is null),
     `[item]` for a list of items, `[item, item, ...]` for a list of exactly
-    that many, `{key: spec}` for an object of exactly these keys,
-    `{str: spec}` for an object of any keys, or a tuple of alternatives."""
+    that many, `{key: spec}` for an object of exactly these keys, `{str:
+    spec}` for an object of any keys, or a tuple of alternatives. No spec
+    fits a value of no JSON type, nor `float` a number that is not finite
+    (NaN, an infinity, or an integer past the float range)."""
+    where = at or "the top level"
     alternatives = spec if isinstance(spec, tuple) else (spec,)
     kinds = [type(alt) if isinstance(alt, (list, dict)) else alt for alt in alternatives]
     found = type(value)
+    if found not in _JSON_NAMES:
+        return f"{where} is of type {found.__name__}, which JSON does not decode to"
     if found not in kinds and not (found is int and float in kinds):
         wanted = " or ".join(_JSON_NAMES[kind] for kind in kinds)
-        return f"{at or 'the top level'} is {_JSON_NAMES[found]}, not {wanted}"
+        return f"{where} is {_JSON_NAMES[found]}, not {wanted}"
+    if found in (int, float) and float in kinds and not abs(value) <= sys.float_info.max:
+        return f"{where} is {value}, not a finite number"
     spec = alternatives[kinds.index(found if found in kinds else float)]
     prefix = f"{at}." if at else ""
     if isinstance(spec, list):
         if len(spec) > 1 and len(value) != len(spec):
-            return f"{at or 'the top level'} has {len(value)} items, not {len(spec)}"
+            return f"{where} has {len(value)} items, not {len(spec)}"
         items = [(item, spec[min(i, len(spec) - 1)], f"{at}[{i}]") for i, item in enumerate(value)]
     elif isinstance(spec, dict) and str in spec:
         items = [(item, spec[str], prefix + key) for key, item in value.items()]
     elif isinstance(spec, dict):
         missing, unknown = sorted(spec.keys() - value.keys()), sorted(value.keys() - spec.keys())
         if missing or unknown:
-            return (f"{at or 'the top level'} lacks keys {missing} "
-                    f"and has unknown keys {unknown}")
+            return f"{where} lacks keys {missing} and has unknown keys {unknown}"
         items = [(value[key], spec[key], prefix + key) for key in sorted(spec)]
     else:
         return None
-    return next(filter(None, (_departure(*item) for item in items)), None)
+    return next(filter(None, (departure(*item) for item in items)), None)
 
 
-def read_manifest(path, fmt, stale: str, schema=None) -> dict:
-    """The JSON object at `path`, refused with an ArtifactMismatchError
-    unless it is valid JSON, an object, has `format` `fmt` (None: any) and,
-    if a `schema` (a spec as `_departure` reads it) is given, fits it;
-    `stale` ends the refusal of another format."""
+def read_manifest(path, fmt, stale: str, schema) -> dict:
+    """The JSON object at `path` (`read_json`), refused with an
+    ArtifactMismatchError unless it has `format` `fmt` (None: any) and fits
+    `schema`, an object spec as `departure` reads it; `stale` ends the
+    refusal of another format."""
     path = Path(path)
-    try:
-        manifest = json.loads(path.read_text())
-    except ValueError as exc:       # invalid JSON or invalid UTF-8
-        raise ArtifactMismatchError(f"{path.name} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
+    manifest = read_json(path, ArtifactMismatchError)
+    if fmt is not None and isinstance(manifest, dict) and manifest.get("format") != fmt:
         raise ArtifactMismatchError(
-            f"{path.name} holds a JSON {type(manifest).__name__}, not an object")
-    found = manifest.get("format")
-    if fmt is not None and found != fmt:
-        raise ArtifactMismatchError(f"{path.name} has format {found!r}, not {fmt!r}: {stale}")
-    departure = None if schema is None else _departure(manifest, schema)
-    if departure is not None:
-        raise ArtifactMismatchError(f"{path.name} is malformed: {departure}")
+            f"{path.name} has format {manifest.get('format')!r}, not {fmt!r}: {stale}")
+    if (fault := departure(manifest, schema)) is not None:
+        raise ArtifactMismatchError(f"{path.name} is malformed: {fault}")
     return manifest
 
 

@@ -11,20 +11,22 @@ sources, and every file in the directory), renames the sibling onto
 `--out` and only then prints the line; a failure removes the sibling and
 leaves `--out` as it was. Identical manifests reproduce identical outputs.
 
-Exit codes: 0 success, 2 configuration/schema violation, 3 missing
-input, 4 artifact mismatch (a file that does not match the sha256 its
-manifest pins or that it does not pin, a dataset, window set, forecast
-set or checkpoint in a format no longer read, a dataset manifest, record
-meta, windows manifest, forecast-set manifest or `checkpoint.json` that
-is malformed (invalid JSON, or a key missing, unknown or of the wrong
-type), a record meta outside its domain, a dataset instance whose post
-record is not a perturbed run of its pre record, any array file that is
-not an `.npy` of a C-ordered float64 array, a rates block or forecast
-not of the shape its meta or manifest gives, a pinned name outside its
-artifact or not printable, a checkpoint whose arrays or edges do not fit
-its model, and the perturbation leakage guard), 5 any other failure (bad
-data, I/O, divergence, an `--out` that is not empty). Failures print one
-line. A
+Exit codes: 0 success, 2 configuration/schema violation (a number that
+is not finite included), 3 missing input, 4 artifact mismatch (a file
+that does not match the sha256 its manifest pins or that it does not
+pin, a dataset, window set, forecast set or checkpoint in a format no
+longer read, a dataset manifest, record meta, windows manifest,
+forecast-set manifest or `checkpoint.json` that is malformed (invalid
+JSON, a key missing, unknown or of the wrong type, or a number that is
+not finite), a record meta outside its domain (bin edges that do not
+tile its duration included), a dataset instance whose post record is not
+a perturbed run of its pre record, any array file that is not an `.npy`
+of a C-ordered float64 array, a rates block or forecast not of the shape
+its meta or manifest gives, a pinned name outside its artifact or not
+printable, a checkpoint whose arrays or edges do not fit its model, and
+the perturbation leakage guard), 5 any other failure (bad data, I/O,
+divergence, an `--out` that is not empty, a JSON file that would hold a
+number that is not finite). Failures print one line. A
 checkpoint is the directory `train` writes: its `checkpoint.json` pins
 every array file by sha256, as `dataset_manifest.json` pins the files of
 every record (whose meta alone states its facts), a windows manifest

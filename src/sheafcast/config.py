@@ -7,9 +7,10 @@ prior, model, train, eval. The `simulate.lif`, `model`, `train` and
 dataclasses (`LifParams`, `ModelConfig`, `TrainingConfig`,
 `SchedulerConfig`), so each of those defaults is written once, in its
 dataclass; the remaining entries are written here, with their lower
-bounds. `validate_config` checks every domain: the seed, those bounds, and
-the parameter objects, the small-world rule and the binning, which check
-their own.
+bounds. `validate_config` checks each value's type, and that a number is
+finite, with `artifacts.departure`, the check of every artifact; then
+every domain: those bounds, and the parameter objects, the small-world
+rule and the binning, which check their own.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import fields
-from pathlib import Path
 from typing import get_type_hints
 
+from .artifacts import departure, read_json
 from .errors import ConfigError, InvalidParameterError
 from .graphs import check_small_world
 from .model import ModelConfig
@@ -35,8 +36,10 @@ def _section(cls, *skip, **nested) -> dict:
             for f in fields(cls) if f.name not in skip}
 
 
-# `(type, default)` or `(type, default, lower bound)`
+# `(type, default)` or `(type, default, lower bound)`; a default of None
+# makes the key mandatory
 _SCHEMA = {
+    "seed": (int, None, 0),
     "simulate": {
         "n_nodes": (int, 100),
         "small_world_k": (int, 8),
@@ -79,21 +82,13 @@ def training_config(cfg: dict) -> TrainingConfig:
 
 
 def validate_config(raw: dict) -> dict:
-    """Fill defaults, coerce numeric types, reject unknown keys and every
-    value outside its domain."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    if "seed" not in raw:
-        raise ConfigError("config is missing the mandatory 'seed'")
-    seed = raw["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("'seed' must be an integer")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    """Fill defaults, coerce integers given for floats, reject unknown keys
+    and every value of another type (`artifacts.departure`) or outside its
+    domain."""
 
     def walk(schema, node, path):
-        if not isinstance(node, dict):
-            raise ConfigError(f"{path or 'config'} must be an object")
+        if fault := departure(node, dict, path or "config"):
+            raise ConfigError(fault)
         unknown = set(node) - set(schema)
         if unknown:
             raise ConfigError(f"unknown key(s) {sorted(unknown)} under {path or 'config'}")
@@ -104,20 +99,18 @@ def validate_config(raw: dict) -> dict:
                 out[key] = walk(spec, node.get(key, {}), child_path)
                 continue
             kind, default, *low = spec
+            if default is None and key not in node:
+                raise ConfigError(f"config is missing the mandatory {key!r}")
             value = node.get(key, default)
-            if kind is float and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            if kind is int and isinstance(value, bool):
-                raise ConfigError(f"{child_path} must be {kind.__name__}")
-            if not isinstance(value, kind):
-                raise ConfigError(f"{child_path} must be {kind.__name__}")
+            if fault := departure(value, kind, child_path):
+                raise ConfigError(fault)
+            value = kind(value)         # an integer given for a float becomes one
             if low and not value >= low[0]:
                 raise ConfigError(f"{child_path} must be >= {low[0]:g}, got {value}")
             out[key] = value
         return out
 
-    cfg = walk(_SCHEMA, {k: v for k, v in raw.items() if k != "seed"}, "")
-    cfg["seed"] = seed
+    cfg = walk(_SCHEMA, raw, "")
     # the parameter objects, the graph and the binning check their own
     # domains; a refusal is prefixed with the section it comes from
     sim = cfg["simulate"]
@@ -140,12 +133,7 @@ def validate_config(raw: dict) -> dict:
 
 
 def load_config(path) -> dict:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return validate_config(raw)
+    return validate_config(read_json(path, ConfigError))
 
 
 def config_hash(cfg: dict) -> str:

@@ -550,21 +550,29 @@ _META_SCHEMA = {
 
 def load_record(out_dir, stem: str) -> SimulationRecord:
     """The record `save_record` wrote. A meta that is malformed or outside
-    its domain (a graph, params or perturbation its class refuses), and
-    rates that are not the meta's block, raise ArtifactMismatchError."""
+    its domain (a graph, params or perturbation its class refuses, or bin
+    edges that are not `bin_edges` of its duration at the width of their
+    first bin), and rates that are not the meta's block, raise
+    ArtifactMismatchError."""
     out_dir = Path(out_dir)
     meta_name = f"{stem}_meta.json"
     meta = read_manifest(out_dir / meta_name, None, "", _META_SCHEMA)
-    pert = meta["perturbation"]
+    pert, listed = meta["perturbation"], meta["bin_edges_ms"]
+    edges = np.array(listed, dtype=np.float64)
+    width = listed[1] - listed[0] if len(listed) > 1 else 0.0
     try:
+        params = LifParams(**meta["params"])
+        # the bin count first, so that a narrow first bin builds no long array
+        if not (width > 0 and abs(params.duration_ms / width - len(edges) + 1) < 0.5
+                and np.array_equal(edges, bin_edges(params.duration_ms, width))):
+            raise InvalidParameterError(f"bin_edges_ms are not the bins of its "
+                                        f"duration_ms {params.duration_ms:g}")
         return SimulationRecord(
             adjacency=BrainGraph(meta["n_nodes"], meta["edges"], meta["graph_seed"]),
-            params=LifParams(**meta["params"]),
-            perturbation=PerturbationSpec(**pert) if pert else None,
+            params=params, perturbation=PerturbationSpec(**pert) if pert else None,
             rates=load_rates_npy(out_dir / f"{stem}_rates.npy", meta["n_nodes"],
-                                 len(meta["bin_edges_ms"]) - 1),
-            bin_edges_ms=np.array(meta["bin_edges_ms"]),
-            seed=meta["seed"])
+                                 len(edges) - 1),
+            bin_edges_ms=edges, seed=meta["seed"])
     except InvalidParameterError as exc:
         raise ArtifactMismatchError(f"{meta_name} is outside its domain: {exc}") from exc
 

@@ -1,8 +1,10 @@
 import builtins
+import dataclasses
 import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -15,7 +17,8 @@ import numpy as np
 import pytest
 
 import sheafcast
-from sheafcast.artifacts import check_pinned, file_hash
+from sheafcast import cli
+from sheafcast.artifacts import check_pinned, file_hash, write_json
 from sheafcast.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_MISSING, EXIT_OK,
                            EXIT_RUNTIME, FORECASTS_MANIFEST, main)
 from sheafcast.config import config_hash, default_config, load_config, validate_config
@@ -522,6 +525,28 @@ def test_record_meta_outside_its_domain_exits_4(pipeline, tmp_path, capsys, faul
     assert code == EXIT_MISMATCH, err
     assert len(err.strip().splitlines()) == 1, err
     assert "00000_pre_meta.json" in err and fault in err, err
+
+
+@pytest.mark.parametrize("command", ["prior", "perturb-eval"])
+def test_record_bin_edges_that_do_not_tile_its_duration_exit_4(pipeline, tmp_path, capsys,
+                                                               command):
+    """A record's bin edges must be the `bin_edges` of its duration at the
+    width of their first bin. A pre meta, re-pinned, whose edges were
+    doubled (which `prior` read as the same 160 bins, writing the same
+    `prior.csv` with exit 0) exits 4 with one stderr line naming the meta."""
+    data = tmp_path / "sim"
+    shutil.copytree(pipeline["sim"], data)
+    path = data / "00000_pre_meta.json"
+    meta = json.loads(path.read_text())
+    meta["bin_edges_ms"] = [2 * edge for edge in meta["bin_edges_ms"]]
+    path.write_text(json.dumps(meta))
+    _repin(data, path.name)
+    extra = {"prior": [], "perturb-eval": ["--checkpoint", pipeline["train"] / "checkpoint"]}
+    code, err = _refused([command, "--config", pipeline["cfg_path"], "--data", data,
+                          *extra[command]], tmp_path, capsys)
+    assert code == EXIT_MISMATCH, err
+    assert err.splitlines() == ["artifact mismatch: 00000_pre_meta.json is outside its domain: "
+                                "bin_edges_ms are not the bins of its duration_ms 1600"], err
 
 
 @pytest.mark.parametrize("fault", ["no-perturbation", "swapped-posts"])
@@ -1076,6 +1101,45 @@ def test_a_manifest_with_a_missing_or_mistyped_key_exits_4(pipeline, chain, tmp_
     assert not (tmp_path / "o").exists()
 
 
+# Python's `json` decodes these literals to floats that are not finite
+_NOT_FINITE = {"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}
+# (file, path of keys to a number in it, the kind of `_artifact_copy` that holds it)
+_FINITE_NUMBERS = [
+    ("00000_pre_meta.json", ("params", "membrane_tau"), "record-rates"),
+    ("checkpoint.json", ("val_loss",), "checkpoint-array"),
+    ("checkpoint.json", ("prior_scores", 0), "checkpoint-array"),
+    ("windows_manifest.json", ("windows", 0, "norm_std", 0), "window-block"),
+]
+
+
+@pytest.mark.parametrize("literal", list(_NOT_FINITE))
+@pytest.mark.parametrize("name, keys, kind", _FINITE_NUMBERS, ids=[
+    f"{n.split('_')[0].removesuffix('.json')}-{'.'.join(map(str, k))}"
+    for n, k, _ in _FINITE_NUMBERS])
+def test_a_number_that_is_not_finite_in_an_artifact_exits_4(pipeline, chain, tmp_path, capsys,
+                                                             name, keys, kind, literal):
+    """A record meta (re-pinned), a `checkpoint.json` or a windows manifest
+    holding `NaN`, `Infinity` or `-Infinity` where a number belongs is
+    malformed: exit 4 and one stderr line naming the file and the key path
+    (a record's `membrane_tau` of `Infinity` made `prior` exit 0)."""
+    base, _, _, argv = _artifact_copy(kind, pipeline, chain, tmp_path)
+    path = base / name
+    manifest = json.loads(path.read_text())
+    parent = manifest
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = _NOT_FINITE[literal]
+    path.write_text(json.dumps(manifest))
+    assert literal in path.read_text()
+    if name.endswith("_meta.json"):
+        _repin(base, name)
+    code, err = _refused(argv, tmp_path, capsys)
+    assert code == EXIT_MISMATCH, err
+    at = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+    assert err.splitlines() == [f"artifact mismatch: {name} is malformed: {at} is "
+                                f"{_NOT_FINITE[literal]}, not a finite number"], err
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--seed", "1"], ["prior", "--seed", "1", "--data", "nowhere"],
     ["train", "--seed", "1", "--data", "nowhere", "--prior", "nowhere.csv"],
@@ -1313,12 +1377,70 @@ def test_the_library_refuses_every_value_the_cli_refuses(tmp_path, keys, value):
     """`validate_config`, and `load_config` of a file holding the value,
     refuse it naming the key, after the path of its section."""
     cfg = _with_value(_fast_config(), keys, value)
-    name = re.escape(_NAME_IN_MESSAGE.get(keys[-1], keys[-1]))
+    # the type check refuses a number that is not finite first, by its key
+    name = re.escape(_NAME_IN_MESSAGE.get(keys[-1], keys[-1]) if math.isfinite(value)
+                     else keys[-1])
     section = ".".join(keys[:-1]) or "seed"
     for refuse in (validate_config, lambda c: load_config(_write_config(tmp_path, c))):
         with pytest.raises(ConfigError, match=name) as refusal:
             refuse(cfg)
         assert str(refusal.value).startswith(section), refusal.value
+
+
+def _float_entries(section, keys=()):
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from _float_entries(value, keys + (key,))
+        elif isinstance(value, float):
+            yield keys + (key,)
+
+
+_FLOAT_ENTRIES = list(_float_entries(default_config(0)))
+
+
+@pytest.mark.parametrize("literal", list(_NOT_FINITE))
+@pytest.mark.parametrize("keys", _FLOAT_ENTRIES, ids=[".".join(k) for k in _FLOAT_ENTRIES])
+def test_a_config_number_that_is_not_finite_exits_2(tmp_path, capsys, keys, literal):
+    """`NaN`, `Infinity` or `-Infinity` in any float entry of a config file
+    is refused by the type check, by the entry's dotted path: exit 2, one
+    stderr line, nothing on stdout and no `--out`. (`train.lambda1` NaN
+    made `simulate` exit 0 and write NaN into its dataset manifest;
+    `simulate.bin_ms` Infinity exited 5 after a numpy warning.)"""
+    path = _write_config(tmp_path, _with_value(_fast_config(count=1), keys, _NOT_FINITE[literal]))
+    assert literal in path.read_text()
+    capsys.readouterr()
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG and out == "" and not (tmp_path / "o").exists(), err
+    assert err.splitlines() == [f"config error: {'.'.join(keys)} is {_NOT_FINITE[literal]}, "
+                                f"not a finite number"], err
+
+
+def test_an_integer_too_large_for_a_float_entry_exits_2(tmp_path, capsys):
+    """An integer literal beyond the float range, given for a float entry,
+    is no finite number either (it made `float()` raise OverflowError, exit
+    5): exit 2 naming the entry."""
+    path = _write_config(tmp_path, _with_value(_fast_config(count=1), ("train", "lr"), 10**400))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "o").exists()
+    assert err.splitlines() == [f"config error: train.lr is {10**400}, not a finite number"]
+
+
+_NUMPY_SCALARS = [(("simulate", "lif", "dt_ms"), np.float64(0.1)),
+                  (("model", "rounds"), np.int64(2)), (("simulate", "perturb"), np.bool_(True)),
+                  (("seed",), np.int64(3))]
+
+
+@pytest.mark.parametrize("keys, value", _NUMPY_SCALARS,
+                         ids=[".".join(k) for k, _ in _NUMPY_SCALARS])
+def test_validate_config_refuses_a_numpy_scalar(keys, value):
+    """A config built in Python holds only what JSON decodes to: a numpy
+    scalar (an `np.float64` is a Python float too) is refused by its key."""
+    with pytest.raises(ConfigError, match=re.escape(".".join(keys))) as refusal:
+        validate_config(_with_value(default_config(0), keys, value))
+    assert str(refusal.value).startswith(".".join(keys)), refusal.value
 
 
 def test_default_config_refuses_a_negative_seed():
@@ -1414,6 +1536,21 @@ def test_data_faults_exit_5(pipeline, tmp_path, capsys):
         "perturb-eval", "--config", pipeline["cfg_path"],
         "--checkpoint", pipeline["train"] / "checkpoint", "--data", unperturbed,
         "--out", tmp_path / "pe"]) == EXIT_RUNTIME
+
+
+def test_a_report_number_that_is_not_finite_exits_5(chain, tmp_path, capsys, monkeypatch):
+    """`write_json` refuses a number that is not finite, which no reader of
+    the package takes: `metrics` whose report would hold one exits 5 with
+    one stderr line and leaves no `--out`."""
+    scored = cli.evaluate
+    monkeypatch.setattr(cli, "evaluate", lambda preds, targets: dataclasses.replace(
+        scored(preds, targets), dtw=float("inf")))
+    code, err = _refused(chain["metrics"][0], tmp_path, capsys)
+    assert code == EXIT_RUNTIME and len(err.splitlines()) == 1, err
+    assert err.startswith("runtime failure: ValueError: Out of range float values"), err
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "nan.json", {"a": [float("nan")]})
+    assert not (tmp_path / "nan.json").exists()
 
 
 def test_header_only_csvs_exit_5_with_one_stderr_line(tmp_path):

@@ -171,16 +171,18 @@ def test_no_module_imports_from_the_package_inside_a_function(source):
     assert not nested, f"{source.name} imports from the package inside a function, lines {nested}"
 
 
-_JSON_READERS = ("artifacts", "config")
+_JSON_READERS = ("artifacts",)
 
 
 @pytest.mark.parametrize("source", [p for p in SRC if p.stem not in _JSON_READERS],
                          ids=[p.stem for p in SRC if p.stem not in _JSON_READERS])
 def test_only_the_artifact_and_config_readers_decode_json(source):
-    """`artifacts.read_manifest` (every pinned artifact and record meta) and
-    `config.load_config` are the package's JSON readers, so every JSON it
-    reads gets the object, format and schema checks; a second reader would
-    index unchecked values."""
+    """`artifacts.read_json` is the package's one JSON decoder: every
+    pinned artifact and record meta reaches it through
+    `artifacts.read_manifest`, and the run config through
+    `config.load_config`, so every JSON value the package reads gets one
+    type check (`artifacts.departure`); a second decoder would index
+    unchecked values."""
     tree = ast.parse(source.read_text(), filename=str(source))
     calls = sorted({node.lineno for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr in ("load", "loads")

@@ -462,7 +462,8 @@ def test_record_meta_round_trips_its_edges(tmp_path):
     graph = generate_small_world(12, 4, 0.3, seed=2)
     assert list(graph.edges) != sorted(graph.edges)
     record = SimulationRecord(rates=np.zeros((12, 3)), adjacency=graph,
-                              bin_edges_ms=np.arange(4.0) * 10.0, seed=5, params=LifParams())
+                              bin_edges_ms=np.arange(4.0) * 10.0, seed=5,
+                              params=LifParams(duration_ms=30.0))
     save_record(tmp_path, "rec", record)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rec_meta.json", "rec_rates.npy"]
     meta = json.loads((tmp_path / "rec_meta.json").read_text())

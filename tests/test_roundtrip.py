@@ -57,9 +57,11 @@ def records(draw):
     bins = draw(st.integers(1, 6))
     pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # bins of the drawn width that tile the duration, as `load_record` requires
+    width = draw(positive)
     params = LifParams(membrane_tau=draw(positive),
                        poisson_rate_hz=draw(st.floats(0.0, 1e4)),
-                       duration_ms=draw(positive))
+                       duration_ms=bins * width)
     perturbation = draw(st.none() | st.builds(
         PerturbationSpec, neuron=st.integers(0, n - 1),
         onset_ms=finite, duration_ms=finite))
@@ -67,7 +69,7 @@ def records(draw):
         rates=draw(blocks(n, bins)),
         adjacency=BrainGraph(n_nodes=n, edges=tuple(edges),
                              seed=draw(st.integers(0, 2**32))),
-        bin_edges_ms=draw(hnp.arrays(np.float64, bins + 1, elements=finite)),
+        bin_edges_ms=np.arange(bins + 1) * width,
         seed=draw(st.integers(0, 2**32)), params=params,
         perturbation=perturbation)
 
