@@ -2,8 +2,8 @@
 equal content gives equal bytes), the one type check of decoded JSON (the
 run config's too), the check that a manifest is an object of its format
 that fits its schema, the one `.npy` writer and reader (C-ordered float64
-arrays only), the sha256 of a file, and the check of a file against the
-digest its manifest pins."""
+arrays only, each at the shape its caller's listing gives), the sha256 of
+a file, and the check of a file against the digest its manifest pins."""
 
 from __future__ import annotations
 
@@ -97,9 +97,10 @@ def save_array(path, array) -> str:
     return file_hash(path)
 
 
-def read_array(path) -> np.ndarray:
+def read_array(path, shape=None) -> np.ndarray:
     """The array of an `.npy` file, read as `np.load` reads one (no second
-    copy); anything but a C-ordered float64 array raises ArtifactMismatchError."""
+    copy); anything but a C-ordered float64 array, or one of another shape
+    than `shape` (None: any), raises ArtifactMismatchError."""
     with open(path, "rb") as fh:
         try:
             array = np.lib.format.read_array(fh, allow_pickle=False)
@@ -109,6 +110,9 @@ def read_array(path) -> np.ndarray:
     if array.dtype != np.float64 or not array.flags.c_contiguous:
         raise ArtifactMismatchError(f"{Path(path).name} is not a C-ordered float64 array "
                                     f"({array.dtype}, C-ordered: {array.flags.c_contiguous})")
+    if shape is not None and array.shape != shape:
+        raise ArtifactMismatchError(f"{Path(path).name} holds a {array.shape} array, not the "
+                                    f"{shape} its listing gives")
     return array
 
 

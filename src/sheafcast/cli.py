@@ -15,18 +15,21 @@ Exit codes: 0 success, 2 configuration/schema violation (a number that
 is not finite included), 3 missing input, 4 artifact mismatch (a file
 that does not match the sha256 its manifest pins or that it does not
 pin, a dataset, window set, forecast set or checkpoint in a format no
-longer read, a dataset manifest, record meta, windows manifest,
-forecast-set manifest or `checkpoint.json` that is malformed (invalid
-JSON, a key missing, unknown or of the wrong type, or a number that is
-not finite), a record meta outside its domain (bin edges that do not
-tile its duration included), a dataset instance whose post record is not
-a perturbed run of its pre record, any array file that is not an `.npy`
-of a C-ordered float64 array, a rates block or forecast not of the shape
-its meta or manifest gives, a pinned name outside its artifact or not
-printable, a checkpoint whose arrays or edges do not fit its model, and
-the perturbation leakage guard), 5 any other failure (bad data, I/O,
-divergence, an `--out` that is not empty, a JSON file that would hold a
-number that is not finite). Failures print one line. A
+longer read (one of time-major rates blocks included), a dataset
+manifest, record meta, windows manifest, forecast-set manifest or
+`checkpoint.json` that is malformed (invalid JSON, a key missing,
+unknown or of the wrong type, or a number that is not finite), a record
+meta outside its domain (bin edges that do not tile its duration
+included), a dataset instance whose post record is not a perturbed run
+of its pre record, any array file that is not an `.npy` of a C-ordered
+float64 array, a record's rates, window block, forecast or target not of
+the (nodes, bins) shape its meta or manifest gives, a pinned name
+outside its artifact or not printable, a checkpoint whose arrays or
+edges do not fit its model, and the perturbation leakage guard), 5 any
+other failure (bad data, a prior CSV of another header or a score that
+is not finite included, a forecast window whose score is not finite,
+I/O, divergence, an `--out` that is not empty, a JSON file that would
+hold a number that is not finite). Failures print one line. A
 checkpoint is the directory `train` writes: its `checkpoint.json` pins
 every array file by sha256, as `dataset_manifest.json` pins the files of
 every record (whose meta alone states its facts), a windows manifest
@@ -44,7 +47,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .artifacts import check_pinned, file_hash, read_manifest, write_json
+from .artifacts import check_pinned, file_hash, read_array, read_manifest, save_array, write_json
 from .config import (config_hash, load_config, training_config as _train_config,
                      validate_config)
 from .data import load_windows, make_perturbed_windows, make_windows
@@ -58,9 +61,8 @@ from .graphs import (generate_small_world, granger_score_matrix, load_prior_csv,
 from .metrics import evaluate
 from .model import ModelConfig
 # `simulate` is not called here; the benchmark's tracer wraps it by this name
-from .neurosim import (LifParams, load_rates_csv, load_rates_npy, load_record,
-                       sample_perturbation, save_rates_csv, save_rates_npy, save_record,
-                       simulate, simulate_many)
+from .neurosim import (LifParams, load_rates_csv, load_record, sample_perturbation,
+                       save_rates_csv, save_record, simulate, simulate_many)
 from .training import (CHECKPOINT_MANIFEST, forecast_windows, load_checkpoint,
                        prior_from_windows, save_checkpoint, train)
 
@@ -70,11 +72,11 @@ EXIT_MISSING = 3
 EXIT_MISMATCH = 4
 EXIT_RUNTIME = 5
 
-DATASET_FORMAT = "sheafcast-dataset-v4"
+DATASET_FORMAT = "sheafcast-dataset-v5"
 # the keys and value types of the dataset manifest `simulate` writes
 _DATASET_SCHEMA = {"format": str, "config": dict, "sha256": {str: str},
                    "instances": [{"pre": str, "post": (str, type(None))}]}
-FORECASTS_FORMAT = "sheafcast-forecasts-v1"
+FORECASTS_FORMAT = "sheafcast-forecasts-v2"
 FORECASTS_MANIFEST = "forecasts_manifest.json"
 _FORECASTS_SCHEMA = {
     "format": str, "sha256": {str: str},
@@ -159,8 +161,9 @@ def cmd_simulate(args, cfg, out_dir: Path):
 def _load_dataset(data_dir: Path) -> dict:
     path = _require(Path(data_dir) / "dataset_manifest.json", "dataset manifest")
     return read_manifest(path, DATASET_FORMAT,
-                         "datasets of CSV files or with record facts in the manifest are "
-                         "no longer read; run simulate again", _DATASET_SCHEMA)
+                         "datasets of CSV files, with record facts in the manifest or of "
+                         "time-major rates are no longer read; run simulate again",
+                         _DATASET_SCHEMA)
 
 
 def _load_dataset_record(data_dir: Path, dataset: dict, stem: str):
@@ -238,7 +241,7 @@ def cmd_forecast(args, cfg, out_dir: Path):
                  "t_hor": window.horizon.shape[1]}
         save_rates_csv(fc_dir / entry["forecast"], pred)
         pins[entry["forecast"]] = file_hash(fc_dir / entry["forecast"])
-        pins[entry["target"]] = save_rates_npy(tg_dir / entry["target"], window.horizon)
+        pins[entry["target"]] = save_array(tg_dir / entry["target"], window.horizon)
         entries.append(entry)
     write_json(fc_dir / FORECASTS_MANIFEST,
                {"format": FORECASTS_FORMAT, "forecasts": entries, "sha256": pins})
@@ -297,8 +300,8 @@ def cmd_metrics(args, cfg, out_dir: Path):
             raise ArtifactMismatchError(
                 f"forecast {entry['forecast']} has shape {pred.shape}, but "
                 f"{FORECASTS_MANIFEST} gives (n_nodes, t_hor) {shape}")
-        target = load_rates_npy(check_pinned(tg_dir, entry["target"], listing["sha256"],
-                                             FORECASTS_MANIFEST), *shape)
+        target = read_array(check_pinned(tg_dir, entry["target"], listing["sha256"],
+                                         FORECASTS_MANIFEST), shape)
         preds.append(pred)
         targets.append(target)
     report = evaluate(preds, targets)

@@ -17,13 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .artifacts import check_pinned, read_manifest, write_json
+from .artifacts import check_pinned, read_array, read_manifest, save_array, write_json
 from .errors import (ArtifactMismatchError, InfeasiblePlacementError, InvalidParameterError,
                      SeriesTooShortError)
 # `load_rates_csv` and `save_rates_csv` are not called here (window blocks
 # are `.npy`); the benchmark's tracer wraps them by these names
-from .neurosim import (PerturbationSpec, SimulationRecord, load_rates_csv,
-                       load_rates_npy, save_rates_csv, save_rates_npy)
+from .neurosim import PerturbationSpec, SimulationRecord, load_rates_csv, save_rates_csv
 
 _STD_FLOOR = 1e-12
 # in evaluation windows, the smallest std (Hz) a non-constant context row is
@@ -158,10 +157,10 @@ def make_perturbed_windows(record_pre: SimulationRecord,
 
 
 # ----------------------------------------------------------------------
-# window sets: per-window block `.npy`, listed with its metadata and pinned
-# by sha256 in one manifest JSON
+# window sets: per window the C-ordered (nodes, context + horizon) block
+# `.npy`, listed with its metadata and pinned by sha256 in one manifest JSON
 # ----------------------------------------------------------------------
-WINDOWS_FORMAT = "sheafcast-windows-v3"
+WINDOWS_FORMAT = "sheafcast-windows-v4"
 # the keys and value types of the manifest `save_windows` writes
 _WINDOWS_SCHEMA = {
     "format": str, "sha256": {str: str},
@@ -171,16 +170,15 @@ _WINDOWS_SCHEMA = {
 
 
 def save_windows(out_dir, windows) -> Path:
-    """Write each window's block and `windows_manifest.json`, which holds
-    every window's metadata beside its block name and pins every block by
-    sha256; returns the manifest path."""
+    """Write each window's C-ordered (nodes, t_ctx + t_hor) block and
+    `windows_manifest.json`, which holds every window's metadata beside its
+    block name and pins every block by sha256; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries, pins = [], {}
     for i, win in enumerate(windows):
         name = f"windows_{i:05d}.npy"
-        pins[name] = save_rates_npy(out_dir / name,
-                                    np.concatenate([win.context, win.horizon], axis=1))
+        pins[name] = save_array(out_dir / name, np.concatenate([win.context, win.horizon], axis=1))
         entries.append({"window": name, "source_id": win.source_id,
                         "t_ctx": win.context.shape[1], "t_hor": win.horizon.shape[1],
                         "time_step": win.time_step,
@@ -201,8 +199,8 @@ def load_windows(manifest_path) -> list:
     manifest_path = Path(manifest_path)
     manifest = read_manifest(
         manifest_path, WINDOWS_FORMAT,
-        "window sets of CSV blocks or per-window JSON files are no longer read; "
-        "save them again", _WINDOWS_SCHEMA)
+        "window sets of CSV blocks, per-window JSON files or time-major blocks are no "
+        "longer read; save them again", _WINDOWS_SCHEMA)
     windows = []
     for entry in manifest["windows"]:
         t_ctx, t_hor = entry["t_ctx"], entry["t_hor"]
@@ -211,9 +209,9 @@ def load_windows(manifest_path) -> list:
             raise ArtifactMismatchError(
                 f"{manifest_path.name} gives {entry['window']} t_ctx {t_ctx}, t_hor "
                 f"{t_hor}, {len(norm_mean)} means and {len(norm_std)} stds")
-        block = load_rates_npy(check_pinned(manifest_path.parent, entry["window"],
-                                            manifest["sha256"], manifest_path.name),
-                               len(norm_mean), t_ctx + t_hor)
+        block = read_array(check_pinned(manifest_path.parent, entry["window"],
+                                        manifest["sha256"], manifest_path.name),
+                           (len(norm_mean), t_ctx + t_hor))
         windows.append(TrajectoryWindow(
             context=block[:, :t_ctx], horizon=block[:, t_ctx:], time_step=entry["time_step"],
             norm_mean=norm_mean, norm_std=norm_std, source_id=entry["source_id"],

@@ -79,8 +79,8 @@ class PriorGraph:
         self.scores = tuple(float(s) for s in self.scores)
         if len(self.edges) != len(self.scores):
             raise InvalidParameterError("edges and scores must align")
-        if any(s < 0 for s in self.scores):
-            raise InvalidParameterError("scores must be nonnegative")
+        if not all(0.0 <= s < np.inf for s in self.scores):
+            raise InvalidParameterError("scores must be finite and nonnegative")
         if len(edges) and np.bincount(edges[:, 1]).max() > self.top_k:
             raise InvalidParameterError("in-degree exceeds top_k")
 
@@ -223,11 +223,15 @@ def save_prior_csv(path, prior: PriorGraph) -> None:
 
 
 def load_prior_csv(path, lag_order: int, top_k: int, n_nodes: int = 0) -> PriorGraph:
-    edges, scores = [], []
+    """The prior `save_prior_csv` wrote; another header, or rows `PriorGraph`
+    refuses (a score that is not finite), raise InvalidParameterError."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            edges.append((int(row["src"]), int(row["dst"])))
-            scores.append(float(row["score"]))
-    return PriorGraph(edges=tuple(edges), scores=tuple(scores),
-                      lag_order=lag_order, top_k=top_k, n_nodes=n_nodes)
+        header, *rows = [*filter(None, csv.reader(fh))] or [[]]
+    if header != ["src", "dst", "score"]:
+        raise InvalidParameterError(f"{path} has header {','.join(header)!r}, not 'src,dst,score'")
+    try:
+        return PriorGraph(edges=tuple((int(s), int(d)) for s, d, _ in rows),
+                          scores=tuple(float(score) for _, _, score in rows),
+                          lag_order=lag_order, top_k=top_k, n_nodes=n_nodes)
+    except (ValueError, InvalidParameterError) as exc:
+        raise InvalidParameterError(f"{path} is not a prior: {exc}") from exc

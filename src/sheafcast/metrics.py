@@ -130,8 +130,16 @@ def _dtw_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (cur[1:, n] / cells[:, None]).min(axis=0)
 
 
+# each window's scores, in the order `evaluate` computes and checks them
+_SCORES = {"mse": mse, "mae": mae,
+           "dtw": lambda pred, tgt: dtw_normalized(np.atleast_2d(pred), np.atleast_2d(tgt))}
+
+
 def evaluate(forecasts, targets) -> MetricReport:
-    """Aggregate per-window metrics over paired forecast/target windows."""
+    """Aggregate per-window metrics over paired forecast/target windows. A
+    window's MSE, MAE or DTW, or a mean or std over windows, that is not
+    finite (say the squared error of a forecast of 1e200) raises
+    InvalidParameterError naming it, with no numpy warning."""
     forecasts = list(forecasts)
     targets = list(targets)
     if len(forecasts) != len(targets):
@@ -139,15 +147,18 @@ def evaluate(forecasts, targets) -> MetricReport:
     if not forecasts:
         raise InvalidParameterError("need at least one window")
     per = {"mse": [], "mae": [], "dtw": []}
-    for pred, tgt in zip(forecasts, targets):
-        per["mse"].append(mse(pred, tgt))
-        per["mae"].append(mae(pred, tgt))
-        per["dtw"].append(dtw_normalized(np.atleast_2d(pred), np.atleast_2d(tgt)))
-    arr = {k: np.array(v) for k, v in per.items()}
-    return MetricReport(
-        mse=float(arr["mse"].mean()), mae=float(arr["mae"].mean()),
-        dtw=float(arr["dtw"].mean()),
-        mse_std=float(arr["mse"].std()), mae_std=float(arr["mae"].std()),
-        dtw_std=float(arr["dtw"].std()),
-        n_windows=len(forecasts), per_window=per,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (pred, tgt) in enumerate(zip(forecasts, targets)):
+            for name, score in _SCORES.items():
+                value = score(pred, tgt)
+                if not np.isfinite(value):
+                    raise InvalidParameterError(
+                        f"forecast window {i} has {name} {value}, not a finite number")
+                per[name].append(value)
+        stats = {f"{name}{suffix}": float(reduce(np.array(values)))
+                 for name, values in per.items()
+                 for suffix, reduce in (("", np.mean), ("_std", np.std))}
+    if nonfinite := [name for name, value in stats.items() if not np.isfinite(value)]:
+        raise InvalidParameterError(
+            f"{', '.join(nonfinite)} over {len(forecasts)} windows is not a finite number")
+    return MetricReport(**stats, n_windows=len(forecasts), per_window=per)

@@ -515,9 +515,9 @@ def _gaussian_smooth_rows(rows: np.ndarray, sigma_bins: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# persistence: rates `.npy` (rows = bins, cols = neurons), read at the shape
-# its JSON meta gives, which alone states seed, node count, params, graph
-# edges, bin edges and perturbation
+# persistence: rates `.npy`, the C-ordered (nodes, bins) block the record
+# holds, read at the shape its JSON meta gives, which alone states seed,
+# node count, params, graph edges, bin edges and perturbation
 # ----------------------------------------------------------------------
 def save_record(out_dir, stem: str, record: SimulationRecord) -> dict:
     """Write `<stem>_rates.npy` and `<stem>_meta.json`; returns the sha256
@@ -525,7 +525,7 @@ def save_record(out_dir, stem: str, record: SimulationRecord) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rates_name, meta_name = f"{stem}_rates.npy", f"{stem}_meta.json"
-    pins = {rates_name: save_rates_npy(out_dir / rates_name, record.rates)}
+    pins = {rates_name: save_array(out_dir / rates_name, record.rates)}
     meta = {
         "seed": record.seed,
         "n_nodes": record.adjacency.n_nodes,
@@ -570,31 +570,10 @@ def load_record(out_dir, stem: str) -> SimulationRecord:
         return SimulationRecord(
             adjacency=BrainGraph(meta["n_nodes"], meta["edges"], meta["graph_seed"]),
             params=params, perturbation=PerturbationSpec(**pert) if pert else None,
-            rates=load_rates_npy(out_dir / f"{stem}_rates.npy", meta["n_nodes"],
-                                 len(edges) - 1),
+            rates=read_array(out_dir / f"{stem}_rates.npy", (meta["n_nodes"], len(edges) - 1)),
             bin_edges_ms=edges, seed=meta["seed"])
     except InvalidParameterError as exc:
         raise ArtifactMismatchError(f"{meta_name} is outside its domain: {exc}") from exc
-
-
-def save_rates_npy(path, rates: np.ndarray) -> str:
-    """Write a (nodes, bins) block as the `.npy` of its time-major (bins,
-    nodes) transpose (`artifacts.save_array`): the rows and columns of a
-    rates CSV, in binary. Returns the file's sha256."""
-    return save_array(path, np.asarray(rates).T)
-
-
-def load_rates_npy(path, n_nodes: int, n_bins: int) -> np.ndarray:
-    """The (n_nodes, n_bins) block `save_rates_npy` wrote, the shape its
-    listing gives (any other raises ArtifactMismatchError), as the transpose
-    of the stored array (`artifacts.read_array`): a Fortran-ordered view.
-    The layout is part of the format, because the bits of reductions
-    downstream depend on memory order."""
-    data = read_array(path)
-    if data.shape != (n_bins, n_nodes):
-        raise ArtifactMismatchError(f"{Path(path).name} holds a {data.shape} array, not the "
-                                    f"(bins, nodes) {(n_bins, n_nodes)} its listing gives")
-    return data.T
 
 
 def save_rates_csv(path, rates: np.ndarray) -> None:

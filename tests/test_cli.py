@@ -69,7 +69,7 @@ def test_simulate_outputs_and_rerun_reproducibility(pipeline, tmp_path):
     manifest = json.loads((sim / "dataset_manifest.json").read_text())
     # the manifest lists record stems only; each record's facts are in its meta
     assert sorted(manifest) == ["config", "format", "instances", "sha256"]
-    assert manifest["format"] == "sheafcast-dataset-v4"
+    assert manifest["format"] == "sheafcast-dataset-v5"
     assert manifest["instances"] == [{"pre": f"{i:05d}_pre", "post": f"{i:05d}_post"}
                                      for i in range(3)]
     metas = {p.name: json.loads(p.read_text()) for p in sim.glob("*_meta.json")}
@@ -113,6 +113,43 @@ def test_simulate_records_match_one_run_oracle(pipeline):
                                  bin_ms=cfg["simulate"]["bin_ms"],
                                  sigma_ms=cfg["simulate"]["sigma_ms"])
             assert record.rates.tobytes() == want.tobytes(), stem
+
+
+def test_prior_and_train_compute_what_the_library_computes_in_memory(pipeline, tmp_path):
+    """`prior.csv` and the checkpoint arrays of the fixture chain equal, bit
+    for bit, what `prior_from_windows` and `train` give on the windows of
+    the records `simulate_many` returns in memory for `simulate`'s runs: a
+    record read from disk is the block the library held."""
+    from sheafcast.data import make_windows
+    from sheafcast.graphs import generate_small_world, save_prior_csv
+    from sheafcast.model import ModelConfig
+    from sheafcast.neurosim import LifParams, sample_perturbation, simulate_many
+    from sheafcast.training import prior_from_windows, train
+
+    cfg = pipeline["cfg"]
+    sim, t, p = cfg["simulate"], cfg["train"], cfg["prior"]
+    lif = LifParams(**sim["lif"])
+    runs = []
+    for seed in range(cfg["seed"], cfg["seed"] + sim["count"]):
+        graph = generate_small_world(sim["n_nodes"], sim["small_world_k"],
+                                     sim["small_world_beta"], seed=seed)
+        runs += [(graph, seed, None),
+                 (graph, seed, sample_perturbation(lif.duration_ms, seed,
+                                                   n_nodes=sim["n_nodes"]))]
+    records = simulate_many(runs, lif, bin_ms=sim["bin_ms"], sigma_ms=sim["sigma_ms"])
+    windows = [w for i, record in enumerate(records[::2])
+               for w in make_windows(record.rates, t["t_ctx"], t["t_hor"], t["stride"],
+                                     time_step=record.bin_ms, source_id=f"{i:05d}_pre")]
+
+    prior = prior_from_windows(windows, p["lag_order"], p["top_k"], p["ridge"])
+    save_prior_csv(tmp_path / "prior.csv", prior)
+    assert (tmp_path / "prior.csv").read_bytes() == (pipeline["prior"] / "prior.csv").read_bytes()
+
+    want = train(windows, prior, cli._train_config(cfg), model_config=ModelConfig(**cfg["model"]))
+    got = load_checkpoint(pipeline["train"] / "checkpoint")
+    assert sorted(got.arrays) == sorted(want.arrays)
+    for name, array in want.arrays.items():
+        assert np.array_equal(got.arrays[name], array), name
 
 
 def test_run_manifest_contents(pipeline):
@@ -314,11 +351,11 @@ def _run_on_reshaped_rates(pipeline, tmp_path, command, key, value):
     data = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], data)
     path = data / "00000_pre_rates.npy"
-    stored = np.load(path)          # time-major: (bins, nodes)
+    stored = np.load(path)          # (nodes, bins)
     if key == "n_nodes":
-        stored = stored[:, :value]
+        stored = stored[:value]
     else:
-        stored = stored[::int(value / pipeline["cfg"]["simulate"]["bin_ms"])]
+        stored = stored[:, ::int(value / pipeline["cfg"]["simulate"]["bin_ms"])]
     np.save(path, np.ascontiguousarray(stored))
     _repin(data, path.name)
     extra = {"prior": [], "train": ["--prior", pipeline["prior"] / "prior.csv"],
@@ -333,7 +370,7 @@ def _run_on_reshaped_rates(pipeline, tmp_path, command, key, value):
 def test_records_must_match_the_dataset_manifest(pipeline, tmp_path, capsys,
                                                  command, key, value, found):
     """A record's rates must be the block its own meta, which the dataset
-    manifest pins, gives: 160 bins of the meta's bin edges by its 10 nodes,
+    manifest pins, gives: its 10 nodes by 160 bins of the meta's bin edges,
     so `found` is what the meta says. A re-pinned block of 7 nodes, or of
     20 ms bins, is refused by `load_record` as the wrong shape: exit 4 and
     one stderr line naming the file. (The manifest's own `n_nodes` and
@@ -343,9 +380,8 @@ def test_records_must_match_the_dataset_manifest(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == EXIT_MISMATCH, err
     assert len(err.strip().splitlines()) == 1, err
-    stored = (160, 7) if key == "n_nodes" else (80, 10)
-    assert (f"00000_pre_rates.npy holds a {stored} array, not the (bins, nodes) (160, 10)"
-            in err), (found, err)
+    stored = (7, 160) if key == "n_nodes" else (10, 80)
+    assert f"00000_pre_rates.npy holds a {stored} array, not the (10, 160)" in err, (found, err)
 
 
 @pytest.mark.parametrize("command", ["prior", "train"])
@@ -859,12 +895,12 @@ _LAYOUTS = {
     "ints": lambda raw: _npy_bytes(np.zeros((3, 2), dtype=int)),
 }
 # C-ordered float64 `.npy` files of the pinned block's values in a shape
-# other than the (bins, nodes) its manifest or meta gives
+# other than the (nodes, bins) its manifest or meta gives
 _SHAPES = {
     "1-d": lambda raw: _npy_bytes(np.load(io.BytesIO(raw)).ravel()),
     "3-d": lambda raw: _npy_bytes(np.load(io.BytesIO(raw))[None]),
     "transposed": lambda raw: _npy_bytes(np.ascontiguousarray(np.load(io.BytesIO(raw)).T)),
-    "one-bin-short": lambda raw: _npy_bytes(np.load(io.BytesIO(raw))[:-1]),
+    "one-bin-short": lambda raw: _npy_bytes(np.load(io.BytesIO(raw))[:, :-1]),
 }
 
 
@@ -878,10 +914,10 @@ _SHAPES = {
 def test_a_repinned_file_that_is_not_a_float64_npy_exits_4(pipeline, chain, tmp_path, capsys,
                                                            kind, content):
     """A pinned array file replaced by bytes that are not the `.npy` of a
-    C-ordered float64 array, or of one whose shape is not the (bins, nodes)
+    C-ordered float64 array, or of one whose shape is not the (nodes, bins)
     its manifest or record meta gives, and pinned again, so only the one
-    `.npy` reader (`artifacts.read_array`) or the rates reader's shape
-    check can refuse it: exit 4 with one stderr line naming the file, for
+    `.npy` reader (`artifacts.read_array`) and its shape check can refuse
+    it: exit 4 with one stderr line naming the file, for
     every kind of array file. (The layouts of a checkpoint array are in
     `test_training.py`; its shapes are checked against its model.)"""
     base, name, manifest, argv = _artifact_copy(kind, pipeline, chain, tmp_path)
@@ -939,12 +975,14 @@ def test_check_pinned_takes_only_a_plain_file_name(tmp_path, name):
         check_pinned(tmp_path, name, {name: file_hash(tmp_path / "sub" / "a.npy")}, "m.json")
 
 
-@pytest.mark.parametrize("version", ["v2", "v3"])
+@pytest.mark.parametrize("version", ["v2", "v3", "v4"])
 def test_an_older_dataset_exits_4_naming_its_format(pipeline, tmp_path, capsys, version):
     """A dataset of the layout before record metas held their edges (v2, a
-    `<stem>_adjacency.csv` per record), or before they were the one place
-    of every record fact (v3, whose manifest repeated each record's node
-    count, bin width, seed and perturbation), is refused, not read."""
+    `<stem>_adjacency.csv` per record), before they were the one place of
+    every record fact (v3, whose manifest repeated each record's node
+    count, bin width, seed and perturbation), or before rates were stored
+    as the (nodes, bins) block a record holds (v4, time-major), is refused,
+    not read."""
     data = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], data)
     dataset = json.loads((data / "dataset_manifest.json").read_text())
@@ -959,13 +997,37 @@ def test_an_older_dataset_exits_4_naming_its_format(pipeline, tmp_path, capsys, 
     assert not (tmp_path / "p").exists()
 
 
+@pytest.mark.parametrize("command, flag, old", [
+    ("forecast", "--windows", "sheafcast-windows-v3"),
+    ("metrics", "--forecasts", "sheafcast-forecasts-v1")])
+def test_an_older_window_or_forecast_set_exits_4_naming_its_format(chain, tmp_path, capsys,
+                                                                    command, flag, old):
+    """A window set or forecast set of time-major blocks (windows v3,
+    forecasts v1) is refused, not read: a square block, such as the
+    fixture's 10-node, 10-bin targets, would pass the shape check
+    transposed."""
+    argv, _ = chain[command]
+    at = argv.index(flag) + 1
+    given = Path(argv[at])         # the windows manifest, or the forecasts directory
+    copy = tmp_path / "copy"
+    shutil.copytree(given.parent if given.is_file() else given, copy)
+    manifest = copy / (given.name if given.is_file() else FORECASTS_MANIFEST)
+    listing = json.loads(manifest.read_text())
+    listing["format"] = old
+    manifest.write_text(json.dumps(listing))
+    code, err = _refused([*argv[:at], manifest if given.is_file() else copy, *argv[at + 1:]],
+                         tmp_path, capsys)
+    assert code == EXIT_MISMATCH, err
+    assert len(err.strip().splitlines()) == 1 and old in err, err
+
+
 def test_csv_datasets_and_window_sets_exit_4_naming_the_format(pipeline, tmp_path, capsys):
     """A dataset and a window set in the CSV layout of earlier versions
     (`<stem>_rates.csv` and `windows_<i>.csv`, no format key, no pins)."""
     data = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], data)
     for path in data.glob("*_rates.npy"):
-        save_rates_csv(path.with_suffix(".csv"), np.load(path).T)
+        save_rates_csv(path.with_suffix(".csv"), np.load(path))
         path.unlink()
     dataset = json.loads((data / "dataset_manifest.json").read_text())
     del dataset["format"], dataset["sha256"]
@@ -1214,6 +1276,20 @@ def chain(pipeline):
     for command in ("perturb-eval", "forecast", "metrics"):
         assert main([str(a) for a in argv[command] + ["--out", out[command]]]) == EXIT_OK
     return {c: (argv[c], out[c]) for c in argv}
+
+
+def test_metrics_scores_what_evaluate_scores_in_memory(pipeline, chain):
+    """`metrics` on the forecast set `forecast` wrote writes the report
+    `evaluate` gives on the same checkpoint's forecasts of the same windows
+    in memory: a target read from disk is the horizon block the window
+    held, and a forecast CSV holds every bit of its forecast."""
+    from sheafcast.metrics import evaluate
+    from sheafcast.training import forecast_windows
+
+    model = load_checkpoint(pipeline["train"] / "checkpoint").take_model()
+    report = evaluate(*forecast_windows(model, _windows_of(pipeline, "00000_pre")))
+    written = json.loads((chain["metrics"][1] / "metric_report.json").read_text())
+    assert written == json.loads(json.dumps(report.to_dict()))
 
 
 _COMMANDS = ["simulate", "prior", "train", "perturb-eval", "forecast", "metrics"]
@@ -1493,7 +1569,7 @@ def test_prior_edge_outside_the_graph_exits_5(pipeline, tmp_path, capsys):
 
 def _pinned_forecast_set(root, pairs):
     """`root/fc` and `root/tg` holding the forecast CSV text and the
-    time-major target array of each pair, listed and pinned by
+    (nodes, bins) target array of each pair, listed and pinned by
     `fc/forecasts_manifest.json`."""
     fc, tg = root / "fc", root / "tg"
     fc.mkdir()
@@ -1504,11 +1580,11 @@ def _pinned_forecast_set(root, pairs):
         (fc / forecast).write_text(text)
         np.save(tg / target_name, target)
         entries.append({"forecast": forecast, "target": target_name, "source_id": f"w{i:03d}",
-                        "n_nodes": target.shape[1], "t_hor": target.shape[0]})
+                        "n_nodes": target.shape[0], "t_hor": target.shape[1]})
         pins[forecast] = hashlib.sha256((fc / forecast).read_bytes()).hexdigest()
         pins[target_name] = hashlib.sha256((tg / target_name).read_bytes()).hexdigest()
     (fc / "forecasts_manifest.json").write_text(json.dumps(
-        {"format": "sheafcast-forecasts-v1", "forecasts": entries, "sha256": pins}))
+        {"format": "sheafcast-forecasts-v2", "forecasts": entries, "sha256": pins}))
     return fc, tg
 
 
@@ -1516,7 +1592,7 @@ def test_data_faults_exit_5(pipeline, tmp_path, capsys):
     # a pinned pair whose forecast (1 node, 1 bin) is not the (n_nodes,
     # t_hor) of its entry and target (1 node, 2 bins): not a data fault but
     # a forecast set that does not fit its manifest, so exit 4
-    fc, tg = _pinned_forecast_set(tmp_path, [("n0\n1.0\n", np.ones((2, 1)))])
+    fc, tg = _pinned_forecast_set(tmp_path, [("n0\n1.0\n", np.ones((1, 2)))])
     assert _one_line_exit(capsys, ["metrics", "--forecasts", fc, "--targets", tg,
                                    "--out", tmp_path / "m"]) == EXIT_MISMATCH
 
@@ -1555,7 +1631,7 @@ def test_a_report_number_that_is_not_finite_exits_5(chain, tmp_path, capsys, mon
 
 def test_header_only_csvs_exit_5_with_one_stderr_line(tmp_path):
     # a fresh interpreter, so numpy warnings reach stderr as a user sees them
-    _pinned_forecast_set(tmp_path, [("n0,n1\n", np.zeros((0, 2)))])
+    _pinned_forecast_set(tmp_path, [("n0,n1\n", np.zeros((2, 0)))])
     env = {**os.environ,
            "PYTHONPATH": str(Path(sheafcast.__file__).resolve().parents[1])}
     run = subprocess.run(
@@ -1568,8 +1644,49 @@ def test_header_only_csvs_exit_5_with_one_stderr_line(tmp_path):
     assert "no data rows" in run.stderr
 
 
+@pytest.mark.parametrize("fault", ["nan", "inf", "-inf", "src,dst", "source,target,score"])
+def test_a_bad_prior_csv_exits_5_naming_it_before_training(pipeline, tmp_path, capsys,
+                                                           monkeypatch, fault):
+    """A score that is not finite (which trained every epoch, then failed
+    at the checkpoint write) or a header other than `src,dst,score` (a
+    bare KeyError) is refused by `load_prior_csv`: exit 5, one line naming
+    `prior.csv`, and `train` never starts."""
+    header, *rows = (pipeline["prior"] / "prior.csv").read_text().splitlines()
+    if "," in fault:
+        header = fault
+    else:
+        rows[0] = f"{rows[0].rsplit(',', 1)[0]},{fault}"
+    bad = tmp_path / "prior.csv"
+    bad.write_text("\n".join([header, *rows]) + "\n")
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("train started"))
+    code, err = _refused(["train", "--config", pipeline["cfg_path"], "--data", pipeline["sim"],
+                          "--prior", bad], tmp_path, capsys)
+    assert code == EXIT_RUNTIME, err
+    assert len(err.strip().splitlines()) == 1 and "prior.csv" in err, err
+
+
+def test_an_overflowing_forecast_exits_5_with_one_line(tmp_path):
+    """A forecast of 1e200 against a target of ones: its squared error
+    overflows. In a fresh interpreter, so that numpy warnings reach stderr
+    as a user sees them, `metrics` exits 5 with one line naming the window
+    and its MSE, and writes no report."""
+    _pinned_forecast_set(tmp_path, [("n0,n1\n1e200,1e200\n", np.ones((2, 1)))])
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(sheafcast.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "sheafcast.cli", "metrics",
+         "--forecasts", str(tmp_path / "fc"), "--targets", str(tmp_path / "tg"),
+         "--out", str(tmp_path / "m")],
+        capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == EXIT_RUNTIME, run.stderr
+    assert len(run.stderr.splitlines()) == 1, run.stderr
+    assert "forecast window 0 has mse inf" in run.stderr, run.stderr
+    assert not (tmp_path / "m").exists()
+
+
 def test_foreign_exceptions_exit_5_with_one_line(pipeline, tmp_path, capsys):
-    # a prior CSV without its `score` column raises a bare KeyError
+    # a prior CSV without its `score` column, which raised a bare KeyError
+    # before `load_prior_csv` checked the header
     header, *rows = (pipeline["prior"] / "prior.csv").read_text().splitlines()
     broken = tmp_path / "prior.csv"
     broken.write_text("\n".join(["src,dst", *(r.rsplit(",", 1)[0] for r in rows)]) + "\n")

@@ -255,3 +255,17 @@ def test_evaluate_scores_each_window_through_the_module_attribute(monkeypatch):
     report = evaluate(windows, [w[:, ::-1] for w in windows])
     assert calls == [((4, 6), (4, 6))] * 5
     assert report.n_windows == 5
+
+
+@pytest.mark.parametrize("forecasts, refused", [
+    # (1e200 - 1)^2 overflows
+    ([np.full((2, 3), 1e200)], "forecast window 0 has mse inf"),
+    ([np.ones((2, 3)), np.full((2, 3), np.nan)], "forecast window 1 has mse nan"),
+    # each window's MSE (1e200) is finite, the square in their std is not
+    ([np.full((2, 3), 1e100), np.ones((2, 3))], "mse_std over 2 windows"),
+])
+def test_evaluate_refuses_a_score_that_is_not_finite(forecasts, refused):
+    """Against targets of ones, under `filterwarnings = error` too: no numpy
+    warning escapes, and no report holds a value JSON cannot."""
+    with pytest.raises(InvalidParameterError, match=refused):
+        evaluate(forecasts, [np.ones(f.shape) for f in forecasts])

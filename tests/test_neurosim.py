@@ -448,10 +448,10 @@ def test_record_round_trip(tmp_path, graph10):
     assert loaded.adjacency.edges == record.adjacency.edges
     assert loaded.perturbation == record.perturbation
     assert loaded.params == record.params
-    # the file holds the time-major (bins, nodes) block, C-ordered
+    # the file holds the record's own (nodes, bins) block, C-ordered
     stored = np.load(tmp_path / "demo_rates.npy", allow_pickle=False)
-    assert stored.shape == (record.n_bins, 10) and stored.flags.c_contiguous
-    assert stored.tobytes() == np.ascontiguousarray(record.rates.T).tobytes()
+    assert stored.shape == (10, record.n_bins) and stored.flags.c_contiguous
+    assert stored.tobytes() == np.ascontiguousarray(record.rates).tobytes()
     meta = json.loads((tmp_path / "demo_meta.json").read_text())
     assert meta["seed"] == 3
 

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sheafcast.data import TrajectoryWindow, load_windows, save_windows
+from sheafcast.data import TrajectoryWindow, load_windows, make_windows, save_windows
 from sheafcast.graphs import BrainGraph
 from sheafcast.model import ModelConfig
 from sheafcast.neurosim import (LifParams, PerturbationSpec, SimulationRecord,
@@ -44,17 +44,18 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-def _assert_loaded_layout(a, n_rows):
-    """The documented layout of a loaded block: the transpose of the stored
-    C-ordered (bins, nodes) array, a Fortran-ordered (nodes, bins) view."""
-    assert a.dtype == np.float64 and a.flags.f_contiguous and not a.flags.owndata
-    assert a.strides == (8, 8 * n_rows), a.strides
+def _assert_loaded_layout(a, n_cols):
+    """The documented layout of a loaded block: a C-ordered (nodes, bins)
+    float64 array, or a column slice of one (a window's context or horizon,
+    whose rows are `n_cols` apart)."""
+    assert a.dtype == np.float64 and a.strides == (8 * n_cols, 8), a.strides
 
 
 @st.composite
-def records(draw):
+def records(draw, bins=st.integers(1, 6), rates=blocks):
+    """A record of 1 to 5 nodes, `bins` bins and `rates(nodes, bins)`."""
     n = draw(st.integers(1, 5))
-    bins = draw(st.integers(1, 6))
+    bins = draw(bins)
     pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     # bins of the drawn width that tile the duration, as `load_record` requires
@@ -66,7 +67,7 @@ def records(draw):
         PerturbationSpec, neuron=st.integers(0, n - 1),
         onset_ms=finite, duration_ms=finite))
     return SimulationRecord(
-        rates=draw(blocks(n, bins)),
+        rates=draw(rates(n, bins)),
         adjacency=BrainGraph(n_nodes=n, edges=tuple(edges),
                              seed=draw(st.integers(0, 2**32))),
         bin_edges_ms=np.arange(bins + 1) * width,
@@ -82,11 +83,34 @@ def test_record_round_trip(record):
         back = load_record(tmp, "rec")
     assert back.rates.shape == record.rates.shape
     assert _bits(back.rates) == _bits(record.rates)
-    _assert_loaded_layout(back.rates, record.rates.shape[0])
+    _assert_loaded_layout(back.rates, record.rates.shape[1])
+    assert back.rates.flags.c_contiguous
     assert back.adjacency == record.adjacency
     assert np.array_equal(back.bin_edges_ms, record.bin_edges_ms)
     assert (back.seed, back.params, back.perturbation) == (
         record.seed, record.params, record.perturbation)
+
+
+# C-ordered records the package holds (rates in Hz), long enough that a
+# row's sum is pairwise, where a Fortran-ordered copy sums in another order
+simulated = records(bins=st.integers(20, 300),
+                    rates=lambda n, bins: _matrix(n, bins, st.floats(0.0, 1e3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(record=simulated, t_ctx=st.integers(1, 12), t_hor=st.integers(1, 8),
+       stride=st.integers(1, 40))
+def test_windows_of_a_loaded_record_are_those_of_the_saved_one(record, t_ctx, t_hor, stride):
+    """A command's windows, cut from a record it loaded, are bit for bit the
+    windows the library cuts from the record in memory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_record(tmp, "rec", record)
+        back = load_record(tmp, "rec")
+    assert back.rates.flags.c_contiguous and back.rates.shape == record.rates.shape
+    for got, want in zip(*(make_windows(r.rates, t_ctx, t_hor, stride) for r in (back, record)),
+                         strict=True):
+        for field in ("context", "horizon", "norm_mean", "norm_std"):
+            assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
 
 
 @st.composite
@@ -116,7 +140,7 @@ def test_windows_round_trip(windows):
             assert getattr(got, field).shape == getattr(want, field).shape
             assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
         for block in (got.context, got.horizon):
-            _assert_loaded_layout(block, got.n_nodes)
+            _assert_loaded_layout(block, got.context.shape[1] + got.horizon.shape[1])
         assert (got.time_step, got.source_id, got.perturbation_onset_index) == (
             want.time_step, want.source_id, want.perturbation_onset_index)
 
