@@ -192,8 +192,8 @@ def save_windows(out_dir, windows) -> Path:
 
 def load_windows(manifest_path) -> list:
     """The windows of a manifest `save_windows` wrote. Each block is checked
-    against its pinned sha256 before it is read at the shape its entry
-    gives; a malformed manifest, one of an older format, an entry whose
+    against its pinned sha256 before it is read, C-ordered, at the (nodes,
+    t_ctx + t_hor) shape its entry gives; a malformed manifest, one of an older format, an entry whose
     sizes do not fit each other, or a changed, unpinned or differently
     shaped block raises ArtifactMismatchError."""
     manifest_path = Path(manifest_path)

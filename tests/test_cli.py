@@ -1629,16 +1629,21 @@ def test_a_report_number_that_is_not_finite_exits_5(chain, tmp_path, capsys, mon
     assert not (tmp_path / "nan.json").exists()
 
 
-def test_header_only_csvs_exit_5_with_one_stderr_line(tmp_path):
-    # a fresh interpreter, so numpy warnings reach stderr as a user sees them
-    _pinned_forecast_set(tmp_path, [("n0,n1\n", np.zeros((2, 0)))])
+def _metrics_in_a_fresh_interpreter(tmp_path, pairs):
+    """`metrics` on `_pinned_forecast_set(tmp_path, pairs)` in a fresh
+    interpreter, so numpy warnings reach stderr as a user sees them."""
+    _pinned_forecast_set(tmp_path, pairs)
     env = {**os.environ,
            "PYTHONPATH": str(Path(sheafcast.__file__).resolve().parents[1])}
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "sheafcast.cli", "metrics",
          "--forecasts", str(tmp_path / "fc"), "--targets", str(tmp_path / "tg"),
          "--out", str(tmp_path / "m")],
         capture_output=True, text=True, env=env, check=False)
+
+
+def test_header_only_csvs_exit_5_with_one_stderr_line(tmp_path):
+    run = _metrics_in_a_fresh_interpreter(tmp_path, [("n0,n1\n", np.zeros((2, 0)))])
     assert run.returncode == EXIT_RUNTIME
     assert len(run.stderr.splitlines()) == 1, run.stderr
     assert "no data rows" in run.stderr
@@ -1667,17 +1672,10 @@ def test_a_bad_prior_csv_exits_5_naming_it_before_training(pipeline, tmp_path, c
 
 def test_an_overflowing_forecast_exits_5_with_one_line(tmp_path):
     """A forecast of 1e200 against a target of ones: its squared error
-    overflows. In a fresh interpreter, so that numpy warnings reach stderr
-    as a user sees them, `metrics` exits 5 with one line naming the window
-    and its MSE, and writes no report."""
-    _pinned_forecast_set(tmp_path, [("n0,n1\n1e200,1e200\n", np.ones((2, 1)))])
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(sheafcast.__file__).resolve().parents[1])}
-    run = subprocess.run(
-        [sys.executable, "-m", "sheafcast.cli", "metrics",
-         "--forecasts", str(tmp_path / "fc"), "--targets", str(tmp_path / "tg"),
-         "--out", str(tmp_path / "m")],
-        capture_output=True, text=True, env=env, check=False)
+    overflows. `metrics` exits 5 with one line naming the window and its
+    MSE, no numpy warning, and writes no report."""
+    run = _metrics_in_a_fresh_interpreter(tmp_path,
+                                          [("n0,n1\n1e200,1e200\n", np.ones((2, 1)))])
     assert run.returncode == EXIT_RUNTIME, run.stderr
     assert len(run.stderr.splitlines()) == 1, run.stderr
     assert "forecast window 0 has mse inf" in run.stderr, run.stderr
@@ -1685,15 +1683,7 @@ def test_an_overflowing_forecast_exits_5_with_one_line(tmp_path):
 
 
 def test_foreign_exceptions_exit_5_with_one_line(pipeline, tmp_path, capsys):
-    # a prior CSV without its `score` column, which raised a bare KeyError
-    # before `load_prior_csv` checked the header
-    header, *rows = (pipeline["prior"] / "prior.csv").read_text().splitlines()
-    broken = tmp_path / "prior.csv"
-    broken.write_text("\n".join(["src,dst", *(r.rsplit(",", 1)[0] for r in rows)]) + "\n")
-    assert _one_line_exit(capsys, ["train", "--config", pipeline["cfg_path"],
-                                   "--data", pipeline["sim"], "--prior", broken,
-                                   "--out", tmp_path / "p"]) == EXIT_RUNTIME
-
+    # an `--out` under a file: `mkdir` raises an OSError of its own
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
     assert _one_line_exit(capsys, ["simulate", "--config", pipeline["cfg_path"],
