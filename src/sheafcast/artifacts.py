@@ -1,9 +1,10 @@
 """Pinned artifacts: the one JSON reader and writer of the package (so
 equal content gives equal bytes), the one type check of decoded JSON (the
 run config's too), the check that a manifest is an object of its format
-that fits its schema, the one `.npy` writer and reader (C-ordered float64
-arrays only, each at the shape its caller's listing gives), the sha256 of
-a file, and the check of a file against the digest its manifest pins."""
+that fits its schema, the one `.npy` writer and reader (finite C-ordered
+float64 arrays only, each at the shape its caller's listing gives), the
+sha256 of a file, and the check of a file against the digest its manifest
+pins."""
 
 from __future__ import annotations
 
@@ -99,8 +100,9 @@ def save_array(path, array) -> str:
 
 def read_array(path, shape=None) -> np.ndarray:
     """The array of an `.npy` file, read as `np.load` reads one (no second
-    copy); anything but a C-ordered float64 array, or one of another shape
-    than `shape` (None: any), raises ArtifactMismatchError."""
+    copy); anything but a C-ordered float64 array, one of another shape
+    than `shape` (None: any), or one holding NaN or an infinity raises
+    ArtifactMismatchError."""
     with open(path, "rb") as fh:
         try:
             array = np.lib.format.read_array(fh, allow_pickle=False)
@@ -113,6 +115,8 @@ def read_array(path, shape=None) -> np.ndarray:
     if shape is not None and array.shape != shape:
         raise ArtifactMismatchError(f"{Path(path).name} holds a {array.shape} array, not the "
                                     f"{shape} its listing gives")
+    if not np.isfinite(array).all():
+        raise ArtifactMismatchError(f"{Path(path).name} holds a value that is not finite")
     return array
 
 

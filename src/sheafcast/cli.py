@@ -12,20 +12,23 @@ sources, and every file in the directory), renames the sibling onto
 leaves `--out` as it was. Identical manifests reproduce identical outputs.
 
 Exit codes: 0 success, 2 configuration/schema violation (a number that
-is not finite included), 3 missing input, 4 artifact mismatch (a file
-that does not match the sha256 its manifest pins or that it does not
-pin, a dataset, window set, forecast set or checkpoint in a format no
-longer read (one of time-major rates blocks included), a dataset
-manifest, record meta, windows manifest, forecast-set manifest or
-`checkpoint.json` that is malformed (invalid JSON, a key missing,
+is not finite, a bin narrower than one simulation step and a smoothing
+width longer than the simulation included), 3 missing input, 4 artifact
+mismatch (a file that does not match the sha256 its manifest pins or
+that it does not pin, a dataset, window set, forecast set or checkpoint
+in a format no longer read (one of time-major rates blocks included), a
+dataset manifest, record meta, windows manifest, forecast-set manifest
+or `checkpoint.json` that is malformed (invalid JSON, a key missing,
 unknown or of the wrong type, or a number that is not finite), a record
-meta outside its domain (bin edges that do not tile its duration
-included), a dataset instance whose post record is not a perturbed run
-of its pre record, any array file that is not an `.npy` of a C-ordered
-float64 array, a record's rates, window block, forecast or target not of
-the (nodes, bins) shape its meta or manifest gives, a pinned name
-outside its artifact or not printable, a checkpoint whose arrays or
-edges do not fit its model, and the perturbation leakage guard), 5 any
+meta outside its domain (a bin width that is narrower than one step or
+does not divide its duration included), a windows manifest entry whose
+node count, context or horizon is below 1, a dataset instance whose post
+record is not a perturbed run of its pre record, any array file that is
+not an `.npy` of a C-ordered float64 array of finite values, a record's
+rates, window block, forecast or target not of the (nodes, bins) shape
+its meta or manifest gives, a pinned name outside its artifact or not
+printable, a checkpoint whose arrays or edges do not fit its model, and
+the perturbation leakage guard), 5 any
 other failure (bad data, a prior CSV of another header or a score that
 is not finite included, a forecast window whose score is not finite,
 I/O, divergence, an `--out` that is not empty, a JSON file that would
@@ -72,7 +75,7 @@ EXIT_MISSING = 3
 EXIT_MISMATCH = 4
 EXIT_RUNTIME = 5
 
-DATASET_FORMAT = "sheafcast-dataset-v5"
+DATASET_FORMAT = "sheafcast-dataset-v6"
 # the keys and value types of the dataset manifest `simulate` writes
 _DATASET_SCHEMA = {"format": str, "config": dict, "sha256": {str: str},
                    "instances": [{"pre": str, "post": (str, type(None))}]}
@@ -161,8 +164,9 @@ def cmd_simulate(args, cfg, out_dir: Path):
 def _load_dataset(data_dir: Path) -> dict:
     path = _require(Path(data_dir) / "dataset_manifest.json", "dataset manifest")
     return read_manifest(path, DATASET_FORMAT,
-                         "datasets of CSV files, with record facts in the manifest or of "
-                         "time-major rates are no longer read; run simulate again",
+                         "datasets of CSV files, with record facts in the manifest, of "
+                         "time-major rates or of record bin edges are no longer read; run "
+                         "simulate again",
                          _DATASET_SCHEMA)
 
 

@@ -24,7 +24,7 @@ from .artifacts import departure, read_json
 from .errors import ConfigError, InvalidParameterError
 from .graphs import check_small_world
 from .model import ModelConfig
-from .neurosim import LifParams, bin_edges
+from .neurosim import LifParams, bin_count
 from .training import SchedulerConfig, TrainingConfig
 
 
@@ -121,8 +121,8 @@ def validate_config(raw: dict) -> dict:
         ("simulate.lif", lambda: LifParams(**sim["lif"])),
         ("simulate", lambda: check_small_world(
             sim["n_nodes"], sim["small_world_k"], sim["small_world_beta"])),
-        ("simulate", lambda: bin_edges(
-            sim["lif"]["duration_ms"], sim["bin_ms"], sim["sigma_ms"])),
+        ("simulate", lambda: bin_count(sim["lif"]["duration_ms"], sim["bin_ms"],
+                                       sim["sigma_ms"], sim["lif"]["dt_ms"])),
     ]
     for section, check in checks:
         try:

@@ -1,12 +1,13 @@
 """Windowing and normalization for training and evaluation.
 
-Training windows are z-scored per node over the full context+horizon block
-(statistics recorded for de-normalization). Perturbation-straddling windows
-are built for the out-of-distribution protocol: the silencing onset sits at
-90% of the context, pre-onset bins come from the unperturbed record, and
+Training windows are z-scored per node over the full context+horizon
+block. Perturbation-straddling windows are built for the
+out-of-distribution protocol: the silencing onset sits at 90% of the
+context, pre-onset bins come from the unperturbed record, and
 normalization uses context-only statistics so the horizon is never touched
 on the inference path; a context std below 0.1 Hz counts as 0.1 Hz there,
-so a near-silent context row cannot blow up its horizon's z-scores.
+so a near-silent context row cannot blow up its horizon's z-scores. A
+window keeps no statistics: forecasts are scored in normalized units.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ class TrajectoryWindow:
     context: np.ndarray               # (n_nodes, t_ctx)
     horizon: np.ndarray               # (n_nodes, t_hor)
     time_step: float
-    norm_mean: np.ndarray             # per-node
-    norm_std: np.ndarray              # per-node
     source_id: str = ""
     perturbation_onset_index: Optional[int] = None
 
@@ -59,24 +58,19 @@ class TrajectoryWindow:
     def is_perturbed(self) -> bool:
         return self.perturbation_onset_index is not None
 
-    def denormalize(self, block: np.ndarray) -> np.ndarray:
-        return block * self.norm_std[:, None] + self.norm_mean[:, None]
 
-
-def _zscore(block: np.ndarray, stats_cols: slice, floor: float = 0.0):
+def _zscore(block: np.ndarray, stats_cols: slice, floor: float = 0.0) -> np.ndarray:
     """Z-score rows of `block` using statistics from `block[:, stats_cols]`.
 
     Rows whose statistics window is constant keep std 1, which maps the
     stats region to exact zeros (x - mean) while leaving any remaining
-    columns informative, and makes de-normalization exact. Any other row's
-    std is raised to at least `floor`.
+    columns informative. Any other row's std is raised to at least `floor`.
     """
     stats = block[:, stats_cols]
     mean = stats.mean(axis=1)
     std = stats.std(axis=1)
     safe_std = np.where(std <= _STD_FLOOR, 1.0, np.maximum(std, floor))
-    out = (block - mean[:, None]) / safe_std[:, None]
-    return out, mean, safe_std
+    return (block - mean[:, None]) / safe_std[:, None]
 
 
 def make_windows(series: np.ndarray, t_ctx: int = 30, t_hor: int = 10,
@@ -100,13 +94,11 @@ def make_windows(series: np.ndarray, t_ctx: int = 30, t_hor: int = 10,
     windows = []
     for w, start in enumerate(range(0, t_len - span + 1, stride)):
         block = series[:, start:start + span]
-        normed, mean, std = _zscore(block, slice(0, span))
+        normed = _zscore(block, slice(0, span))
         windows.append(TrajectoryWindow(
             context=normed[:, :t_ctx],
             horizon=normed[:, t_ctx:],
             time_step=time_step,
-            norm_mean=mean,
-            norm_std=std,
             source_id=f"{source_id}/w{w:03d}" if source_id else f"w{w:03d}",
         ))
     return windows
@@ -127,8 +119,8 @@ def make_perturbed_windows(record_pre: SimulationRecord,
     """
     if record_pre.rates.shape != record_post.rates.shape:
         raise InvalidParameterError("record pair shapes differ")
-    if not np.array_equal(record_pre.bin_edges_ms, record_post.bin_edges_ms):
-        raise InvalidParameterError("record pair must share bin edges")
+    if record_pre.bin_ms != record_post.bin_ms:
+        raise InvalidParameterError("record pair must share their bin width")
     bin_ms = record_pre.bin_ms
     onset_bin = int(spec.onset_ms // bin_ms)
     pre_bins = int(np.floor(0.9 * t_ctx))
@@ -144,13 +136,11 @@ def make_perturbed_windows(record_pre: SimulationRecord,
         record_pre.rates[:, start:onset_bin],
         record_post.rates[:, onset_bin:end],
     ], axis=1)
-    normed, mean, std = _zscore(block, slice(0, t_ctx), _CONTEXT_STD_FLOOR_HZ)
+    normed = _zscore(block, slice(0, t_ctx), _CONTEXT_STD_FLOOR_HZ)
     return [TrajectoryWindow(
         context=normed[:, :t_ctx],
         horizon=normed[:, t_ctx:],
         time_step=bin_ms,
-        norm_mean=mean,
-        norm_std=std,
         source_id=f"{source_id}/pert" if source_id else "pert",
         perturbation_onset_index=pre_bins,
     )]
@@ -160,13 +150,12 @@ def make_perturbed_windows(record_pre: SimulationRecord,
 # window sets: per window the C-ordered (nodes, context + horizon) block
 # `.npy`, listed with its metadata and pinned by sha256 in one manifest JSON
 # ----------------------------------------------------------------------
-WINDOWS_FORMAT = "sheafcast-windows-v4"
+WINDOWS_FORMAT = "sheafcast-windows-v5"
 # the keys and value types of the manifest `save_windows` writes
 _WINDOWS_SCHEMA = {
     "format": str, "sha256": {str: str},
-    "windows": [{"window": str, "source_id": str, "t_ctx": int, "t_hor": int,
-                 "time_step": float, "norm_mean": [float], "norm_std": [float],
-                 "perturbation_onset_index": (int, type(None))}]}
+    "windows": [{"window": str, "source_id": str, "n_nodes": int, "t_ctx": int, "t_hor": int,
+                 "time_step": float, "perturbation_onset_index": (int, type(None))}]}
 
 
 def save_windows(out_dir, windows) -> Path:
@@ -179,11 +168,9 @@ def save_windows(out_dir, windows) -> Path:
     for i, win in enumerate(windows):
         name = f"windows_{i:05d}.npy"
         pins[name] = save_array(out_dir / name, np.concatenate([win.context, win.horizon], axis=1))
-        entries.append({"window": name, "source_id": win.source_id,
+        entries.append({"window": name, "source_id": win.source_id, "n_nodes": win.n_nodes,
                         "t_ctx": win.context.shape[1], "t_hor": win.horizon.shape[1],
                         "time_step": win.time_step,
-                        "norm_mean": [float(x) for x in win.norm_mean],
-                        "norm_std": [float(x) for x in win.norm_std],
                         "perturbation_onset_index": win.perturbation_onset_index})
     manifest_path = out_dir / "windows_manifest.json"
     write_json(manifest_path, {"format": WINDOWS_FORMAT, "windows": entries, "sha256": pins})
@@ -192,28 +179,27 @@ def save_windows(out_dir, windows) -> Path:
 
 def load_windows(manifest_path) -> list:
     """The windows of a manifest `save_windows` wrote. Each block is checked
-    against its pinned sha256 before it is read, C-ordered, at the (nodes,
-    t_ctx + t_hor) shape its entry gives; a malformed manifest, one of an older format, an entry whose
-    sizes do not fit each other, or a changed, unpinned or differently
-    shaped block raises ArtifactMismatchError."""
+    against its pinned sha256 before it is read, C-ordered, at the (n_nodes,
+    t_ctx + t_hor) shape its entry gives; a malformed manifest, one of an
+    older format, an entry with a size below 1, or a changed, unpinned or
+    differently shaped block raises ArtifactMismatchError."""
     manifest_path = Path(manifest_path)
     manifest = read_manifest(
         manifest_path, WINDOWS_FORMAT,
-        "window sets of CSV blocks, per-window JSON files or time-major blocks are no "
-        "longer read; save them again", _WINDOWS_SCHEMA)
+        "window sets of CSV blocks, per-window JSON files, time-major blocks or "
+        "normalization statistics are no longer read; save them again", _WINDOWS_SCHEMA)
     windows = []
     for entry in manifest["windows"]:
-        t_ctx, t_hor = entry["t_ctx"], entry["t_hor"]
-        norm_mean, norm_std = np.array(entry["norm_mean"]), np.array(entry["norm_std"])
-        if t_ctx < 1 or t_hor < 1 or norm_mean.shape != norm_std.shape:
+        n_nodes, t_ctx, t_hor = entry["n_nodes"], entry["t_ctx"], entry["t_hor"]
+        if min(n_nodes, t_ctx, t_hor) < 1:
             raise ArtifactMismatchError(
-                f"{manifest_path.name} gives {entry['window']} t_ctx {t_ctx}, t_hor "
-                f"{t_hor}, {len(norm_mean)} means and {len(norm_std)} stds")
+                f"{manifest_path.name} gives {entry['window']} n_nodes {n_nodes}, t_ctx "
+                f"{t_ctx} and t_hor {t_hor}, not each at least 1")
         block = read_array(check_pinned(manifest_path.parent, entry["window"],
                                         manifest["sha256"], manifest_path.name),
-                           (len(norm_mean), t_ctx + t_hor))
+                           (n_nodes, t_ctx + t_hor))
         windows.append(TrajectoryWindow(
             context=block[:, :t_ctx], horizon=block[:, t_ctx:], time_step=entry["time_step"],
-            norm_mean=norm_mean, norm_std=norm_std, source_id=entry["source_id"],
+            source_id=entry["source_id"],
             perturbation_onset_index=entry["perturbation_onset_index"]))
     return windows

@@ -122,7 +122,7 @@ class SimulationRecord:
 
     rates: np.ndarray                 # (n_nodes, n_bins), Hz
     adjacency: BrainGraph
-    bin_edges_ms: np.ndarray          # (n_bins + 1,)
+    bin_ms: float                     # every bin's width; the bins tile the duration
     seed: int
     params: LifParams
     perturbation: Optional[PerturbationSpec] = None
@@ -130,11 +130,6 @@ class SimulationRecord:
     @property
     def n_bins(self) -> int:
         return self.rates.shape[1]
-
-    @property
-    def bin_ms(self) -> float:
-        """The width of the first bin, which every bin has."""
-        return float(self.bin_edges_ms[1] - self.bin_edges_ms[0])
 
 
 def sample_perturbation(duration_ms: float, seed: int,
@@ -208,12 +203,12 @@ def simulate_many(runs: Sequence[Tuple[BrainGraph, int, Optional[PerturbationSpe
             perturbation.validate(params.duration_ms)
             if not 0 <= perturbation.neuron < graph.n_nodes:
                 raise InvalidParameterError("perturbed neuron index out of range")
-    edges = bin_edges(params.duration_ms, bin_ms, sigma_ms)
+    edges = bin_edges(params.duration_ms, bin_ms, sigma_ms, params.dt_ms)
 
     n_steps = int(round(params.duration_ms / params.dt_ms))
     counts = _run_lif(runs, params, n_steps, _bin_starts(n_steps, params.dt_ms, edges))
     return [SimulationRecord(rates=_rates_from_counts(c, bin_ms, sigma_ms),
-                             adjacency=graph, bin_edges_ms=edges, seed=seed,
+                             adjacency=graph, bin_ms=bin_ms, seed=seed,
                              params=params, perturbation=perturbation)
             for c, (graph, seed, perturbation) in zip(counts, runs)]
 
@@ -442,18 +437,31 @@ def _lif_blocks(runs, params: LifParams, bg_counts: np.ndarray, v0: np.ndarray,
         yield s1, idx, steps, state
 
 
-def bin_edges(duration_ms: float, bin_ms: float, sigma_ms: float = 0.0) -> np.ndarray:
-    """Edges of the `bin_ms` bins of a `duration_ms` record. Refuses a bin
-    that is not positive or does not divide the duration, and a negative
-    smoothing width `sigma_ms`, so every binning entry point checks both."""
+def bin_count(duration_ms: float, bin_ms: float, sigma_ms: float = 0.0,
+              dt_ms: float = 0.0) -> int:
+    """The number of `bin_ms` bins of a `duration_ms` record stepped every
+    `dt_ms` ms (0 for spike times). Refuses a bin that is not positive, is
+    narrower than one step or does not divide the duration, and a smoothing
+    width `sigma_ms` below 0 or above the duration, so every binning entry
+    point checks them. It builds nothing; with a step, neither the bins nor
+    the 8 * sigma_ms / bin_ms entries of the kernel outnumber the steps."""
     if not bin_ms > 0:
         raise InvalidParameterError(f"bin_ms must be positive, got {bin_ms:g}")
-    if not sigma_ms >= 0:
-        raise InvalidParameterError(f"sigma_ms must be >= 0, got {sigma_ms:g}")
+    if not bin_ms >= dt_ms:
+        raise InvalidParameterError(f"bin_ms {bin_ms:g} is narrower than one {dt_ms:g} ms step")
+    if not 0 <= sigma_ms <= duration_ms:
+        raise InvalidParameterError(
+            f"sigma_ms must be in [0, duration_ms {duration_ms:g}], got {sigma_ms:g}")
     n_bins = duration_ms / bin_ms
     if abs(n_bins - round(n_bins)) > 1e-9:
         raise InvalidParameterError("duration_ms must be a multiple of bin_ms")
-    return np.arange(int(round(n_bins)) + 1) * bin_ms
+    return int(round(n_bins))
+
+
+def bin_edges(duration_ms: float, bin_ms: float, sigma_ms: float = 0.0,
+              dt_ms: float = 0.0) -> np.ndarray:
+    """Edges of the `bin_count` bins of a `duration_ms` record."""
+    return np.arange(bin_count(duration_ms, bin_ms, sigma_ms, dt_ms) + 1) * bin_ms
 
 
 def _bin_starts(n_steps: int, dt: float, edges: np.ndarray) -> np.ndarray:
@@ -517,7 +525,7 @@ def _gaussian_smooth_rows(rows: np.ndarray, sigma_bins: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 # persistence: rates `.npy`, the C-ordered (nodes, bins) block the record
 # holds, read at the shape its JSON meta gives, which alone states seed,
-# node count, params, graph edges, bin edges and perturbation
+# node count, params, graph edges, bin width and perturbation
 # ----------------------------------------------------------------------
 def save_record(out_dir, stem: str, record: SimulationRecord) -> dict:
     """Write `<stem>_rates.npy` and `<stem>_meta.json`; returns the sha256
@@ -532,7 +540,7 @@ def save_record(out_dir, stem: str, record: SimulationRecord) -> dict:
         "graph_seed": record.adjacency.seed,
         "edges": record.adjacency.edges,        # pairs of ints, written as lists
         "params": asdict(record.params),
-        "bin_edges_ms": [float(e) for e in record.bin_edges_ms],
+        "bin_ms": float(record.bin_ms),
         "perturbation": (asdict(record.perturbation)
                          if record.perturbation is not None else None),
     }
@@ -544,34 +552,27 @@ def save_record(out_dir, stem: str, record: SimulationRecord) -> dict:
 # the meta `save_record` writes, which has no format key (its dataset's has)
 _META_SCHEMA = {
     "seed": int, "n_nodes": int, "graph_seed": int, "edges": [[int, int]],
-    "params": get_type_hints(LifParams), "bin_edges_ms": [float],
+    "params": get_type_hints(LifParams), "bin_ms": float,
     "perturbation": (get_type_hints(PerturbationSpec), type(None))}
 
 
 def load_record(out_dir, stem: str) -> SimulationRecord:
     """The record `save_record` wrote. A meta that is malformed or outside
-    its domain (a graph, params or perturbation its class refuses, or bin
-    edges that are not `bin_edges` of its duration at the width of their
-    first bin), and rates that are not the meta's block, raise
-    ArtifactMismatchError."""
+    its domain (a graph, params or perturbation its class refuses, or a bin
+    width `bin_count` refuses for its duration and step), and rates that
+    are not the meta's (nodes, bins) block, raise ArtifactMismatchError."""
     out_dir = Path(out_dir)
     meta_name = f"{stem}_meta.json"
     meta = read_manifest(out_dir / meta_name, None, "", _META_SCHEMA)
-    pert, listed = meta["perturbation"], meta["bin_edges_ms"]
-    edges = np.array(listed, dtype=np.float64)
-    width = listed[1] - listed[0] if len(listed) > 1 else 0.0
+    pert = meta["perturbation"]
     try:
         params = LifParams(**meta["params"])
-        # the bin count first, so that a narrow first bin builds no long array
-        if not (width > 0 and abs(params.duration_ms / width - len(edges) + 1) < 0.5
-                and np.array_equal(edges, bin_edges(params.duration_ms, width))):
-            raise InvalidParameterError(f"bin_edges_ms are not the bins of its "
-                                        f"duration_ms {params.duration_ms:g}")
+        n_bins = bin_count(params.duration_ms, meta["bin_ms"], dt_ms=params.dt_ms)
         return SimulationRecord(
             adjacency=BrainGraph(meta["n_nodes"], meta["edges"], meta["graph_seed"]),
             params=params, perturbation=PerturbationSpec(**pert) if pert else None,
-            rates=read_array(out_dir / f"{stem}_rates.npy", (meta["n_nodes"], len(edges) - 1)),
-            bin_edges_ms=edges, seed=meta["seed"])
+            rates=read_array(out_dir / f"{stem}_rates.npy", (meta["n_nodes"], n_bins)),
+            bin_ms=float(meta["bin_ms"]), seed=meta["seed"])
     except InvalidParameterError as exc:
         raise ArtifactMismatchError(f"{meta_name} is outside its domain: {exc}") from exc
 

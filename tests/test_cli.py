@@ -44,6 +44,28 @@ def _write_config(tmp_path, cfg, name="config.json"):
     return path
 
 
+def _files_of(out):
+    """The bytes of every file under `out` by path, or None if it is absent."""
+    return ({p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            if out.exists() else None)
+
+
+def _refused(capsys, argv, out):
+    """Exit code and stderr of the command `argv` run with `--out out`. A
+    refusal (any nonzero exit) prints one stderr line and no traceback,
+    nothing on stdout, and leaves `--out` as it was: absent if it was
+    absent, else holding the same files."""
+    out = Path(out)
+    before = _files_of(out)
+    capsys.readouterr()
+    code = main([str(a) for a in [*argv, "--out", out]])
+    stdout, err = capsys.readouterr()
+    if code != EXIT_OK:
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, (code, err)
+        assert stdout == "" and _files_of(out) == before, (code, stdout)
+    return code, err
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Run simulate -> prior -> train once; commands under test reuse it."""
@@ -69,7 +91,7 @@ def test_simulate_outputs_and_rerun_reproducibility(pipeline, tmp_path):
     manifest = json.loads((sim / "dataset_manifest.json").read_text())
     # the manifest lists record stems only; each record's facts are in its meta
     assert sorted(manifest) == ["config", "format", "instances", "sha256"]
-    assert manifest["format"] == "sheafcast-dataset-v5"
+    assert manifest["format"] == "sheafcast-dataset-v6"
     assert manifest["instances"] == [{"pre": f"{i:05d}_pre", "post": f"{i:05d}_post"}
                                      for i in range(3)]
     metas = {p.name: json.loads(p.read_text()) for p in sim.glob("*_meta.json")}
@@ -237,12 +259,9 @@ def test_forecast_shapes_and_metrics_pipeline(pipeline, tmp_path, capsys):
     for i, f in enumerate(sorted((fc_dir / "targets").glob("*.npy"))):
         stem = "zz_renamed" if i == 0 else f.stem
         (renamed / f"{stem}.npy").write_bytes(f.read_bytes())
-    capsys.readouterr()
-    assert main(["metrics", "--forecasts", str(fc_dir / "forecasts"),
-                 "--targets", str(renamed),
-                 "--out", str(tmp_path / "m2")]) == EXIT_MISSING
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and "00000.npy" in err
+    code, err = _refused(capsys, ["metrics", "--forecasts", fc_dir / "forecasts",
+                                  "--targets", renamed], tmp_path / "m2")
+    assert code == EXIT_MISSING and "00000.npy" in err
 
 
 def test_perturb_eval_emits_report(pipeline, tmp_path):
@@ -343,11 +362,11 @@ def _repin(data, name):
     path.write_text(json.dumps(dataset))
 
 
-def _run_on_reshaped_rates(pipeline, tmp_path, command, key, value):
-    """Exit code of `command`, with `--out tmp_path / "o"`, on a copy of the
-    pipeline's dataset whose `00000_pre_rates.npy` is replaced, and pinned
-    again, by the block the record would have at `key` `value`: its first
-    7 nodes (`n_nodes` 7) or every second of its 10 ms bins (`bin_ms` 20)."""
+def _reshaped_rates_argv(pipeline, tmp_path, command, key, value):
+    """The argv (without `--out`) of `command` on a copy of the pipeline's
+    dataset whose `00000_pre_rates.npy` is replaced, and pinned again, by
+    the block the record would have at `key` `value`: its first 7 nodes
+    (`n_nodes` 7) or every second of its 10 ms bins (`bin_ms` 20)."""
     data = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], data)
     path = data / "00000_pre_rates.npy"
@@ -360,8 +379,7 @@ def _run_on_reshaped_rates(pipeline, tmp_path, command, key, value):
     _repin(data, path.name)
     extra = {"prior": [], "train": ["--prior", pipeline["prior"] / "prior.csv"],
              "perturb-eval": ["--checkpoint", pipeline["train"] / "checkpoint"]}[command]
-    return main([str(a) for a in [command, "--config", pipeline["cfg_path"], "--data", data,
-                                  *extra, "--out", tmp_path / "o"]])
+    return [command, "--config", pipeline["cfg_path"], "--data", data, *extra]
 
 
 @pytest.mark.parametrize("command", ["prior", "train", "perturb-eval"])
@@ -370,24 +388,22 @@ def _run_on_reshaped_rates(pipeline, tmp_path, command, key, value):
 def test_records_must_match_the_dataset_manifest(pipeline, tmp_path, capsys,
                                                  command, key, value, found):
     """A record's rates must be the block its own meta, which the dataset
-    manifest pins, gives: its 10 nodes by 160 bins of the meta's bin edges,
-    so `found` is what the meta says. A re-pinned block of 7 nodes, or of
-    20 ms bins, is refused by `load_record` as the wrong shape: exit 4 and
-    one stderr line naming the file. (The manifest's own `n_nodes` and
-    `bin_ms`, which this used to check with exit 5, are gone.)"""
-    capsys.readouterr()
-    code = _run_on_reshaped_rates(pipeline, tmp_path, command, key, value)
-    err = capsys.readouterr().err
+    manifest pins, gives: its 10 nodes by the 160 bins of the meta's bin
+    width, so `found` is what the meta says. A re-pinned block of 7 nodes,
+    or of 20 ms bins, is refused by `load_record` as the wrong shape: exit
+    4 and one stderr line naming the file. (The manifest's own `n_nodes`
+    and `bin_ms`, which this used to check with exit 5, are gone.)"""
+    code, err = _refused(capsys, _reshaped_rates_argv(pipeline, tmp_path, command, key, value),
+                         tmp_path / "o")
     assert code == EXIT_MISMATCH, err
-    assert len(err.strip().splitlines()) == 1, err
     stored = (7, 160) if key == "n_nodes" else (10, 80)
     assert f"00000_pre_rates.npy holds a {stored} array, not the (10, 160)" in err, (found, err)
 
 
 @pytest.mark.parametrize("command", ["prior", "train"])
-def test_refused_input_leaves_no_out_dir(pipeline, tmp_path, command):
-    assert _run_on_reshaped_rates(pipeline, tmp_path, command, "n_nodes", 7) == EXIT_MISMATCH
-    assert not (tmp_path / "o").exists()
+def test_refused_input_leaves_no_out_dir(pipeline, tmp_path, capsys, command):
+    argv = _reshaped_rates_argv(pipeline, tmp_path, command, "n_nodes", 7)
+    assert _refused(capsys, argv, tmp_path / "o")[0] == EXIT_MISMATCH
 
 
 def test_refused_forecast_leaves_no_out_dir(pipeline, tmp_path, capsys):
@@ -398,9 +414,8 @@ def test_refused_forecast_leaves_no_out_dir(pipeline, tmp_path, capsys):
     ck, out = pipeline["train"] / "checkpoint", tmp_path / "o"
     rng = np.random.default_rng(8)
     wrong = save_windows(tmp_path / "w7", make_windows(rng.normal(size=(7, 60)), 30, 10, 40))
-    assert _one_line_exit(capsys, ["forecast", "--checkpoint", ck, "--windows", wrong,
-                                   "--out", out]) == EXIT_RUNTIME
-    assert not out.exists()
+    assert _refused(capsys, ["forecast", "--checkpoint", ck, "--windows", wrong],
+                    out)[0] == EXIT_RUNTIME
     right = save_windows(tmp_path / "w10", _windows_of(pipeline, "00000_pre"))
     assert main(["forecast", "--checkpoint", str(ck), "--windows", str(right),
                  "--out", str(out)]) == EXIT_OK
@@ -411,22 +426,9 @@ def test_empty_dataset_leaves_no_out_dir(pipeline, tmp_path, capsys, command):
     cfg_path = _write_config(tmp_path, _fast_config(count=0))
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == EXIT_OK
     extra = ["--prior", str(pipeline["prior"] / "prior.csv")] if command == "train" else []
-    capsys.readouterr()
-    assert main([command, "--config", str(cfg_path), "--data", str(tmp_path / "sim"), *extra,
-                 "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
-    assert "no context windows" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-def _forecast_with(ckpt_dir, tmp_path, capsys):
-    """Exit code and stderr of `forecast` from `ckpt_dir/checkpoint`; a
-    failure prints nothing to stdout and leaves no `--out`."""
-    capsys.readouterr()
-    code = main(["forecast", "--checkpoint", str(ckpt_dir / "checkpoint"),
-                 "--windows", str(tmp_path / "w.json"), "--out", str(tmp_path / "o")])
-    out, err = capsys.readouterr()
-    assert code == EXIT_OK or (out == "" and not (tmp_path / "o").exists()), out
-    return code, err
+    code, err = _refused(capsys, [command, "--config", cfg_path, "--data", tmp_path / "sim",
+                                  *extra], tmp_path / "o")
+    assert code == EXIT_RUNTIME and "no context windows" in err
 
 
 @pytest.mark.parametrize("damage", ["truncated", "padded", "flipped", "other-run", "v1", "v2"])
@@ -454,9 +456,9 @@ def test_damaged_checkpoint_exits_4(pipeline, tmp_path, capsys, damage):
         manifest = manifest.replace("sheafcast-checkpoint-v3", f"sheafcast-checkpoint-{damage}")
     (bad / "checkpoint" / "checkpoint.json").write_text(manifest)
     (bad / "checkpoint" / "field.b2.npy").write_bytes(raw)
-    code, err = _forecast_with(bad, tmp_path, capsys)
+    code, err = _refused(capsys, ["forecast", "--checkpoint", bad / "checkpoint",
+                                  "--windows", tmp_path / "w.json"], tmp_path / "o")
     assert code == EXIT_MISMATCH
-    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert (f"sheafcast-checkpoint-{damage}" if damage in ("v1", "v2") else "sha256") in err, err
 
 
@@ -470,9 +472,10 @@ def test_a_checkpoint_of_the_old_layout_is_not_found(pipeline, tmp_path, capsys)
     (old / "checkpoint.json").write_text(
         manifest.replace("sheafcast-checkpoint-v3", "sheafcast-checkpoint-v2"))
     (old / "checkpoint.npz").write_bytes(b"PK\x05\x06" + b"\0" * 18)
-    code, err = _forecast_with(old, tmp_path, capsys)
+    code, err = _refused(capsys, ["forecast", "--checkpoint", old / "checkpoint",
+                                  "--windows", tmp_path / "w.json"], tmp_path / "o")
     assert code == EXIT_MISSING
-    assert len(err.strip().splitlines()) == 1 and "checkpoint/checkpoint.json" in err, err
+    assert "checkpoint/checkpoint.json" in err, err
 
 
 # a value of the wrong type under a key checkpoint.json has: (key, entry
@@ -513,9 +516,9 @@ def test_malformed_checkpoint_manifest_exits_4(pipeline, tmp_path, capsys, fault
     text = json.dumps(manifest, sort_keys=True)
     (bad / "checkpoint" / "checkpoint.json").write_text(
         text[:-1] if fault == "invalid-json" else text)
-    code, err = _forecast_with(bad, tmp_path, capsys)
+    code, err = _refused(capsys, ["forecast", "--checkpoint", bad / "checkpoint",
+                                  "--windows", tmp_path / "w.json"], tmp_path / "o")
     assert code == EXIT_MISMATCH, err
-    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     if fault in _MISTYPED_CHECKPOINT:
         assert f"checkpoint.json is malformed: {_MISTYPED_CHECKPOINT[fault][0]}" in err, err
 
@@ -532,18 +535,21 @@ def test_checkpoint_with_a_bad_edge_exits_4(pipeline, tmp_path, capsys, fault):
     else:
         edges[0] = [edges[0][0], edges[0][0]]
     (bad / "checkpoint" / "checkpoint.json").write_text(json.dumps(manifest, sort_keys=True))
-    code, err = _forecast_with(bad, tmp_path, capsys)
+    code, err = _refused(capsys, ["forecast", "--checkpoint", bad / "checkpoint",
+                                  "--windows", tmp_path / "w.json"], tmp_path / "o")
     assert code == EXIT_MISMATCH
-    assert len(err.strip().splitlines()) == 1 and fault in err, err
+    assert fault in err, err
 
 
 @pytest.mark.parametrize("fault", ["membrane_tau must be positive",
-                                   "out of range for 10 nodes", "duplicate edge"])
+                                   "out of range for 10 nodes", "duplicate edge",
+                                   "narrower than one 0.1 ms step"])
 def test_record_meta_outside_its_domain_exits_4(pipeline, tmp_path, capsys, fault):
-    """A record meta, re-pinned, whose params, or whose graph, its class
-    refuses (a negative membrane time constant, an edge to node 500 of 10,
-    a repeated edge) exits 4 with one stderr line naming the meta, and no
-    `--out`, as a checkpoint's bad edge does."""
+    """A record meta, re-pinned, whose params, graph or bin width is outside
+    its domain (a negative membrane time constant, an edge to node 500 of
+    10, a repeated edge, a bin of 1e-300 ms, narrower than one step) exits
+    4 with one stderr line naming the meta, and no `--out`, as a
+    checkpoint's bad edge does."""
     data = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], data)
     path = data / "00000_pre_meta.json"
@@ -552,37 +558,39 @@ def test_record_meta_outside_its_domain_exits_4(pipeline, tmp_path, capsys, faul
         meta["params"]["membrane_tau"] = -1.0
     elif fault.startswith("out of range"):
         meta["edges"][0] = [0, 500]
+    elif fault.startswith("narrower"):
+        meta["bin_ms"] = 1e-300
     else:
         meta["edges"][1] = list(meta["edges"][0])
     path.write_text(json.dumps(meta))
     _repin(data, path.name)
-    code, err = _refused(["prior", "--config", pipeline["cfg_path"], "--data", data],
-                         tmp_path, capsys)
+    code, err = _refused(capsys, ["prior", "--config", pipeline["cfg_path"], "--data", data],
+                         tmp_path / "o")
     assert code == EXIT_MISMATCH, err
-    assert len(err.strip().splitlines()) == 1, err
     assert "00000_pre_meta.json" in err and fault in err, err
 
 
 @pytest.mark.parametrize("command", ["prior", "perturb-eval"])
 def test_record_bin_edges_that_do_not_tile_its_duration_exit_4(pipeline, tmp_path, capsys,
                                                                command):
-    """A record's bin edges must be the `bin_edges` of its duration at the
-    width of their first bin. A pre meta, re-pinned, whose edges were
-    doubled (which `prior` read as the same 160 bins, writing the same
-    `prior.csv` with exit 0) exits 4 with one stderr line naming the meta."""
+    """A record's bins must tile its duration. A pre meta, re-pinned, whose
+    30 ms bins do not divide its 1600 ms exits 4 with one stderr line
+    naming the meta. (Its meta held every bin edge, which had to be the
+    bins of its duration at the width of the first: edges doubled were
+    read as the same 160 bins, writing the same `prior.csv` with exit 0.)"""
     data = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], data)
     path = data / "00000_pre_meta.json"
     meta = json.loads(path.read_text())
-    meta["bin_edges_ms"] = [2 * edge for edge in meta["bin_edges_ms"]]
+    meta["bin_ms"] = 30.0
     path.write_text(json.dumps(meta))
     _repin(data, path.name)
     extra = {"prior": [], "perturb-eval": ["--checkpoint", pipeline["train"] / "checkpoint"]}
-    code, err = _refused([command, "--config", pipeline["cfg_path"], "--data", data,
-                          *extra[command]], tmp_path, capsys)
+    code, err = _refused(capsys, [command, "--config", pipeline["cfg_path"], "--data", data,
+                                  *extra[command]], tmp_path / "o")
     assert code == EXIT_MISMATCH, err
     assert err.splitlines() == ["artifact mismatch: 00000_pre_meta.json is outside its domain: "
-                                "bin_edges_ms are not the bins of its duration_ms 1600"], err
+                                "duration_ms must be a multiple of bin_ms"], err
 
 
 @pytest.mark.parametrize("fault", ["no-perturbation", "swapped-posts"])
@@ -608,11 +616,10 @@ def test_a_post_record_that_is_not_its_pre_perturbed_exits_4(pipeline, tmp_path,
         for entry, post in zip(dataset["instances"], posts[1:] + posts[:1]):
             entry["post"] = post
         path.write_text(json.dumps(dataset))
-    code, err = _refused(["perturb-eval", "--config", pipeline["cfg_path"],
-                          "--checkpoint", pipeline["train"] / "checkpoint", "--data", data],
-                         tmp_path, capsys)
+    code, err = _refused(capsys, ["perturb-eval", "--config", pipeline["cfg_path"],
+                                  "--checkpoint", pipeline["train"] / "checkpoint",
+                                  "--data", data], tmp_path / "o")
     assert code == EXIT_MISMATCH, err
-    assert len(err.strip().splitlines()) == 1, err
     post = "00000_post" if fault == "no-perturbation" else "00001_post"
     assert f"pairs 00000_pre with {post}, not a perturbed run" in err, err
 
@@ -653,26 +660,23 @@ def test_schema_violations_exit_2(tmp_path):
 
 def test_forecast_refuses_a_tampered_window_set(pipeline, tmp_path, capsys):
     """The windows manifest is the unpinned root that vouches for every byte
-    `forecast` reads: an entry whose metadata does not fit its block, or
-    itself, is refused as an artifact mismatch (exit 4), the block being
-    read at the shape its entry gives."""
+    `forecast` reads: an entry whose sizes do not fit its block, or are
+    below 1, is refused as an artifact mismatch (exit 4), the block being
+    read at the (n_nodes, t_ctx + t_hor) shape its entry gives."""
     from sheafcast.data import save_windows
 
     windows = _windows_of(pipeline, "00000_pre")
-    tampers = [("t_ctx", 40), ("t_ctx", 35), ("norm_mean", [0.0]), ("norm_std", []),
+    tampers = [("t_ctx", 40), ("t_ctx", 35), ("n_nodes", 9), ("n_nodes", 0), ("t_hor", 0),
                ("t_ctx", 31)]
     for i, (key, value) in enumerate(tampers):
         manifest = save_windows(tmp_path / f"w{i}", windows)
         listing = json.loads(manifest.read_text())
         listing["windows"][1][key] = value
         manifest.write_text(json.dumps(listing))
-        capsys.readouterr()
-        code = main(["forecast", "--checkpoint", str(pipeline["train"] / "checkpoint"),
-                     "--windows", str(manifest), "--out", str(tmp_path / f"fc{i}")])
-        err = capsys.readouterr().err
+        code, err = _refused(capsys, ["forecast", "--checkpoint", pipeline["train"] / "checkpoint",
+                                      "--windows", manifest], tmp_path / f"fc{i}")
         assert code == EXIT_MISMATCH, (key, value, err)
-        assert len(err.strip().splitlines()) == 1 and "windows_00001.npy" in err, err
-        assert not (tmp_path / f"fc{i}").exists()
+        assert "windows_00001.npy" in err, err
 
 
 def _windows_of(pipeline, stem, stride=40):
@@ -738,12 +742,9 @@ def test_a_faulty_pinned_file_exits_3_or_4(pipeline, tmp_path, capsys, command, 
                              "--checkpoint", ck, "--data", data],
             "forecast": ["forecast", "--checkpoint", ck,
                          "--windows", data / "windows_manifest.json"]}[command]
-    capsys.readouterr()
-    code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
-    err = capsys.readouterr().err
+    code, err = _refused(capsys, argv, tmp_path / "o")
     assert code == (EXIT_MISSING if fault == "removed" else EXIT_MISMATCH), err
-    assert len(err.strip().splitlines()) == 1 and Path(name).name in err, err
-    assert not (tmp_path / "o").exists()
+    assert Path(name).name in err, err
 
 
 def test_one_changed_rate_exits_4_instead_of_another_prior(pipeline, tmp_path, capsys):
@@ -756,13 +757,10 @@ def test_one_changed_rate_exits_4_instead_of_another_prior(pipeline, tmp_path, c
     rates = np.load(path)
     rates[5, 3] += 1.0
     np.save(path, rates)
-    capsys.readouterr()
-    code = main(["prior", "--config", str(pipeline["cfg_path"]), "--data", str(data),
-                 "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
+    code, err = _refused(capsys, ["prior", "--config", pipeline["cfg_path"], "--data", data],
+                         tmp_path / "o")
     assert code == EXIT_MISMATCH
-    assert len(err.strip().splitlines()) == 1 and "00000_pre_rates.npy" in err, err
-    assert not (tmp_path / "o").exists()
+    assert "00000_pre_rates.npy" in err, err
 
 
 def _metrics_of_copy(chain, tmp_path):
@@ -807,13 +805,10 @@ def test_a_faulty_forecast_set_exits_3_or_4(chain, tmp_path, capsys, fault):
         manifest = json.loads(listing.read_text())
         manifest["forecasts"][1]["forecast"] = name
         listing.write_text(json.dumps(manifest))
-    capsys.readouterr()
-    code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
-    err = capsys.readouterr().err
+    code, err = _refused(capsys, argv, tmp_path / "o")
     missing = fault in ("removed-target", "no-manifest")
     assert code == (EXIT_MISSING if missing else EXIT_MISMATCH), err
-    assert len(err.strip().splitlines()) == 1 and name in err, err
-    assert not (tmp_path / "o").exists()
+    assert name in err, err
 
 
 def test_an_unpinned_extra_pair_is_not_scored(chain, tmp_path):
@@ -850,16 +845,6 @@ def _artifact_copy(kind, pipeline, chain, tmp_path):
     shutil.copytree(pipeline["train"] / "checkpoint", ck)
     return (ck, "sheaf.rho_src.npy", ck / "checkpoint.json",
             ["forecast", "--checkpoint", ck, "--windows", windows])
-
-
-def _refused(argv, tmp_path, capsys):
-    """Exit code and stderr of `argv` with a fresh `--out`, which a refusal
-    leaves absent, with nothing on stdout."""
-    capsys.readouterr()
-    code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
-    out, err = capsys.readouterr()
-    assert out == "" and not (tmp_path / "o").exists(), (code, out)
-    return code, err
 
 
 _ARTIFACT_KINDS = ["checkpoint-array", "window-block", "forecast-target", "record-rates"]
@@ -904,33 +889,47 @@ _SHAPES = {
 }
 
 
+def _first_value_set(raw, value):
+    array = np.load(io.BytesIO(raw)).copy()
+    array.flat[0] = value
+    return _npy_bytes(array)
+
+
+# the pinned array, its first value made NaN or an infinity
+_NOT_FINITE_CONTENT = {name: lambda raw, value=value: _first_value_set(raw, value)
+                       for name, value in [("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)]}
+
+
 @pytest.mark.parametrize("kind, content", [
     *[(k, c) for k in _ARTIFACT_KINDS for c in _NOT_NPY],
     *[(k, c) for k in _ARTIFACT_KINDS if k != "checkpoint-array" for c in _LAYOUTS],
     # the fixture's targets are 10 bins by 10 nodes, so a transposed one
     # has the shape its entry gives
     *[(k, c) for k in _ARTIFACT_KINDS if k != "checkpoint-array" for c in _SHAPES
-      if (k, c) != ("forecast-target", "transposed")]])
+      if (k, c) != ("forecast-target", "transposed")],
+    *[(k, c) for k in _ARTIFACT_KINDS for c in _NOT_FINITE_CONTENT]])
 def test_a_repinned_file_that_is_not_a_float64_npy_exits_4(pipeline, chain, tmp_path, capsys,
                                                            kind, content):
     """A pinned array file replaced by bytes that are not the `.npy` of a
-    C-ordered float64 array, or of one whose shape is not the (nodes, bins)
-    its manifest or record meta gives, and pinned again, so only the one
-    `.npy` reader (`artifacts.read_array`) and its shape check can refuse
-    it: exit 4 with one stderr line naming the file, for
-    every kind of array file. (The layouts of a checkpoint array are in
-    `test_training.py`; its shapes are checked against its model.)"""
+    C-ordered float64 array, of one whose shape is not the (nodes, bins)
+    its manifest or record meta gives, or of one holding NaN or an infinity
+    (which exited 5, with numpy warnings before the line for record rates
+    and naming no file), and pinned again, so only the one `.npy` reader
+    (`artifacts.read_array`) can refuse it: exit 4 with one stderr line
+    naming the file, for every kind of array file. (The layouts of a
+    checkpoint array are in `test_training.py`; its shapes are checked
+    against its model.)"""
     base, name, manifest, argv = _artifact_copy(kind, pipeline, chain, tmp_path)
     raw = (base / name).read_bytes()
-    new = {**_NOT_NPY, **_LAYOUTS, **_SHAPES}[content](raw)
+    new = {**_NOT_NPY, **_LAYOUTS, **_SHAPES, **_NOT_FINITE_CONTENT}[content](raw)
     (base / name).write_bytes(new)
     text = manifest.read_text()
     old_digest = hashlib.sha256(raw).hexdigest()
     assert text.count(old_digest) == 1
     manifest.write_text(text.replace(old_digest, hashlib.sha256(new).hexdigest()))
-    code, err = _refused(argv, tmp_path, capsys)
+    code, err = _refused(capsys, argv, tmp_path / "o")
     assert code == EXIT_MISMATCH, err
-    assert len(err.strip().splitlines()) == 1 and name in err, err
+    assert name in err, err
 
 
 _UNPRINTABLE = {"nul": "\0", "newline": "\n"}
@@ -958,9 +957,8 @@ def test_a_pinned_name_outside_its_artifact_exits_4(pipeline, chain, tmp_path, c
     else:
         named = prefix + _UNPRINTABLE[form]
     manifest.write_text(manifest.read_text().replace(f'"{prefix}', json.dumps(named)[:-1]))
-    code, err = _refused(argv, tmp_path, capsys)
+    code, err = _refused(capsys, argv, tmp_path / "o")
     assert code == EXIT_MISMATCH, err
-    assert len(err.strip().splitlines()) == 1, err
     assert f"{manifest.name} names {named!r}"[:-1] in err, err
 
 
@@ -975,37 +973,37 @@ def test_check_pinned_takes_only_a_plain_file_name(tmp_path, name):
         check_pinned(tmp_path, name, {name: file_hash(tmp_path / "sub" / "a.npy")}, "m.json")
 
 
-@pytest.mark.parametrize("version", ["v2", "v3", "v4"])
+@pytest.mark.parametrize("version", ["v2", "v3", "v4", "v5"])
 def test_an_older_dataset_exits_4_naming_its_format(pipeline, tmp_path, capsys, version):
     """A dataset of the layout before record metas held their edges (v2, a
     `<stem>_adjacency.csv` per record), before they were the one place of
     every record fact (v3, whose manifest repeated each record's node
-    count, bin width, seed and perturbation), or before rates were stored
-    as the (nodes, bins) block a record holds (v4, time-major), is refused,
+    count, bin width, seed and perturbation), before rates were stored as
+    the (nodes, bins) block a record holds (v4, time-major), or before a
+    meta held its bin width in place of every bin edge (v5), is refused,
     not read."""
     data = tmp_path / "sim"
     shutil.copytree(pipeline["sim"], data)
     dataset = json.loads((data / "dataset_manifest.json").read_text())
     dataset["format"] = f"sheafcast-dataset-{version}"
     (data / "dataset_manifest.json").write_text(json.dumps(dataset))
-    capsys.readouterr()
-    assert main(["prior", "--config", str(pipeline["cfg_path"]), "--data", str(data),
-                 "--out", str(tmp_path / "p")]) == EXIT_MISMATCH
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1, err
+    code, err = _refused(capsys, ["prior", "--config", pipeline["cfg_path"], "--data", data],
+                         tmp_path / "p")
+    assert code == EXIT_MISMATCH
     assert f"sheafcast-dataset-{version}" in err and "run simulate again" in err, err
-    assert not (tmp_path / "p").exists()
 
 
 @pytest.mark.parametrize("command, flag, old", [
     ("forecast", "--windows", "sheafcast-windows-v3"),
+    ("forecast", "--windows", "sheafcast-windows-v4"),
     ("metrics", "--forecasts", "sheafcast-forecasts-v1")])
 def test_an_older_window_or_forecast_set_exits_4_naming_its_format(chain, tmp_path, capsys,
                                                                     command, flag, old):
     """A window set or forecast set of time-major blocks (windows v3,
     forecasts v1) is refused, not read: a square block, such as the
     fixture's 10-node, 10-bin targets, would pass the shape check
-    transposed."""
+    transposed. So is a window set whose entries gave each window's node
+    count as the length of its normalization statistics (windows v4)."""
     argv, _ = chain[command]
     at = argv.index(flag) + 1
     given = Path(argv[at])         # the windows manifest, or the forecasts directory
@@ -1015,10 +1013,10 @@ def test_an_older_window_or_forecast_set_exits_4_naming_its_format(chain, tmp_pa
     listing = json.loads(manifest.read_text())
     listing["format"] = old
     manifest.write_text(json.dumps(listing))
-    code, err = _refused([*argv[:at], manifest if given.is_file() else copy, *argv[at + 1:]],
-                         tmp_path, capsys)
+    code, err = _refused(capsys, [*argv[:at], manifest if given.is_file() else copy,
+                                  *argv[at + 1:]], tmp_path / "o")
     assert code == EXIT_MISMATCH, err
-    assert len(err.strip().splitlines()) == 1 and old in err, err
+    assert old in err, err
 
 
 def test_csv_datasets_and_window_sets_exit_4_naming_the_format(pipeline, tmp_path, capsys):
@@ -1032,11 +1030,9 @@ def test_csv_datasets_and_window_sets_exit_4_naming_the_format(pipeline, tmp_pat
     dataset = json.loads((data / "dataset_manifest.json").read_text())
     del dataset["format"], dataset["sha256"]
     (data / "dataset_manifest.json").write_text(json.dumps(dataset))
-    capsys.readouterr()
-    assert main(["prior", "--config", str(pipeline["cfg_path"]), "--data", str(data),
-                 "--out", str(tmp_path / "p")]) == EXIT_MISMATCH
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and "CSV" in err, err
+    code, err = _refused(capsys, ["prior", "--config", pipeline["cfg_path"], "--data", data],
+                         tmp_path / "p")
+    assert code == EXIT_MISMATCH and "CSV" in err, err
 
     window = _windows_of(pipeline, "00000_pre")[0]
     old = tmp_path / "w"
@@ -1045,16 +1041,12 @@ def test_csv_datasets_and_window_sets_exit_4_naming_the_format(pipeline, tmp_pat
                    np.concatenate([window.context, window.horizon], axis=1))
     (old / "windows_00000.json").write_text(json.dumps({
         "source_id": window.source_id, "t_ctx": 30, "t_hor": 10, "time_step": 1.0,
-        "norm_mean": window.norm_mean.tolist(), "norm_std": window.norm_std.tolist(),
-        "perturbation_onset_index": None}))
+        "norm_mean": [0.0] * 10, "norm_std": [1.0] * 10, "perturbation_onset_index": None}))
     (old / "windows_manifest.json").write_text(json.dumps(
         {"windows": [{"window": "windows_00000.csv", "meta": "windows_00000.json"}]}))
-    assert main(["forecast", "--checkpoint", str(pipeline["train"] / "checkpoint"),
-                 "--windows", str(old / "windows_manifest.json"),
-                 "--out", str(tmp_path / "fc")]) == EXIT_MISMATCH
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and "CSV" in err, err
-    assert not (tmp_path / "p").exists() and not (tmp_path / "fc").exists()
+    code, err = _refused(capsys, ["forecast", "--checkpoint", pipeline["train"] / "checkpoint",
+                                  "--windows", old / "windows_manifest.json"], tmp_path / "fc")
+    assert code == EXIT_MISMATCH and "CSV" in err, err
 
 
 _MALFORMED = {"invalid-json": "{not json", "array": "[1, 2]",
@@ -1085,12 +1077,8 @@ def test_a_malformed_manifest_exits_4(pipeline, chain, tmp_path, capsys, name, c
         argv = ["forecast", "--checkpoint", ck / "checkpoint", "--windows", windows]
         target = windows if name == "windows_manifest.json" else ck / "checkpoint" / name
     target.write_text(content)
-    capsys.readouterr()
-    code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
-    out, err = capsys.readouterr()
-    assert code == EXIT_MISMATCH, err
-    assert len(err.strip().splitlines()) == 1 and name in err and out == "", err
-    assert not (tmp_path / "o").exists()
+    code, err = _refused(capsys, argv, tmp_path / "o")
+    assert code == EXIT_MISMATCH and name in err, err
 
 
 _DROP = object()
@@ -1108,7 +1096,7 @@ _MALFORMED_KEYS = [
     ("windows_manifest.json", ("windows",), _DROP),
     ("windows_manifest.json", ("windows", 0, "t_ctx"), _DROP),
     ("windows_manifest.json", ("windows", 0, "t_ctx"), "30"),
-    ("windows_manifest.json", ("windows", 1, "norm_mean", 0), "0.5"),
+    ("windows_manifest.json", ("windows", 1, "n_nodes"), "10"),
     ("windows_manifest.json", ("sha256",), ["windows_00000.npy"]),
     ("forecasts_manifest.json", ("forecasts",), _DROP),
     ("forecasts_manifest.json", ("forecasts", 0, "t_hor"), "10"),
@@ -1116,7 +1104,7 @@ _MALFORMED_KEYS = [
     ("forecasts_manifest.json", ("sha256",), ["00000.csv"]),
     ("00000_pre_meta.json", ("edges",), _DROP),
     ("00000_pre_meta.json", ("params",), _DROP),
-    ("00000_pre_meta.json", ("bin_edges_ms",), _DROP),
+    ("00000_pre_meta.json", ("bin_ms",), _DROP),
     ("00000_pre_meta.json", ("params", "dt_ms"), "0.1"),
 ]
 
@@ -1154,13 +1142,9 @@ def test_a_manifest_with_a_missing_or_mistyped_key_exits_4(pipeline, chain, tmp_
     path.write_text(json.dumps(manifest))
     if name.endswith("_meta.json"):
         _repin(data, name)
-    capsys.readouterr()
-    code = main([str(a) for a in argv + ["--out", tmp_path / "o"]])
-    out, err = capsys.readouterr()
-    assert code == EXIT_MISMATCH, err
-    assert len(err.strip().splitlines()) == 1 and name in err and out == "", err
+    code, err = _refused(capsys, argv, tmp_path / "o")
+    assert code == EXIT_MISMATCH and name in err, err
     assert str(keys[-1]) in err, err      # the key, or the path it ends
-    assert not (tmp_path / "o").exists()
 
 
 # Python's `json` decodes these literals to floats that are not finite
@@ -1170,7 +1154,7 @@ _FINITE_NUMBERS = [
     ("00000_pre_meta.json", ("params", "membrane_tau"), "record-rates"),
     ("checkpoint.json", ("val_loss",), "checkpoint-array"),
     ("checkpoint.json", ("prior_scores", 0), "checkpoint-array"),
-    ("windows_manifest.json", ("windows", 0, "norm_std", 0), "window-block"),
+    ("windows_manifest.json", ("windows", 0, "time_step"), "window-block"),
 ]
 
 
@@ -1195,7 +1179,7 @@ def test_a_number_that_is_not_finite_in_an_artifact_exits_4(pipeline, chain, tmp
     assert literal in path.read_text()
     if name.endswith("_meta.json"):
         _repin(base, name)
-    code, err = _refused(argv, tmp_path, capsys)
+    code, err = _refused(capsys, argv, tmp_path / "o")
     assert code == EXIT_MISMATCH, err
     at = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
     assert err.splitlines() == [f"artifact mismatch: {name} is malformed: {at} is "
@@ -1214,7 +1198,7 @@ def test_every_command_refuses_a_used_out_before_any_work(tmp_path, capsys, comm
     used = tmp_path / "used"
     used.mkdir()
     (used / "keep.txt").write_text("kept")
-    assert _one_line_exit(capsys, command + ["--out", used]) == EXIT_RUNTIME
+    assert _refused(capsys, command, used)[0] == EXIT_RUNTIME
     assert [p.name for p in used.iterdir()] == ["keep.txt"]
     assert (used / "keep.txt").read_text() == "kept"
 
@@ -1231,23 +1215,12 @@ def test_a_second_forecast_into_the_same_out_leaves_the_first(pipeline, tmp_path
     assert main(["forecast", "--checkpoint", str(ck), "--windows",
                  str(save_windows(tmp_path / "w13", windows)), "--out", str(fc)]) == EXIT_OK
     first = {p: p.read_bytes() for p in fc.rglob("*") if p.is_file()}
-    assert _one_line_exit(capsys, [
-        "forecast", "--checkpoint", ck, "--windows",
-        save_windows(tmp_path / "w2", windows[:2]), "--out", fc]) == EXIT_RUNTIME
+    assert _refused(capsys, ["forecast", "--checkpoint", ck, "--windows",
+                             save_windows(tmp_path / "w2", windows[:2])], fc)[0] == EXIT_RUNTIME
     assert {p: p.read_bytes() for p in fc.rglob("*") if p.is_file()} == first
     assert main(["metrics", "--forecasts", str(fc / "forecasts"),
                  "--targets", str(fc / "targets"), "--out", str(tmp_path / "m")]) == EXIT_OK
     assert json.loads((tmp_path / "m" / "metric_report.json").read_text())["n_windows"] == 13
-
-
-def _one_line_exit(capsys, argv):
-    capsys.readouterr()
-    code = main([str(a) for a in argv])
-    out, err = capsys.readouterr()
-    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
-    # a success line is printed only once `--out` is in place
-    assert code == EXIT_OK or out == "", out
-    return code
 
 
 @pytest.fixture(scope="module")
@@ -1346,7 +1319,7 @@ def test_a_failed_write_leaves_out_as_it_was(chain, tmp_path, capsys, monkeypatc
                 m.setattr(os, "replace", faulty_replace)
             if fault is None:
                 return main([str(a) for a in argv + ["--out", out]])
-            return _one_line_exit(capsys, argv + ["--out", out])
+            return _refused(capsys, argv, out)[0]
 
     assert run(tmp_path / "counted") == EXIT_OK
     n_writes = len(writes)
@@ -1386,7 +1359,7 @@ def test_the_working_directory_is_refused_as_out(tmp_path, capsys, monkeypatch):
     """Renaming the staged directory onto the working directory would leave
     the caller in a deleted directory, so an empty `--out .` exits 5."""
     monkeypatch.chdir(tmp_path)
-    assert _one_line_exit(capsys, ["simulate", "--seed", "1", "--out", "."]) == EXIT_RUNTIME
+    assert _refused(capsys, ["simulate", "--seed", "1"], ".")[0] == EXIT_RUNTIME
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1426,7 +1399,10 @@ BAD_VALUES = [
     (("train", "t_ctx"), 0), (("train", "t_hor"), 0), (("train", "stride"), 0),
     (("eval", "t_ctx"), 0), (("eval", "t_hor"), 0),
     (("simulate", "sigma_ms"), -20.0), (("simulate", "bin_ms"), 0.0),
-    (("simulate", "bin_ms"), -10.0), (("seed",), -1),
+    (("simulate", "bin_ms"), -10.0), (("simulate", "bin_ms"), 0.05),
+    # 2e303 bins, which `validate_config` used to build until numpy refused
+    # the size (exit 5)
+    (("simulate", "bin_ms"), 1e-300), (("simulate", "sigma_ms"), 2000.0), (("seed",), -1),
     (("simulate", "n_nodes"), 0), (("simulate", "n_nodes"), -3),
     (("simulate", "small_world_k"), 3), (("simulate", "small_world_k"), 0),
     (("simulate", "small_world_beta"), 2.0),
@@ -1484,10 +1460,8 @@ def test_a_config_number_that_is_not_finite_exits_2(tmp_path, capsys, keys, lite
     `simulate.bin_ms` Infinity exited 5 after a numpy warning.)"""
     path = _write_config(tmp_path, _with_value(_fast_config(count=1), keys, _NOT_FINITE[literal]))
     assert literal in path.read_text()
-    capsys.readouterr()
-    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
-    out, err = capsys.readouterr()
-    assert code == EXIT_CONFIG and out == "" and not (tmp_path / "o").exists(), err
+    code, err = _refused(capsys, ["simulate", "--config", path], tmp_path / "o")
+    assert code == EXIT_CONFIG, err
     assert err.splitlines() == [f"config error: {'.'.join(keys)} is {_NOT_FINITE[literal]}, "
                                 f"not a finite number"], err
 
@@ -1497,10 +1471,8 @@ def test_an_integer_too_large_for_a_float_entry_exits_2(tmp_path, capsys):
     is no finite number either (it made `float()` raise OverflowError, exit
     5): exit 2 naming the entry."""
     path = _write_config(tmp_path, _with_value(_fast_config(count=1), ("train", "lr"), 10**400))
-    capsys.readouterr()
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    out, err = capsys.readouterr()
-    assert out == "" and not (tmp_path / "o").exists()
+    code, err = _refused(capsys, ["simulate", "--config", path], tmp_path / "o")
+    assert code == EXIT_CONFIG
     assert err.splitlines() == [f"config error: train.lr is {10**400}, not a finite number"]
 
 
@@ -1530,41 +1502,36 @@ def test_a_config_file_must_be_valid_on_its_own(tmp_path, capsys):
     cfg = _fast_config(count=0)
     cfg["seed"] = -1
     out = tmp_path / "o"
-    assert _one_line_exit(capsys, ["simulate", "--config", _write_config(tmp_path, cfg),
-                                   "--seed", "3", "--out", out]) == EXIT_CONFIG
-    assert not out.exists() and _siblings(out) == []
+    assert _refused(capsys, ["simulate", "--config", _write_config(tmp_path, cfg),
+                             "--seed", "3"], out)[0] == EXIT_CONFIG
+    assert _siblings(out) == []
 
 
 def test_config_domain_error_exits_2(pipeline, tmp_path, capsys):
     for i, (keys, value) in enumerate(BAD_VALUES):
         cfg = _with_value(_fast_config(), keys, value)
         path = _write_config(tmp_path, cfg, f"config_{i}.json")
-        assert _one_line_exit(capsys, [
-            "train", "--config", path, "--data", pipeline["sim"],
-            "--prior", pipeline["prior"] / "prior.csv",
-            "--out", tmp_path / "o"]) == EXIT_CONFIG, (keys, value)
-        assert not (tmp_path / "o").exists()
+        assert _refused(capsys, ["train", "--config", path, "--data", pipeline["sim"],
+                                 "--prior", pipeline["prior"] / "prior.csv"],
+                        tmp_path / "o")[0] == EXIT_CONFIG, (keys, value)
     # an empty dataset is still a valid request, but not one of 0 nodes
     cfg = _fast_config(count=0)
     assert main(["simulate", "--config", str(_write_config(tmp_path, cfg, "empty.json")),
                  "--out", str(tmp_path / "empty")]) == EXIT_OK
     cfg["simulate"]["n_nodes"] = 0
-    assert _one_line_exit(capsys, [
-        "simulate", "--config", _write_config(tmp_path, cfg, "no_nodes.json"),
-        "--out", tmp_path / "o"]) == EXIT_CONFIG
-    assert not (tmp_path / "o").exists()
-    assert _one_line_exit(capsys, ["simulate", "--seed", "-1", "--out", tmp_path / "o"]) == (
-        EXIT_CONFIG)
-    assert not (tmp_path / "o").exists()
+    assert _refused(capsys, ["simulate", "--config",
+                             _write_config(tmp_path, cfg, "no_nodes.json")],
+                    tmp_path / "o")[0] == EXIT_CONFIG
+    assert _refused(capsys, ["simulate", "--seed", "-1"], tmp_path / "o")[0] == EXIT_CONFIG
 
 
 def test_prior_edge_outside_the_graph_exits_5(pipeline, tmp_path, capsys):
     header, first, *rest = (pipeline["prior"] / "prior.csv").read_text().splitlines()
     bad = tmp_path / "prior.csv"
     bad.write_text("\n".join([header, "-1," + first.split(",", 1)[1], *rest]) + "\n")
-    assert _one_line_exit(capsys, [
-        "train", "--config", pipeline["cfg_path"], "--data", pipeline["sim"],
-        "--prior", bad, "--out", tmp_path / "o"]) == EXIT_RUNTIME
+    assert _refused(capsys, ["train", "--config", pipeline["cfg_path"],
+                             "--data", pipeline["sim"], "--prior", bad],
+                    tmp_path / "o")[0] == EXIT_RUNTIME
 
 
 def _pinned_forecast_set(root, pairs):
@@ -1593,25 +1560,24 @@ def test_data_faults_exit_5(pipeline, tmp_path, capsys):
     # t_hor) of its entry and target (1 node, 2 bins): not a data fault but
     # a forecast set that does not fit its manifest, so exit 4
     fc, tg = _pinned_forecast_set(tmp_path, [("n0\n1.0\n", np.ones((1, 2)))])
-    assert _one_line_exit(capsys, ["metrics", "--forecasts", fc, "--targets", tg,
-                                   "--out", tmp_path / "m"]) == EXIT_MISMATCH
+    assert _refused(capsys, ["metrics", "--forecasts", fc, "--targets", tg],
+                    tmp_path / "m")[0] == EXIT_MISMATCH
 
     dataset = json.loads((pipeline["sim"] / "dataset_manifest.json").read_text())
     empty = tmp_path / "empty"
     empty.mkdir()
     (empty / "dataset_manifest.json").write_text(
         json.dumps({**dataset, "instances": []}))
-    assert _one_line_exit(capsys, ["prior", "--config", pipeline["cfg_path"],
-                                   "--data", empty, "--out", tmp_path / "p"]) == EXIT_RUNTIME
+    assert _refused(capsys, ["prior", "--config", pipeline["cfg_path"], "--data", empty],
+                    tmp_path / "p")[0] == EXIT_RUNTIME
 
     unperturbed = tmp_path / "unperturbed"
     unperturbed.mkdir()
     (unperturbed / "dataset_manifest.json").write_text(json.dumps(
         {**dataset, "instances": [{**e, "post": None} for e in dataset["instances"]]}))
-    assert _one_line_exit(capsys, [
-        "perturb-eval", "--config", pipeline["cfg_path"],
-        "--checkpoint", pipeline["train"] / "checkpoint", "--data", unperturbed,
-        "--out", tmp_path / "pe"]) == EXIT_RUNTIME
+    assert _refused(capsys, ["perturb-eval", "--config", pipeline["cfg_path"],
+                             "--checkpoint", pipeline["train"] / "checkpoint",
+                             "--data", unperturbed], tmp_path / "pe")[0] == EXIT_RUNTIME
 
 
 def test_a_report_number_that_is_not_finite_exits_5(chain, tmp_path, capsys, monkeypatch):
@@ -1621,8 +1587,8 @@ def test_a_report_number_that_is_not_finite_exits_5(chain, tmp_path, capsys, mon
     scored = cli.evaluate
     monkeypatch.setattr(cli, "evaluate", lambda preds, targets: dataclasses.replace(
         scored(preds, targets), dtw=float("inf")))
-    code, err = _refused(chain["metrics"][0], tmp_path, capsys)
-    assert code == EXIT_RUNTIME and len(err.splitlines()) == 1, err
+    code, err = _refused(capsys, chain["metrics"][0], tmp_path / "o")
+    assert code == EXIT_RUNTIME, err
     assert err.startswith("runtime failure: ValueError: Out of range float values"), err
     with pytest.raises(ValueError):
         write_json(tmp_path / "nan.json", {"a": [float("nan")]})
@@ -1664,10 +1630,10 @@ def test_a_bad_prior_csv_exits_5_naming_it_before_training(pipeline, tmp_path, c
     bad = tmp_path / "prior.csv"
     bad.write_text("\n".join([header, *rows]) + "\n")
     monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("train started"))
-    code, err = _refused(["train", "--config", pipeline["cfg_path"], "--data", pipeline["sim"],
-                          "--prior", bad], tmp_path, capsys)
+    code, err = _refused(capsys, ["train", "--config", pipeline["cfg_path"],
+                                  "--data", pipeline["sim"], "--prior", bad], tmp_path / "o")
     assert code == EXIT_RUNTIME, err
-    assert len(err.strip().splitlines()) == 1 and "prior.csv" in err, err
+    assert "prior.csv" in err, err
 
 
 def test_an_overflowing_forecast_exits_5_with_one_line(tmp_path):
@@ -1686,8 +1652,8 @@ def test_foreign_exceptions_exit_5_with_one_line(pipeline, tmp_path, capsys):
     # an `--out` under a file: `mkdir` raises an OSError of its own
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
-    assert _one_line_exit(capsys, ["simulate", "--config", pipeline["cfg_path"],
-                                   "--out", blocker / "sub"]) == EXIT_RUNTIME
+    assert _refused(capsys, ["simulate", "--config", pipeline["cfg_path"]],
+                    blocker / "sub")[0] == EXIT_RUNTIME
 
 
 def test_missing_inputs_exit_3(tmp_path):

@@ -15,6 +15,14 @@ def _series(n=4, t=200, seed=0):
     return np.random.default_rng(seed).normal(size=(n, t)) * 3.0 + 5.0
 
 
+def _unscaled(z, raw, t_stats, floor=0.0):
+    """`z` mapped back by the per-row mean and std of `raw[:, :t_stats]`, a
+    constant row's std counting as 1 and any other's as at least `floor`."""
+    mean, std = raw[:, :t_stats].mean(axis=1), raw[:, :t_stats].std(axis=1)
+    std = np.where(std <= 1e-12, 1.0, np.maximum(std, floor))
+    return z * std[:, None] + mean[:, None]
+
+
 def test_stride_40_layout_gives_5_windows():
     windows = make_windows(_series(), t_ctx=30, t_hor=10, stride=40)
     assert len(windows) == 5
@@ -41,24 +49,25 @@ def test_constant_row_maps_to_zeros_without_nan():
     for win in make_windows(series, 30, 10, 40):
         assert np.all(win.context[1] == 0.0)
         assert np.all(win.horizon[1] == 0.0)
-        assert win.norm_std[1] == 1.0
         assert np.all(np.isfinite(win.context))
 
 
 def test_denormalization_recovers_raw_slice():
+    """A window keeps no statistics; the per-node mean and std of its raw
+    slice map it back to that slice."""
     series = _series(seed=3)
     windows = make_windows(series, 30, 10, 40)
     for i, win in enumerate(windows):
-        start = i * 40
-        block = win.denormalize(np.concatenate([win.context, win.horizon], axis=1))
-        np.testing.assert_allclose(block, series[:, start:start + 40], rtol=1e-6)
+        raw = series[:, i * 40:i * 40 + 40]
+        block = np.concatenate([win.context, win.horizon], axis=1)
+        np.testing.assert_allclose(_unscaled(block, raw, 40), raw, rtol=1e-6)
 
 
 def test_horizon_follows_context_without_overlap():
     series = np.arange(200, dtype=float)[None, :].repeat(2, axis=0)
     win = make_windows(series, 30, 10, 40)[0]
-    block = win.denormalize(np.concatenate([win.context, win.horizon], axis=1))
-    np.testing.assert_allclose(block[0], np.arange(40.0))
+    block = np.concatenate([win.context, win.horizon], axis=1)
+    np.testing.assert_allclose(block[0], (np.arange(40.0) - 19.5) / np.arange(40.0).std())
 
 
 def test_series_too_short():
@@ -86,21 +95,29 @@ def test_onset_sits_at_90_percent_of_context(record_pair):
     assert wins[0].is_perturbed
 
 
+def _straddling_slices(pre, post, spec):
+    """The 27 pre-onset bins of `pre`, then the 13 bins of `post` from the
+    onset: the raw block of the onset-straddling window (t_ctx 30, t_hor 10)."""
+    onset_bin = int(spec.onset_ms // 10.0)
+    return np.concatenate([pre.rates[:, onset_bin - 27:onset_bin],
+                           post.rates[:, onset_bin:onset_bin + 13]], axis=1)
+
+
 def test_pre_onset_context_equals_unperturbed_slice(record_pair):
     pre, post, spec = record_pair
     win = make_perturbed_windows(pre, post, spec, t_ctx=30, t_hor=10)[0]
     onset_bin = int(spec.onset_ms // 10.0)
     start = onset_bin - 27
-    raw_ctx = win.denormalize(win.context)
-    np.testing.assert_allclose(raw_ctx[:, :27],
+    raw = _unscaled(np.concatenate([win.context, win.horizon], axis=1),
+                    _straddling_slices(pre, post, spec), 30, floor=0.1)
+    np.testing.assert_allclose(raw[:, :27],
                                pre.rates[:, start:start + 27],
                                rtol=1e-9, atol=1e-12)
     # at/after onset the context comes from the perturbed record
-    np.testing.assert_allclose(raw_ctx[:, 27:],
+    np.testing.assert_allclose(raw[:, 27:30],
                                post.rates[:, onset_bin:onset_bin + 3],
                                rtol=1e-9, atol=1e-12)
-    raw_hor = win.denormalize(win.horizon)
-    np.testing.assert_allclose(raw_hor,
+    np.testing.assert_allclose(raw[:, 30:],
                                post.rates[:, onset_bin + 3:onset_bin + 13],
                                rtol=1e-9, atol=1e-12)
 
@@ -108,7 +125,8 @@ def test_pre_onset_context_equals_unperturbed_slice(record_pair):
 def test_normalization_uses_context_statistics_only(record_pair):
     pre, post, spec = record_pair
     win = make_perturbed_windows(pre, post, spec, t_ctx=30, t_hor=10)[0]
-    live = win.norm_std != 1.0  # rows that were not constant
+    # rows that were not constant in the context
+    live = _straddling_slices(pre, post, spec)[:, :30].std(axis=1) > 1e-12
     np.testing.assert_allclose(win.context[live].mean(axis=1), 0.0, atol=1e-9)
     np.testing.assert_allclose(win.context[live].std(axis=1), 1.0, atol=1e-9)
 
@@ -131,10 +149,12 @@ def test_a_near_silent_context_row_keeps_a_bounded_z(record_pair):
     block = np.concatenate([pre_rates[:, start:onset_bin],
                             post_rates[:, onset_bin:onset_bin + 13]], axis=1)
     assert block[0, :30].std() == pytest.approx(0.001)
-    assert win.norm_std[0] == 0.1
     z = np.concatenate([win.context, win.horizon], axis=1)
-    assert np.all(np.abs(z) <= np.abs(block - win.norm_mean[:, None]) / 0.1)
-    np.testing.assert_allclose(win.denormalize(z), block, rtol=1e-12, atol=1e-12)
+    mean = block[:, :30].mean(axis=1)[:, None]
+    np.testing.assert_allclose(z[0], (block[0] - mean[0]) / 0.1, rtol=1e-12)
+    assert np.all(np.abs(z) <= np.abs(block - mean) / 0.1)
+    np.testing.assert_allclose(_unscaled(z, block, 30, floor=0.1), block,
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_infeasible_placement_at_series_edge(record_pair):
@@ -158,6 +178,5 @@ def test_windows_round_trip(tmp_path):
     for a, b in zip(windows, loaded):
         np.testing.assert_allclose(a.context, b.context)
         np.testing.assert_allclose(a.horizon, b.horizon)
-        np.testing.assert_allclose(a.norm_mean, b.norm_mean)
         assert a.source_id == b.source_id
         assert a.perturbation_onset_index == b.perturbation_onset_index

@@ -213,3 +213,15 @@ def test_only_the_artifact_module_reads_and_writes_npy_files(source):
                      if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
                      and {"load", "save", "format"} & {alias.name for alias in node.names}})
     assert not uses, f"{source.name} reads or writes .npy files itself, lines {uses}"
+
+
+def test_the_readme_names_every_current_artifact_format():
+    """README's `File formats` names each artifact format the package
+    writes as `` (`<format>`) ``, so a format bump that leaves it stale
+    fails here."""
+    from sheafcast import cli, data, training
+
+    readme = (ROOT / "README.md").read_text()
+    formats = [cli.DATASET_FORMAT, cli.FORECASTS_FORMAT, data.WINDOWS_FORMAT,
+               training.CHECKPOINT_FORMAT]
+    assert [f for f in formats if f"(`{f}`)" not in readme] == []

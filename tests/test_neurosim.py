@@ -33,7 +33,7 @@ def test_reference_shape_100x200():
     graph = generate_small_world(100, 8, 0.1, seed=7)
     record = simulate(graph, LifParams(), seed=1)
     assert record.rates.shape == (100, 200)
-    assert record.bin_edges_ms.shape == (201,)
+    assert record.bin_ms == 10.0
     assert np.all(np.isfinite(record.rates)) and np.all(record.rates >= 0)
 
 
@@ -46,7 +46,7 @@ def test_seed_determinism_bit_exact(graph10):
     a = simulate(graph10, LifParams(), seed=9)
     b = simulate(graph10, LifParams(), seed=9)
     assert np.array_equal(a.rates, b.rates)
-    assert np.array_equal(a.bin_edges_ms, b.bin_edges_ms)
+    assert a.bin_ms == b.bin_ms
 
 
 def test_silencing_contract(graph10):
@@ -68,7 +68,7 @@ def test_perturbed_pair_shares_background_and_adjacency(graph10):
     pre = simulate(graph10, LifParams(), seed=6)
     post = simulate(graph10, LifParams(), seed=6, perturbation=spec)
     assert pre.adjacency.edges == post.adjacency.edges
-    assert np.array_equal(pre.bin_edges_ms, post.bin_edges_ms)
+    assert pre.bin_ms == post.bin_ms
     # well before onset (minus smoothing reach) the records agree
     assert np.allclose(pre.rates[:, :60], post.rates[:, :60])
 
@@ -200,10 +200,7 @@ def test_simulate_many_matches_loop_oracle(params, bin_ms, sigma_ms, rate_band, 
                                        trace.states[end], rtol=1e-12, atol=0)
         offset += graph.n_nodes
         assert (record.adjacency, record.seed, record.perturbation) == (graph, seed, spec)
-        assert record.params == params
-        np.testing.assert_array_equal(
-            record.bin_edges_ms,
-            np.arange(int(params.duration_ms / bin_ms) + 1) * bin_ms)
+        assert (record.params, record.bin_ms) == (params, bin_ms)
     assert events <= _block_events(params, runs, traces, n_total)
     mean_rate = np.mean([r.rates.mean() for r in records])
     assert rate_band[0] <= mean_rate <= rate_band[1] + 1e-9
@@ -352,10 +349,14 @@ def test_simulate_many_validates_every_run_before_stepping(monkeypatch):
         simulate_many([good, (G10A, 2, bad_neuron)], params)
     with pytest.raises(InvalidParameterError, match="multiple of bin_ms"):
         simulate_many([good], params, bin_ms=3.0)
+    # a bin count too large to hold (2e303 bins) is refused before it is built
+    with pytest.raises(InvalidParameterError, match="narrower than one 0.1 ms step"):
+        simulate_many([good], params, bin_ms=1e-300)
 
 
 @pytest.mark.parametrize("bin_ms, sigma_ms, match", [
-    (0.0, 20.0, "bin_ms"), (-10.0, 20.0, "bin_ms"), (10.0, -20.0, "sigma_ms")])
+    (0.0, 20.0, "bin_ms"), (-10.0, 20.0, "bin_ms"), (10.0, -20.0, "sigma_ms"),
+    (10.0, 2000.0, "sigma_ms")])
 def test_binning_refuses_values_outside_their_domain(bin_ms, sigma_ms, match):
     with pytest.raises(InvalidParameterError, match=match):
         bin_and_smooth([[15.0]], 200.0, bin_ms=bin_ms, sigma_ms=sigma_ms)
@@ -462,7 +463,7 @@ def test_record_meta_round_trips_its_edges(tmp_path):
     graph = generate_small_world(12, 4, 0.3, seed=2)
     assert list(graph.edges) != sorted(graph.edges)
     record = SimulationRecord(rates=np.zeros((12, 3)), adjacency=graph,
-                              bin_edges_ms=np.arange(4.0) * 10.0, seed=5,
+                              bin_ms=10.0, seed=5,
                               params=LifParams(duration_ms=30.0))
     save_record(tmp_path, "rec", record)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rec_meta.json", "rec_rates.npy"]

@@ -58,8 +58,9 @@ def records(draw, bins=st.integers(1, 6), rates=blocks):
     bins = draw(bins)
     pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    # bins of the drawn width that tile the duration, as `load_record` requires
-    width = draw(positive)
+    # bins of the drawn width that tile the duration and hold at least one
+    # 0.1 ms step, as `load_record` requires
+    width = draw(st.floats(min_value=0.1, max_value=1e4))
     params = LifParams(membrane_tau=draw(positive),
                        poisson_rate_hz=draw(st.floats(0.0, 1e4)),
                        duration_ms=bins * width)
@@ -70,7 +71,7 @@ def records(draw, bins=st.integers(1, 6), rates=blocks):
         rates=draw(rates(n, bins)),
         adjacency=BrainGraph(n_nodes=n, edges=tuple(edges),
                              seed=draw(st.integers(0, 2**32))),
-        bin_edges_ms=np.arange(bins + 1) * width,
+        bin_ms=width,
         seed=draw(st.integers(0, 2**32)), params=params,
         perturbation=perturbation)
 
@@ -86,7 +87,7 @@ def test_record_round_trip(record):
     _assert_loaded_layout(back.rates, record.rates.shape[1])
     assert back.rates.flags.c_contiguous
     assert back.adjacency == record.adjacency
-    assert np.array_equal(back.bin_edges_ms, record.bin_edges_ms)
+    assert back.bin_ms == record.bin_ms
     assert (back.seed, back.params, back.perturbation) == (
         record.seed, record.params, record.perturbation)
 
@@ -109,7 +110,7 @@ def test_windows_of_a_loaded_record_are_those_of_the_saved_one(record, t_ctx, t_
     assert back.rates.flags.c_contiguous and back.rates.shape == record.rates.shape
     for got, want in zip(*(make_windows(r.rates, t_ctx, t_hor, stride) for r in (back, record)),
                          strict=True):
-        for field in ("context", "horizon", "norm_mean", "norm_std"):
+        for field in ("context", "horizon"):
             assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
 
 
@@ -122,8 +123,6 @@ def window_sets(draw):
         out.append(TrajectoryWindow(
             context=draw(blocks(n, t_ctx)), horizon=draw(blocks(n, t_hor)),
             time_step=draw(finite),
-            norm_mean=draw(hnp.arrays(np.float64, n, elements=values)),
-            norm_std=draw(hnp.arrays(np.float64, n, elements=values)),
             source_id=draw(st.text(max_size=12)),
             perturbation_onset_index=draw(st.none() | st.integers(0, t_ctx))))
     return out
@@ -136,7 +135,7 @@ def test_windows_round_trip(windows):
         back = load_windows(save_windows(tmp, windows))
     assert len(back) == len(windows)
     for got, want in zip(back, windows):
-        for field in ("context", "horizon", "norm_mean", "norm_std"):
+        for field in ("context", "horizon"):
             assert getattr(got, field).shape == getattr(want, field).shape
             assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
         for block in (got.context, got.horizon):
