@@ -2,7 +2,7 @@
 
 Simulates a handful of networks, estimates the Granger prior, trains a
 small forecaster, and scores it against the copy-last-value and
-context-mean baselines. Takes about ten seconds on a 2-core machine.
+context-mean baselines. Takes about a second on a 2-core machine.
 """
 
 import numpy as np

@@ -17,7 +17,7 @@ from .neurosim import (LifParams, PerturbationSpec, SimulationRecord,
 from .data import TrajectoryWindow, make_perturbed_windows, make_windows
 from .encoder import LstmParams, encode_all
 from .sheaf import SheafParameters, message_pass, sheaf_laplacian_apply
-from .dynamics import ForecastTrajectory, VectorFieldParams, rk4_integrate
+from .dynamics import VectorFieldParams
 from .model import ForecastModel, ModelConfig
 from .training import (ModelCheckpoint, TrainingConfig, adamw_step,
                        cross_validate, load_checkpoint, loss_mse, loss_prior,
@@ -33,7 +33,7 @@ __all__ = [
     "TrajectoryWindow", "make_windows", "make_perturbed_windows",
     "LstmParams", "encode_all",
     "SheafParameters", "sheaf_laplacian_apply", "message_pass",
-    "VectorFieldParams", "ForecastTrajectory", "rk4_integrate",
+    "VectorFieldParams",
     "ForecastModel", "ModelConfig",
     "TrainingConfig", "ModelCheckpoint", "loss_mse", "loss_sparse",
     "loss_prior", "total_loss", "adamw_step", "train", "cross_validate",

@@ -79,14 +79,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -11,33 +11,13 @@ sources, and every file in the directory), renames the sibling onto
 `--out` and only then prints the line; a failure removes the sibling and
 leaves `--out` as it was. Identical manifests reproduce identical outputs.
 
-Exit codes: 0 success, 2 configuration/schema violation (a number that
-is not finite, a bin narrower than one simulation step and a smoothing
-width longer than the simulation included), 3 missing input, 4 artifact
-mismatch (a file that does not match the sha256 its manifest pins or
-that it does not pin, a dataset, window set, forecast set or checkpoint
-in a format no longer read (one of time-major rates blocks included), a
-dataset manifest, record meta, windows manifest, forecast-set manifest
-or `checkpoint.json` that is malformed (invalid JSON, a key missing,
-unknown or of the wrong type, or a number that is not finite), a record
-meta outside its domain (a bin width that is narrower than one step or
-does not divide its duration included), a windows manifest entry whose
-node count, context or horizon is below 1, a dataset instance whose post
-record is not a perturbed run of its pre record, any array file that is
-not an `.npy` of a C-ordered float64 array of finite values, a record's
-rates, window block, forecast or target not of the (nodes, bins) shape
-its meta or manifest gives, a pinned name outside its artifact or not
-printable, a checkpoint whose arrays or edges do not fit its model, and
-the perturbation leakage guard), 5 any
-other failure (bad data, a prior CSV of another header or a score that
-is not finite included, a forecast window whose score is not finite,
-I/O, divergence, an `--out` that is not empty, a JSON file that would
-hold a number that is not finite). Failures print one line. A
-checkpoint is the directory `train` writes: its `checkpoint.json` pins
-every array file by sha256, as `dataset_manifest.json` pins the files of
-every record (whose meta alone states its facts), a windows manifest
-every window block and `forecasts_manifest.json` every forecast and
-target, so the hash of a manifest covers the files it pins too.
+README's `Command line` tables the exit codes (`EXIT_*` below); every
+failure prints one line. A checkpoint is the directory `train` writes:
+its `checkpoint.json` pins every array file by sha256, as
+`dataset_manifest.json` pins the files of every record (whose meta alone
+states its facts), a windows manifest every window block and
+`forecasts_manifest.json` every forecast and target, so the hash of a
+manifest covers the files it pins too.
 """
 
 from __future__ import annotations

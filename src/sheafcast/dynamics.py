@@ -2,11 +2,11 @@
 
 The vector field is a two-layer tanh MLP shared across nodes. Its input is
 the concatenation [x_i; h_i] of the node's current signal value and its
-post-message-passing stalk. The integrator is the classical RK4 tableau. A
-forecast horizon (`Horizon`) records one tape node for all of its steps,
-whose backward is the discrete adjoint of the tableau; `field_batch`
-evaluates one of its stages. The composed-op integrator it replaced is kept
-as a test oracle.
+post-message-passing stalk. The one integrator, `rk4_states`, steps the
+classical RK4 tableau. A forecast horizon (`Horizon`) records one tape
+node for all of its steps, whose backward is the discrete adjoint of the
+tableau; `field_batch` evaluates one of its stages. The composed-op
+integrator it replaced is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidParameterError, NonFiniteStateError, ShapeMismatchError
+from .errors import NonFiniteStateError, ShapeMismatchError
 
 
 @dataclass
@@ -50,21 +50,6 @@ class VectorFieldParams:
     def parameters(self) -> dict:
         return {"field.w1": self.w1, "field.b1": self.b1,
                 "field.w2": self.w2, "field.b2": self.b2}
-
-
-@dataclass
-class ForecastTrajectory:
-    """States recorded after each integrator step."""
-
-    values: np.ndarray                # (n_nodes, n_steps)
-    times: np.ndarray                 # (n_steps,)
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteStateError("trajectory contains non-finite values")
-        steps = np.diff(self.times)
-        if len(steps) and not np.allclose(steps, steps[0]):
-            raise InvalidParameterError("trajectory times must be uniform")
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,25 +161,21 @@ class Horizon:
         return ad.node(values, (self.stalks, p.w1, p.b1, p.w2, p.b2), backward)
 
 
-def rk4_step(f, t: float, x, dt: float):
-    """One classical RK4 step; works on ndarrays and Tensors alike.
+def rk4_states(f, x0, t0: float, dt: float, n_steps: int) -> list:
+    """States after each of `n_steps` classical RK4 steps of dx/dt = f(t, x)
+    (x0 excluded); works on ndarrays and Tensors alike.
 
     The pipeline steps ndarrays (`Horizon` records the tape node); the
     Tensor path serves the composed-op oracles of the tests."""
-    k1 = f(t, x)
-    k2 = f(t + dt / 2.0, x + (dt / 2.0) * k1)
-    k3 = f(t + dt / 2.0, x + (dt / 2.0) * k2)
-    k4 = f(t + dt, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_states(f, x0, t0: float, dt: float, n_steps: int) -> list:
-    """States after each of `n_steps` RK4 steps (x0 excluded)."""
     states = []
     x = x0
     t = t0
     for step in range(n_steps):
-        x = rk4_step(f, t, x, dt)
+        k1 = f(t, x)
+        k2 = f(t + dt / 2.0, x + (dt / 2.0) * k1)
+        k3 = f(t + dt / 2.0, x + (dt / 2.0) * k2)
+        k4 = f(t + dt, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         data = x.data if isinstance(x, ad.Tensor) else np.asarray(x)
         if not np.all(np.isfinite(data)):
             raise NonFiniteStateError(
@@ -202,27 +183,3 @@ def rk4_states(f, x0, t0: float, dt: float, n_steps: int) -> list:
         states.append(x)
         t += dt
     return states
-
-
-def rk4_integrate(x0, field, t_span, dt: float) -> ForecastTrajectory:
-    """Integrate dx/dt = field(t, x) over t_span with fixed step dt.
-
-    `t_span` is (t_start, t_end) and its length must be an integer multiple
-    of dt. The returned trajectory records the state after every step.
-    """
-    if dt <= 0:
-        raise InvalidParameterError("dt must be positive")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    span = t1 - t0
-    n_steps = span / dt
-    if span <= 0 or abs(n_steps - round(n_steps)) > 1e-9:
-        raise InvalidParameterError(
-            f"t_span length {span:g} is not a positive multiple of dt={dt:g}")
-    n_steps = int(round(n_steps))
-
-    x0 = np.asarray(x0, dtype=np.float64)
-    states = rk4_states(lambda t, x: np.asarray(field(t, x), dtype=np.float64),
-                        x0, t0, dt, n_steps)
-    values = np.stack([np.atleast_1d(s) for s in states], axis=-1)
-    times = t0 + dt * np.arange(1, n_steps + 1)
-    return ForecastTrajectory(values=values, times=times)

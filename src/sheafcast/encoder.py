@@ -41,13 +41,6 @@ class LstmParams:
                    w_h=ad.Tensor(w_h, requires_grad=True),
                    bias=ad.Tensor(bias, requires_grad=True))
 
-    @classmethod
-    def zeros(cls, hidden_dim: int) -> "LstmParams":
-        d = hidden_dim
-        return cls(w_x=ad.Tensor(np.zeros((1, 4 * d)), requires_grad=True),
-                   w_h=ad.Tensor(np.zeros((d, 4 * d)), requires_grad=True),
-                   bias=ad.Tensor(np.zeros(4 * d), requires_grad=True))
-
     def parameters(self) -> dict:
         return {"lstm.w_x": self.w_x, "lstm.w_h": self.w_h, "lstm.bias": self.bias}
 

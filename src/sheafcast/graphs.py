@@ -20,14 +20,11 @@ from .errors import InvalidParameterError, WindowTooShortError
 _RSS_FLOOR = 1e-12
 
 
-def check_edges(edges, n_nodes: int | None) -> np.ndarray:
-    """`edges` as an (E, 2) intp array, refused when an id is negative or,
-    unless `n_nodes` is None, not below `n_nodes`, and when it holds a
-    self-loop or a repeated edge."""
+def check_edges(edges, n_nodes: int) -> np.ndarray:
+    """`edges` as an (E, 2) intp array, refused when an id is negative or
+    not below `n_nodes`, and when it holds a self-loop or a repeated edge."""
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    outside = edges < 0
-    if n_nodes is not None:
-        outside |= edges >= n_nodes
+    outside = (edges < 0) | (edges >= n_nodes)
     if outside.any():
         s, d = edges[outside.any(axis=1)][0]
         raise InvalidParameterError(f"edge ({s}, {d}) out of range for {n_nodes} nodes")
@@ -71,10 +68,10 @@ class PriorGraph:
     scores: tuple
     lag_order: int
     top_k: int
-    n_nodes: int = 0                  # 0: unknown, ids have no upper bound
+    n_nodes: int
 
     def __post_init__(self):
-        edges = check_edges(self.edges, self.n_nodes or None)
+        edges = check_edges(self.edges, self.n_nodes)
         self.edges = tuple(map(tuple, edges.tolist()))
         self.scores = tuple(float(s) for s in self.scores)
         if len(self.edges) != len(self.scores):
@@ -222,7 +219,7 @@ def save_prior_csv(path, prior: PriorGraph) -> None:
             writer.writerow([s, d, repr(sc)])
 
 
-def load_prior_csv(path, lag_order: int, top_k: int, n_nodes: int = 0) -> PriorGraph:
+def load_prior_csv(path, lag_order: int, top_k: int, n_nodes: int) -> PriorGraph:
     """The prior `save_prior_csv` wrote; another header, or rows `PriorGraph`
     refuses (a score that is not finite), raise InvalidParameterError."""
     with open(path, newline="") as fh:

@@ -15,7 +15,7 @@ its own with a DP over path length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,13 +34,7 @@ class MetricReport:
     per_window: dict
 
     def to_dict(self) -> dict:
-        return {
-            "mse": self.mse, "mae": self.mae, "dtw": self.dtw,
-            "mse_std": self.mse_std, "mae_std": self.mae_std,
-            "dtw_std": self.dtw_std, "n_windows": self.n_windows,
-            "per_window": {k: [float(x) for x in v]
-                           for k, v in self.per_window.items()},
-        }
+        return asdict(self)
 
 
 def _paired(pred, target):

@@ -127,10 +127,6 @@ class SimulationRecord:
     params: LifParams
     perturbation: Optional[PerturbationSpec] = None
 
-    @property
-    def n_bins(self) -> int:
-        return self.rates.shape[1]
-
 
 def sample_perturbation(duration_ms: float, seed: int,
                         n_nodes: Optional[int] = None) -> PerturbationSpec:

@@ -37,7 +37,7 @@ class SheafParameters:
     normalize: bool = False
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+        self.edges = check_edges(self.edges, self.n_nodes)
         e, m, d = self.rho_src.data.shape
         if self.rho_dst.data.shape != (e, m, d):
             raise ShapeMismatchError("rho_src/rho_dst shapes differ")
@@ -48,15 +48,6 @@ class SheafParameters:
                 f"{e} restriction-map pairs for {len(self.edges)} edges")
         if self.rounds < 0:
             raise InvalidParameterError("rounds must be >= 0")
-        check_edges(self.edges, self.n_nodes)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    @property
-    def map_dim(self) -> int:
-        return self.rho_src.data.shape[1]
 
     @property
     def stalk_dim(self) -> int:
@@ -192,13 +183,6 @@ def _pull(delta: np.ndarray, params: SheafParameters) -> np.ndarray:
     if params.normalize:
         out *= (1.0 / (1.0 + params.degrees()))[:, None, None]
     return out
-
-
-def _discrepancies(H, params: SheafParameters, alpha_override) -> ad.Tensor:
-    """The (..., n_edges, m) discrepancies of (..., n, d) stalks, untaped."""
-    h = _stalk_data(H, params)
-    delta, _ = _project(_windows_last(h), params, alpha_override)
-    return ad.Tensor(_windows_first(delta, h.shape[:-2]))
 
 
 def sheaf_laplacian_apply(H, params: SheafParameters, alpha_override=None) -> ad.Tensor:

@@ -357,7 +357,8 @@ def train(windows, prior: PriorGraph, config: TrainingConfig,
           val_windows=None, log_path=None) -> ModelCheckpoint:
     """Train a forecaster on TrajectoryWindows; returns the best checkpoint.
 
-    Validation series are split off by source id unless provided. The
+    Validation series are split off by source id unless provided; a split
+    that leaves no window to train on raises InvalidParameterError. The
     learning rate halves after `patience_epochs` epochs without validation
     improvement, floored at min_lr. Fully deterministic for a fixed seed.
     """
@@ -374,6 +375,8 @@ def train(windows, prior: PriorGraph, config: TrainingConfig,
             windows, config.seed, config.val_fraction)
     else:
         train_windows, val_windows = windows, list(val_windows)
+    if not train_windows:
+        raise InvalidParameterError("the validation split leaves no window to train on")
     if len({(w.context.shape, w.horizon.shape) for w in train_windows + val_windows}) > 1:
         raise InvalidParameterError("training and validation windows differ in shape")
 
@@ -417,7 +420,7 @@ def train(windows, prior: PriorGraph, config: TrainingConfig,
             if log_fh:
                 log_fh.write(json.dumps({
                     "epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
-                    "val_loss": val_loss, "lr": lr}) + "\n")
+                    "val_loss": val_loss, "lr": lr}, allow_nan=False) + "\n")
             if val_loss < best_val:
                 best_val, best_arrays, best_epoch = val_loss, _snapshot(model), epoch
             lr = scheduler.update(val_loss)

@@ -357,11 +357,11 @@ def forward_composed(model, context, t_hor):
                                            model.sheaf, alpha_override=alpha)
 
     def f(_t, x):
-        return field_batch_composed(x, h_final, model.vfield).reshape(x.shape)
+        return field_batch_composed(x, h_final, model.vfield).reshape(x.data.shape)
 
     states = rk4_states(f, ad.Tensor(context[..., -1]), 0.0, model.config.dt,
                         int(t_hor))
-    pred = concatenate([s.reshape(s.shape + (1,)) for s in states], axis=-1)
+    pred = concatenate([s.reshape(s.data.shape + (1,)) for s in states], axis=-1)
     return pred, delta
 
 

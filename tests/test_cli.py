@@ -219,6 +219,23 @@ def test_train_wrote_checkpoint_and_log(pipeline):
     assert ckpt["trained_on_perturbed"] is False
 
 
+def test_train_refuses_a_dataset_that_leaves_no_window_to_train_on(tmp_path, capsys):
+    """One 400 ms record cuts one window, which the split holds out for
+    validation: `train` exits 5 instead of saving untrained weights beside
+    a log of NaN losses."""
+    cfg = _fast_config(count=1)
+    cfg["simulate"]["perturb"] = False
+    cfg["simulate"]["lif"]["duration_ms"] = 400.0
+    cfg_path = _write_config(tmp_path, cfg)
+    sim, prior = tmp_path / "sim", tmp_path / "prior"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(sim)]) == EXIT_OK
+    assert main(["prior", "--config", str(cfg_path), "--data", str(sim),
+                 "--out", str(prior)]) == EXIT_OK
+    code, err = _refused(capsys, ["train", "--config", cfg_path, "--data", sim,
+                                  "--prior", prior / "prior.csv"], tmp_path / "train")
+    assert code == EXIT_RUNTIME and "no window to train on" in err
+
+
 def test_forecast_shapes_and_metrics_pipeline(pipeline, tmp_path, capsys):
     # build windows from one simulated record, forecast them, score them
     from sheafcast.data import make_windows, save_windows

@@ -17,15 +17,22 @@ def _encode_row(x, params):
     return encode_all(np.asarray(x, dtype=np.float64)[None, :], params)
 
 
+def _zero_params(hidden_dim):
+    params = LstmParams.init(hidden_dim, np.random.default_rng(0))
+    for t in params.parameters().values():
+        t.data[:] = 0.0
+    return params
+
+
 def test_zero_parameters_encode_to_zero():
-    params = LstmParams.zeros(4)
+    params = _zero_params(4)
     out = _encode_row([1.0, -2.0, 3.0], params)
     np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
 
 def test_scalar_hand_trace_single_step():
     # d=1, unit input weights, zero recurrents and biases, x=[1]
-    params = LstmParams.zeros(1)
+    params = _zero_params(1)
     params.w_x.data[:] = 1.0
     out = _encode_row([1.0], params)
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
@@ -145,7 +152,7 @@ def test_encode_tape_keeps_only_gates_and_cells_at_the_default_training_shape():
 
 
 def test_shape_errors():
-    params = LstmParams.zeros(2)
+    params = _zero_params(2)
     with pytest.raises(ShapeMismatchError):
         encode_all(np.zeros((2, 3, 4, 5)), params)
     with pytest.raises(ShapeMismatchError):

@@ -1,13 +1,17 @@
 """Every `sheafcast` name the demos use, every name the benchmark's traced
-run wraps, and every exported name, exists.
+run wraps, and every exported name, exists; and every demo runs cleanly.
 
-No test runs the demos or the traced benchmark, so a removed or moved name
-would break them without any test failing. The scans read the names from
-the source (an AST walk) and resolve each one; nothing is executed.
+No test runs the traced benchmark, so a removed or moved name would break
+it without any test failing. The scans read the names from the source (an
+AST walk) and resolve each one; nothing is executed. The demos are also
+run, each in its own interpreter.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -65,6 +69,14 @@ def test_every_package_name_a_demo_uses_exists(demo):
             if not hasattr(owner, node.attr):
                 missing.append(f"{owner.__name__}.{node.attr}")
     assert not missing, f"{demo.name} uses names sheafcast does not define: {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_every_demo_runs_to_exit_0_with_nothing_on_stderr(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(sheafcast.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, ""), run.stderr
 
 
 def _wrapped_attributes(tree):

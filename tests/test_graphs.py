@@ -180,16 +180,14 @@ def test_window_too_short_raises():
 
 def test_prior_graph_invariants_enforced():
     with pytest.raises(InvalidParameterError):
-        PriorGraph(edges=((0, 1),), scores=(-1.0,), lag_order=3, top_k=8)
+        PriorGraph(edges=((0, 1),), scores=(-1.0,), lag_order=3, top_k=8, n_nodes=4)
     with pytest.raises(InvalidParameterError):
         PriorGraph(edges=((0, 1), (2, 1)), scores=(1.0, 1.0),
-                   lag_order=3, top_k=1)
+                   lag_order=3, top_k=1, n_nodes=4)
     for edges in (((-1, 0),), ((0, 7),), ((0, 1), (0, 1))):
         with pytest.raises(InvalidParameterError):
             PriorGraph(edges=edges, scores=(1.0,) * len(edges), lag_order=3,
                        top_k=8, n_nodes=4)
-    # n_nodes 0 means the node count is unknown, so ids are not range-checked
-    assert PriorGraph(edges=((0, 7),), scores=(1.0,), lag_order=3, top_k=8).n_edges == 1
 
 
 # ----------------------------------------------------------------------

@@ -163,7 +163,7 @@ def test_no_grad_forward_records_nothing_and_keeps_no_cache():
     for out in (stalks, pred, delta):
         assert out._parents == () and out._backward is None
         assert not out.requires_grad
-    assert pred.shape == (8, 4, 100)
+    assert pred.data.shape == (8, 4, 100)
     assert peak < min(gate_cache, stage_cache) / 10, peak
     # with the tape on, the same forward does keep its caches
     tracemalloc.start()

@@ -451,7 +451,7 @@ def test_record_round_trip(tmp_path, graph10):
     assert loaded.params == record.params
     # the file holds the record's own (nodes, bins) block, C-ordered
     stored = np.load(tmp_path / "demo_rates.npy", allow_pickle=False)
-    assert stored.shape == (10, record.n_bins) and stored.flags.c_contiguous
+    assert stored.shape == (10, record.rates.shape[1]) and stored.flags.c_contiguous
     assert stored.tobytes() == np.ascontiguousarray(record.rates).tobytes()
     meta = json.loads((tmp_path / "demo_meta.json").read_text())
     assert meta["seed"] == 3

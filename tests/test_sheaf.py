@@ -9,8 +9,7 @@ import pytest
 from sheafcast import autodiff as ad
 from sheafcast import sheaf
 from sheafcast.errors import InvalidParameterError, MissingEdgeParametersError
-from sheafcast.sheaf import (SheafParameters, message_pass, sheaf_laplacian_apply,
-                             _discrepancies)
+from sheafcast.sheaf import SheafParameters, message_pass, sheaf_laplacian_apply
 
 from oracles import (finite_difference_grads, graph_laplacian, message_pass_composed,
                      relative_errors)
@@ -212,13 +211,11 @@ def test_message_pass_matches_round_by_round_laplacian(normalize):
     params.attention.data[:] = rng.normal(size=3)
     H0 = rng.normal(size=(5, 7, 4))
     with ad.no_grad():
-        got, got_delta = message_pass(H0, params)
+        got, _ = message_pass(H0, params)
         want = ad.lift(H0)
         for _ in range(params.rounds):
             want = want - sheaf_laplacian_apply(want, params)
-        want_delta = _discrepancies(ad.lift(H0), params, None)
     assert np.array_equal(got.data, want.data)
-    assert np.array_equal(got_delta.data, want_delta.data)
     assert np.array_equal(message_pass(H0, params)[0].data, want.data)
 
 
@@ -238,7 +235,7 @@ def _oracle_case(mode, normalize, rounds, batch, seed=0):
             t.data[:] = rng.normal(size=t.data.shape)
     H0 = ad.Tensor(rng.normal(size=(batch, n, d)), requires_grad=True)
     weights = (rng.normal(size=(batch, n, d)),
-               rng.normal(size=(batch, params.n_edges, m)))
+               rng.normal(size=(batch, len(params.edges), m)))
     return params, H0, weights, (None if mode == "full" else 1.0)
 
 

@@ -89,7 +89,8 @@ def test_loss_prior_examples():
 
 
 def test_loss_prior_zero_iff_indicator_matched():
-    prior = PriorGraph(edges=((0, 1),), scores=(1.0,), lag_order=2, top_k=2)
+    prior = PriorGraph(edges=((0, 1),), scores=(1.0,), lag_order=2, top_k=2,
+                       n_nodes=2)
     exact = loss_prior(np.array([[0.6, 0.8], [0.0, 0.0]]), prior,
                        edges=[(0, 1), (1, 0)])
     assert float(exact.data) == pytest.approx(0.0, abs=1e-12)
@@ -478,6 +479,16 @@ def test_train_rejects_windows_of_differing_shapes():
                + make_windows(series, 30, 5, 40, source_id="b"))
     with pytest.raises(InvalidParameterError):
         train(windows, _toy_prior(), TrainingConfig(max_epochs=1),
+              model_config=_small_model_config())
+
+
+@pytest.mark.parametrize("n_series, t, val_fraction", [(1, 40, 0.1), (2, 200, 0.9)],
+                         ids=["one-window", "every-series-held-out"])
+def test_train_refuses_a_split_that_leaves_no_training_window(n_series, t, val_fraction):
+    windows = [w for s in range(n_series)
+               for w in make_windows(_ar_series(s)[:, :t], 30, 10, 40, source_id=f"s{s}")]
+    with pytest.raises(InvalidParameterError, match="no window to train on"):
+        train(windows, _toy_prior(), TrainingConfig(max_epochs=1, val_fraction=val_fraction),
               model_config=_small_model_config())
 
 
